@@ -13,15 +13,15 @@ to the bound" - never an unconditional "forces".
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
 from . import bruhat, perms, posets, structure, words
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
 from .perms import Perm
-from .tables import MAX_TABLE_N, group_table, iter_bits
 from .words import Word
 
 
@@ -96,64 +96,65 @@ def _ideal_fingerprint(w: Perm):
     )
 
 
-def _table_candidates(
-    w: Perm, m: int, x_lo: int, x_hi: int
+def intervals_isomorphic_to(
+    w: Perm,
+    m: int,
+    limits: Limits = DEFAULT_LIMITS,
+    lo: int = 0,
+    hi: int | None = None,
 ) -> Iterator[tuple[Perm, Perm]]:
-    """Matching intervals with the bottom element's id in [x_lo, x_hi)."""
+    """Every interval [x, y] in S_m isomorphic to the ideal of w, each
+    exactly once, ordered by (x, y) in one-line order; only bottoms x at
+    positions [lo, hi) of :func:`perms.all_perms` are scanned.
+
+    Each bottom x gets its up-ball of depth d = length(w): the elements
+    reached from x by at most d upward covers, numbered level by level
+    with each level in one-line order.  Every z in [x, y] lies on a
+    saturated chain from x, so for y on the top level the interval is
+    exactly y's below-set within the ball, a bitmask found by dynamic
+    programming over the levels.  Candidates are pruned by element count,
+    then rank profile, before the certificate comparison.
+    """
+    bottoms = itertools.islice(perms.all_perms(m, limits), lo, hi)
     d, size, profile, cert = _ideal_fingerprint(w)
-    gt = group_table(m)
-    for xid in range(x_lo, x_hi):
-        rx = gt.ranks[xid]
-        if rx + d > gt.max_rank:
+    top_rank = m * (m - 1) // 2
+    for x in bottoms:
+        if perms.length(x) + d > top_rank:
             continue
-        above = gt.above[xid]
-        for yid in iter_bits(above & gt.rank_masks[rx + d]):
-            mask = above & gt.below[yid]
+        elements = [x]
+        ranks = [0]
+        down_adj: list[list[int]] = [[]]
+        level_masks = [1]
+        level = [x]
+        for r in range(1, d + 1):
+            below_of: dict[Perm, list[int]] = {}
+            start = len(elements)
+            for zid, z in enumerate(level, start - len(level)):
+                for c in bruhat.covers_above(z):
+                    below_of.setdefault(c, []).append(zid)
+            level = sorted(below_of)
+            elements += level
+            ranks += [r] * len(level)
+            down_adj += [below_of[c] for c in level]
+            level_masks.append((1 << len(elements)) - (1 << start))
+        below: list[int] = []
+        for u, downs in enumerate(down_adj):
+            mask = 1 << u
+            for v in downs:
+                mask |= below[v]
+            below.append(mask)
+        for yid in range(len(elements) - len(level), len(elements)):
+            mask = below[yid]
             if mask.bit_count() != size:
                 continue
             if any(
-                gt.rank_count(mask, rx + i) != profile[i]
-                for i in range(d + 1)
+                (mask & level_masks[r]).bit_count() != profile[r]
+                for r in range(d + 1)
             ):
                 continue
-            struct = posets._interval_structure(gt, mask, rx)
+            struct = posets._interval_structure(ranks, down_adj, mask, 0)
             if posets._certificate(*struct) == cert:
-                yield gt.elements[xid], gt.elements[yid]
-
-
-def _generic_candidates(
-    w: Perm, m: int, limits: Limits
-) -> Iterator[tuple[Perm, Perm]]:
-    """Cover-by-cover fallback for groups beyond the table range."""
-    d, size, profile, cert = _ideal_fingerprint(w)
-    for x in perms.all_perms(m, limits):
-        level = {x}
-        for _ in range(d):
-            level = {z for v in level for z in bruhat.covers_above(v)}
-        for y in sorted(level):
-            iv = bruhat.interval(x, y)
-            if len(iv.elements) != size or iv.rank_profile() != profile:
-                continue
-            shape = posets.poset_from_interval(iv)
-            if posets._certificate(shape.ranks, shape.covers) == cert:
-                yield x, y
-
-
-def intervals_isomorphic_to(
-    w: Perm, m: int, limits: Limits = DEFAULT_LIMITS
-) -> Iterator[tuple[Perm, Perm]]:
-    """Every interval [x, y] in S_m isomorphic to the ideal of w, each
-    exactly once, ordered by (x, y) in one-line order.
-
-    Candidates are pruned by length difference, then element count, then
-    rank profile, before the certificate comparison.
-    """
-    perms.check_group_size(m, limits)
-    if m <= MAX_TABLE_N:
-        size = len(group_table(m).elements)
-        yield from _table_candidates(w, m, 0, size)
-    else:
-        yield from _generic_candidates(w, m, limits)
+                yield x, elements[yid]
 
 
 @dataclass(frozen=True)
@@ -209,23 +210,31 @@ class ForcingVerdict:
         return out
 
 
-def _pair_orbit_min(x: Perm, y: Perm) -> tuple[Perm, Perm]:
-    xi, yi = perms.inverse(x), perms.inverse(y)
-    xc, yc = perms.conjugate_by_longest(x), perms.conjugate_by_longest(y)
-    xic, yic = perms.conjugate_by_longest(xi), perms.conjugate_by_longest(yi)
-    return min((x, y), (xi, yi), (xc, yc), (xic, yic))
-
-
-def _forces_chunk(args):
-    """Worker: scan one id range of bottom elements in S_m and run the
-    deletion search on every matching interval, preserving order."""
-    w, m, x_lo, x_hi, use_symmetry, limits = args
-    records = []
-    for x, y in _table_candidates(w, m, x_lo, x_hi):
-        if use_symmetry and (x, y) != _pair_orbit_min(x, y):
-            continue
-        records.append((x, y, factor_deletion(x, y, limits)))
-    return records
+def _forces_chunk(w, m, use_symmetry, limits, part, parts):
+    """Worker: scan the bottoms of slice ``part`` of ``parts`` equal
+    slices of S_m, running the deletion search on every matching interval
+    in order until one admits none.  Returns (intervals examined, that
+    counterexample (x, y) or None, the last certificate found)."""
+    step = -(-math.factorial(m) // parts)
+    examined = 0
+    last_cert: FactorCertificate | None = None
+    try:
+        for x, y in intervals_isomorphic_to(
+            w, m, limits, part * step, (part + 1) * step
+        ):
+            if use_symmetry and (x, y) != min(
+                zip(perms.symmetry_images(x), perms.symmetry_images(y))
+            ):
+                continue
+            examined += 1
+            cert = factor_deletion(x, y, limits)
+            if cert is None:
+                return examined, (x, y), last_cert
+            last_cert = cert
+    except CapExceeded as exc:
+        exc.stats["intervals_examined"] = examined
+        raise
+    return examined, None, last_cert
 
 
 def _no_factor_proof(y: Perm, gap: int, limits: Limits) -> dict:
@@ -264,60 +273,38 @@ def forces_factor(
     started = time.perf_counter()
     examined = 0
     last_cert: FactorCertificate | None = None
-    gap = perms.length(w)
-
-    def finish_counterexample(x: Perm, y: Perm, m: int) -> ForcingVerdict:
-        return ForcingVerdict(
-            w=w,
-            m_max=m_max,
-            outcome="counterexample",
-            counterexample=Counterexample(x=x, y=y, m=m),
-            no_factor_proof=_no_factor_proof(y, gap, limits),
-            sample_certificate=None,
-            intervals_examined=examined,
-            seconds=time.perf_counter() - started,
-            limits=limits,
+    counterexample: Counterexample | None = None
+    proof: dict | None = None
+    chunks = (
+        (m, chunk)
+        for m in range(n, m_max + 1)
+        for chunk in posets._fan_out(
+            _forces_chunk, (w, m, use_symmetry, limits), jobs
         )
-
+    )
     try:
-        for m in range(n, m_max + 1):
-            if jobs and jobs > 1 and m <= MAX_TABLE_N:
-                size = len(group_table(m).elements)
-                step = -(-size // jobs)
-                chunks = [
-                    (w, m, lo, min(lo + step, size), use_symmetry, limits)
-                    for lo in range(0, size, step)
-                ]
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    for records in pool.map(_forces_chunk, chunks):
-                        for x, y, cert in records:
-                            examined += 1
-                            if cert is None:
-                                return finish_counterexample(x, y, m)
-                            last_cert = cert
-            else:
-                stream = intervals_isomorphic_to(w, m, limits)
-                for x, y in stream:
-                    if use_symmetry and (x, y) != _pair_orbit_min(x, y):
-                        continue
-                    examined += 1
-                    cert = factor_deletion(x, y, limits)
-                    if cert is None:
-                        return finish_counterexample(x, y, m)
-                    last_cert = cert
+        for m, (count, pair, cert) in chunks:
+            examined += count
+            if pair is not None:
+                counterexample = Counterexample(*pair, m)
+                proof = _no_factor_proof(pair[1], perms.length(w), limits)
+                break
+            last_cert = cert or last_cert
     except CapExceeded as exc:
         exc.stats.update(
-            intervals_examined=examined,
+            intervals_examined=examined
+            + exc.stats.get("intervals_examined", 0),
             seconds=time.perf_counter() - started,
         )
         raise
     return ForcingVerdict(
         w=w,
         m_max=m_max,
-        outcome="no-counterexample-up-to-bound",
-        counterexample=None,
-        no_factor_proof=None,
-        sample_certificate=last_cert,
+        outcome="counterexample" if counterexample
+        else "no-counterexample-up-to-bound",
+        counterexample=counterexample,
+        no_factor_proof=proof,
+        sample_certificate=None if counterexample else last_cert,
         intervals_examined=examined,
         seconds=time.perf_counter() - started,
         limits=limits,

@@ -178,6 +178,18 @@ def conjugate_by_longest(w: Perm) -> Perm:
     return tuple(n + 1 - w[n - 1 - i] for i in range(n))
 
 
+def symmetry_images(w: Perm) -> tuple[Perm, Perm, Perm, Perm]:
+    """The images of ``w`` under the Bruhat-order automorphisms generated
+    by inversion and conjugation by the reversal: w, w^-1, w0 w w0 and
+    w0 w^-1 w0.
+
+    >>> symmetry_images((2, 3, 1))
+    ((2, 3, 1), (3, 1, 2), (3, 1, 2), (2, 3, 1))
+    """
+    wi = inverse(w)
+    return w, wi, conjugate_by_longest(w), conjugate_by_longest(wi)
+
+
 def all_perms(n: int, limits: Limits = DEFAULT_LIMITS) -> Iterator[Perm]:
     """All of S_n in lexicographic one-line order."""
     check_group_size(n, limits)

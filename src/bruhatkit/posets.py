@@ -18,13 +18,13 @@ from __future__ import annotations
 import functools
 import time
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 
 from . import perms
 from .bruhat import Interval
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
-from .tables import GroupTable, group_table, iter_bits, symmetry_orbit_ids
+from .tables import group_table, iter_bits
 
 Cert = tuple
 
@@ -282,37 +282,55 @@ class AtlasResult:
         }
 
 
-def _interval_structure(gt: GroupTable, mask: int, low_rank: int):
-    """Relabel the elements of an interval mask to 0..m-1 in (rank,
-    one-line) order and return (relative ranks, cover id pairs)."""
-    elems = sorted(iter_bits(mask), key=lambda e: (gt.ranks[e], e))
+def _interval_structure(ranks, down_adj, mask: int, low_rank: int):
+    """Relabel the elements of an interval mask to 0..m-1 in (rank, id)
+    order and return (relative ranks, cover id pairs); ``down_adj[u]``
+    lists the ids that u covers."""
+    elems = sorted(iter_bits(mask), key=lambda e: (ranks[e], e))
     index = {e: i for i, e in enumerate(elems)}
-    ranks = tuple(gt.ranks[e] - low_rank for e in elems)
+    rel_ranks = tuple(ranks[e] - low_rank for e in elems)
     covers = tuple(
         sorted(
             (index[v], index[u])
             for u in elems
-            for v in gt.down_adj[u]
+            for v in down_adj[u]
             if mask >> v & 1
         )
     )
-    return ranks, covers
+    return rel_ranks, covers
 
 
-def _scan_intervals(n: int, max_len: int, y_ids: list[int]):
-    """Certificates of all intervals [z, y] with y in ``y_ids`` and
-    1 <= rank gap <= max_len, bucketed by gap."""
+def _fan_out(fn, args: tuple, jobs: int | None):
+    """The results of ``fn(*args, part, parts)`` for part = 0..parts-1,
+    lazily and in part order.  With ``jobs`` > 1 there are ``jobs`` parts,
+    run by as many worker processes; otherwise one part runs in this
+    process.  Closing the iterator early cancels the parts not started."""
+    if jobs is None or jobs <= 1:
+        yield fn(*args, 0, 1)
+        return
+    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(
+            functools.partial(fn, *args), range(jobs), [jobs] * jobs
+        )
+
+
+def _scan_intervals(n: int, max_len: int, y_ids: list[int], part, parts):
+    """Certificates of all intervals [z, y] with y in every ``parts``-th
+    entry of ``y_ids`` from ``part`` on and 1 <= rank gap <= max_len,
+    bucketed by gap; and the number of intervals examined."""
     gt = group_table(n)
     raw_memo: dict = {}
     certs: dict[int, set] = defaultdict(set)
     examined = 0
-    for y in y_ids:
+    for y in y_ids[part::parts]:
         by = gt.below[y]
         ry = gt.ranks[y]
         for d in range(1, min(max_len, ry) + 1):
             low_rank = ry - d
             for z in iter_bits(by & gt.rank_masks[low_rank]):
-                struct = _interval_structure(gt, gt.above[z] & by, low_rank)
+                struct = _interval_structure(
+                    gt.ranks, gt.down_adj, gt.above[z] & by, low_rank
+                )
                 cert = raw_memo.get(struct)
                 if cert is None:
                     cert = _certificate(*struct)
@@ -320,12 +338,6 @@ def _scan_intervals(n: int, max_len: int, y_ids: list[int]):
                 certs[d].add(cert)
                 examined += 1
     return certs, examined
-
-
-def _atlas_worker(args):
-    n, max_len, y_ids = args
-    certs, examined = _scan_intervals(n, max_len, y_ids)
-    return {d: frozenset(s) for d, s in certs.items()}, examined
 
 
 def atlas(
@@ -356,24 +368,26 @@ def atlas(
     gt = group_table(n)
     size = len(gt.elements)
 
-    y_reps = [u for u in range(size) if u == symmetry_orbit_ids(gt, u)[0]]
-    if jobs and jobs > 1:
-        chunks = [(n, max_len, y_reps[i::jobs]) for i in range(jobs)]
-        interval_certs: dict[int, set] = defaultdict(set)
-        examined = 0
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part, part_examined in pool.map(_atlas_worker, chunks):
-                examined += part_examined
-                for d, s in part.items():
-                    interval_certs[d].update(s)
-    else:
-        interval_certs, examined = _scan_intervals(n, max_len, y_reps)
+    y_reps = [
+        u for u, y in enumerate(gt.elements)
+        if y == min(perms.symmetry_images(y))
+    ]
+    interval_certs: dict[int, set] = defaultdict(set)
+    examined = 0
+    for part, part_examined in _fan_out(
+        _scan_intervals, (n, max_len, y_reps), jobs
+    ):
+        examined += part_examined
+        for d, s in part.items():
+            interval_certs[d].update(s)
 
     ideal_certs: dict[int, set] = defaultdict(set)
     for u in range(size):
         r = gt.ranks[u]
         if 1 <= r <= max_len:
-            struct = _interval_structure(gt, gt.below[u], 0)
+            struct = _interval_structure(
+                gt.ranks, gt.down_adj, gt.below[u], 0
+            )
             ideal_certs[r].add(_certificate(*struct))
 
     rows = [AtlasRow(length=0, intervals=1, ideals=1)]

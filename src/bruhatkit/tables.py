@@ -1,14 +1,13 @@
-"""Whole-group order tables backing the interval scans.
+"""Whole-group order tables backing the interval atlas.
 
 For n <= 7 it is cheap to materialize S_n once: every element gets an id
 in lexicographic one-line order, and the full order relation is stored as
 two arrays of bitmasks (``below[u]`` = ids of all z <= u, ``above[u]`` =
 ids of all z >= u), built by dynamic programming over the cover relation.
 An interval [x, y] is then just ``above[x] & below[y]``, which turns the
-atlas and the factor-forcing scans into bit arithmetic.
+atlas into bit arithmetic.
 
-S_8 would need ~400 MB of masks, so tables stop at n = 7; callers fall
-back to cover-by-cover search beyond that.
+S_8 would need ~400 MB of masks, so tables stop at n = 7.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ MAX_TABLE_N = 7
 class GroupTable:
     n: int
     elements: tuple[Perm, ...]          # lexicographic one-line order
-    index: dict[Perm, int]
     ranks: tuple[int, ...]
     max_rank: int
     rank_masks: tuple[int, ...]         # mask of ids at each rank
@@ -36,9 +34,6 @@ class GroupTable:
     up_adj: tuple[tuple[int, ...], ...]     # ids covering u
     below: tuple[int, ...]              # bitmask of {z : z <= u}
     above: tuple[int, ...]              # bitmask of {z : z >= u}
-
-    def rank_count(self, mask: int, rank: int) -> int:
-        return (mask & self.rank_masks[rank]).bit_count()
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -88,7 +83,6 @@ def group_table(n: int) -> GroupTable:
     return GroupTable(
         n=n,
         elements=elements,
-        index=index,
         ranks=ranks,
         max_rank=max_rank,
         rank_masks=tuple(rank_masks),
@@ -98,12 +92,3 @@ def group_table(n: int) -> GroupTable:
         above=tuple(above),
     )
 
-
-def symmetry_orbit_ids(gt: GroupTable, u: int) -> tuple[int, ...]:
-    """Orbit of an element under the Bruhat-order automorphisms generated
-    by inversion and conjugation by the reversal."""
-    w = gt.elements[u]
-    wi = perms.inverse(w)
-    wc = perms.conjugate_by_longest(w)
-    wic = perms.conjugate_by_longest(wi)
-    return tuple(sorted({u, gt.index[wi], gt.index[wc], gt.index[wic]}))

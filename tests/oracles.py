@@ -8,7 +8,9 @@ plain backtracking matcher.
 
 from __future__ import annotations
 
-from bruhatkit import perms, words
+import functools
+
+from bruhatkit import perms
 from bruhatkit.perms import Perm
 from bruhatkit.posets import RankedPoset
 from bruhatkit.words import Word
@@ -36,12 +38,20 @@ def brute_force_reduced_words(w: Perm) -> set[Word]:
     return found
 
 
+_word_sets = functools.cache(brute_force_reduced_words)
+
+
+def _is_subsequence(i: Word, j: Word) -> bool:
+    letters = iter(j)
+    return all(a in letters for a in i)
+
+
 def subword_oracle_leq(x: Perm, y: Perm) -> bool:
     """Literal subword formulation: some reduced word of x embeds as a
-    subsequence in some reduced word of y."""
-    rx = words.reduced_words(x).sorted_words()
-    ry = words.reduced_words(y).sorted_words()
-    return any(words.is_subword(i, j) for j in ry for i in rx)
+    subsequence in some reduced word of y.  Word sets come from
+    :func:`brute_force_reduced_words`, cached per permutation."""
+    ry = _word_sets(y)
+    return any(_is_subsequence(i, j) for j in ry for i in _word_sets(x))
 
 
 def reduced_subword_closure(j: Word, n: int) -> set[Perm]:

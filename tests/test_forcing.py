@@ -5,6 +5,7 @@ import pytest
 
 from bruhatkit import bruhat, forcing, perms, posets, structure, words
 from bruhatkit.limits import CapExceeded, Limits
+from bruhatkit.tables import group_table, iter_bits
 
 
 def P(text):
@@ -88,6 +89,31 @@ def exhaustive_factor_scan_word(j, x):
     )
 
 
+def table_scan(w, m):
+    """Every [x, y] in S_m isomorphic to the ideal of w, in (x, y) order,
+    from the interval masks above[x] & below[y] of the whole-group
+    table."""
+    target = posets.poset_from_interval(bruhat.ideal(w))
+    cert = posets._certificate(target.ranks, target.covers)
+    d = perms.length(w)
+    gt = group_table(m)
+    found = []
+    for xid, x in enumerate(gt.elements):
+        rx = gt.ranks[xid]
+        if rx + d > gt.max_rank:
+            continue
+        for yid in iter_bits(gt.above[xid] & gt.rank_masks[rx + d]):
+            mask = gt.above[xid] & gt.below[yid]
+            if mask.bit_count() != target.size:
+                continue
+            struct = posets._interval_structure(
+                gt.ranks, gt.down_adj, mask, rx
+            )
+            if posets._certificate(*struct) == cert:
+                found.append((x, gt.elements[yid]))
+    return found
+
+
 class TestIntervalsIsomorphicTo:
     def test_diamonds_in_s4(self):
         pairs = list(forcing.intervals_isomorphic_to(P("2314"), 4))
@@ -109,13 +135,14 @@ class TestIntervalsIsomorphicTo:
         pairs = forcing.intervals_isomorphic_to(P("3412"), 5)
         assert (P("12543"), P("52341")) in set(pairs)
 
-    def test_generic_fallback_matches_table_path(self):
-        # beyond the table range the scan walks covers; same stream either way
-        for text, m in (("2314", 4), ("321", 4), ("21", 3)):
+    def test_matches_whole_group_table_scan(self):
+        # the up-ball scan against the whole-group bitmask tables
+        cases = (("2314", 4), ("321", 4), ("21", 3),
+                 ("321", 6), ("3412", 6), ("321", 7))
+        for text, m in cases:
             w = P(text)
-            table = list(forcing.intervals_isomorphic_to(w, m))
-            generic = list(forcing._generic_candidates(w, m, Limits()))
-            assert table == generic
+            balls = list(forcing.intervals_isomorphic_to(w, m))
+            assert balls == table_scan(w, m)
 
     def test_each_exactly_once_and_isomorphic(self):
         pairs = list(forcing.intervals_isomorphic_to(P("321"), 4))
@@ -186,13 +213,23 @@ class TestForcesFactor:
         assert par.counterexample == seq.counterexample
         assert par.intervals_examined == seq.intervals_examined
         assert par.to_json() == seq.to_json()
+        # no counterexample: the sample certificate must agree too
+        seq = forcing.forces_factor(P("321"), 5)
+        par = forcing.forces_factor(P("321"), 5, jobs=2)
+        assert seq.outcome == "no-counterexample-up-to-bound"
+        assert par.sample_certificate == seq.sample_certificate
+        assert par.to_json() == seq.to_json()
+        seq = forcing.forces_factor(P("3412"), 5, use_symmetry=True)
+        par = forcing.forces_factor(P("3412"), 5, use_symmetry=True, jobs=2)
+        assert par.to_json() == seq.to_json()
 
     def test_cap_reports_partial_stats(self):
-        with pytest.raises(CapExceeded) as info:
-            forcing.forces_factor(
-                P("21"), 5, limits=Limits(max_word_length=3)
-            )
-        assert "intervals_examined" in info.value.stats
+        for jobs in (None, 2):
+            with pytest.raises(CapExceeded) as info:
+                forcing.forces_factor(
+                    P("21"), 5, jobs=jobs, limits=Limits(max_word_length=3)
+                )
+            assert info.value.stats["intervals_examined"] == 26
 
     def test_bound_below_group_size_rejected(self):
         with pytest.raises(ValueError):
