@@ -35,16 +35,11 @@ class Limits:
         has 292864 members at length 15.
     max_reduced_words:
         Cap on |R(w)| during enumeration.
-    max_atlas_n:
-        The interval atlas precomputes order tables for the whole
-        group; S_8 is beyond desk scale for that, so it gets its own
-        (lower) bound.
     """
 
     max_n: int = 8
     max_word_length: int = 15
     max_reduced_words: int = 1_000_000
-    max_atlas_n: int = 7
 
     def as_stats(self) -> dict:
         """Caps echoed into JSON outputs."""

@@ -159,12 +159,6 @@ def embed(w: Perm, m: int, limits: Limits = DEFAULT_LIMITS) -> Perm:
     return w + tuple(range(len(w) + 1, m + 1))
 
 
-def right_descents(w: Perm) -> list[int]:
-    """Indices i with w(i) > w(i+1); these are the legal final letters of
-    reduced words of ``w``."""
-    return [i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1]]
-
-
 def left_descents(w: Perm) -> list[int]:
     """Indices i such that the value i appears to the right of i+1; these
     are the legal first letters of reduced words of ``w``."""

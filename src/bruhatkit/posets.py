@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import perms
 from .bruhat import Interval
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
-from .tables import group_table, iter_bits
+from .tables import MAX_TABLE_N, group_table, iter_bits
 
 Cert = tuple
 
@@ -283,10 +283,11 @@ class AtlasResult:
 
 
 def _interval_structure(ranks, down_adj, mask: int, low_rank: int):
-    """Relabel the elements of an interval mask to 0..m-1 in (rank, id)
-    order and return (relative ranks, cover id pairs); ``down_adj[u]``
-    lists the ids that u covers."""
-    elems = sorted(iter_bits(mask), key=lambda e: (ranks[e], e))
+    """Relabel the elements of an interval mask to 0..m-1 in id order and
+    return (relative ranks, cover id pairs); ``down_adj[u]`` lists the ids
+    that u covers.  Ids must be rank-major (each rank's ids below the
+    next rank's), so that the labels are too."""
+    elems = list(iter_bits(mask))
     index = {e: i for i, e in enumerate(elems)}
     rel_ranks = tuple(ranks[e] - low_rank for e in elems)
     covers = tuple(
@@ -317,10 +318,11 @@ def _fan_out(fn, args: tuple, jobs: int | None):
 def _scan_intervals(n: int, max_len: int, y_ids: list[int], part, parts):
     """Certificates of all intervals [z, y] with y in every ``parts``-th
     entry of ``y_ids`` from ``part`` on and 1 <= rank gap <= max_len,
-    bucketed by gap; and the number of intervals examined."""
+    keyed by ("intervals", gap), plus those with z the identity (the
+    ideals) keyed by ("ideals", gap); and the number of intervals
+    examined."""
     gt = group_table(n)
-    raw_memo: dict = {}
-    certs: dict[int, set] = defaultdict(set)
+    certs: dict[tuple[str, int], set] = defaultdict(set)
     examined = 0
     for y in y_ids[part::parts]:
         by = gt.below[y]
@@ -328,14 +330,12 @@ def _scan_intervals(n: int, max_len: int, y_ids: list[int], part, parts):
         for d in range(1, min(max_len, ry) + 1):
             low_rank = ry - d
             for z in iter_bits(by & gt.rank_masks[low_rank]):
-                struct = _interval_structure(
+                cert = _certificate(*_interval_structure(
                     gt.ranks, gt.down_adj, gt.above[z] & by, low_rank
-                )
-                cert = raw_memo.get(struct)
-                if cert is None:
-                    cert = _certificate(*struct)
-                    raw_memo[struct] = cert
-                certs[d].add(cert)
+                ))
+                certs["intervals", d].add(cert)
+                if low_rank == 0:
+                    certs["ideals", d].add(cert)
                 examined += 1
     return certs, examined
 
@@ -352,51 +352,40 @@ def atlas(
 
     Interval enumeration runs over representatives of the order-
     automorphism orbits of the top element (inversion and conjugation by
-    the reversal preserve isomorphism classes), and prunes repeated raw
-    shapes before canonicalization.  With ``jobs`` > 1 the top elements
-    are fanned out across processes; the merged counts are independent of
-    the schedule.
+    the reversal preserve isomorphism classes, and fix the identity, so
+    the ideals of the representatives cover every ideal class).  Repeated
+    raw shapes are canonicalized once, through the certificate cache.
+    With ``jobs`` > 1 the top elements are fanned out across processes;
+    the merged counts are independent of the schedule.
     """
     perms.check_group_size(n, limits)
-    if n > limits.max_atlas_n:
-        raise CapExceeded(
-            f"atlas is capped at n <= {limits.max_atlas_n}; got n={n}"
-        )
+    if n > MAX_TABLE_N:
+        raise CapExceeded(f"atlas is capped at n <= {MAX_TABLE_N}; got n={n}")
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     started = time.perf_counter()
     gt = group_table(n)
-    size = len(gt.elements)
 
     y_reps = [
         u for u, y in enumerate(gt.elements)
         if y == min(perms.symmetry_images(y))
     ]
-    interval_certs: dict[int, set] = defaultdict(set)
+    certs: dict[tuple[str, int], set] = defaultdict(set)
     examined = 0
     for part, part_examined in _fan_out(
         _scan_intervals, (n, max_len, y_reps), jobs
     ):
         examined += part_examined
-        for d, s in part.items():
-            interval_certs[d].update(s)
-
-    ideal_certs: dict[int, set] = defaultdict(set)
-    for u in range(size):
-        r = gt.ranks[u]
-        if 1 <= r <= max_len:
-            struct = _interval_structure(
-                gt.ranks, gt.down_adj, gt.below[u], 0
-            )
-            ideal_certs[r].add(_certificate(*struct))
+        for key, s in part.items():
+            certs[key] |= s
 
     rows = [AtlasRow(length=0, intervals=1, ideals=1)]
     for d in range(1, max_len + 1):
         rows.append(
             AtlasRow(
                 length=d,
-                intervals=len(interval_certs.get(d, ())),
-                ideals=len(ideal_certs.get(d, ())),
+                intervals=len(certs["intervals", d]),
+                ideals=len(certs["ideals", d]),
             )
         )
     return AtlasResult(

@@ -12,6 +12,7 @@ single digits, and are space-separated otherwise.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -73,41 +74,50 @@ def is_reduced(word: Word, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
 
 @dataclass(frozen=True)
 class ReducedWordSet:
-    """The complete set R(w) of reduced words of ``owner``."""
+    """The complete set R(w) of reduced words of ``owner``, held as a
+    tuple in lexicographic order."""
 
     owner: Perm
-    words: frozenset[Word]
+    words: tuple[Word, ...]
 
     def __len__(self) -> int:
         return len(self.words)
 
     def __contains__(self, word: Word) -> bool:
-        return tuple(word) in self.words
+        word = tuple(word)
+        i = bisect.bisect_left(self.words, word)
+        return i < len(self.words) and self.words[i] == word
 
     def __iter__(self) -> Iterator[Word]:
-        return iter(self.sorted_words())
+        return iter(self.words)
 
     def sorted_words(self) -> tuple[Word, ...]:
-        return tuple(sorted(self.words))
+        return self.words
 
     def to_json(self) -> list[str]:
         """Lexicographically sorted word strings, for reproducible fixtures."""
-        return [format_word(word) for word in self.sorted_words()]
+        return [format_word(word) for word in self.words]
 
 
-def reduced_words(w: Perm, limits: Limits = DEFAULT_LIMITS) -> ReducedWordSet:
-    """Enumerate all of R(w).
-
-    Recursive descent over right descents (positions i with w(i) > w(i+1)
-    supply the final letters), memoized by permutation so each element
-    below ``w`` is expanded once.  The memo is per-call, so concurrent
-    invocations do not share state.
-    """
+def _check_word_length(w: Perm, limits: Limits) -> None:
     if perms.length(w) > limits.max_word_length:
         raise CapExceeded(
             f"length {perms.length(w)} exceeds the reduced-word cap "
             f"max_word_length={limits.max_word_length}"
         )
+
+
+def reduced_words(w: Perm, limits: Limits = DEFAULT_LIMITS) -> ReducedWordSet:
+    """Enumerate all of R(w), in lexicographic order.
+
+    Recursive descent over left descents (the values i that appear to the
+    right of i+1 supply the first letters), taken in ascending order and
+    memoized by permutation so each element below ``w`` is expanded once.
+    All words of R(w) have the same length, so listing each first letter's
+    words in turn keeps the result lexicographic.  The memo is per-call,
+    so concurrent invocations do not share state.
+    """
+    _check_word_length(w, limits)
     cap = limits.max_reduced_words
     memo: dict[Perm, tuple[Word, ...]] = {}
 
@@ -115,14 +125,14 @@ def reduced_words(w: Perm, limits: Limits = DEFAULT_LIMITS) -> ReducedWordSet:
         got = memo.get(v)
         if got is not None:
             return got
-        descents = perms.right_descents(v)
+        descents = perms.left_descents(v)
         if not descents:
             result: tuple[Word, ...] = ((),)
         else:
             acc: list[Word] = []
             for i in descents:
-                for rest in rec(perms.apply_right(v, i)):
-                    acc.append(rest + (i,))
+                for rest in rec(perms.apply_left(i, v)):
+                    acc.append((i,) + rest)
                     if len(acc) > cap:
                         raise CapExceeded(
                             f"|R(w)| exceeds the cap max_reduced_words={cap}"
@@ -131,7 +141,7 @@ def reduced_words(w: Perm, limits: Limits = DEFAULT_LIMITS) -> ReducedWordSet:
         memo[v] = result
         return result
 
-    return ReducedWordSet(owner=w, words=frozenset(rec(w)))
+    return ReducedWordSet(owner=w, words=rec(w))
 
 
 def iter_reduced_words(
@@ -139,15 +149,10 @@ def iter_reduced_words(
 ) -> Iterator[Word]:
     """Yield R(w) lazily in lexicographic order.
 
-    Recursion over left descents: choosing the smallest legal first
-    letter first makes the stream lexicographically sorted, and nothing
-    is materialized, so searches can stop at the first hit.
+    The recursion of :func:`reduced_words` without its memo: nothing is
+    materialized, so searches can stop at the first hit.
     """
-    if perms.length(w) > limits.max_word_length:
-        raise CapExceeded(
-            f"length {perms.length(w)} exceeds the reduced-word cap "
-            f"max_word_length={limits.max_word_length}"
-        )
+    _check_word_length(w, limits)
 
     def gen(v: Perm) -> Iterator[Word]:
         descents = perms.left_descents(v)

@@ -92,7 +92,7 @@ def exhaustive_factor_scan_word(j, x):
 def table_scan(w, m):
     """Every [x, y] in S_m isomorphic to the ideal of w, in (x, y) order,
     from the interval masks above[x] & below[y] of the whole-group
-    table."""
+    table (whose ids are rank-major, hence the final sort)."""
     target = posets.poset_from_interval(bruhat.ideal(w))
     cert = posets._certificate(target.ranks, target.covers)
     d = perms.length(w)
@@ -111,7 +111,7 @@ def table_scan(w, m):
             )
             if posets._certificate(*struct) == cert:
                 found.append((x, gt.elements[yid]))
-    return found
+    return sorted(found)
 
 
 class TestIntervalsIsomorphicTo:

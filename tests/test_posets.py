@@ -4,7 +4,8 @@ import random
 import pytest
 
 from bruhatkit import bruhat, perms, posets
-from bruhatkit.limits import CapExceeded, Limits
+from bruhatkit.limits import CapExceeded
+from bruhatkit.tables import group_table, iter_bits
 
 from oracles import backtracking_isomorphic
 
@@ -156,6 +157,27 @@ class TestDirectProduct:
         )
 
 
+class TestIntervalStructure:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_table_relabel_matches_interval(self, n):
+        # group-table ids are rank-major, so the relabel needs no sort to
+        # number each interval in its (rank, one-line) order
+        gt = group_table(n)
+        pairs = 0
+        for xid, x in enumerate(gt.elements):
+            for yid in iter_bits(gt.above[xid]):
+                struct = posets._interval_structure(
+                    gt.ranks, gt.down_adj, gt.above[xid] & gt.below[yid],
+                    gt.ranks[xid],
+                )
+                shape = posets.poset_from_interval(
+                    bruhat.interval(x, gt.elements[yid])
+                )
+                assert struct == (shape.ranks, shape.covers)
+                pairs += 1
+        assert pairs == {4: 213, 5: 3781}[n]
+
+
 class TestToDot:
     def test_diamond_counts(self):
         text = posets.to_dot(shape_of_ideal("2314"))
@@ -199,8 +221,22 @@ class TestAtlas:
     def test_atlas_cap(self):
         with pytest.raises(CapExceeded):
             posets.atlas(8, 2)
-        with pytest.raises(CapExceeded):
-            posets.atlas(5, 2, limits=Limits(max_atlas_n=4))
+
+    @pytest.mark.parametrize("n,expected", [
+        (4, (1, 1, 1, 2, 2, 2, 1)),
+        (5, (1, 1, 1, 2, 3, 4, 6, 5, 4, 2, 1)),
+    ])
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_ideal_rows_equal_direct_count(self, n, expected, jobs):
+        # ideal classes come from the [e, y] intervals of the orbit
+        # representatives; count them over all of S_n instead
+        classes = [set() for _ in expected]
+        for w in itertools.permutations(range(1, n + 1)):
+            ideal = posets.poset_from_interval(bruhat.ideal(w))
+            classes[perms.length(w)].add(posets.canonical_form(ideal))
+        assert tuple(map(len, classes)) == expected
+        top = n * (n - 1) // 2
+        assert posets.atlas(n, top, jobs=jobs).counts("ideals") == expected
 
     def test_jobs_agree_with_sequential(self):
         seq = posets.atlas(4, 4)

@@ -47,11 +47,15 @@ class TestIsReduced:
 
 class TestReducedWords:
     def test_3241(self):
-        assert words.reduced_words(P("3241")).to_json() == [
-            "1213",
-            "1231",
-            "2123",
-        ]
+        rws = words.reduced_words(P("3241"))
+        assert rws.to_json() == ["1213", "1231", "2123"]
+        assert W("1231") in rws
+        assert [2, 1, 2, 3] in rws
+        assert W("2131") not in rws
+        assert W("1232") not in rws
+        assert W("123") not in rws
+        assert () not in rws
+        assert W("12310") not in rws
 
     def test_12543(self):
         assert words.reduced_words(P("12543")).to_json() == ["343", "434"]
@@ -105,8 +109,12 @@ class TestBruteForceCrossCheck:
     def test_longest_counts_and_sets(self, n, count):
         expected = brute_force_reduced_words(perms.longest(n))
         got = words.reduced_words(perms.longest(n))
-        assert got.words == frozenset(expected)
+        assert got.words == tuple(sorted(expected))
         assert len(got) == count
+        assert all(word in got for word in expected)
+        first = got.words[0]
+        assert first[:-1] not in got
+        assert (1,) * len(first) not in got
 
     def test_longest_count_s5(self):
         assert len(brute_force_reduced_words(perms.longest(5))) == 768
@@ -117,9 +125,9 @@ class TestIterReducedWords:
     @given(s4_strategy)
     @settings(max_examples=24, deadline=None)
     def test_lazy_agrees_with_set_and_is_sorted(self, w):
-        lazy = list(words.iter_reduced_words(w))
-        assert lazy == sorted(lazy)
-        assert frozenset(lazy) == words.reduced_words(w).words
+        lazy = tuple(words.iter_reduced_words(w))
+        assert lazy == tuple(sorted(lazy))
+        assert lazy == words.reduced_words(w).words
 
     def test_lex_least(self):
         for w in itertools.permutations((1, 2, 3, 4)):
