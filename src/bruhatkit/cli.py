@@ -285,8 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest ambient group to scan (default w.n + 2)")
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--use-symmetry", action="store_true",
-                   help="skip order-automorphism images (may change which "
-                        "counterexample is reported)")
+                   help="skip order-automorphism images (changes only the "
+                        "intervals examined and the sample certificate)")
     p.add_argument("--timing", action="store_true",
                    help="report real seconds instead of 0.0")
     p.set_defaults(func=cmd_forces)

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import bruhat, perms, posets, structure, words
+from . import bruhat, perms, posets, tables, words
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
 from .perms import Perm
 from .words import Word
@@ -107,12 +107,9 @@ def intervals_isomorphic_to(
     exactly once, ordered by (x, y) in one-line order; only bottoms x at
     positions [lo, hi) of :func:`perms.all_perms` are scanned.
 
-    Each bottom x gets its up-ball of depth d = length(w): the elements
-    reached from x by at most d upward covers, numbered level by level
-    with each level in one-line order.  Every z in [x, y] lies on a
-    saturated chain from x, so for y on the top level the interval is
-    exactly y's below-set within the ball, a bitmask found by dynamic
-    programming over the levels.  Candidates are pruned by element count,
+    Each bottom x gets its up-ball of depth d = length(w)
+    (:func:`tables.up_ball`); for y on the ball's top level the interval
+    [x, y] is y's below-mask.  Candidates are pruned by element count,
     then rank profile, before the certificate comparison.
     """
     bottoms = itertools.islice(perms.all_perms(m, limits), lo, hi)
@@ -121,40 +118,18 @@ def intervals_isomorphic_to(
     for x in bottoms:
         if perms.length(x) + d > top_rank:
             continue
-        elements = [x]
-        ranks = [0]
-        down_adj: list[list[int]] = [[]]
-        level_masks = [1]
-        level = [x]
-        for r in range(1, d + 1):
-            below_of: dict[Perm, list[int]] = {}
-            start = len(elements)
-            for zid, z in enumerate(level, start - len(level)):
-                for c in bruhat.covers_above(z):
-                    below_of.setdefault(c, []).append(zid)
-            level = sorted(below_of)
-            elements += level
-            ranks += [r] * len(level)
-            down_adj += [below_of[c] for c in level]
-            level_masks.append((1 << len(elements)) - (1 << start))
-        below: list[int] = []
-        for u, downs in enumerate(down_adj):
-            mask = 1 << u
-            for v in downs:
-                mask |= below[v]
-            below.append(mask)
-        for yid in range(len(elements) - len(level), len(elements)):
-            mask = below[yid]
+        ball = tables.up_ball(x, d)
+        for yid in tables.iter_bits(ball.rank_masks[d]):
+            mask = ball.below[yid]
             if mask.bit_count() != size:
                 continue
             if any(
-                (mask & level_masks[r]).bit_count() != profile[r]
+                (mask & ball.rank_masks[r]).bit_count() != profile[r]
                 for r in range(d + 1)
             ):
                 continue
-            struct = posets._interval_structure(ranks, down_adj, mask, 0)
-            if posets._certificate(*struct) == cert:
-                yield x, elements[yid]
+            if posets._certificate(*ball.structure(mask)) == cert:
+                yield x, ball.elements[yid]
 
 
 @dataclass(frozen=True)
@@ -259,8 +234,11 @@ def forces_factor(
     The first interval (smallest m, then least (x, y) in one-line order)
     admitting no factor deletion is returned as the counterexample.  With
     ``use_symmetry`` the scan skips intervals that are order-automorphism
-    images of earlier ones; that cannot change the outcome, but it may
-    change which counterexample is reported, so it is off by default.
+    images of earlier ones.  The symmetries map counterexamples (and tops
+    over the word-length cap) to counterexamples (and such tops), so the
+    first one met is the least of its orbit and the outcome and
+    counterexample cannot change; only ``intervals_examined`` and the
+    sample certificate do, which is why it is off by default.
     ``jobs`` fans the scan out over processes; the verdict equals the
     sequential one.
     """
@@ -326,4 +304,4 @@ def certificate_is_shifted_longest(
     """
     if cert.length != perms.length(y) - perms.length(x):
         return False
-    return structure.is_shifted_longest_word(cert.factor(), k, limits)
+    return words.is_shifted_longest_word(cert.factor(), k, limits)

@@ -282,25 +282,6 @@ class AtlasResult:
         }
 
 
-def _interval_structure(ranks, down_adj, mask: int, low_rank: int):
-    """Relabel the elements of an interval mask to 0..m-1 in id order and
-    return (relative ranks, cover id pairs); ``down_adj[u]`` lists the ids
-    that u covers.  Ids must be rank-major (each rank's ids below the
-    next rank's), so that the labels are too."""
-    elems = list(iter_bits(mask))
-    index = {e: i for i, e in enumerate(elems)}
-    rel_ranks = tuple(ranks[e] - low_rank for e in elems)
-    covers = tuple(
-        sorted(
-            (index[v], index[u])
-            for u in elems
-            for v in down_adj[u]
-            if mask >> v & 1
-        )
-    )
-    return rel_ranks, covers
-
-
 def _fan_out(fn, args: tuple, jobs: int | None):
     """The results of ``fn(*args, part, parts)`` for part = 0..parts-1,
     lazily and in part order.  With ``jobs`` > 1 there are ``jobs`` parts,
@@ -330,9 +311,7 @@ def _scan_intervals(n: int, max_len: int, y_ids: list[int], part, parts):
         for d in range(1, min(max_len, ry) + 1):
             low_rank = ry - d
             for z in iter_bits(by & gt.rank_masks[low_rank]):
-                cert = _certificate(*_interval_structure(
-                    gt.ranks, gt.down_adj, gt.above[z] & by, low_rank
-                ))
+                cert = _certificate(*gt.structure(gt.above[z] & by))
                 certs["intervals", d].add(cert)
                 if low_rank == 0:
                     certs["ideals", d].add(cert)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import bruhat, perms, posets, words
+from . import bruhat, forcing, perms, posets, words
 from .limits import DEFAULT_LIMITS, Limits
 from .perms import Perm
 from .words import Word
@@ -197,9 +197,7 @@ def nonforcing_witness(
     if not posets.is_isomorphic(shape, posets.poset_from_interval(
             bruhat.ideal(w))):
         raise RuntimeError("witness interval does not match the ideal shape")
-    from .forcing import factor_deletion
-
-    if factor_deletion(w_minus, w_plus, limits) is not None:
+    if forcing.factor_deletion(w_minus, w_plus, limits) is not None:
         raise RuntimeError("witness interval admits a factor deletion")
     return NonForcingWitness(
         w=w,
@@ -304,9 +302,9 @@ def swap_string_factorization(
     Following the swap-string structure: first sweep every intruding
     value out of the span by right multiplications shared between x and
     y (too-large values move right, outermost first; too-small values
-    move left, outermost first; each swap removes exactly one inversion
-    from both).  The swap-string is then a consecutive block, decreasing
-    in the reduced-down y; sorting that block ascending gives ``b``
+    move left, outermost first; each swap removes exactly one
+    inversion from both).  The swap-string is then a consecutive block,
+    decreasing in the reduced-down y; sorting that block ascending gives ``b``
     (reversed, so that a b c composes back up to y), the recorded sweep
     reversed gives ``c``, and ``a`` is the lexicographically least
     reduced word of the swept-down x.
@@ -378,21 +376,6 @@ def _triangular_root(d: int) -> int | None:
     return None
 
 
-def is_shifted_longest_word(b: Word, k: int,
-                            limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Whether some shift of ``b`` is a reduced word of the reversal in
-    S_k (it must then use exactly the k-1 letters of one contiguous run)."""
-    if len(b) != k * (k - 1) // 2:
-        return False
-    if not b:
-        return k == 1
-    t = 1 - min(b)
-    shifted = words.shift(b, t)
-    if max(shifted) > k - 1:
-        return False
-    return words.evaluate(shifted, k, limits) == perms.longest(k, limits)
-
-
 def verify_b_is_shifted_longest(
     iv: bruhat.Interval, b: Word, limits: Limits = DEFAULT_LIMITS
 ) -> bool:
@@ -403,4 +386,4 @@ def verify_b_is_shifted_longest(
         raise ValueError(
             f"interval span {iv.span} is not a triangular number"
         )
-    return is_shifted_longest_word(b, k, limits)
+    return words.is_shifted_longest_word(b, k, limits)

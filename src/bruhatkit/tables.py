@@ -1,14 +1,20 @@
-"""Whole-group order tables backing the interval atlas.
+"""Up-balls: bitmask order tables over the elements above a permutation.
 
-For n <= 7 it is cheap to materialize S_n once: every element gets an id
-in (length, one-line) order, and the full order relation is stored as
-two arrays of bitmasks (``below[u]`` = ids of all z <= u, ``above[u]`` =
-ids of all z >= u), built by dynamic programming over the cover relation
-in id order.  An interval [x, y] is then just ``above[x] & below[y]``,
-which turns the atlas into bit arithmetic, and since ids are rank-major
-its set bits already run in the interval's (rank, one-line) order.
+The up-ball of x with depth d holds every z >= x with length(z) -
+length(x) <= d, i.e. everything reached from x by at most d upward
+covers.  Its elements get ids level by level, each level in one-line
+order, and ``below[u]`` is the bitmask of ids z <= u, built by dynamic
+programming over the cover relation in id order.  Every element of an
+interval [x, y] lies on a saturated chain from x, so for y in the ball
+the interval is exactly ``below[y]``; and since ids are rank-major, the
+set bits of any interval mask already run in the interval's (rank,
+one-line) order, with its minimum first.
 
-S_8 would need ~400 MB of masks, so tables stop at n = 7.
+Every element of S_n lies above the identity, so the whole-group table is
+the identity's up-ball of depth n(n-1)/2, plus ``above[u]`` (ids of all
+z >= u).  An interval [x, y] of S_n is then ``above[x] & below[y]``,
+which turns the atlas into bit arithmetic.  S_8 would need ~400 MB of
+masks, so whole-group tables stop at n = 7.
 """
 
 from __future__ import annotations
@@ -18,21 +24,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import perms
-from .bruhat import covers_below
+from .bruhat import covers_above
 from .perms import Perm
 
 MAX_TABLE_N = 7
-
-
-@dataclass(frozen=True)
-class GroupTable:
-    elements: tuple[Perm, ...]          # (length, one-line) order
-    ranks: tuple[int, ...]
-    max_rank: int
-    rank_masks: tuple[int, ...]         # mask of ids at each rank
-    down_adj: tuple[tuple[int, ...], ...]   # ids covered by u
-    below: tuple[int, ...]              # bitmask of {z : z <= u}
-    above: tuple[int, ...]              # bitmask of {z : z >= u}
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -43,42 +38,85 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@dataclass(frozen=True)
+class Ball:
+    elements: tuple[Perm, ...]          # level by level, one-line order
+    ranks: tuple[int, ...]              # length(u) - length(x)
+    rank_masks: tuple[int, ...]         # mask of ids at each rank
+    down_adj: tuple[tuple[int, ...], ...]   # ids covered by u
+    below: tuple[int, ...]              # bitmask of {z in the ball : z <= u}
+
+    def structure(self, mask: int):
+        """Relabel the elements of an interval mask to 0..m-1 in id order
+        and return (ranks relative to the interval's minimum, cover id
+        pairs); the minimum is the lowest id, because ids are rank-major."""
+        elems = list(iter_bits(mask))
+        index = {e: i for i, e in enumerate(elems)}
+        low_rank = self.ranks[elems[0]]
+        rel_ranks = tuple(self.ranks[e] - low_rank for e in elems)
+        covers = tuple(
+            sorted(
+                (index[v], index[u])
+                for u in elems
+                for v in self.down_adj[u]
+                if mask >> v & 1
+            )
+        )
+        return rel_ranks, covers
+
+
+def up_ball(x: Perm, depth: int) -> Ball:
+    """The up-ball of x with the given depth (see the module docstring)."""
+    elements = [x]
+    ranks = [0]
+    rank_masks = [1]
+    down_adj: list[tuple[int, ...]] = [()]
+    below = [1]
+    level = [x]
+    for r in range(1, depth + 1):
+        start = len(elements)
+        below_of: dict[Perm, list[int]] = {}
+        for zid, z in enumerate(level, start - len(level)):
+            for c in covers_above(z):
+                below_of.setdefault(c, []).append(zid)
+        level = sorted(below_of)
+        for c in level:
+            downs = tuple(below_of[c])
+            mask = 1 << len(below)
+            for v in downs:
+                mask |= below[v]
+            below.append(mask)
+            down_adj.append(downs)
+        elements += level
+        ranks += [r] * len(level)
+        rank_masks.append((1 << len(elements)) - (1 << start))
+    return Ball(
+        elements=tuple(elements),
+        ranks=tuple(ranks),
+        rank_masks=tuple(rank_masks),
+        down_adj=tuple(down_adj),
+        below=tuple(below),
+    )
+
+
+@dataclass(frozen=True)
+class GroupTable(Ball):
+    above: tuple[int, ...]              # bitmask of {z : z >= u}
+
+    @property
+    def max_rank(self) -> int:
+        return len(self.rank_masks) - 1
+
+
 @functools.lru_cache(maxsize=MAX_TABLE_N)
 def group_table(n: int) -> GroupTable:
     if not 1 <= n <= MAX_TABLE_N:
         raise ValueError(f"group tables are built only for n <= {MAX_TABLE_N}")
-    ranks, elements = zip(
-        *sorted((perms.length(w), w) for w in perms.all_perms(n))
-    )
-    index = {w: i for i, w in enumerate(elements)}
-    max_rank = n * (n - 1) // 2
-
-    rank_masks = [0] * (max_rank + 1)
-    for i, r in enumerate(ranks):
-        rank_masks[r] |= 1 << i
-
-    down_adj = tuple(
-        tuple(index[c] for c in covers_below(w)) for w in elements
-    )
-    below: list[int] = []
-    for u, downs in enumerate(down_adj):
-        mask = 1 << u
-        for v in downs:
-            mask |= below[v]
-        below.append(mask)
+    ball = up_ball(perms.identity(n), n * (n - 1) // 2)
     # Every element covering u has a larger id, so above[u] is complete
     # before u passes it down to the elements it covers.
-    above = [1 << u for u in range(len(elements))]
-    for u in reversed(range(len(elements))):
-        for v in down_adj[u]:
+    above = [1 << u for u in range(len(ball.elements))]
+    for u in reversed(range(len(ball.elements))):
+        for v in ball.down_adj[u]:
             above[v] |= above[u]
-
-    return GroupTable(
-        elements=elements,
-        ranks=ranks,
-        max_rank=max_rank,
-        rank_masks=tuple(rank_masks),
-        down_adj=down_adj,
-        below=tuple(below),
-        above=tuple(above),
-    )
+    return GroupTable(**vars(ball), above=tuple(above))

@@ -195,6 +195,21 @@ def shift(word: Word, t: int) -> Word:
     return tuple(a + t for a in word)
 
 
+def is_shifted_longest_word(b: Word, k: int,
+                            limits: Limits = DEFAULT_LIMITS) -> bool:
+    """Whether some shift of ``b`` is a reduced word of the reversal in
+    S_k (it must then use exactly the k-1 letters of one contiguous run)."""
+    if len(b) != k * (k - 1) // 2:
+        return False
+    if not b:
+        return k == 1
+    t = 1 - min(b)
+    shifted = shift(b, t)
+    if max(shifted) > k - 1:
+        return False
+    return evaluate(shifted, k, limits) == perms.longest(k, limits)
+
+
 def delete_factor(word: Word, start: int, count: int) -> Word:
     """Remove the consecutive block ``word[start:start+count]``.
 

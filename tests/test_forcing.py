@@ -106,10 +106,7 @@ def table_scan(w, m):
             mask = gt.above[xid] & gt.below[yid]
             if mask.bit_count() != target.size:
                 continue
-            struct = posets._interval_structure(
-                gt.ranks, gt.down_adj, mask, rx
-            )
-            if posets._certificate(*struct) == cert:
+            if posets._certificate(*gt.structure(mask)) == cert:
                 found.append((x, gt.elements[yid]))
     return sorted(found)
 
@@ -201,10 +198,14 @@ class TestForcesFactor:
             ) is None
 
     def test_use_symmetry_same_outcome(self):
-        for text, bound in (("2314", 4), ("321", 4)):
-            a = forcing.forces_factor(P(text), bound)
-            b = forcing.forces_factor(P(text), bound, use_symmetry=True)
-            assert a.outcome == b.outcome
+        # the least counterexample is the least of its symmetry orbit
+        for n in (3, 4):
+            for w in itertools.permutations(range(1, n + 1)):
+                for bound in range(n, 6):
+                    a = forcing.forces_factor(w, bound)
+                    b = forcing.forces_factor(w, bound, use_symmetry=True)
+                    assert a.outcome == b.outcome
+                    assert a.counterexample == b.counterexample
 
     def test_jobs_verdict_equals_sequential(self):
         seq = forcing.forces_factor(P("2314"), 4)
@@ -258,7 +259,7 @@ class TestCertificateShiftedLongest:
         y = P("3124")
         cert = forcing.factor_deletion(x, y)
         assert forcing.certificate_is_shifted_longest(x, y, cert, 2)
-        assert structure.is_shifted_longest_word(cert.factor(), 2)
+        assert words.is_shifted_longest_word(cert.factor(), 2)
 
     def test_corrupted_certificate(self):
         x, y = P("1243"), P("4213")

@@ -5,7 +5,7 @@ import pytest
 
 from bruhatkit import bruhat, perms, posets
 from bruhatkit.limits import CapExceeded
-from bruhatkit.tables import group_table, iter_bits
+from bruhatkit.tables import group_table, iter_bits, up_ball
 
 from oracles import backtracking_isomorphic
 
@@ -160,22 +160,36 @@ class TestDirectProduct:
 class TestIntervalStructure:
     @pytest.mark.parametrize("n", [4, 5])
     def test_table_relabel_matches_interval(self, n):
-        # group-table ids are rank-major, so the relabel needs no sort to
-        # number each interval in its (rank, one-line) order
+        # ball ids are rank-major, so the relabel needs no sort to number
+        # each interval in its (rank, one-line) order; checked for the
+        # whole-group table and for the x-local balls that forces scans
         gt = group_table(n)
         pairs = 0
         for xid, x in enumerate(gt.elements):
             for yid in iter_bits(gt.above[xid]):
-                struct = posets._interval_structure(
-                    gt.ranks, gt.down_adj, gt.above[xid] & gt.below[yid],
-                    gt.ranks[xid],
-                )
+                struct = gt.structure(gt.above[xid] & gt.below[yid])
                 shape = posets.poset_from_interval(
                     bruhat.interval(x, gt.elements[yid])
                 )
                 assert struct == (shape.ranks, shape.covers)
                 pairs += 1
         assert pairs == {4: 213, 5: 3781}[n]
+        tops = 0
+        for x in gt.elements:
+            ball = up_ball(x, 3)
+            for yid in iter_bits(ball.rank_masks[3]):
+                shape = posets.poset_from_interval(
+                    bruhat.interval(x, ball.elements[yid])
+                )
+                assert ball.structure(ball.below[yid]) == (
+                    shape.ranks, shape.covers
+                )
+                tops += 1
+        assert tops == sum(
+            1 for x in gt.elements for y in gt.elements
+            if perms.length(y) - perms.length(x) == 3
+            and bruhat.bruhat_leq(x, y)
+        )
 
 
 class TestToDot:

@@ -253,7 +253,7 @@ class TestShiftedLongestChecks:
             structure.verify_b_is_shifted_longest(diamond, W("12"))
 
     def test_is_shifted_longest_word(self):
-        assert structure.is_shifted_longest_word(W("212"), 3)
-        assert structure.is_shifted_longest_word((5,), 2)
-        assert not structure.is_shifted_longest_word(W("123"), 3)
-        assert not structure.is_shifted_longest_word(W("11"), 2)
+        assert words.is_shifted_longest_word(W("212"), 3)
+        assert words.is_shifted_longest_word((5,), 2)
+        assert not words.is_shifted_longest_word(W("123"), 3)
+        assert not words.is_shifted_longest_word(W("11"), 2)
