@@ -9,6 +9,13 @@ explicitly bounded: scan every interval isomorphic to the ideal in S_m
 for m up to a configurable bound, and report either a counterexample
 interval (with the exhausted search as proof) or "no counterexample up
 to the bound" - never an unconditional "forces".
+
+The deletion test uses the factorization criterion: [x, y] admits a
+deletion exactly when x = u v and y = u beta v are both length-additive
+with length(beta) = length(y) - length(x) (Bjorner and Brenti,
+*Combinatorics of Coxeter Groups*, GTM 231, chs. 2-3).  The search runs
+over the weak-order prefixes u of x and never enumerates R(y); the
+certificate is still the lexicographically first (word of y, start).
 """
 
 from __future__ import annotations
@@ -48,41 +55,72 @@ class FactorCertificate:
         }
 
 
+def _factorizations(x: Perm, y: Perm) -> Iterator[tuple[Perm, Perm, Perm]]:
+    """Every (u, beta, v) with x = u v and y = u beta v, both products
+    length-additive, for x <= y.
+
+    The prefixes u of x (in the right weak order) are walked breadth-first
+    from e, stepping u -> u s_i for each left descent i of v = u^-1 x.
+    With t = y x^-1 the middle factor is beta = u^-1 t u, and the triple is
+    yielded when length(beta) = length(y) - length(x), which makes
+    y = u beta v length-additive.
+    """
+    gap = perms.length(y) - perms.length(x)
+    t = perms.compose(y, perms.inverse(x))
+    level = {perms.identity(len(x)): x}
+    while level:
+        below: dict[Perm, Perm] = {}
+        for u, v in level.items():
+            u_inv = perms.inverse(u)
+            beta = tuple(u_inv[t[a - 1] - 1] for a in u)
+            if perms.length(beta) == gap:
+                yield u, beta, v
+            for i in perms.left_descents(v):
+                below.setdefault(perms.apply_right(u, i),
+                                 perms.apply_left(i, v))
+        level = below
+
+
 def factor_deletion(
     x: Perm, y: Perm, limits: Limits = DEFAULT_LIMITS
 ) -> FactorCertificate | None:
     """The first factor deletion connecting x and y, or None.
 
-    Scans reduced words of y in lexicographic order and deletion starts
-    ascending; the factor length is forced to length(y) - length(x).
-    Prefix and suffix products of each word are shared across starts, so
-    each candidate deletion costs one composition.
+    A deletion exists exactly when x = u v and y = u beta v are both
+    length-additive with length(beta) = length(y) - length(x) (Bjorner and
+    Brenti, *Combinatorics of Coxeter Groups*, GTM 231, chs. 2-3), so the
+    search runs over the weak-order prefixes u of x and never enumerates
+    R(y).  The certificate is still the lexicographically first (word,
+    start) of R(y) in lex order with starts ascending: that word is the
+    least lexleast(u) + lexleast(beta) + lexleast(v) over all
+    factorizations, and ``start`` its least deletion position.
     """
     if not bruhat.bruhat_leq(x, y):
         raise ValueError(
             f"{perms.format_perm(x)} is not below {perms.format_perm(y)}"
         )
     n = len(x)
+    perms.check_group_size(n, limits)
+    words._check_word_length(y, limits)
+    j = min(
+        (
+            words.lex_least_reduced_word(u)
+            + words.lex_least_reduced_word(beta)
+            + words.lex_least_reduced_word(v)
+            for u, beta, v in _factorizations(x, y)
+        ),
+        default=None,
+    )
+    if j is None:
+        return None
     gap = perms.length(y) - perms.length(x)
-    ident = perms.identity(n, limits)
-    for j in words.iter_reduced_words(y, limits):
-        prefixes = [ident]
-        for a in j:
-            prefixes.append(perms.apply_right(prefixes[-1], a))
-        suffixes = [ident] * (len(j) + 1)
-        for t in range(len(j) - 1, -1, -1):
-            suffixes[t] = perms.compose(
-                perms.simple_reflection(j[t], n), suffixes[t + 1]
-            )
-        for start in range(len(j) - gap + 1):
-            if perms.compose(prefixes[start], suffixes[start + gap]) == x:
-                return FactorCertificate(
-                    j=j,
-                    start=start,
-                    length=gap,
-                    i=j[:start] + j[start + gap:],
-                )
-    return None
+    start = next(
+        s for s in range(len(j) - gap + 1)
+        if words.evaluate(j[:s] + j[s + gap:], n, limits) == x
+    )
+    return FactorCertificate(
+        j=j, start=start, length=gap, i=j[:start] + j[start + gap:]
+    )
 
 
 def _ideal_fingerprint(w: Perm):
@@ -187,12 +225,13 @@ class ForcingVerdict:
 
 def _forces_chunk(w, m, use_symmetry, limits, part, parts):
     """Worker: scan the bottoms of slice ``part`` of ``parts`` equal
-    slices of S_m, running the deletion search on every matching interval
-    in order until one admits none.  Returns (intervals examined, that
-    counterexample (x, y) or None, the last certificate found)."""
+    slices of S_m, deciding every matching interval in order until one
+    admits no factor deletion.  Every top is held to the word-length cap
+    first.  Returns (intervals examined, that counterexample (x, y) or
+    None, the certificate of the last interval when there is none)."""
     step = -(-math.factorial(m) // parts)
     examined = 0
-    last_cert: FactorCertificate | None = None
+    last: tuple[Perm, Perm] | None = None
     try:
         for x, y in intervals_isomorphic_to(
             w, m, limits, part * step, (part + 1) * step
@@ -202,14 +241,14 @@ def _forces_chunk(w, m, use_symmetry, limits, part, parts):
             ):
                 continue
             examined += 1
-            cert = factor_deletion(x, y, limits)
-            if cert is None:
-                return examined, (x, y), last_cert
-            last_cert = cert
+            words._check_word_length(y, limits)
+            if next(_factorizations(x, y), None) is None:
+                return examined, (x, y), None
+            last = (x, y)
     except CapExceeded as exc:
         exc.stats["intervals_examined"] = examined
         raise
-    return examined, None, last_cert
+    return examined, None, last and factor_deletion(*last, limits)
 
 
 def _no_factor_proof(y: Perm, gap: int, limits: Limits) -> dict:

@@ -32,7 +32,9 @@ class Limits:
     max_word_length:
         Cap on the length of permutations whose reduced words are
         enumerated.  The full set R(w) for the reversal in S_6 already
-        has 292864 members at length 15.
+        has 292864 members at length 15.  The factor-forcing scan
+        enumerates no reduced words, yet still holds every top to this
+        cap, so that its outputs stay as they were.
     max_reduced_words:
         Cap on |R(w)| during enumeration.
     """

@@ -91,9 +91,6 @@ class ReducedWordSet:
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
 
-    def sorted_words(self) -> tuple[Word, ...]:
-        return self.words
-
     def to_json(self) -> list[str]:
         """Lexicographically sorted word strings, for reproducible fixtures."""
         return [format_word(word) for word in self.words]

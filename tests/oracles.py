@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the library's own algorithms:
 reduced words come from a full tree over all candidate words, Bruhat
-comparison from the subword formulation, and poset isomorphism from a
-plain backtracking matcher.
+comparison from the subword formulation, poset isomorphism from a plain
+backtracking matcher, and factor deletion from a scan over all of S_n
+with plain tuples and inversion sets.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 from bruhatkit import perms
 from bruhatkit.perms import Perm
@@ -152,3 +154,44 @@ def maximal_chain_sizes(elements, covers, low, high) -> set[int]:
         for b in up[z]:
             stack.append((b, k + 1))
     return sizes
+
+
+@functools.cache
+def _value_inversions(w: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """Pairs of values a < b with b to the left of a in w; their number
+    is the length of w."""
+    return frozenset(
+        (w[j], w[i])
+        for i in range(len(w))
+        for j in range(i + 1, len(w))
+        if w[i] > w[j]
+    )
+
+
+def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product ab, the map i -> a(b(i))."""
+    return tuple(a[i - 1] for i in b)
+
+
+def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
+
+
+def deletion_oracle(x: Perm, y: Perm) -> bool:
+    """Whether some reduced word of y loses one consecutive block and
+    leaves a reduced word of x (for x <= y), by length-additive
+    factorization: x = u v and y = u b v with length(b) equal to the
+    length gap.  The prefixes u of x in the right weak order are exactly
+    the u whose value-inversion set lies inside that of x; every u in S_n
+    is tested, with no `bruhatkit.perms`."""
+    inv_x = _value_inversions(x)
+    gap = len(_value_inversions(y)) - len(inv_x)
+    for u in itertools.permutations(range(1, len(x) + 1)):
+        if not _value_inversions(u) <= inv_x:
+            continue
+        u_inv = _inverse(u)
+        v = _times(u_inv, x)
+        b = _times(u_inv, _times(y, _inverse(v)))
+        if len(_value_inversions(b)) == gap:
+            return True
+    return False

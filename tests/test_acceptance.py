@@ -40,7 +40,7 @@ def exhaustive_factor_scan(x, y):
     gap = perms.length(y) - perms.length(x)
     return [
         (j, start)
-        for j in words.reduced_words(y).sorted_words()
+        for j in words.reduced_words(y).words
         for start in range(len(j) - gap + 1)
         if words.delete_factor(j, start, gap) in rx
     ]

@@ -37,7 +37,7 @@ class TestLeq:
         for y in S4:
             closures = [
                 reduced_subword_closure(j, 4)
-                for j in words.reduced_words(y).sorted_words()
+                for j in words.reduced_words(y).words
             ]
             for x in S4:
                 if bruhat.bruhat_leq(x, y):

@@ -183,6 +183,16 @@ class TestForces:
         assert first == second
 
 
+class TestCapErrors:
+    def test_partial_stats_byte_stable(self, capsys):
+        argv = ("forces", "21", "--max-n", "5", "--max-word-length", "3")
+        first = run(capsys, *argv)
+        assert first[0] == 1
+        assert '"intervals_examined": 26, "seconds": 0.0' in first[2]
+        assert run(capsys, *argv) == first
+        assert run(capsys, *argv, "--jobs", "2") == first
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -6,10 +6,29 @@ import pytest
 from bruhatkit import bruhat, forcing, perms, posets, structure, words
 from bruhatkit.limits import CapExceeded, Limits
 from bruhatkit.tables import group_table, iter_bits
+from oracles import deletion_oracle
 
 
 def P(text):
     return perms.parse_perm(text)
+
+
+def comparable_pairs(n):
+    """Every pair x <= y in S_n."""
+    s_n = list(itertools.permutations(range(1, n + 1)))
+    return [(x, y) for x in s_n for y in s_n if bruhat.bruhat_leq(x, y)]
+
+
+def sampled_pairs(n, count, seed):
+    """``count`` seeded random pairs x <= y in S_n."""
+    rng = random.Random(seed)
+    s_n = list(itertools.permutations(range(1, n + 1)))
+    pairs = []
+    while len(pairs) < count:
+        x, y = rng.choice(s_n), rng.choice(s_n)
+        if bruhat.bruhat_leq(x, y):
+            pairs.append((x, y))
+    return pairs
 
 
 def exhaustive_factor_scan(x, y):
@@ -18,7 +37,7 @@ def exhaustive_factor_scan(x, y):
     rx = set(words.reduced_words(x).words)
     gap = perms.length(y) - perms.length(x)
     hits = []
-    for j in words.reduced_words(y).sorted_words():
+    for j in words.reduced_words(y).words:
         for start in range(len(j) - gap + 1):
             if words.delete_factor(j, start, gap) in rx:
                 hits.append((j, start))
@@ -48,14 +67,24 @@ class TestFactorDeletion:
             forcing.factor_deletion(P("2341"), P("4123"))
 
     def test_first_hit_is_lexicographic(self):
-        cert = forcing.factor_deletion(P("1243"), P("4213"))
-        # scan order: words of R(4213) lexicographically, starts ascending
-        expected_j = next(
-            j
-            for j in words.reduced_words(P("4213")).sorted_words()
-            if exhaustive_factor_scan_word(j, P("1243"))
-        )
-        assert cert.j == expected_j
+        # the certificate is the first hit of the scan over R(y) in lex
+        # order with starts ascending, and None exactly when it has none
+        for n in (4, 5):
+            for x, y in comparable_pairs(n):
+                cert = forcing.factor_deletion(x, y)
+                hits = exhaustive_factor_scan(x, y)
+                if not hits:
+                    assert cert is None
+                else:
+                    assert (cert.j, cert.start) == hits[0]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_decision_matches_deletion_oracle(self, n):
+        pairs = comparable_pairs(n) if n < 6 else sampled_pairs(6, 1500, 6)
+        for x, y in pairs:
+            assert (forcing.factor_deletion(x, y) is None) == (
+                not deletion_oracle(x, y)
+            ), (x, y)
 
     def test_presence_implies_order_and_gap(self):
         rng = random.Random(3)
@@ -78,15 +107,6 @@ class TestFactorDeletion:
         assert cert is not None
         assert exhaustive_factor_scan(P("12543"), P("52341"))
         assert words.evaluate(cert.i, 5) == P("12543")
-
-
-def exhaustive_factor_scan_word(j, x):
-    rx = set(words.reduced_words(x).words)
-    gap = len(j) - perms.length(x)
-    return any(
-        words.delete_factor(j, s, gap) in rx
-        for s in range(len(j) - gap + 1)
-    )
 
 
 def table_scan(w, m):
@@ -223,6 +243,19 @@ class TestForcesFactor:
         seq = forcing.forces_factor(P("3412"), 5, use_symmetry=True)
         par = forcing.forces_factor(P("3412"), 5, use_symmetry=True, jobs=2)
         assert par.to_json() == seq.to_json()
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_sample_certificate_is_last_interval(self, jobs):
+        # the scan builds one certificate, for the last interval it decides
+        cases = [*itertools.permutations((1, 2, 3)), P("4231")]
+        for w in cases:
+            verdict = forcing.forces_factor(w, 5, jobs=jobs)
+            if verdict.counterexample is not None:
+                assert verdict.sample_certificate is None
+                continue
+            *_, (x, y) = forcing.intervals_isomorphic_to(w, 5)
+            assert verdict.sample_certificate == forcing.factor_deletion(x, y)
+            assert verdict.sample_certificate is not None
 
     def test_cap_reports_partial_stats(self):
         for jobs in (None, 2):
