@@ -76,8 +76,9 @@ def _factorizations(x: Perm, y: Perm) -> Iterator[tuple[Perm, Perm, Perm]]:
             if perms.length(beta) == gap:
                 yield u, beta, v
             for i in perms.left_descents(v):
-                below.setdefault(perms.apply_right(u, i),
-                                 perms.apply_left(i, v))
+                prefix = perms.apply_right(u, i)
+                if prefix not in below:
+                    below[prefix] = perms.apply_left(i, v)
         level = below
 
 
@@ -251,8 +252,24 @@ def _forces_chunk(w, m, use_symmetry, limits, part, parts):
     return examined, None, last and factor_deletion(*last, limits)
 
 
-def _no_factor_proof(y: Perm, gap: int, limits: Limits) -> dict:
-    total = len(words.reduced_words(y, limits))
+def _count_reduced_words(y: Perm) -> int:
+    """|R(y)|, without enumerating R(y): a reduced word of v is a left
+    descent i of v followed by a reduced word of s_i v, so count(v) is
+    the sum of count(s_i v) over those i, and count(e) = 1."""
+    counts = {perms.identity(len(y)): 1}
+
+    def count(v: Perm) -> int:
+        if v not in counts:
+            counts[v] = sum(
+                count(perms.apply_left(i, v)) for i in perms.left_descents(v)
+            )
+        return counts[v]
+
+    return count(y)
+
+
+def _no_factor_proof(y: Perm, gap: int) -> dict:
+    total = _count_reduced_words(y)
     per_word = perms.length(y) - gap + 1
     return {
         "words_scanned": total,
@@ -304,7 +321,7 @@ def forces_factor(
             examined += count
             if pair is not None:
                 counterexample = Counterexample(*pair, m)
-                proof = _no_factor_proof(pair[1], perms.length(w), limits)
+                proof = _no_factor_proof(pair[1], perms.length(w))
                 break
             last_cert = cert or last_cert
     except CapExceeded as exc:

@@ -9,8 +9,8 @@ encoding.  Two posets have equal certificates iff they are isomorphic
 (the test suite validates this against a brute-force matcher).
 
 The atlas counts isomorphism classes of intervals and of principal order
-ideals per length across a whole symmetric group, using the whole-group
-order tables from :mod:`bruhatkit.tables`.
+ideals per length across a whole symmetric group, reading each interval
+[x, y] off the up-ball of its bottom x from :mod:`bruhatkit.tables`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from . import perms
 from .bruhat import Interval
-from .limits import DEFAULT_LIMITS, CapExceeded, Limits
-from .tables import MAX_TABLE_N, group_table, iter_bits
+from .limits import DEFAULT_LIMITS, Limits
+from .tables import up_ball
 
 Cert = tuple
 
@@ -296,26 +296,24 @@ def _fan_out(fn, args: tuple, jobs: int | None):
         )
 
 
-def _scan_intervals(n: int, max_len: int, y_ids: list[int], part, parts):
-    """Certificates of all intervals [z, y] with y in every ``parts``-th
-    entry of ``y_ids`` from ``part`` on and 1 <= rank gap <= max_len,
-    keyed by ("intervals", gap), plus those with z the identity (the
+def _scan_intervals(n: int, max_len: int, x_reps: list, part, parts):
+    """Certificates of all intervals [x, y] with x in every ``parts``-th
+    entry of ``x_reps`` from ``part`` on and 1 <= rank gap <= max_len,
+    keyed by ("intervals", gap), plus those with x the identity (the
     ideals) keyed by ("ideals", gap); and the number of intervals
     examined."""
-    gt = group_table(n)
+    top_rank = n * (n - 1) // 2
     certs: dict[tuple[str, int], set] = defaultdict(set)
     examined = 0
-    for y in y_ids[part::parts]:
-        by = gt.below[y]
-        ry = gt.ranks[y]
-        for d in range(1, min(max_len, ry) + 1):
-            low_rank = ry - d
-            for z in iter_bits(by & gt.rank_masks[low_rank]):
-                cert = _certificate(*gt.structure(gt.above[z] & by))
-                certs["intervals", d].add(cert)
-                if low_rank == 0:
-                    certs["ideals", d].add(cert)
-                examined += 1
+    for x in x_reps[part::parts]:
+        ball = up_ball(x, min(max_len, top_rank - perms.length(x)))
+        is_identity = x == perms.identity(n)
+        for y in range(1, len(ball.elements)):
+            cert = _certificate(*ball.structure(ball.below[y]))
+            certs["intervals", ball.ranks[y]].add(cert)
+            if is_identity:
+                certs["ideals", ball.ranks[y]].add(cert)
+        examined += len(ball.elements) - 1
     return certs, examined
 
 
@@ -330,29 +328,28 @@ def atlas(
     principal order ideals in S_n, for lengths 0..max_len.
 
     Interval enumeration runs over representatives of the order-
-    automorphism orbits of the top element (inversion and conjugation by
-    the reversal preserve isomorphism classes, and fix the identity, so
-    the ideals of the representatives cover every ideal class).  Repeated
-    raw shapes are canonicalized once, through the certificate cache.
-    With ``jobs`` > 1 the top elements are fanned out across processes;
-    the merged counts are independent of the schedule.
+    automorphism orbits of the bottom element, each with its up-ball of
+    depth max_len (inversion and conjugation by the reversal preserve
+    isomorphism classes, so every class has an interval with such a
+    bottom; they fix the identity, whose up-ball holds the ideals).
+    Repeated raw shapes are canonicalized once, through the certificate
+    cache.  With ``jobs`` > 1 the bottoms are fanned out across
+    processes; the merged counts are independent of the schedule.
     """
     perms.check_group_size(n, limits)
-    if n > MAX_TABLE_N:
-        raise CapExceeded(f"atlas is capped at n <= {MAX_TABLE_N}; got n={n}")
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     started = time.perf_counter()
-    gt = group_table(n)
-
-    y_reps = [
-        u for u, y in enumerate(gt.elements)
-        if y == min(perms.symmetry_images(y))
+    # The orbit maximum, not the minimum, is the representative: it
+    # leaves atlas(5, 5) 125 certificate cache misses instead of 149.
+    x_reps = [
+        x for x in perms.all_perms(n, limits)
+        if x == max(perms.symmetry_images(x))
     ]
     certs: dict[tuple[str, int], set] = defaultdict(set)
     examined = 0
     for part, part_examined in _fan_out(
-        _scan_intervals, (n, max_len, y_reps), jobs
+        _scan_intervals, (n, max_len, x_reps), jobs
     ):
         examined += part_examined
         for key, s in part.items():

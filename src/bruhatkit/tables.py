@@ -10,11 +10,10 @@ the interval is exactly ``below[y]``; and since ids are rank-major, the
 set bits of any interval mask already run in the interval's (rank,
 one-line) order, with its minimum first.
 
-Every element of S_n lies above the identity, so the whole-group table is
-the identity's up-ball of depth n(n-1)/2, plus ``above[u]`` (ids of all
-z >= u).  An interval [x, y] of S_n is then ``above[x] & below[y]``,
-which turns the atlas into bit arithmetic.  S_8 would need ~400 MB of
-masks, so whole-group tables stop at n = 7.
+Both scans, ``forces`` and the atlas, build one up-ball per bottom x.
+Every element of S_n lies above the identity, so the whole group is the
+identity's up-ball of depth n(n-1)/2, cached below as the group table for
+n <= 7.
 """
 
 from __future__ import annotations
@@ -99,24 +98,9 @@ def up_ball(x: Perm, depth: int) -> Ball:
     )
 
 
-@dataclass(frozen=True)
-class GroupTable(Ball):
-    above: tuple[int, ...]              # bitmask of {z : z >= u}
-
-    @property
-    def max_rank(self) -> int:
-        return len(self.rank_masks) - 1
-
-
 @functools.lru_cache(maxsize=MAX_TABLE_N)
-def group_table(n: int) -> GroupTable:
+def group_table(n: int) -> Ball:
+    """The identity's up-ball of depth n(n-1)/2: all of S_n."""
     if not 1 <= n <= MAX_TABLE_N:
         raise ValueError(f"group tables are built only for n <= {MAX_TABLE_N}")
-    ball = up_ball(perms.identity(n), n * (n - 1) // 2)
-    # Every element covering u has a larger id, so above[u] is complete
-    # before u passes it down to the elements it covers.
-    above = [1 << u for u in range(len(ball.elements))]
-    for u in reversed(range(len(ball.elements))):
-        for v in ball.down_adj[u]:
-            above[v] |= above[u]
-    return GroupTable(**vars(ball), above=tuple(above))
+    return up_ball(perms.identity(n), n * (n - 1) // 2)

@@ -90,6 +90,13 @@ class TestAtlas:
         ]
         assert data["stats"]["seconds"] == 0.0
 
+    def test_s8_runs(self, capsys):
+        code, out, _ = run(capsys, "atlas", "--n", "8", "--max-len", "1")
+        assert code == 0
+        assert json.loads(out)["rows"][1] == {
+            "length": 1, "intervals": 1, "ideals": 1,
+        }
+
 
 class TestAtlasJobs:
     def test_byte_stable_across_jobs(self, capsys):

@@ -6,7 +6,8 @@ import pytest
 from bruhatkit import bruhat, forcing, perms, posets, structure, words
 from bruhatkit.limits import CapExceeded, Limits
 from bruhatkit.tables import group_table, iter_bits
-from oracles import deletion_oracle
+from oracles import brute_force_reduced_words, deletion_oracle
+from whole_group import above
 
 
 def P(text):
@@ -117,13 +118,14 @@ def table_scan(w, m):
     cert = posets._certificate(target.ranks, target.covers)
     d = perms.length(w)
     gt = group_table(m)
+    up = above(m)
     found = []
     for xid, x in enumerate(gt.elements):
         rx = gt.ranks[xid]
-        if rx + d > gt.max_rank:
+        if rx + d >= len(gt.rank_masks):
             continue
-        for yid in iter_bits(gt.above[xid] & gt.rank_masks[rx + d]):
-            mask = gt.above[xid] & gt.below[yid]
+        for yid in iter_bits(up[xid] & gt.rank_masks[rx + d]):
+            mask = up[xid] & gt.below[yid]
             if mask.bit_count() != target.size:
                 continue
             if posets._certificate(*gt.structure(mask)) == cert:
@@ -276,6 +278,17 @@ class TestForcesFactor:
         assert data["no_factor_proof"]["words_scanned"] == 1
         assert data["stats"]["seconds"] == 0.0
         assert data["stats"]["intervals_examined"] > 0
+
+    def test_proof_counts_reduced_words(self):
+        # the proof counts R(y) by descents; check it against enumeration
+        for y in perms.all_perms(5):
+            assert forcing._count_reduced_words(y) == len(
+                words.reduced_words(y)
+            )
+        for y in perms.all_perms(4):
+            assert forcing._count_reduced_words(y) == len(
+                brute_force_reduced_words(y)
+            )
 
 
 class TestCertificateShiftedLongest:

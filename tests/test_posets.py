@@ -8,6 +8,7 @@ from bruhatkit.limits import CapExceeded
 from bruhatkit.tables import group_table, iter_bits, up_ball
 
 from oracles import backtracking_isomorphic
+from whole_group import above
 
 
 def P(text):
@@ -162,12 +163,13 @@ class TestIntervalStructure:
     def test_table_relabel_matches_interval(self, n):
         # ball ids are rank-major, so the relabel needs no sort to number
         # each interval in its (rank, one-line) order; checked for the
-        # whole-group table and for the x-local balls that forces scans
+        # whole-group table and for the x-local balls that the scans read
         gt = group_table(n)
+        up = above(n)
         pairs = 0
         for xid, x in enumerate(gt.elements):
-            for yid in iter_bits(gt.above[xid]):
-                struct = gt.structure(gt.above[xid] & gt.below[yid])
+            for yid in iter_bits(up[xid]):
+                struct = gt.structure(up[xid] & gt.below[yid])
                 shape = posets.poset_from_interval(
                     bruhat.interval(x, gt.elements[yid])
                 )
@@ -233,8 +235,28 @@ class TestAtlas:
         assert result.counts("ideals") == (1, 1, 1, 2)
 
     def test_atlas_cap(self):
-        with pytest.raises(CapExceeded):
-            posets.atlas(8, 2)
+        # the group-size cap max_n is the atlas's only cap
+        with pytest.raises(CapExceeded, match="max_n=8"):
+            posets.atlas(9, 2)
+
+    def test_s8_rows_to_length_2(self):
+        result = posets.atlas(8, 2)
+        assert result.counts("intervals") == (1, 1, 1)
+        assert result.counts("ideals") == (1, 1, 1)
+        assert result.intervals_examined == 459926
+
+    @pytest.mark.parametrize("n,max_len,examined,intervals,ideals", [
+        (5, 5, 1275, (1, 1, 1, 3, 7, 16), (1, 1, 1, 2, 3, 4)),
+        (6, 4, 14847, (1, 1, 1, 3, 7), (1, 1, 1, 2, 3)),
+    ])
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_stats_pinned(self, n, max_len, examined, intervals, ideals,
+                          jobs):
+        # intervals_examined is part of the CLI's byte-stable output
+        result = posets.atlas(n, max_len, jobs=jobs)
+        assert result.counts("intervals") == intervals
+        assert result.counts("ideals") == ideals
+        assert result.intervals_examined == examined
 
     @pytest.mark.parametrize("n,expected", [
         (4, (1, 1, 1, 2, 2, 2, 1)),

@@ -1,0 +1,27 @@
+"""Whole-group up-sets, a reference for the x-local up-ball scans.
+
+The library reads every interval [x, y] off the up-ball of x.  Tests
+check it against the whole group instead: ``group_table(n)`` numbers all
+of S_n, and ``above(n)[u]`` is the bitmask of ids z >= u, so the
+interval is ``above(n)[x] & group_table(n).below[y]``.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from bruhatkit.tables import group_table
+
+
+@functools.cache
+def above(n: int) -> tuple[int, ...]:
+    """Up-set masks of the whole-group table of S_n, by one reverse pass
+    over its covers: every element covering u has a larger id, so
+    ``above[u]`` is complete before u passes it down to the elements it
+    covers."""
+    gt = group_table(n)
+    masks = [1 << u for u in range(len(gt.elements))]
+    for u in reversed(range(len(gt.elements))):
+        for v in gt.down_adj[u]:
+            masks[v] |= masks[u]
+    return tuple(masks)
