@@ -6,7 +6,22 @@ ranks only.  Isomorphism testing goes through a canonical certificate:
 iterated rank-respecting degree refinement, followed by backtracking over
 the remaining color classes taking the lexicographically least relation
 encoding.  Two posets have equal certificates iff they are isomorphic
-(the test suite validates this against a brute-force matcher).
+(the test suite validates this against a brute-force matcher and
+networkx).
+
+The backtracking prunes by automorphisms (McKay & Piperno, "Practical
+graph isomorphism, II", J. Symbolic Comput. 60, 2014).  Two leaves with
+equal certificates give an automorphism, the map between their element
+orders; the search jumps back to the two leaves' common ancestor, and at
+every node it skips a child in the orbit of an explored child under the
+automorphisms found that fix the node's path.  This is sound because
+refinement keeps the order of the color classes and an individualized
+element takes the lowest position of its class: such an automorphism
+fixes the path to the ancestor and maps one child's subtree onto the
+other's, leaf certificates included.  A skipped subtree thus holds only
+certificates already met, so the least certificate, and with it every
+canonical form, is the one the full search finds (checked against it in
+``tests/oracles.py``).
 
 The atlas counts isomorphism classes of intervals and of principal order
 ideals per length across a whole symmetric group, reading each interval
@@ -114,11 +129,12 @@ def _refine(colors: list[int], up, down) -> list[int]:
     """
     m = len(colors)
     while True:
+        color_of = colors.__getitem__
         sigs = [
             (
                 colors[v],
-                tuple(sorted(colors[u] for u in up[v])),
-                tuple(sorted(colors[u] for u in down[v])),
+                tuple(sorted(map(color_of, up[v]))),
+                tuple(sorted(map(color_of, down[v]))),
             )
             for v in range(m)
         ]
@@ -130,40 +146,109 @@ def _refine(colors: list[int], up, down) -> list[int]:
 
 
 def _min_certificate(colors, ranks, up, down) -> Cert:
+    """The least leaf certificate of the individualization tree below the
+    refined coloring ``colors``.
+
+    A node whose coloring has a class of two or more elements has one
+    child per member v of the least such class: v is made the lowest of
+    its class and the coloring refined again.  A discrete coloring is a
+    leaf; it orders the elements, and its certificate is (size, ranks in
+    that order relative to the least rank, the sorted cover pairs in
+    that order).
+
+    The search skips automorphic subtrees (McKay & Piperno, "Practical
+    graph isomorphism, II", J. Symbolic Comput. 60, 2014).  It keeps the
+    first leaf and the best leaf so far; a later leaf with the same
+    certificate as either gives an automorphism g, the map between the
+    two leaf orders.  Refinement keeps the order of the classes and an
+    individualized element takes the lowest position of its class, so
+    every element individualized on the way to a node keeps one position
+    in all the leaves below it: g fixes the path to the two leaves'
+    common ancestor and maps the ancestor's child towards the earlier
+    leaf, whose subtree is done, to the child towards the later one.
+    The search therefore jumps back to that ancestor.  At every node a
+    child in the orbit of an explored child, under the automorphisms
+    found so far that fix the node's path, is skipped.  Refinement
+    commutes with automorphisms, so every skipped subtree is the image
+    of a searched one with the same leaf certificates, and the minimum
+    is the one the full search finds.
+    """
     m = len(colors)
-    if len(set(colors)) == m:
+    base = min(ranks)
+    first: tuple | None = None       # (certificate, order, path)
+    best: tuple | None = None
+    automorphisms: list[list[int]] = []
+
+    def leaf(colors: list[int], path: list[int]) -> int:
+        nonlocal first, best
         order = sorted(range(m), key=colors.__getitem__)
         pos = [0] * m
         for i, v in enumerate(order):
             pos[v] = i
-        base = min(ranks)
-        relabeled = sorted(
-            (pos[a], pos[b]) for b in range(m) for a in down[b]
-        )
-        return (
+        cert = (
             m,
             tuple(ranks[v] - base for v in order),
-            tuple(relabeled),
+            tuple(
+                sorted((pos[a], pos[b]) for b in range(m) for a in down[b])
+            ),
         )
-    # Individualize each member of the first ambiguous class and keep the
-    # least certificate over the branches.
-    counts: dict[int, int] = {}
-    for c in colors:
-        counts[c] = counts.get(c, 0) + 1
-    target = min(c for c, k in counts.items() if k > 1)
-    best: Cert | None = None
-    for v in range(m):
-        if colors[v] != target:
-            continue
-        split = [(c, 1) for c in colors]
-        split[v] = (colors[v], 0)
-        palette = {sig: i for i, sig in enumerate(sorted(set(split)))}
-        branch = _refine([palette[s] for s in split], up, down)
-        cand = _min_certificate(branch, ranks, up, down)
-        if best is None or cand < best:
-            best = cand
+        if first is None:
+            first = best = (cert, order, path)
+            return len(path)
+        for seen_cert, seen_order, seen_path in (first, best):
+            if cert == seen_cert:
+                g = [0] * m
+                for a, b in zip(seen_order, order):
+                    g[a] = b
+                automorphisms.append(g)
+                depth = 0
+                while path[depth] == seen_path[depth]:
+                    depth += 1
+                return depth
+        if cert < best[0]:
+            best = (cert, order, path)
+        return len(path)
+
+    def search(colors: list[int], path: list[int]) -> int:
+        """Search below a node; return the depth of the ancestor that
+        goes on with its next child (the node's own depth unless a leaf
+        jumped back above it)."""
+        if len(set(colors)) == m:
+            return leaf(colors, path)
+        depth = len(path)
+        counts: dict[int, int] = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        target = min(c for c, k in counts.items() if k > 1)
+        # explored children and their images under the automorphisms
+        # found so far that fix ``path``
+        done: set[int] = set()
+        for v in range(m):
+            if colors[v] != target or v in done:
+                continue
+            split = [(c, 1) for c in colors]
+            split[v] = (colors[v], 0)
+            palette = {sig: i for i, sig in enumerate(sorted(set(split)))}
+            branch = _refine([palette[s] for s in split], up, down)
+            resume = search(branch, path + [v])
+            if resume < depth:
+                return resume
+            done.add(v)
+            fixing = [
+                g for g in automorphisms if all(g[u] == u for u in path)
+            ]
+            stack = list(done)
+            while stack:
+                u = stack.pop()
+                for g in fixing:
+                    if g[u] not in done:
+                        done.add(g[u])
+                        stack.append(g[u])
+        return depth
+
+    search(colors, [])
     assert best is not None
-    return best
+    return best[0]
 
 
 def _adjacency(m: int, covers):

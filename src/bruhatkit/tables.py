@@ -77,7 +77,11 @@ def up_ball(x: Perm, depth: int) -> Ball:
         below_of: dict[Perm, list[int]] = {}
         for zid, z in enumerate(level, start - len(level)):
             for c in covers_above(z):
-                below_of.setdefault(c, []).append(zid)
+                zids = below_of.get(c)
+                if zids is None:
+                    below_of[c] = [zid]
+                else:
+                    zids.append(zid)
         level = sorted(below_of)
         for c in level:
             downs = tuple(below_of[c])

@@ -3,19 +3,23 @@
 Everything here deliberately avoids the library's own algorithms:
 reduced words come from a full tree over all candidate words, Bruhat
 comparison from the subword formulation, poset isomorphism from a plain
-backtracking matcher, and factor deletion from a scan over all of S_n
-with plain tuples and inversion sets.
+backtracking matcher, canonical certificates from a search over every
+branch with no automorphism pruning, and factor deletion from a scan
+over all of S_n with plain tuples and inversion sets.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from typing import TYPE_CHECKING
 
 from bruhatkit import perms
 from bruhatkit.perms import Perm
-from bruhatkit.posets import RankedPoset
 from bruhatkit.words import Word
+
+if TYPE_CHECKING:
+    from bruhatkit.posets import RankedPoset
 
 
 def brute_force_reduced_words(w: Perm) -> set[Word]:
@@ -195,3 +199,66 @@ def deletion_oracle(x: Perm, y: Perm) -> bool:
         if len(_value_inversions(b)) == gap:
             return True
     return False
+
+
+def min_certificate_oracle(ranks: tuple[int, ...], covers) -> tuple:
+    """The least leaf certificate of a ranked poset's individualization
+    tree, visiting every branch.
+
+    Colors start as the ranks and are refined by (color, sorted colors of
+    the upper covers, sorted colors of the lower covers), renumbered in
+    sorted signature order, until no class splits.  While some class has
+    two or more members, each member of the least such class is made the
+    lowest of its class in turn and the coloring refined again.  A
+    discrete coloring orders the elements; its certificate is (size,
+    ranks in that order relative to the least rank, the sorted cover
+    pairs in that order).  The library's search must return the same
+    tuple while skipping automorphic branches.
+    """
+    m = len(ranks)
+    up = [[] for _ in range(m)]
+    down = [[] for _ in range(m)]
+    for a, b in covers:
+        up[a].append(b)
+        down[b].append(a)
+
+    def refine(colors):
+        while True:
+            sigs = [
+                (
+                    colors[v],
+                    tuple(sorted(colors[u] for u in up[v])),
+                    tuple(sorted(colors[u] for u in down[v])),
+                )
+                for v in range(m)
+            ]
+            palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+            refined = [palette[sig] for sig in sigs]
+            if len(palette) == len(set(colors)):
+                return refined
+            colors = refined
+
+    def least(colors):
+        if len(set(colors)) == m:
+            order = sorted(range(m), key=colors.__getitem__)
+            pos = {v: i for i, v in enumerate(order)}
+            return (
+                m,
+                tuple(ranks[v] - min(ranks) for v in order),
+                tuple(sorted((pos[a], pos[b]) for a, b in covers)),
+            )
+        target = min(
+            c for c in set(colors) if colors.count(c) > 1
+        )
+        branches = []
+        for v in range(m):
+            if colors[v] == target:
+                split = [(c, 1) for c in colors]
+                split[v] = (target, 0)
+                palette = {
+                    sig: i for i, sig in enumerate(sorted(set(split)))
+                }
+                branches.append(least(refine([palette[s] for s in split])))
+        return min(branches)
+
+    return least(refine(list(ranks)))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -7,7 +8,7 @@ from bruhatkit import bruhat, perms, posets
 from bruhatkit.limits import CapExceeded
 from bruhatkit.tables import group_table, iter_bits, up_ball
 
-from oracles import backtracking_isomorphic
+from oracles import backtracking_isomorphic, min_certificate_oracle
 from whole_group import above
 
 
@@ -24,6 +25,100 @@ def shape_of_interval(lo, hi):
 
 
 S4 = [tuple(w) for w in itertools.permutations((1, 2, 3, 4))]
+
+
+def boolean(k):
+    """B_k, the product of k two-element chains."""
+    return functools.reduce(
+        posets.direct_product, [posets.chain(1)] * k, posets.singleton()
+    )
+
+
+def coxeter_ideal(k):
+    """The ideal of s_1 s_2 ... s_k = 23...(k+1)1, which is B_k."""
+    return posets.poset_from_interval(
+        bruhat.ideal(tuple(range(2, k + 2)) + (1,))
+    )
+
+
+def atlas_shapes(n, max_len):
+    """The raw (ranks, covers) shapes that atlas(n, max_len) certifies."""
+    top = n * (n - 1) // 2
+    shapes = set()
+    for x in perms.all_perms(n):
+        if x != max(perms.symmetry_images(x)):
+            continue
+        ball = up_ball(x, min(max_len, top - perms.length(x)))
+        for y in range(1, len(ball.elements)):
+            shapes.add(ball.structure(ball.below[y]))
+    return shapes
+
+
+def relabeled(p, seed):
+    """p with its element ids shuffled."""
+    new_id = list(range(p.size))
+    random.Random(seed).shuffle(new_id)
+    ranks = [0] * p.size
+    for v, r in enumerate(p.ranks):
+        ranks[new_id[v]] = r
+    return posets.RankedPoset(
+        ranks=tuple(ranks),
+        covers=tuple((new_id[a], new_id[b]) for a, b in p.covers),
+    )
+
+
+def twisted(p):
+    """p with the tops of two covers from rank 1 exchanged, a poset of
+    the same size and rank profile."""
+    covers = list(p.covers)
+    low = [i for i, (a, _) in enumerate(covers) if p.ranks[a] == 1]
+    a, b = covers[low[0]]
+    for j in low[1:]:
+        c, d = covers[j]
+        if c != a and d != b and (a, d) not in covers and (c, b) not in covers:
+            covers[low[0]], covers[j] = (a, d), (c, b)
+            return posets.RankedPoset(ranks=p.ranks, covers=tuple(covers))
+    raise ValueError("no two covers to exchange")
+
+
+def cycle_union(half_lengths, seed):
+    """A bottom, n atoms, n coatoms and a top, the atoms and coatoms
+    joined by a union of even cycles (2k covers for each k in
+    ``half_lengths``, all k >= 2), with shuffled ids.  Refinement keeps
+    all atoms in one class whatever the cycles, so the search must tell
+    the cycles apart by individualizing."""
+    n = sum(half_lengths)
+    rng = random.Random(seed)
+    atoms, coatoms = list(range(1, n + 1)), list(range(n + 1, 2 * n + 1))
+    rng.shuffle(atoms)
+    rng.shuffle(coatoms)
+    covers = [(0, a) for a in atoms] + [(c, 2 * n + 1) for c in coatoms]
+    start = 0
+    for k in half_lengths:
+        for j in range(k):
+            covers.append((atoms[start + j], coatoms[start + j]))
+            covers.append((atoms[start + j], coatoms[start + (j + 1) % k]))
+        start += k
+    return posets.RankedPoset(
+        ranks=(0,) + (1,) * n + (2,) * n + (3,), covers=tuple(covers)
+    )
+
+
+def networkx_isomorphic(nx, p, q):
+    """networkx's matcher on the cover digraphs, ranks (relative to the
+    least) as node attributes."""
+    def graph(r):
+        g = nx.DiGraph()
+        base = min(r.ranks)
+        g.add_nodes_from(
+            (v, {"rank": rank - base}) for v, rank in enumerate(r.ranks)
+        )
+        g.add_edges_from(r.covers)
+        return g
+
+    return nx.is_isomorphic(
+        graph(p), graph(q), node_match=lambda a, b: a["rank"] == b["rank"]
+    )
 
 
 class TestCanonicalForm:
@@ -107,33 +202,86 @@ class TestCertificateSoundness:
                 if 0 <= gap <= max_len and bruhat.bruhat_leq(x, y):
                     yield posets.poset_from_interval(bruhat.interval(x, y))
 
-    def test_s4_exhaustive(self):
+    def _classes_agree(self, n, max_len, isomorphic):
         by_cert = {}
-        for p in self._intervals_up_to_length(4, 4):
+        for p in self._intervals_up_to_length(n, max_len):
             by_cert.setdefault(posets.canonical_form(p), []).append(p)
         reps = {cert: ps[0] for cert, ps in by_cert.items()}
         # equal certificate -> isomorphic (every member vs its representative)
         for cert, ps in by_cert.items():
-            for p in ps[:20]:
-                assert backtracking_isomorphic(reps[cert], p)
+            for p in ps:
+                assert isomorphic(reps[cert], p)
         # distinct certificates -> not isomorphic (pairwise over representatives)
         certs = sorted(reps)
         for i, c1 in enumerate(certs):
             for c2 in certs[i + 1:]:
-                assert not backtracking_isomorphic(reps[c1], reps[c2])
+                assert not isomorphic(reps[c1], reps[c2])
+
+    def test_s4_exhaustive(self):
+        self._classes_agree(4, 4, backtracking_isomorphic)
 
     def test_s5_exhaustive(self):
-        by_cert = {}
-        for p in self._intervals_up_to_length(5, 4):
-            by_cert.setdefault(posets.canonical_form(p), []).append(p)
-        reps = {cert: ps[0] for cert, ps in by_cert.items()}
-        for cert, ps in by_cert.items():
-            for p in ps:
-                assert backtracking_isomorphic(reps[cert], p)
-        certs = sorted(reps)
-        for i, c1 in enumerate(certs):
-            for c2 in certs[i + 1:]:
-                assert not backtracking_isomorphic(reps[c1], reps[c2])
+        self._classes_agree(5, 4, backtracking_isomorphic)
+
+    def test_networkx_agrees_on_s5(self):
+        nx = pytest.importorskip("networkx")
+        self._classes_agree(
+            5, 4, functools.partial(networkx_isomorphic, nx)
+        )
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_networkx_agrees_on_boolean(self, k):
+        nx = pytest.importorskip("networkx")
+        corpus = [
+            boolean(k), coxeter_ideal(k), relabeled(boolean(k), k),
+            twisted(boolean(k)),
+        ]
+        for p, q in itertools.combinations_with_replacement(corpus, 2):
+            assert (
+                posets.canonical_form(p) == posets.canonical_form(q)
+            ) == networkx_isomorphic(nx, p, q)
+
+
+class TestCertificateSearch:
+    """The automorphism-pruned search returns the certificate of the full
+    search, so canonical forms and atlas rows stay as they were."""
+
+    def test_equals_unpruned_search_on_atlas_shapes(self):
+        shapes = atlas_shapes(5, 5) | atlas_shapes(6, 4) | atlas_shapes(7, 2)
+        assert len(shapes) == 135
+        for ranks, covers in shapes:
+            assert posets._certificate.__wrapped__(
+                ranks, covers
+            ) == min_certificate_oracle(ranks, covers)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_equals_unpruned_search_on_boolean(self, k):
+        for p in (boolean(k), coxeter_ideal(k), relabeled(boolean(k), k)):
+            assert posets._certificate.__wrapped__(
+                p.ranks, p.covers
+            ) == min_certificate_oracle(p.ranks, p.covers)
+
+    @pytest.mark.parametrize("half_lengths", [
+        (8,), (2, 6), (3, 5), (4, 4), (2, 2, 4), (2, 3, 3),
+    ])
+    def test_equals_unpruned_search_on_cycle_unions(self, half_lengths):
+        # cells that are not orbits: a jump back above the two leaves'
+        # common ancestor loses the least certificate of (2, 2, 4)
+        for seed in range(3):
+            p = cycle_union(half_lengths, seed)
+            assert posets._certificate.__wrapped__(
+                p.ranks, p.covers
+            ) == min_certificate_oracle(p.ranks, p.covers)
+
+    def test_b7_ideal_is_boolean(self):
+        # the ideal of 23456781 in S_8 is B_7, 128 elements; its 7!
+        # automorphisms act freely on the leaves, so the unpruned search
+        # visits at least 5,040 of them.  No time is asserted.
+        ideal = shape_of_ideal("23456781")
+        assert ideal.size == 128
+        assert posets.canonical_form(ideal) == posets.canonical_form(
+            boolean(7)
+        )
 
 
 class TestDirectProduct:
