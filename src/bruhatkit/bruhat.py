@@ -117,9 +117,6 @@ class Interval:
             counts[self.rank_of(z)] += 1
         return tuple(counts)
 
-    def is_principal(self) -> bool:
-        return self.low == perms.identity(self.n)
-
 
 def interval(x: Perm, y: Perm) -> Interval:
     """Construct [x, y]; raises ValueError unless x <= y.

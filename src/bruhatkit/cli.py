@@ -185,9 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-word-length", type=int, default=Limits.max_word_length,
         metavar="L",
-        help="cap on lengths for reduced-word enumeration; in 'forces' "
-             "it caps the length of every interval top (default "
-             "%(default)s)",
+        help="cap on lengths for reduced-word enumeration; 'forces' "
+             "and 'atlas' only echo it (default %(default)s)",
     )
     common.add_argument(
         "--max-reduced-words", type=int, default=Limits.max_reduced_words,
@@ -302,11 +301,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.stats:
-            stats = dict(exc.stats)
-            if "seconds" in stats and not getattr(args, "timing", False):
-                stats["seconds"] = 0.0
-            print(f"partial stats: {json.dumps(stats)}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

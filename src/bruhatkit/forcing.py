@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import bruhat, perms, posets, tables, words
-from .limits import DEFAULT_LIMITS, CapExceeded, Limits
+from .limits import DEFAULT_LIMITS, Limits
 from .perms import Perm
 from .words import Word
 
@@ -102,7 +102,6 @@ def factor_deletion(
         )
     n = len(x)
     perms.check_group_size(n, limits)
-    words._check_word_length(y, limits)
     j = min(
         (
             words.lex_least_reduced_word(u)
@@ -219,7 +218,7 @@ class ForcingVerdict:
         out["stats"] = {
             "intervals_examined": self.intervals_examined,
             "seconds": round(self.seconds, 3) if timing else 0.0,
-            **self.limits.as_stats(),
+            **self.limits.to_json(),
         }
         return out
 
@@ -227,28 +226,23 @@ class ForcingVerdict:
 def _forces_chunk(w, m, use_symmetry, limits, part, parts):
     """Worker: scan the bottoms of slice ``part`` of ``parts`` equal
     slices of S_m, deciding every matching interval in order until one
-    admits no factor deletion.  Every top is held to the word-length cap
-    first.  Returns (intervals examined, that counterexample (x, y) or
-    None, the certificate of the last interval when there is none)."""
+    admits no factor deletion.  Returns (intervals examined, that
+    counterexample (x, y) or None, the certificate of the last interval
+    when there is none)."""
     step = -(-math.factorial(m) // parts)
     examined = 0
     last: tuple[Perm, Perm] | None = None
-    try:
-        for x, y in intervals_isomorphic_to(
-            w, m, limits, part * step, (part + 1) * step
+    for x, y in intervals_isomorphic_to(
+        w, m, limits, part * step, (part + 1) * step
+    ):
+        if use_symmetry and (x, y) != min(
+            zip(perms.symmetry_images(x), perms.symmetry_images(y))
         ):
-            if use_symmetry and (x, y) != min(
-                zip(perms.symmetry_images(x), perms.symmetry_images(y))
-            ):
-                continue
-            examined += 1
-            words._check_word_length(y, limits)
-            if next(_factorizations(x, y), None) is None:
-                return examined, (x, y), None
-            last = (x, y)
-    except CapExceeded as exc:
-        exc.stats["intervals_examined"] = examined
-        raise
+            continue
+        examined += 1
+        if next(_factorizations(x, y), None) is None:
+            return examined, (x, y), None
+        last = (x, y)
     return examined, None, last and factor_deletion(*last, limits)
 
 
@@ -290,13 +284,15 @@ def forces_factor(
     The first interval (smallest m, then least (x, y) in one-line order)
     admitting no factor deletion is returned as the counterexample.  With
     ``use_symmetry`` the scan skips intervals that are order-automorphism
-    images of earlier ones.  The symmetries map counterexamples (and tops
-    over the word-length cap) to counterexamples (and such tops), so the
-    first one met is the least of its orbit and the outcome and
-    counterexample cannot change; only ``intervals_examined`` and the
-    sample certificate do, which is why it is off by default.
-    ``jobs`` fans the scan out over processes; the verdict equals the
-    sequential one.
+    images of earlier ones.  The symmetries map counterexamples to
+    counterexamples, so the first one met is the least of its orbit and
+    the outcome and counterexample cannot change; only
+    ``intervals_examined`` and the sample certificate do, which is why it
+    is off by default.  ``jobs`` fans the scan out over processes; the
+    verdict equals the sequential one.  Only the group size m_max is held
+    to ``limits``, before the scan starts; ``max_word_length`` and
+    ``max_reduced_words`` bound nothing here and are only echoed in the
+    stats.
     """
     n = len(w)
     if m_max is None:
@@ -316,21 +312,13 @@ def forces_factor(
             _forces_chunk, (w, m, use_symmetry, limits), jobs
         )
     )
-    try:
-        for m, (count, pair, cert) in chunks:
-            examined += count
-            if pair is not None:
-                counterexample = Counterexample(*pair, m)
-                proof = _no_factor_proof(pair[1], perms.length(w))
-                break
-            last_cert = cert or last_cert
-    except CapExceeded as exc:
-        exc.stats.update(
-            intervals_examined=examined
-            + exc.stats.get("intervals_examined", 0),
-            seconds=time.perf_counter() - started,
-        )
-        raise
+    for m, (count, pair, cert) in chunks:
+        examined += count
+        if pair is not None:
+            counterexample = Counterexample(*pair, m)
+            proof = _no_factor_proof(pair[1], perms.length(w))
+            break
+        last_cert = cert or last_cert
     return ForcingVerdict(
         w=w,
         m_max=m_max,

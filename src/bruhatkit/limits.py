@@ -12,15 +12,12 @@ from dataclasses import dataclass
 
 
 class CapExceeded(Exception):
-    """A configured enumeration bound would be exceeded.
+    """A configured bound would be exceeded.
 
-    Carries optional partial statistics so long-running searches can
-    report how far they got before hitting the cap.
+    Raised instead of a truncated result: the group-size check runs
+    before any scan starts, and the reduced-word caps stop an enumeration
+    of R(w) and discard what it built.
     """
-
-    def __init__(self, message: str, stats: dict | None = None):
-        super().__init__(message)
-        self.stats = dict(stats) if stats else {}
 
 
 @dataclass(frozen=True)
@@ -32,9 +29,9 @@ class Limits:
     max_word_length:
         Cap on the length of permutations whose reduced words are
         enumerated.  The full set R(w) for the reversal in S_6 already
-        has 292864 members at length 15.  The factor-forcing scan
-        enumerates no reduced words, yet still holds every top to this
-        cap, so that its outputs stay as they were.
+        has 292864 members at length 15.  The factor-forcing scan and the
+        atlas enumerate no reduced words; they only echo this cap in
+        their JSON output.
     max_reduced_words:
         Cap on |R(w)| during enumeration.
     """
@@ -43,7 +40,7 @@ class Limits:
     max_word_length: int = 15
     max_reduced_words: int = 1_000_000
 
-    def as_stats(self) -> dict:
+    def to_json(self) -> dict:
         """Caps echoed into JSON outputs."""
         return {
             "max_n": self.max_n,

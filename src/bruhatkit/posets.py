@@ -362,7 +362,7 @@ class AtlasResult:
             "stats": {
                 "intervals_examined": self.intervals_examined,
                 "seconds": round(self.seconds, 3) if timing else 0.0,
-                **self.limits.as_stats(),
+                **self.limits.to_json(),
             },
         }
 

@@ -4,8 +4,10 @@ Everything here deliberately avoids the library's own algorithms:
 reduced words come from a full tree over all candidate words, Bruhat
 comparison from the subword formulation, poset isomorphism from a plain
 backtracking matcher, canonical certificates from a search over every
-branch with no automorphism pruning, and factor deletion from a scan
-over all of S_n with plain tuples and inversion sets.
+branch with no automorphism pruning, factor deletion from a scan over
+all of S_n with plain tuples and inversion sets, and whether a word is a
+reduced word of w from evaluating it on a plain list and counting
+inversions.
 """
 
 from __future__ import annotations
@@ -199,6 +201,16 @@ def deletion_oracle(x: Perm, y: Perm) -> bool:
         if len(_value_inversions(b)) == gap:
             return True
     return False
+
+
+def is_reduced_word_of(word: Word, w: Perm) -> bool:
+    """Whether ``word`` evaluates to w with as many letters as w has
+    value inversions: each letter a swaps positions a and a+1 of a plain
+    list, starting from the identity, with no `bruhatkit.perms`."""
+    v = list(range(1, len(w) + 1))
+    for a in word:
+        v[a - 1], v[a] = v[a], v[a - 1]
+    return tuple(v) == tuple(w) and len(word) == len(_value_inversions(w))
 
 
 def min_certificate_oracle(ranks: tuple[int, ...], covers) -> tuple:

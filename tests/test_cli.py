@@ -189,15 +189,18 @@ class TestForces:
         _, second, _ = run(capsys, "forces", "321", "--max-n", "4")
         assert first == second
 
-
-class TestCapErrors:
-    def test_partial_stats_byte_stable(self, capsys):
-        argv = ("forces", "21", "--max-n", "5", "--max-word-length", "3")
-        first = run(capsys, *argv)
-        assert first[0] == 1
-        assert '"intervals_examined": 26, "seconds": 0.0' in first[2]
-        assert run(capsys, *argv) == first
-        assert run(capsys, *argv, "--jobs", "2") == first
+    def test_word_length_cap_is_only_echoed(self, capsys):
+        argv = ("forces", "21", "--max-n", "5")
+        _, out, _ = run(capsys, *argv)
+        expected = json.loads(out)
+        expected["stats"]["max_word_length"] = 3
+        first = run(capsys, *argv, "--max-word-length", "3")
+        assert first[0] == 0
+        assert json.loads(first[1]) == expected
+        assert run(capsys, *argv, "--max-word-length", "3") == first
+        assert run(
+            capsys, *argv, "--max-word-length", "3", "--jobs", "2"
+        ) == first
 
 
 class TestExitCodes:

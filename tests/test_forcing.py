@@ -4,9 +4,14 @@ import random
 import pytest
 
 from bruhatkit import bruhat, forcing, perms, posets, structure, words
-from bruhatkit.limits import CapExceeded, Limits
+from bruhatkit.limits import Limits
 from bruhatkit.tables import group_table, iter_bits
-from oracles import brute_force_reduced_words, deletion_oracle
+from oracles import (
+    backtracking_isomorphic,
+    brute_force_reduced_words,
+    deletion_oracle,
+    is_reduced_word_of,
+)
 from whole_group import above
 
 
@@ -30,6 +35,32 @@ def sampled_pairs(n, count, seed):
         if bruhat.bruhat_leq(x, y):
             pairs.append((x, y))
     return pairs
+
+
+def long_top_pairs(per_length, seed):
+    """``per_length`` seeded random pairs x <= y in S_7 for each length of
+    y from 16 to 21, all above the default ``max_word_length`` of 15."""
+    rng = random.Random(seed)
+    s_7 = list(perms.all_perms(7))
+    pairs = []
+    for length in range(16, 22):
+        tops = [y for y in s_7 if perms.length(y) == length]
+        found = 0
+        while found < per_length:
+            x, y = rng.choice(s_7), rng.choice(tops)
+            if bruhat.bruhat_leq(x, y):
+                pairs.append((x, y))
+                found += 1
+    return pairs
+
+
+def assert_certificate_oracle(x, y, cert):
+    """The certificate's i is its j minus one block of the length gap,
+    and i and j are reduced words of x and y, by `tests/oracles.py`."""
+    assert cert.length == len(cert.j) - len(cert.i)
+    assert cert.i == cert.j[:cert.start] + cert.j[cert.start + cert.length:]
+    assert is_reduced_word_of(cert.j, y)
+    assert is_reduced_word_of(cert.i, x)
 
 
 def exhaustive_factor_scan(x, y):
@@ -86,6 +117,19 @@ class TestFactorDeletion:
             assert (forcing.factor_deletion(x, y) is None) == (
                 not deletion_oracle(x, y)
             ), (x, y)
+
+    def test_tops_past_old_word_length_cap_match_oracle(self):
+        # factor_deletion enumerates no reduced words, so it decides tops
+        # longer than max_word_length; check them against the oracle
+        pairs = long_top_pairs(40, 7)
+        decided = set()
+        for x, y in pairs:
+            cert = forcing.factor_deletion(x, y)
+            assert (cert is not None) == deletion_oracle(x, y), (x, y)
+            if cert is not None:
+                assert_certificate_oracle(x, y, cert)
+            decided.add(cert is None)
+        assert decided == {True, False}
 
     def test_presence_implies_order_and_gap(self):
         rng = random.Random(3)
@@ -259,13 +303,36 @@ class TestForcesFactor:
             assert verdict.sample_certificate == forcing.factor_deletion(x, y)
             assert verdict.sample_certificate is not None
 
-    def test_cap_reports_partial_stats(self):
+    def test_word_length_cap_is_only_echoed(self):
+        # the scan enumerates no reduced words: tops longer than
+        # max_word_length are decided, and the cap shows only in the stats
+        expected = forcing.forces_factor(P("21"), 5).to_json()
+        expected["stats"]["max_word_length"] = 3
         for jobs in (None, 2):
-            with pytest.raises(CapExceeded) as info:
-                forcing.forces_factor(
-                    P("21"), 5, jobs=jobs, limits=Limits(max_word_length=3)
-                )
-            assert info.value.stats["intervals_examined"] == 26
+            verdict = forcing.forces_factor(
+                P("21"), 5, jobs=jobs, limits=Limits(max_word_length=3)
+            )
+            assert verdict.outcome == "no-counterexample-up-to-bound"
+            assert verdict.to_json() == expected
+
+    def test_4231_first_s7_verdict(self):
+        # the open case of S_4, in S_7, whose tops reach length 21
+        w = P("4231")
+        verdict = forcing.forces_factor(w, 7)
+        assert verdict.outcome == "no-counterexample-up-to-bound"
+        assert verdict.intervals_examined == 2555
+        assert forcing.forces_factor(w, 7, jobs=2).to_json() == (
+            verdict.to_json()
+        )
+        # the sample certificate is that of the last interval scanned
+        x, y = P("7651234"), P("7654231")
+        assert verdict.sample_certificate == forcing.factor_deletion(x, y)
+        assert_certificate_oracle(x, y, verdict.sample_certificate)
+        assert deletion_oracle(x, y)
+        assert backtracking_isomorphic(
+            posets.poset_from_interval(bruhat.interval(x, y)),
+            posets.poset_from_interval(bruhat.ideal(w)),
+        )
 
     def test_bound_below_group_size_rejected(self):
         with pytest.raises(ValueError):
