@@ -185,13 +185,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-word-length", type=int, default=Limits.max_word_length,
         metavar="L",
-        help="cap on lengths for reduced-word enumeration; 'forces' "
-             "and 'atlas' only echo it (default %(default)s)",
+        help="cap on the length of w for 'words', the one command that "
+             "enumerates R(w); 'forces' and 'atlas' only echo it "
+             "(default %(default)s)",
     )
     common.add_argument(
         "--max-reduced-words", type=int, default=Limits.max_reduced_words,
         metavar="R",
-        help="cap on |R(w)| (default %(default)s)",
+        help="cap on |R(w)| for 'words' (default %(default)s)",
     )
 
     parser = argparse.ArgumentParser(

@@ -29,9 +29,9 @@ class Limits:
     max_word_length:
         Cap on the length of permutations whose reduced words are
         enumerated.  The full set R(w) for the reversal in S_6 already
-        has 292864 members at length 15.  The factor-forcing scan and the
-        atlas enumerate no reduced words; they only echo this cap in
-        their JSON output.
+        has 292864 members at length 15.  Only ``words.reduced_words``
+        enumerates R(w); the factor-forcing scan and the atlas only echo
+        this cap in their JSON output, and ``structure`` ignores it.
     max_reduced_words:
         Cap on |R(w)| during enumeration.
     """

@@ -3,8 +3,11 @@
 Three related tools live here:
 
 * decomposability of a principal order ideal into a direct product,
-  detected through reduced words that split into a small-letter block and
-  a large-letter block;
+  which holds exactly when a reduced word splits into a small-letter
+  block and a large-letter block; it is decided by parabolic
+  factorization (Bjorner and Brenti, *Combinatorics of Coxeter Groups*,
+  GTM 231, section 2.4) without enumerating R(w), and the split returned
+  is still the first in the documented order of a scan over R(w);
 * the constructive witness showing that a decomposable permutation's
   ideal shape also occurs as an interval whose endpoints are *not*
   related by deleting one consecutive block from a reduced word of the
@@ -19,7 +22,7 @@ Three related tools live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import bruhat, forcing, perms, posets, words
 from .limits import DEFAULT_LIMITS, Limits
@@ -90,28 +93,82 @@ def _split_sides(a1: Word, a2: Word, m: int) -> str | None:
     return None
 
 
+def _peel(inv: list[int], block: range) -> Word:
+    """Peel the W_block part u off w = u v; ``inv`` holds the positions
+    of w's values (inv[i - 1] is where i sits) and becomes v's.
+
+    s_i w swaps inv[i - 1] and inv[i], and i is a left descent when
+    inv[i - 1] > inv[i].  Always taking the least left descent in
+    ``block`` spells lexleast(u), and ends at the v that has none.
+    """
+    letters = []
+    i = block.start
+    while i < block.stop:
+        if inv[i - 1] > inv[i]:
+            inv[i - 1], inv[i] = inv[i], inv[i - 1]
+            letters.append(i)
+            i = max(i - 1, block.start)
+        else:
+            i += 1
+    return tuple(letters)
+
+
+def _least_splits(w: Perm) -> Iterator[tuple[Word, int, int, str]]:
+    """(least word, m, cut, side) for each feasible split of w, with u,
+    v, A and B as in :func:`decompose`; v lies in W_B exactly when
+    peeling its left descents in B reaches e."""
+    n = len(w)
+    w_inv, identity = list(perms.inverse(w)), list(range(1, n + 1))
+    for m in range(1, n - 1):
+        small, large = range(1, m + 1), range(m + 1, n)
+        for side, first, second in (("left", small, large),
+                                    ("right", large, small)):
+            inv = w_inv.copy()
+            u_word = _peel(inv, first)
+            v_word = _peel(inv, second)
+            if u_word and v_word and inv == identity:
+                yield u_word + v_word, m, len(u_word), side
+
+
 def decompose(
     w: Perm, limits: Limits = DEFAULT_LIMITS
 ) -> Decomposition | None:
-    """Search R(w) for a two-block split; None means indecomposable.
+    """The first two-block split of a reduced word of w; None means
+    indecomposable.
 
-    The scan is exhaustive and deterministic: words in lexicographic
-    order, then the split letter m ascending, then the cut point, with
-    the small-letters-left orientation preferred.  A successful split is
+    The documented order is that of a scan over all of R(w): words in
+    lexicographic order, then the split letter m ascending, then the cut
+    point, with the small-letters-left orientation preferred.  A split is
     exactly equivalent to the principal order ideal of ``w`` factoring as
     a nontrivial direct product.
+
+    R(w) is never enumerated.  For a split at m, let A be the letters of
+    the first block and B those of the second: A = {1..m} and B =
+    {m+1..n-1} for "left", the reverse for "right".  The words that split
+    there are the words of R(u) followed by those of R(v), where w = u v
+    is length-additive with u in W_A and v in W_B.  That factorization is
+    unique, and u is the W_A part of the parabolic decomposition of w
+    (Bjorner and Brenti, *Combinatorics of Coxeter Groups*, GTM 231,
+    section 2.4).  So (m, side) is feasible iff u and v are nontrivial
+    and v uses only letters of B; its least word is lexleast(u) +
+    lexleast(v), cut after lexleast(u).  The least of these words is the
+    first splitting word of R(w), and each of its splits is a feasible
+    (m, side) with that same word.  A word splits on at most one side at
+    a given m, as its first letter is small or large, so the least (word,
+    m) is the scan's first hit.  Only the group size is held to
+    ``limits``.
+
+    >>> decompose((2, 3, 1, 4))
+    Decomposition(m=1, a1=(1,), a2=(2,), side='left')
+    >>> decompose((3, 4, 1, 2)) is None
+    True
     """
-    n = len(w)
-    if n < 3:
+    perms.check_group_size(len(w), limits)
+    first = min(_least_splits(w), default=None)
+    if first is None:
         return None
-    for word in words.reduced_words(w, limits):
-        for m in range(1, n - 1):
-            for cut in range(1, len(word)):
-                a1, a2 = word[:cut], word[cut:]
-                side = _split_sides(a1, a2, m)
-                if side is not None:
-                    return Decomposition(m=m, a1=a1, a2=a2, side=side)
-    return None
+    word, m, cut, side = first
+    return Decomposition(m=m, a1=word[:cut], a2=word[cut:], side=side)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from .perms import Perm
 
 Word = tuple[int, ...]
 
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
 
 def format_word(word: Word) -> str:
     """Text form of a word; the empty word prints as ''.
@@ -33,8 +35,8 @@ def format_word(word: Word) -> str:
     """
     if not word:
         return ""
-    if all(0 <= a <= 9 for a in word):
-        return "".join(str(a) for a in word)
+    if 0 <= min(word) and max(word) <= 9:
+        return bytes(word).translate(_DIGITS).decode("ascii")
     return " ".join(str(a) for a in word)
 
 

@@ -1,13 +1,14 @@
 """Independent oracles the test suite checks the library against.
 
 Everything here deliberately avoids the library's own algorithms:
-reduced words come from a full tree over all candidate words, Bruhat
-comparison from the subword formulation, poset isomorphism from a plain
-backtracking matcher, canonical certificates from a search over every
-branch with no automorphism pruning, factor deletion from a scan over
-all of S_n with plain tuples and inversion sets, and whether a word is a
-reduced word of w from evaluating it on a plain list and counting
-inversions.
+reduced words come from a full tree over all candidate words or from
+closing one bubble-sort word under Coxeter moves, two-block splits from
+a scan over all of those words, Bruhat comparison from the subword
+formulation, poset isomorphism from a plain backtracking matcher,
+canonical certificates from a search over every branch with no
+automorphism pruning, factor deletion from a scan over all of S_n with
+plain tuples and inversion sets, and whether a word is a reduced word of
+w from evaluating it on a plain list and counting inversions.
 """
 
 from __future__ import annotations
@@ -94,6 +95,51 @@ def coxeter_move_neighbors(word: Word) -> set[Word]:
         if a == c and abs(a - b) == 1:
             out.add(tuple(lst[:p] + [b, a, b] + lst[p + 3:]))
     return out
+
+
+def bubble_sort_word(w: Perm) -> Word:
+    """One reduced word of w: sort a plain list by swapping its first
+    adjacent descent, positions a and a+1, until none is left; w is the
+    product of those swaps in reverse order."""
+    v = list(w)
+    swaps = []
+    while True:
+        a = next((p for p in range(1, len(v)) if v[p - 1] > v[p]), None)
+        if a is None:
+            return tuple(reversed(swaps))
+        v[a - 1], v[a] = v[a], v[a - 1]
+        swaps.append(a)
+
+
+def move_closure_reduced_words(w: Perm) -> set[Word]:
+    """R(w) as the closure of one bubble-sort word under commutation and
+    braid moves (Matsumoto's theorem), with no descent logic."""
+    found = {bubble_sort_word(w)}
+    frontier = list(found)
+    while frontier:
+        for nb in coxeter_move_neighbors(frontier.pop()):
+            if nb not in found:
+                found.add(nb)
+                frontier.append(nb)
+    return found
+
+
+def decompose_oracle(w: Perm) -> tuple[int, Word, Word, str] | None:
+    """(m, a1, a2, side) of the first split of a reduced word of w into a
+    block of letters <= m and a block of letters > m, or None.  The scan
+    runs over :func:`move_closure_reduced_words` in lexicographic order,
+    then m ascending, then the cut ascending, with the small letters on
+    the left ("left") preferred to on the right ("right")."""
+    n = len(w)
+    for word in sorted(move_closure_reduced_words(w)):
+        for m in range(1, n - 1):
+            for cut in range(1, len(word)):
+                a1, a2 = word[:cut], word[cut:]
+                if max(a1) <= m < min(a2):
+                    return m, a1, a2, "left"
+                if max(a2) <= m < min(a1):
+                    return m, a1, a2, "right"
+    return None
 
 
 def backtracking_isomorphic(p: RankedPoset, q: RankedPoset) -> bool:

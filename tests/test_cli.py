@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from bruhatkit import bruhat, forcing, perms, posets, words
 from bruhatkit.cli import main
+
+from oracles import is_reduced_word_of
 
 
 def run(capsys, *argv):
@@ -136,6 +139,38 @@ class TestStructureCommands:
     def test_witness_indecomposable(self, capsys):
         code, out, _ = run(capsys, "witness", "3412")
         assert (code, json.loads(out)) == (0, None)
+
+    def test_decompose_past_word_caps(self, capsys):
+        # length 22 and |R(w)| far past both reduced-word caps: decompose
+        # enumerates no reduced words, so only the group size is capped
+        code, out, _ = run(capsys, "decompose", "76543281")
+        data = json.loads(out)
+        assert (code, data["m"], data["side"]) == (0, 6, "left")
+        assert data["a1"] + data["a2"] == "1213214321543216543217"
+
+    def test_decompose_w0_past_word_caps(self, capsys):
+        code, out, _ = run(capsys, "decompose", "87654321")
+        assert (code, out) == (0, "null\n")
+
+    def test_witness_past_word_caps(self, capsys):
+        code, out, _ = run(capsys, "witness", "6543271")
+        assert code == 0
+        data = json.loads(out)
+        w = perms.parse_perm("6543271")
+        w_minus = perms.parse_perm(data["w_minus"])
+        w_plus = perms.parse_perm(data["w_plus"])
+        assert is_reduced_word_of(words.parse_word(data["word"]), w_plus)
+        assert posets.is_isomorphic(
+            posets.poset_from_interval(bruhat.interval(w_minus, w_plus)),
+            posets.poset_from_interval(bruhat.ideal(w)),
+        )
+        assert forcing.factor_deletion(w_minus, w_plus) is None
+
+    def test_witness_of_s8_input_hits_group_size_cap(self, capsys):
+        # the witness of an S_8 element lives in S_9
+        code, _, err = run(capsys, "witness", "76543281")
+        assert code == 1
+        assert "max_n=8" in err
 
     def test_swapstring(self, capsys):
         code, out, _ = run(capsys, "swapstring", "1243", "4213")

@@ -1,9 +1,16 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from bruhatkit import bruhat, forcing, perms, posets, structure, words
+
+from oracles import (
+    brute_force_reduced_words,
+    decompose_oracle,
+    move_closure_reduced_words,
+)
 
 
 def P(text):
@@ -57,6 +64,31 @@ class TestDecompose:
     def test_small_letters_right(self):
         d = structure.decompose(P("312"))
         assert d is not None and d.side == "right"
+
+    @staticmethod
+    def _as_tuple(d):
+        return None if d is None else dataclasses.astuple(d)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_equals_oracle_exhaustive(self, n):
+        for w in itertools.permutations(range(1, n + 1)):
+            assert self._as_tuple(structure.decompose(w)) == \
+                decompose_oracle(w), w
+
+    def test_equals_oracle_s6_sample(self):
+        rng = random.Random(610)
+        short = [
+            w for w in itertools.permutations(range(1, 7))
+            if perms.length(w) <= 10
+        ]
+        for w in rng.sample(short, 150):
+            assert self._as_tuple(structure.decompose(w)) == \
+                decompose_oracle(w), w
+
+    def test_oracle_words_are_all_of_r_w(self):
+        for w in S4:
+            assert move_closure_reduced_words(w) == \
+                brute_force_reduced_words(w)
 
     def test_cross_validation_with_products_s4(self):
         # decomposable iff the ideal is a nontrivial direct product
