@@ -176,6 +176,10 @@ def cmd_forces(args) -> int:
     return 0
 
 
+_JOBS_HELP = ("worker processes, capped at the CPU count; the output is "
+             "identical for every value")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -249,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "per length")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p.add_argument("--timing", action="store_true",
                    help="report real seconds instead of 0.0")
     p.set_defaults(func=cmd_atlas)
@@ -284,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("perm")
     p.add_argument("--max-n", type=int, default=None,
                    help="largest ambient group to scan (default w.n + 2)")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p.add_argument("--use-symmetry", action="store_true",
                    help="skip order-automorphism images (changes only the "
                         "intervals examined and the sample certificate)")

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import bruhat, perms, posets, tables, words
+from . import bruhat, perms, posets, words
 from .limits import DEFAULT_LIMITS, Limits
 from .perms import Perm
 from .words import Word
@@ -145,29 +145,23 @@ def intervals_isomorphic_to(
     exactly once, ordered by (x, y) in one-line order; only bottoms x at
     positions [lo, hi) of :func:`perms.all_perms` are scanned.
 
-    Each bottom x gets its up-ball of depth d = length(w)
-    (:func:`tables.up_ball`); for y on the ball's top level the interval
-    [x, y] is y's below-mask.  Candidates are pruned by element count,
-    then rank profile, before the certificate comparison.
+    The walk is :func:`posets._scan` at rank gap d = length(w): the tops
+    y are the top level of the up-ball of x with depth d.  Its screen
+    keeps the masks with the ideal's element count and rank profile, and
+    what passes is compared by certificate.
     """
     bottoms = itertools.islice(perms.all_perms(m, limits), lo, hi)
     d, size, profile, cert = _ideal_fingerprint(w)
-    top_rank = m * (m - 1) // 2
-    for x in bottoms:
-        if perms.length(x) + d > top_rank:
-            continue
-        ball = tables.up_ball(x, d)
-        for yid in tables.iter_bits(ball.rank_masks[d]):
-            mask = ball.below[yid]
-            if mask.bit_count() != size:
-                continue
-            if any(
-                (mask & ball.rank_masks[r]).bit_count() != profile[r]
-                for r in range(d + 1)
-            ):
-                continue
-            if posets._certificate(*ball.structure(mask)) == cert:
-                yield x, ball.elements[yid]
+
+    def screen(ball, mask: int) -> bool:
+        return mask.bit_count() == size and all(
+            (mask & ball.rank_masks[r]).bit_count() == profile[r]
+            for r in range(d + 1)
+        )
+
+    for x, y, _, found in posets._scan(bottoms, d, d, screen):
+        if found == cert:
+            yield x, y
 
 
 @dataclass(frozen=True)
@@ -223,27 +217,23 @@ class ForcingVerdict:
         return out
 
 
-def _forces_chunk(w, m, use_symmetry, limits, part, parts):
-    """Worker: scan the bottoms of slice ``part`` of ``parts`` equal
-    slices of S_m, deciding every matching interval in order until one
-    admits no factor deletion.  Returns (intervals examined, that
-    counterexample (x, y) or None, the certificate of the last interval
-    when there is none)."""
-    step = -(-math.factorial(m) // parts)
+def _forces_range(w, m, use_symmetry, limits, lo, hi):
+    """Worker: decide, in order, every interval isomorphic to the ideal
+    of w whose bottom is at positions [lo, hi) of S_m, until one admits
+    no factor deletion.  Returns (intervals examined, the last interval
+    decided or None, whether that one admits no deletion)."""
     examined = 0
     last: tuple[Perm, Perm] | None = None
-    for x, y in intervals_isomorphic_to(
-        w, m, limits, part * step, (part + 1) * step
-    ):
+    for x, y in intervals_isomorphic_to(w, m, limits, lo, hi):
         if use_symmetry and (x, y) != min(
             zip(perms.symmetry_images(x), perms.symmetry_images(y))
         ):
             continue
         examined += 1
-        if next(_factorizations(x, y), None) is None:
-            return examined, (x, y), None
         last = (x, y)
-    return examined, None, last and factor_deletion(*last, limits)
+        if next(_factorizations(x, y), None) is None:
+            return examined, last, True
+    return examined, last, False
 
 
 def _count_reduced_words(y: Perm) -> int:
@@ -302,23 +292,24 @@ def forces_factor(
     perms.check_group_size(m_max, limits)
     started = time.perf_counter()
     examined = 0
-    last_cert: FactorCertificate | None = None
+    last: tuple[Perm, Perm] | None = None
     counterexample: Counterexample | None = None
     proof: dict | None = None
-    chunks = (
-        (m, chunk)
+    ranges = (
+        (m, result)
         for m in range(n, m_max + 1)
-        for chunk in posets._fan_out(
-            _forces_chunk, (w, m, use_symmetry, limits), jobs
+        for result in posets._fan_out(
+            _forces_range, (w, m, use_symmetry, limits),
+            math.factorial(m), jobs,
         )
     )
-    for m, (count, pair, cert) in chunks:
+    for m, (count, pair, refuted) in ranges:
         examined += count
-        if pair is not None:
+        last = pair or last
+        if refuted:
             counterexample = Counterexample(*pair, m)
             proof = _no_factor_proof(pair[1], perms.length(w))
             break
-        last_cert = cert or last_cert
     return ForcingVerdict(
         w=w,
         m_max=m_max,
@@ -326,7 +317,8 @@ def forces_factor(
         else "no-counterexample-up-to-bound",
         counterexample=counterexample,
         no_factor_proof=proof,
-        sample_certificate=None if counterexample else last_cert,
+        sample_certificate=None if counterexample or last is None
+        else factor_deletion(*last, limits),
         intervals_examined=examined,
         seconds=time.perf_counter() - started,
         limits=limits,

@@ -24,13 +24,16 @@ canonical form, is the one the full search finds (checked against it in
 ``tests/oracles.py``).
 
 The atlas counts isomorphism classes of intervals and of principal order
-ideals per length across a whole symmetric group, reading each interval
-[x, y] off the up-ball of its bottom x from :mod:`bruhatkit.tables`.
+ideals per length across a whole symmetric group.  Like ``forces``, it
+reduces over ``_scan``, the one interval walk, which reads each interval
+[x, y] off the up-ball of its bottom x from :mod:`bruhatkit.tables` and
+certifies its shape; ``_fan_out`` splits the bottoms across processes.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import time
 from collections import defaultdict
 from concurrent import futures
@@ -367,38 +370,61 @@ class AtlasResult:
         }
 
 
-def _fan_out(fn, args: tuple, jobs: int | None):
-    """The results of ``fn(*args, part, parts)`` for part = 0..parts-1,
-    lazily and in part order.  With ``jobs`` > 1 there are ``jobs`` parts,
-    run by as many worker processes; otherwise one part runs in this
-    process.  Closing the iterator early cancels the parts not started."""
-    if jobs is None or jobs <= 1:
-        yield fn(*args, 0, 1)
+def _scan(bottoms, lo: int, hi: int, screen=None):
+    """(x, y, rank gap, certificate of [x, y]) for each x of ``bottoms``
+    in turn and each y of its up-ball with lo <= gap <= hi, in id order.
+    The depth is capped at the top of the group; a bottom whose ball
+    cannot reach rank lo is skipped.  An interval's below-mask goes
+    through ``screen(ball, mask)``, if given, before the relabel."""
+    for x in bottoms:
+        n = len(x)
+        depth = min(hi, n * (n - 1) // 2 - perms.length(x))
+        if depth < lo:
+            continue
+        ball = up_ball(x, depth)
+        level = ball.rank_masks[lo]     # ids are rank-major: one run
+        for y in range(level.bit_length() - level.bit_count(),
+                       len(ball.elements)):
+            mask = ball.below[y]
+            if screen is None or screen(ball, mask):
+                yield (x, ball.elements[y], ball.ranks[y],
+                       _certificate(*ball.structure(mask)))
+
+
+def _fan_out(fn, args: tuple, count: int, jobs: int | None):
+    """The results of ``fn(*args, lo, hi)`` over ordered, contiguous
+    ranges [lo, hi) that cover range(count), lazily and in range order,
+    so a caller that stops at its first hit sees what one range would.
+
+    With ``jobs`` > 1, min(jobs, CPU count) worker processes take about
+    four ranges each, which evens out uneven ranges; otherwise [0, count)
+    runs in this process.  ``fn`` and ``args`` must pickle.  Closing the
+    iterator early cancels the ranges not started."""
+    workers = min(jobs or 1, os.cpu_count() or 1)
+    if workers <= 1:
+        yield fn(*args, 0, count)
         return
-    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    parts = min(4 * workers, count)
+    bounds = [count * i // parts for i in range(parts + 1)]
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(
-            functools.partial(fn, *args), range(jobs), [jobs] * jobs
+            functools.partial(fn, *args), bounds[:-1], bounds[1:]
         )
 
 
-def _scan_intervals(n: int, max_len: int, x_reps: list, part, parts):
-    """Certificates of all intervals [x, y] with x in every ``parts``-th
-    entry of ``x_reps`` from ``part`` on and 1 <= rank gap <= max_len,
-    keyed by ("intervals", gap), plus those with x the identity (the
-    ideals) keyed by ("ideals", gap); and the number of intervals
-    examined."""
-    top_rank = n * (n - 1) // 2
+def _scan_intervals(n: int, max_len: int, x_reps: list, lo: int, hi: int):
+    """Certificates of all intervals [x, y] with x in ``x_reps[lo:hi]``
+    and 1 <= rank gap <= max_len, keyed by ("intervals", gap), plus those
+    with x the identity (the ideals) keyed by ("ideals", gap); and the
+    number of intervals examined."""
+    identity = perms.identity(n)
     certs: dict[tuple[str, int], set] = defaultdict(set)
     examined = 0
-    for x in x_reps[part::parts]:
-        ball = up_ball(x, min(max_len, top_rank - perms.length(x)))
-        is_identity = x == perms.identity(n)
-        for y in range(1, len(ball.elements)):
-            cert = _certificate(*ball.structure(ball.below[y]))
-            certs["intervals", ball.ranks[y]].add(cert)
-            if is_identity:
-                certs["ideals", ball.ranks[y]].add(cert)
-        examined += len(ball.elements) - 1
+    for x, _, gap, cert in _scan(x_reps[lo:hi], 1, max_len):
+        certs["intervals", gap].add(cert)
+        if x == identity:
+            certs["ideals", gap].add(cert)
+        examined += 1
     return certs, examined
 
 
@@ -418,8 +444,8 @@ def atlas(
     isomorphism classes, so every class has an interval with such a
     bottom; they fix the identity, whose up-ball holds the ideals).
     Repeated raw shapes are canonicalized once, through the certificate
-    cache.  With ``jobs`` > 1 the bottoms are fanned out across
-    processes; the merged counts are independent of the schedule.
+    cache.  With ``jobs`` > 1 ranges of the bottoms are fanned out
+    across processes; the merged counts are independent of the schedule.
     """
     perms.check_group_size(n, limits)
     if max_len < 0:
@@ -434,7 +460,7 @@ def atlas(
     certs: dict[tuple[str, int], set] = defaultdict(set)
     examined = 0
     for part, part_examined in _fan_out(
-        _scan_intervals, (n, max_len, x_reps), jobs
+        _scan_intervals, (n, max_len, x_reps), len(x_reps), jobs
     ):
         examined += part_examined
         for key, s in part.items():

@@ -10,10 +10,11 @@ the interval is exactly ``below[y]``; and since ids are rank-major, the
 set bits of any interval mask already run in the interval's (rank,
 one-line) order, with its minimum first.
 
-Both scans, ``forces`` and the atlas, build one up-ball per bottom x.
-Every element of S_n lies above the identity, so the whole group is the
-identity's up-ball of depth n(n-1)/2, cached below as the group table for
-n <= 7.
+The one interval walk that builds up-balls is ``posets._scan``, shared
+by ``forces`` and the atlas.  Every element of S_n lies above the
+identity, so the whole group is the identity's up-ball of depth
+n(n-1)/2, cached below as the group table for n <= 7; only the tests and
+the benchmark still call :func:`group_table`.
 """
 
 from __future__ import annotations

@@ -1,0 +1,38 @@
+import os
+
+import pytest
+
+from bruhatkit import posets
+
+CPUS = 4
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool of ``posets._fan_out`` by one that runs
+    ``map`` in this process and starts no process.  Returns the list of
+    pools made; each records its ``max_workers`` and the (lo, hi) ranges
+    it ran.  The CPU count reads as ``CPUS``, so the cap and the ranges
+    do not depend on the machine."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.ranges = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            for args in zip(*iterables):
+                self.ranges.append(args)
+                yield fn(*args)
+
+    monkeypatch.setattr(posets.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: CPUS)
+    return pools

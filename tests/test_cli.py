@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -108,6 +111,35 @@ class TestAtlasJobs:
             capsys, "atlas", "--n", "4", "--max-len", "4", "--jobs", "2"
         )
         assert seq == par
+
+
+class TestJobsUnderSpawn:
+    # spawn, the default start method on macOS and Windows, pickles all
+    # that crosses to a worker; the CPU count is fixed at two so that two
+    # workers start on any machine
+    SCRIPT = (
+        "import multiprocessing, os, sys\n"
+        "from bruhatkit.cli import main\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "os.cpu_count = lambda: 2\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize("argv", [
+        ("forces", "2314", "--max-n", "4"),
+        ("atlas", "--n", "4", "--max-len", "4"),
+    ])
+    def test_byte_stable_across_jobs(self, argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+        def stdout(*args):
+            done = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, *args],
+                capture_output=True, env=env, check=True, timeout=120,
+            )
+            return done.stdout
+
+        assert stdout(*argv, "--jobs", "2") == stdout(*argv)
 
 
 class TestStructureCommands:

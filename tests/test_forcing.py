@@ -303,6 +303,23 @@ class TestForcesFactor:
             assert verdict.sample_certificate == forcing.factor_deletion(x, y)
             assert verdict.sample_certificate is not None
 
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_one_certificate_per_verdict(self, jobs, monkeypatch,
+                                         inline_pool):
+        # the sample certificate is built once, not once per m and range
+        calls = []
+        factor_deletion = forcing.factor_deletion
+
+        def counting(*args):
+            calls.append(args)
+            return factor_deletion(*args)
+
+        monkeypatch.setattr(forcing, "factor_deletion", counting)
+        verdict = forcing.forces_factor(P("321"), 5, jobs=jobs)
+        assert verdict.sample_certificate is not None
+        assert len(calls) == 1
+        assert len(inline_pool) == (0 if jobs is None else 3)
+
     def test_word_length_cap_is_only_echoed(self):
         # the scan enumerates no reduced words: tops longer than
         # max_word_length are decided, and the cap shows only in the stats

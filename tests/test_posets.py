@@ -1,5 +1,6 @@
 import functools
 import itertools
+import os
 import random
 
 import pytest
@@ -396,6 +397,7 @@ class TestAtlas:
     @pytest.mark.parametrize("n,max_len,examined,intervals,ideals", [
         (5, 5, 1275, (1, 1, 1, 3, 7, 16), (1, 1, 1, 2, 3, 4)),
         (6, 4, 14847, (1, 1, 1, 3, 7), (1, 1, 1, 2, 3)),
+        (4, 0, 0, (1,), (1,)),
     ])
     @pytest.mark.parametrize("jobs", [None, 2])
     def test_stats_pinned(self, n, max_len, examined, intervals, ideals,
@@ -427,6 +429,22 @@ class TestAtlas:
         par = posets.atlas(4, 4, jobs=2)
         assert seq.rows == par.rows
         assert seq.intervals_examined == par.intervals_examined
+
+    def test_jobs_capped_at_cpu_count(self, inline_pool):
+        # a --jobs value far past the CPU count must not start that many
+        # workers; the ranges are ordered, contiguous and cover the bottoms
+        par = posets.atlas(5, 3, jobs=10**6)
+        assert par.to_json() == posets.atlas(5, 3).to_json()
+        (pool,) = inline_pool
+        assert pool.max_workers == os.cpu_count()
+        assert len(pool.ranges) == 4 * os.cpu_count()
+        ranges = pool.ranges
+        assert ranges[0][0] == 0
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert all(lo < hi for lo, hi in ranges)
+        reps = {x for x in itertools.permutations(range(1, 6))
+                if x == max(perms.symmetry_images(x))}
+        assert ranges[-1][1] == len(reps)
 
     def test_json_schema(self):
         data = posets.atlas(3, 2).to_json()
