@@ -5,6 +5,15 @@ verdict), 1 when a configured cap is exceeded, 2 on usage errors.
 Outputs are byte-stable across runs and across --jobs settings; timing
 is reported as 0.0 unless --timing is given, so that JSON outputs stay
 reproducible.
+
+Parsing builds only what the call needs.  When the first argument names
+a subcommand, ``main`` builds that subcommand's parser alone, exactly as
+the full tree builds it; building all twelve takes longer than most
+queries do.  The full tree of ``_build_parser`` is built only for
+top-level help, a missing or unknown subcommand, or arguments the
+subcommand leaves unrecognised, so that these print the usage and errors
+they always did.  No parser is cached: a CLI call is one process, so a
+cached parser would still be built once per call.
 """
 
 from __future__ import annotations
@@ -180,128 +189,161 @@ _JOBS_HELP = ("worker processes, capped at the CPU count; the output is "
              "identical for every value")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+def _jobs(text: str) -> int:
+    """A --jobs value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        # the message argparse gives for type=int
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1, got {value}")
+    return value
+
+
+def _common_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--max-group-size", type=int, default=Limits.max_n, metavar="N",
         help="cap on the symmetric group size (default %(default)s)",
     )
-    common.add_argument(
+    p.add_argument(
         "--max-word-length", type=int, default=Limits.max_word_length,
         metavar="L",
         help="cap on the length of w for 'words', the one command that "
              "enumerates R(w); 'forces' and 'atlas' only echo it "
              "(default %(default)s)",
     )
-    common.add_argument(
+    p.add_argument(
         "--max-reduced-words", type=int, default=Limits.max_reduced_words,
         metavar="R",
         help="cap on |R(w)| for 'words' (default %(default)s)",
     )
 
+
+def _perm_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("perm")
+
+
+def _pair_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("x")
+    p.add_argument("y")
+
+
+def _format_args(p: argparse.ArgumentParser) -> None:
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--dot", action="store_true")
+    fmt.add_argument("--json", action="store_true", default=True)
+
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("word")
+    p.add_argument("--n", type=int, default=None,
+                   help="ambient group size (default: largest letter + 1)")
+
+
+def _interval_args(p: argparse.ArgumentParser) -> None:
+    _pair_args(p)
+    _format_args(p)
+
+
+def _ideal_args(p: argparse.ArgumentParser) -> None:
+    _perm_args(p)
+    _format_args(p)
+
+
+def _iso_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("spec1")
+    p.add_argument("spec2")
+
+
+def _atlas_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
+    p.add_argument("--timing", action="store_true",
+                   help="report real seconds instead of 0.0")
+
+
+def _forces_args(p: argparse.ArgumentParser) -> None:
+    _perm_args(p)
+    p.add_argument("--max-n", type=int, default=None,
+                   help="largest ambient group to scan (default w.n + 2)")
+    p.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
+    p.add_argument("--use-symmetry", action="store_true",
+                   help="skip order-automorphism images (changes only the "
+                        "intervals examined and the sample certificate)")
+    p.add_argument("--timing", action="store_true",
+                   help="report real seconds instead of 0.0")
+
+
+def _commands() -> dict:
+    """Each subcommand once: name -> (function, its own arguments, help),
+    in the order ``--help`` lists them.  Built per call, so that a wrapper
+    set on a ``cmd_*`` attribute of this module is the one called."""
+    return {
+        "words": (cmd_words, _perm_args,
+                  "list all reduced words of a permutation"),
+        "eval": (cmd_eval, _eval_args,
+                 "evaluate a word of generator letters"),
+        "leq": (cmd_leq, _pair_args, "is x <= y in the Bruhat order?"),
+        "interval": (cmd_interval, _interval_args,
+                     "the interval [x, y] as JSON or DOT"),
+        "ideal": (cmd_ideal, _ideal_args,
+                  "the principal order ideal of w"),
+        "iso": (cmd_iso, _iso_args,
+                "poset isomorphism; a spec is 'w' (ideal) or 'x:y' "
+                "(interval)"),
+        "atlas": (cmd_atlas, _atlas_args,
+                  "counts of interval/ideal isomorphism classes per length"),
+        "decompose": (cmd_decompose, _perm_args,
+                      "two-block split of a reduced word, if any"),
+        "witness": (cmd_witness, _perm_args,
+                    "non-forcing witness interval for a decomposable "
+                    "permutation"),
+        "swapstring": (cmd_swapstring, _pair_args,
+                       "the thin monotonic substring separating x from y, "
+                       "if any"),
+        "factorize": (cmd_factorize, _pair_args,
+                      "reduced words ac of x and abc of y with b a shifted "
+                      "reversal word"),
+        "forces": (cmd_forces, _forces_args,
+                   "bounded factor-forcing verdict"),
+    }
+
+
+def _fill(p: argparse.ArgumentParser, func, own_args) -> None:
+    """A subcommand's arguments after its -h: the caps, then its own."""
+    _common_args(p)
+    own_args(p)
+    p.set_defaults(func=func)
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bruhatkit",
         description="Bruhat order toolkit: reduced words, intervals, "
                     "poset isomorphism, factor-forcing searches.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("words", parents=[common],
-                       help="list all reduced words of a permutation")
-    p.add_argument("perm")
-    p.set_defaults(func=cmd_words)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate a word of generator letters")
-    p.add_argument("word")
-    p.add_argument("--n", type=int, default=None,
-                   help="ambient group size (default: largest letter + 1)")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("leq", parents=[common],
-                       help="is x <= y in the Bruhat order?")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(func=cmd_leq)
-
-    p = sub.add_parser("interval", parents=[common],
-                       help="the interval [x, y] as JSON or DOT")
-    p.add_argument("x")
-    p.add_argument("y")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--dot", action="store_true")
-    fmt.add_argument("--json", action="store_true", default=True)
-    p.set_defaults(func=cmd_interval)
-
-    p = sub.add_parser("ideal", parents=[common],
-                       help="the principal order ideal of w")
-    p.add_argument("perm")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--dot", action="store_true")
-    fmt.add_argument("--json", action="store_true", default=True)
-    p.set_defaults(func=cmd_ideal)
-
-    p = sub.add_parser("iso", parents=[common],
-                       help="poset isomorphism; a spec is 'w' (ideal) "
-                            "or 'x:y' (interval)")
-    p.add_argument("spec1")
-    p.add_argument("spec2")
-    p.set_defaults(func=cmd_iso)
-
-    p = sub.add_parser("atlas", parents=[common],
-                       help="counts of interval/ideal isomorphism classes "
-                            "per length")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
-    p.add_argument("--timing", action="store_true",
-                   help="report real seconds instead of 0.0")
-    p.set_defaults(func=cmd_atlas)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="two-block split of a reduced word, if any")
-    p.add_argument("perm")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("witness", parents=[common],
-                       help="non-forcing witness interval for a "
-                            "decomposable permutation")
-    p.add_argument("perm")
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("swapstring", parents=[common],
-                       help="the thin monotonic substring separating x "
-                            "from y, if any")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(func=cmd_swapstring)
-
-    p = sub.add_parser("factorize", parents=[common],
-                       help="reduced words ac of x and abc of y with b a "
-                            "shifted reversal word")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(func=cmd_factorize)
-
-    p = sub.add_parser("forces", parents=[common],
-                       help="bounded factor-forcing verdict")
-    p.add_argument("perm")
-    p.add_argument("--max-n", type=int, default=None,
-                   help="largest ambient group to scan (default w.n + 2)")
-    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
-    p.add_argument("--use-symmetry", action="store_true",
-                   help="skip order-automorphism images (changes only the "
-                        "intervals examined and the sample certificate)")
-    p.add_argument("--timing", action="store_true",
-                   help="report real seconds instead of 0.0")
-    p.set_defaults(func=cmd_forces)
-
+    for name, (func, own_args, help_text) in _commands().items():
+        _fill(sub.add_parser(name, help=help_text), func, own_args)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = _commands().get(argv[0]) if argv else None
+    extra = None
+    if command is not None:
+        func, own_args, _ = command
+        parser = argparse.ArgumentParser(prog=f"bruhatkit {argv[0]}")
+        _fill(parser, func, own_args)
+        args, extra = parser.parse_known_args(argv[1:])
+    if command is None or extra:
+        # the full tree reports these as it always has
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from bruhatkit import bruhat, forcing, perms, posets, words
+from bruhatkit import bruhat, cli, forcing, perms, posets, words
 from bruhatkit.cli import main
 
 from oracles import is_reduced_word_of
@@ -272,9 +273,14 @@ class TestForces:
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["no-such-command"])
-        assert info.value.code == 2
+        for argv in (
+            ["no-such-command"],
+            ["forces", "2143", "--max-n", "4", "--jobs", "-2"],
+            ["atlas", "--n", "3", "--max-len", "2", "--jobs", "-1"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
 
     def test_bad_permutation(self, capsys):
         code, _, err = run(capsys, "words", "1224")
@@ -291,3 +297,88 @@ class TestExitCodes:
     def test_group_size_cap(self, capsys):
         code, _, err = run(capsys, "words", "123456789")
         assert code == 1
+
+
+# the arguments of one well-formed call of each command
+QUERIES = {
+    "words": ["3241"],
+    "eval": ["1213", "--n", "4"],
+    "leq": ["2143", "4321"],
+    "interval": ["2143", "4231"],
+    "ideal": ["2314", "--dot"],
+    "iso": ["3412", "12543:52341"],
+    "atlas": ["--n", "3", "--max-len", "2"],
+    "decompose": ["2314"],
+    "witness": ["2314"],
+    "swapstring": ["1243", "4213"],
+    "factorize": ["1243", "4213"],
+    "forces": ["2314", "--max-n", "4"],
+}
+
+
+def outcome(capsys, call, argv):
+    """stdout, stderr and how the call ended: returned or exited, and
+    with which code."""
+    try:
+        end = ("returned", call(argv))
+    except SystemExit as exc:
+        end = ("exited", exc.code)
+    out = capsys.readouterr()
+    return end, out.out, out.err
+
+
+def full_parser(argv):
+    args = cli._build_parser().parse_args(argv)
+    return args.func(args)
+
+
+class TestParsing:
+    @pytest.mark.parametrize("name", list(cli._commands()))
+    def test_fast_path_equals_full_parser(self, capsys, name):
+        query = [name, *QUERIES[name]]
+        for argv in (
+            [name, "--help"],
+            [name],
+            query,
+            [*query, "extra", "more"],
+            [*query, "--bogus"],
+            [*query, "--max-group-size"],
+            [*query, "--max-word-length", "x"],
+        ):
+            assert outcome(capsys, main, argv) == outcome(
+                capsys, full_parser, argv
+            ), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["no-such-command"], ["--", "leq", "12", "21"],
+    ])
+    def test_top_level_equals_full_parser(self, capsys, argv):
+        assert outcome(capsys, main, argv) == outcome(
+            capsys, full_parser, argv
+        )
+
+    def test_one_parser_per_well_formed_call(self, capsys, monkeypatch):
+        init = argparse.ArgumentParser.__init__
+        made = []
+
+        def counting(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(capsys, "leq", "2143", "4321")[:2] == (0, "true\n")
+        assert made == ["bruhatkit leq"]
+
+    @pytest.mark.parametrize("argv", [["leq", "12", "21"],
+                                      ["leq", "2143", "4321"]])
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch, argv):
+        # the installed entry point calls main() with no arguments
+        monkeypatch.setattr(sys, "argv", ["bruhatkit", *argv])
+        assert (main(), capsys.readouterr().out) == (0, "true\n")
+
+    def test_console_script_help(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["bruhatkit", "--help"])
+        with pytest.raises(SystemExit) as info:
+            main()
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: bruhatkit ")
