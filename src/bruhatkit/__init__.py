@@ -17,7 +17,6 @@ from .forcing import (
     Counterexample,
     FactorCertificate,
     ForcingVerdict,
-    certificate_is_shifted_longest,
     factor_deletion,
     forces_factor,
     intervals_isomorphic_to,
@@ -59,7 +58,6 @@ from .structure import (
     is_thin,
     nonforcing_witness,
     swap_string_factorization,
-    verify_b_is_shifted_longest,
 )
 from .words import (
     ReducedWordSet,

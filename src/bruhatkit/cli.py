@@ -189,8 +189,8 @@ _JOBS_HELP = ("worker processes, capped at the CPU count; the output is "
              "identical for every value")
 
 
-def _jobs(text: str) -> int:
-    """A --jobs value: an integer of at least 1."""
+def _at_least_one(text: str) -> int:
+    """A --jobs or cap value: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -205,18 +205,21 @@ def _jobs(text: str) -> int:
 
 def _common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--max-group-size", type=int, default=Limits.max_n, metavar="N",
+        "--max-group-size", type=_at_least_one, default=Limits.max_n,
+        metavar="N",
         help="cap on the symmetric group size (default %(default)s)",
     )
     p.add_argument(
-        "--max-word-length", type=int, default=Limits.max_word_length,
+        "--max-word-length", type=_at_least_one,
+        default=Limits.max_word_length,
         metavar="L",
         help="cap on the length of w for 'words', the one command that "
              "enumerates R(w); 'forces' and 'atlas' only echo it "
              "(default %(default)s)",
     )
     p.add_argument(
-        "--max-reduced-words", type=int, default=Limits.max_reduced_words,
+        "--max-reduced-words", type=_at_least_one,
+        default=Limits.max_reduced_words,
         metavar="R",
         help="cap on |R(w)| for 'words' (default %(default)s)",
     )
@@ -232,9 +235,8 @@ def _pair_args(p: argparse.ArgumentParser) -> None:
 
 
 def _format_args(p: argparse.ArgumentParser) -> None:
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--dot", action="store_true")
-    fmt.add_argument("--json", action="store_true", default=True)
+    p.add_argument("--dot", action="store_true",
+                   help="print the Hasse diagram as DOT instead of JSON")
 
 
 def _eval_args(p: argparse.ArgumentParser) -> None:
@@ -261,7 +263,8 @@ def _iso_args(p: argparse.ArgumentParser) -> None:
 def _atlas_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
+    p.add_argument("--jobs", type=_at_least_one, default=None,
+                   help=_JOBS_HELP)
     p.add_argument("--timing", action="store_true",
                    help="report real seconds instead of 0.0")
 
@@ -270,7 +273,8 @@ def _forces_args(p: argparse.ArgumentParser) -> None:
     _perm_args(p)
     p.add_argument("--max-n", type=int, default=None,
                    help="largest ambient group to scan (default w.n + 2)")
-    p.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
+    p.add_argument("--jobs", type=_at_least_one, default=None,
+                   help=_JOBS_HELP)
     p.add_argument("--use-symmetry", action="store_true",
                    help="skip order-automorphism images (changes only the "
                         "intervals examined and the sample certificate)")

@@ -236,24 +236,8 @@ def _forces_range(w, m, use_symmetry, limits, lo, hi):
     return examined, last, False
 
 
-def _count_reduced_words(y: Perm) -> int:
-    """|R(y)|, without enumerating R(y): a reduced word of v is a left
-    descent i of v followed by a reduced word of s_i v, so count(v) is
-    the sum of count(s_i v) over those i, and count(e) = 1."""
-    counts = {perms.identity(len(y)): 1}
-
-    def count(v: Perm) -> int:
-        if v not in counts:
-            counts[v] = sum(
-                count(perms.apply_left(i, v)) for i in perms.left_descents(v)
-            )
-        return counts[v]
-
-    return count(y)
-
-
 def _no_factor_proof(y: Perm, gap: int) -> dict:
-    total = _count_reduced_words(y)
+    total = words.count_reduced_words(y)
     per_word = perms.length(y) - gap + 1
     return {
         "words_scanned": total,
@@ -323,21 +307,3 @@ def forces_factor(
         seconds=time.perf_counter() - started,
         limits=limits,
     )
-
-
-def certificate_is_shifted_longest(
-    x: Perm,
-    y: Perm,
-    cert: FactorCertificate,
-    k: int,
-    limits: Limits = DEFAULT_LIMITS,
-) -> bool:
-    """For an interval [x, y] shaped like the full S_k: does the deleted
-    factor shift to a reduced word of the reversal of size k?
-
-    Returns False (rather than raising) on certificates whose factor has
-    the wrong size, so corrupted certificates are simply rejected.
-    """
-    if cert.length != perms.length(y) - perms.length(x):
-        return False
-    return words.is_shifted_longest_word(cert.factor(), k, limits)

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 class CapExceeded(Exception):
     """A configured bound would be exceeded.
 
-    Raised instead of a truncated result: the group-size check runs
-    before any scan starts, and the reduced-word caps stop an enumeration
-    of R(w) and discard what it built.
+    Raised instead of a truncated result, and before the work it
+    guards: the group-size check runs before any scan starts, and the
+    reduced-word caps are checked on the length of w and on |R(w)|, as
+    counted without building a word, before R(w) is enumerated.
     """
 
 
@@ -33,7 +34,7 @@ class Limits:
         enumerates R(w); the factor-forcing scan and the atlas only echo
         this cap in their JSON output, and ``structure`` ignores it.
     max_reduced_words:
-        Cap on |R(w)| during enumeration.
+        Cap on |R(w)|, counted before R(w) is enumerated.
     """
 
     max_n: int = 8

@@ -396,10 +396,14 @@ def _fan_out(fn, args: tuple, count: int, jobs: int | None):
     ranges [lo, hi) that cover range(count), lazily and in range order,
     so a caller that stops at its first hit sees what one range would.
 
-    With ``jobs`` > 1, min(jobs, CPU count) worker processes take about
-    four ranges each, which evens out uneven ranges; otherwise [0, count)
-    runs in this process.  ``fn`` and ``args`` must pickle.  Closing the
-    iterator early cancels the ranges not started."""
+    ``jobs`` is None or an integer of at least 1; anything else raises
+    ValueError.  With ``jobs`` > 1, min(jobs, CPU count) worker processes
+    take about four ranges each, which evens out uneven ranges; otherwise
+    [0, count) runs in this process.  ``fn`` and ``args`` must pickle.
+    Closing the iterator early cancels the ranges not started."""
+    if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
+        raise ValueError(
+            f"jobs must be None or an integer of at least 1, got {jobs!r}")
     workers = min(jobs or 1, os.cpu_count() or 1)
     if workers <= 1:
         yield fn(*args, 0, count)

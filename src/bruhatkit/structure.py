@@ -6,8 +6,9 @@ Three related tools live here:
   which holds exactly when a reduced word splits into a small-letter
   block and a large-letter block; it is decided by parabolic
   factorization (Bjorner and Brenti, *Combinatorics of Coxeter Groups*,
-  GTM 231, section 2.4) without enumerating R(w), and the split returned
-  is still the first in the documented order of a scan over R(w);
+  GTM 231, section 2.4) without enumerating R(w): ``words.peel`` peels
+  each parabolic part off, and the split returned is still the first in
+  the documented order of a scan over R(w);
 * the constructive witness showing that a decomposable permutation's
   ideal shape also occurs as an interval whose endpoints are *not*
   related by deleting one consecutive block from a reduced word of the
@@ -93,26 +94,6 @@ def _split_sides(a1: Word, a2: Word, m: int) -> str | None:
     return None
 
 
-def _peel(inv: list[int], block: range) -> Word:
-    """Peel the W_block part u off w = u v; ``inv`` holds the positions
-    of w's values (inv[i - 1] is where i sits) and becomes v's.
-
-    s_i w swaps inv[i - 1] and inv[i], and i is a left descent when
-    inv[i - 1] > inv[i].  Always taking the least left descent in
-    ``block`` spells lexleast(u), and ends at the v that has none.
-    """
-    letters = []
-    i = block.start
-    while i < block.stop:
-        if inv[i - 1] > inv[i]:
-            inv[i - 1], inv[i] = inv[i], inv[i - 1]
-            letters.append(i)
-            i = max(i - 1, block.start)
-        else:
-            i += 1
-    return tuple(letters)
-
-
 def _least_splits(w: Perm) -> Iterator[tuple[Word, int, int, str]]:
     """(least word, m, cut, side) for each feasible split of w, with u,
     v, A and B as in :func:`decompose`; v lies in W_B exactly when
@@ -124,8 +105,8 @@ def _least_splits(w: Perm) -> Iterator[tuple[Word, int, int, str]]:
         for side, first, second in (("left", small, large),
                                     ("right", large, small)):
             inv = w_inv.copy()
-            u_word = _peel(inv, first)
-            v_word = _peel(inv, second)
+            u_word = words.peel(inv, first)
+            v_word = words.peel(inv, second)
             if u_word and v_word and inv == identity:
                 yield u_word + v_word, m, len(u_word), side
 
@@ -423,24 +404,3 @@ def swap_string_factorization(
         raise RuntimeError("factorization failed: b does not shift to a "
                            "reversal word")
     return a, b, c, t
-
-
-def _triangular_root(d: int) -> int | None:
-    k = int((2 * d) ** 0.5) + 1
-    for cand in range(max(k - 2, 1), k + 2):
-        if cand * (cand - 1) // 2 == d:
-            return cand
-    return None
-
-
-def verify_b_is_shifted_longest(
-    iv: bruhat.Interval, b: Word, limits: Limits = DEFAULT_LIMITS
-) -> bool:
-    """For an interval shaped like a full symmetric group S_k, check that
-    the factor ``b`` shifts to a reduced word of the reversal of size k."""
-    k = _triangular_root(iv.span)
-    if k is None:
-        raise ValueError(
-            f"interval span {iv.span} is not a triangular number"
-        )
-    return words.is_shifted_longest_word(b, k, limits)

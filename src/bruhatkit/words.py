@@ -1,5 +1,13 @@
 """Words in the generators: evaluation, reduced words, shifts, subwords.
 
+Every walk over R(w) lives here.  Each one follows the left-descent
+recursion (a reduced word of w is a left descent i of w followed by a
+reduced word of s_i w): :func:`reduced_words` builds R(w),
+:func:`iter_reduced_words` yields it lazily, :func:`count_reduced_words`
+counts it without building a word, and :func:`peel` takes the least
+left descent at each step to spell the least word of w, or of one
+parabolic part of w.
+
 A word is a tuple of integer letters, letter ``i`` standing for the
 adjacent transposition s_i.  Candidate reduced words for S_n must use
 letters in 1..n-1; shifted words (see :func:`shift`) may leave that range
@@ -106,41 +114,78 @@ def _check_word_length(w: Perm, limits: Limits) -> None:
         )
 
 
+def _weak_order_ideal(w: Perm) -> dict[Perm, list[tuple[int, Perm]]]:
+    """Every v below w in the left weak order, keyed by its inverse, with
+    (i, inverse of s_i v) for each left descent i of v, ascending.
+
+    i is a left descent when inv[i - 1] > inv[i], and s_i v swaps those
+    two entries of the inverse.  Each v is entered after all its s_i v,
+    so a fold over the entries in order meets every s_i v before v, and
+    ends at w.
+    """
+    ideal: dict[Perm, list[tuple[int, Perm]]] = {}
+
+    def visit(inv: Perm) -> None:
+        below = [
+            (i, inv[:i - 1] + (inv[i], inv[i - 1]) + inv[i + 1:])
+            for i in range(1, len(inv))
+            if inv[i - 1] > inv[i]
+        ]
+        for _, lower in below:
+            if lower not in ideal:
+                visit(lower)
+        ideal[inv] = below
+
+    visit(perms.inverse(w))
+    return ideal
+
+
+def _count(ideal: dict[Perm, list[tuple[int, Perm]]]) -> int:
+    """|R(w)| for the w that :func:`_weak_order_ideal` ended at: a reduced
+    word of v is a left descent i of v followed by a reduced word of
+    s_i v, so count(v) is the sum of count(s_i v), and count(e) = 1."""
+    counts: dict[Perm, int] = {}
+    for inv, below in ideal.items():
+        counts[inv] = total = sum(counts[lower] for _, lower in below) or 1
+    return total
+
+
+def count_reduced_words(w: Perm) -> int:
+    """|R(w)|, without building a word, by the left-descent recursion
+    (Bjorner and Brenti, *Combinatorics of Coxeter Groups*, GTM 231,
+    ch. 3) over the elements below w in the left weak order.
+
+    >>> count_reduced_words((3, 2, 4, 1))
+    3
+    >>> count_reduced_words((1, 2, 3))
+    1
+    """
+    return _count(_weak_order_ideal(w))
+
+
 def reduced_words(w: Perm, limits: Limits = DEFAULT_LIMITS) -> ReducedWordSet:
     """Enumerate all of R(w), in lexicographic order.
 
-    Recursive descent over left descents (the values i that appear to the
-    right of i+1 supply the first letters), taken in ascending order and
-    memoized by permutation so each element below ``w`` is expanded once.
-    All words of R(w) have the same length, so listing each first letter's
-    words in turn keeps the result lexicographic.  The memo is per-call,
-    so concurrent invocations do not share state.
+    Both caps are checked before any word is built: the length of w
+    first, then |R(w)| as :func:`count_reduced_words` gives it.  The
+    words of each element v below w in the left weak order are then
+    built once, from those of each s_i v with i a left descent of v (the
+    values i that appear to the right of i+1), taken in ascending order.
+    All words of R(w) have the same length, so listing each first
+    letter's words in turn keeps the result lexicographic.  Every table
+    is per-call, so concurrent invocations do not share state.
     """
     _check_word_length(w, limits)
+    ideal = _weak_order_ideal(w)
     cap = limits.max_reduced_words
+    if _count(ideal) > cap:
+        raise CapExceeded(f"|R(w)| exceeds the cap max_reduced_words={cap}")
     memo: dict[Perm, tuple[Word, ...]] = {}
-
-    def rec(v: Perm) -> tuple[Word, ...]:
-        got = memo.get(v)
-        if got is not None:
-            return got
-        descents = perms.left_descents(v)
-        if not descents:
-            result: tuple[Word, ...] = ((),)
-        else:
-            acc: list[Word] = []
-            for i in descents:
-                for rest in rec(perms.apply_left(i, v)):
-                    acc.append((i,) + rest)
-                    if len(acc) > cap:
-                        raise CapExceeded(
-                            f"|R(w)| exceeds the cap max_reduced_words={cap}"
-                        )
-            result = tuple(acc)
-        memo[v] = result
-        return result
-
-    return ReducedWordSet(owner=w, words=rec(w))
+    for inv, below in ideal.items():
+        memo[inv] = got = tuple(
+            (i,) + rest for i, lower in below for rest in memo[lower]
+        ) or ((),)
+    return ReducedWordSet(owner=w, words=got)
 
 
 def iter_reduced_words(
@@ -165,22 +210,40 @@ def iter_reduced_words(
     return gen(w)
 
 
+def peel(inv: list[int], block: range) -> Word:
+    """Peel the W_block part u off w = u v; ``inv`` holds the positions
+    of w's values (inv[i - 1] is where i sits) and becomes v's.
+
+    s_i w swaps inv[i - 1] and inv[i], and i is a left descent when
+    inv[i - 1] > inv[i].  Always taking the least left descent in
+    ``block`` spells lexleast(u), and ends at the v that has none.  A
+    step at i changes only the descents at i - 1, i and i + 1, so the
+    least descent left is at i - 1 or later.
+    """
+    letters = []
+    i = block.start
+    while i < block.stop:
+        if inv[i - 1] > inv[i]:
+            inv[i - 1], inv[i] = inv[i], inv[i - 1]
+            letters.append(i)
+            i = max(i - 1, block.start)
+        else:
+            i += 1
+    return tuple(letters)
+
+
 def lex_least_reduced_word(w: Perm) -> Word:
-    """The lexicographically least member of R(w).
+    """The lexicographically least member of R(w): :func:`peel` over all
+    letters 1..n-1.
 
     Greedily taking the smallest left descent at each step is exact: every
     reduced word starts with a left descent, and the suffix problem is the
     same problem one rank down.
+
+    >>> lex_least_reduced_word((3, 2, 4, 1))
+    (1, 2, 1, 3)
     """
-    letters = []
-    v = w
-    while True:
-        descents = perms.left_descents(v)
-        if not descents:
-            return tuple(letters)
-        i = min(descents)
-        letters.append(i)
-        v = perms.apply_left(i, v)
+    return peel(list(perms.inverse(w)), range(1, len(w)))
 
 
 def shift(word: Word, t: int) -> Word:

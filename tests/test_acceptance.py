@@ -283,9 +283,8 @@ def test_criterion_7():
                 for x, y in forcing.intervals_isomorphic_to(w0k, m):
                     cert = forcing.factor_deletion(x, y)
                     assert cert is not None
-                    assert forcing.certificate_is_shifted_longest(
-                        x, y, cert, k
-                    )
+                    assert cert.length == perms.length(y) - perms.length(x)
+                    assert words.is_shifted_longest_word(cert.factor(), k)
 
     _criterion(7, "reversals force factors at desk scale, with "
                   "shift-checked certificates", check)

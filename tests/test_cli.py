@@ -277,6 +277,9 @@ class TestExitCodes:
             ["no-such-command"],
             ["forces", "2143", "--max-n", "4", "--jobs", "-2"],
             ["atlas", "--n", "3", "--max-len", "2", "--jobs", "-1"],
+            ["words", "21", "--max-group-size", "-1"],
+            ["words", "21", "--max-word-length", "0"],
+            ["words", "21", "--max-reduced-words", "0"],
         ):
             with pytest.raises(SystemExit) as info:
                 main(argv)

@@ -8,7 +8,6 @@ from bruhatkit.limits import Limits
 from bruhatkit.tables import group_table, iter_bits
 from oracles import (
     backtracking_isomorphic,
-    brute_force_reduced_words,
     deletion_oracle,
     is_reduced_word_of,
 )
@@ -217,6 +216,12 @@ class TestIntervalsIsomorphicTo:
 
 
 class TestForcesFactor:
+    @pytest.mark.parametrize("jobs", [-1, 0, 2.0])
+    def test_jobs_not_a_count_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be None or an "
+                                             "integer of at least 1"):
+            forcing.forces_factor(P("21"), 3, jobs=jobs)
+
     def test_2314_counterexample(self):
         verdict = forcing.forces_factor(P("2314"), 4)
         assert verdict.outcome == "counterexample"
@@ -364,15 +369,15 @@ class TestForcesFactor:
         assert data["stats"]["intervals_examined"] > 0
 
     def test_proof_counts_reduced_words(self):
-        # the proof counts R(y) by descents; check it against enumeration
+        # the proof counts R(y) without building it; check it against
+        # enumeration, and each word against every deletion start
         for y in perms.all_perms(5):
-            assert forcing._count_reduced_words(y) == len(
-                words.reduced_words(y)
-            )
-        for y in perms.all_perms(4):
-            assert forcing._count_reduced_words(y) == len(
-                brute_force_reduced_words(y)
-            )
+            proof = forcing._no_factor_proof(y, 1)
+            total = len(words.reduced_words(y))
+            assert proof == {
+                "words_scanned": total,
+                "deletions_tried": total * perms.length(y),
+            }
 
 
 class TestCertificateShiftedLongest:
@@ -382,18 +387,19 @@ class TestCertificateShiftedLongest:
         for x, y in forcing.intervals_isomorphic_to(P("321"), 4):
             cert = forcing.factor_deletion(x, y)
             assert cert is not None
-            assert forcing.certificate_is_shifted_longest(x, y, cert, 3)
+            assert cert.length == perms.length(y) - perms.length(x) == 3
+            assert words.is_shifted_longest_word(cert.factor(), 3)
 
     def test_single_letter_k2(self):
         x = P("1324")
         y = P("3124")
         cert = forcing.factor_deletion(x, y)
-        assert forcing.certificate_is_shifted_longest(x, y, cert, 2)
+        assert cert.length == perms.length(y) - perms.length(x) == 1
         assert words.is_shifted_longest_word(cert.factor(), 2)
 
     def test_corrupted_certificate(self):
-        x, y = P("1243"), P("4213")
+        # a factor of the wrong size is no reduced word of the reversal
         bad = forcing.FactorCertificate(
             j=(1, 3), start=0, length=2, i=()
         )
-        assert not forcing.certificate_is_shifted_longest(x, y, bad, 3)
+        assert not words.is_shifted_longest_word(bad.factor(), 3)

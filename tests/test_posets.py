@@ -424,6 +424,14 @@ class TestAtlas:
         top = n * (n - 1) // 2
         assert posets.atlas(n, top, jobs=jobs).counts("ideals") == expected
 
+    @pytest.mark.parametrize("jobs", [-1, 0, 2.0])
+    def test_jobs_not_a_count_rejected(self, jobs):
+        # the library checks what the CLI's --jobs converter checks,
+        # instead of running such a value in one process
+        with pytest.raises(ValueError, match="jobs must be None or an "
+                                             "integer of at least 1"):
+            posets.atlas(3, 2, jobs=jobs)
+
     def test_jobs_agree_with_sequential(self):
         seq = posets.atlas(4, 4)
         par = posets.atlas(4, 4, jobs=2)

@@ -274,15 +274,21 @@ class TestSwapStringFactorization:
 
 class TestShiftedLongestChecks:
     def test_examples(self):
+        # the hexagon is shaped like S_3: its span 3 is 3 * 2 / 2
         hexagon = bruhat.interval(P("1243"), P("4213"))
-        assert structure.verify_b_is_shifted_longest(hexagon, W("121"))
-        assert structure.verify_b_is_shifted_longest(hexagon, W("343"))
-        assert not structure.verify_b_is_shifted_longest(hexagon, W("13"))
+        assert hexagon.span == 3
+        assert words.is_shifted_longest_word(W("121"), 3)
+        assert words.is_shifted_longest_word(W("343"), 3)
+        assert not words.is_shifted_longest_word(W("13"), 3)
 
     def test_non_triangular_span_rejected(self):
+        # span 2 is no k(k-1)/2, so no factor of that size is a shifted
+        # reduced word of any reversal
         diamond = bruhat.ideal(P("2314"))
-        with pytest.raises(ValueError):
-            structure.verify_b_is_shifted_longest(diamond, W("12"))
+        assert diamond.span == 2
+        assert not any(
+            words.is_shifted_longest_word(W("12"), k) for k in range(1, 6)
+        )
 
     def test_is_shifted_longest_word(self):
         assert words.is_shifted_longest_word(W("212"), 3)

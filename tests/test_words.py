@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,15 @@ def W(text):
 
 
 s4_strategy = st.permutations((1, 2, 3, 4)).map(tuple)
+
+
+@pytest.fixture(scope="module")
+def s5_brute_force():
+    """R(w) for every w in S_5, by the oracle's exhaustive search."""
+    return {
+        w: brute_force_reduced_words(w)
+        for w in itertools.permutations((1, 2, 3, 4, 5))
+    }
 
 
 class TestEvaluate:
@@ -100,8 +110,36 @@ class TestReducedWords:
             words.reduced_words(perms.longest(6), Limits(max_word_length=14))
 
     def test_count_cap(self):
-        with pytest.raises(CapExceeded):
-            words.reduced_words(perms.longest(4), Limits(max_reduced_words=15))
+        # |R(4321)| = 16: a cap of 16 holds it all, and 15 raises
+        w0 = perms.longest(4)
+        assert len(words.reduced_words(w0, Limits(max_reduced_words=16))) == 16
+        with pytest.raises(CapExceeded,
+                           match=r"^\|R\(w\)\| exceeds the cap "
+                                 r"max_reduced_words=15$"):
+            words.reduced_words(w0, Limits(max_reduced_words=15))
+
+    def test_count_cap_builds_no_word(self):
+        # |R(63281754)| = 3,711,370 is over the default cap of 10^6, while
+        # its length 15 is within the length cap: the count raises before
+        # a word is built, so the peak stays far below what 10^6 words take
+        w = P("63281754")
+        assert perms.length(w) == Limits().max_word_length
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded,
+                               match=r"max_reduced_words=1000000$"):
+                words.reduced_words(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert words.count_reduced_words(w) == 3_711_370
+
+
+class TestCountReducedWords:
+    def test_equals_brute_force_s5(self, s5_brute_force):
+        for w, expected in s5_brute_force.items():
+            assert words.count_reduced_words(w) == len(expected), w
 
 
 class TestBruteForceCrossCheck:
@@ -129,11 +167,9 @@ class TestIterReducedWords:
         assert lazy == tuple(sorted(lazy))
         assert lazy == words.reduced_words(w).words
 
-    def test_lex_least(self):
-        for w in itertools.permutations((1, 2, 3, 4)):
-            assert words.lex_least_reduced_word(w) == min(
-                words.reduced_words(w).words
-            )
+    def test_lex_least(self, s5_brute_force):
+        for w, expected in s5_brute_force.items():
+            assert words.lex_least_reduced_word(w) == min(expected), w
 
 
 class TestShift:
