@@ -62,8 +62,7 @@ def _parse_poset_spec(spec: str, limits: Limits) -> posets.RankedPoset:
 def cmd_words(args) -> int:
     limits = _limits_from(args)
     w = perms.parse_perm(args.perm, limits)
-    for text in words.reduced_words(w, limits).to_json():
-        print(text)
+    print("\n".join(words.reduced_words(w, limits).to_json()))
     return 0
 
 

@@ -8,7 +8,7 @@ silently truncating a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class CapExceeded(Exception):
@@ -35,11 +35,22 @@ class Limits:
         this cap in their JSON output, and ``structure`` ignores it.
     max_reduced_words:
         Cap on |R(w)|, counted before R(w) is enumerated.
+
+    Each cap is an integer of at least 1; anything else raises
+    ValueError naming the field.
     """
 
     max_n: int = 8
     max_word_length: int = 15
     max_reduced_words: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(
+                    f"{field.name} must be an integer of at least 1, "
+                    f"got {value!r}")
 
     def to_json(self) -> dict:
         """Caps echoed into JSON outputs."""

@@ -16,6 +16,14 @@ and are then just integer strings, which only :func:`evaluate` and
 
 Text form mirrors permutations: letters run together when they are all
 single digits, and are space-separated otherwise.
+
+:func:`reduced_words` spells each word of R(w) as a string, letter ``i``
+as the character ``chr(ord("0") + i)``.  For S_n with n <= 10 that
+string is the word's text form, and for any n strings compare in the
+same order as the integer tuples.  Strings are not tracked by the cyclic
+garbage collector, so building 10^4-10^6 of them sets off no
+collections; :class:`ReducedWordSet` decodes them back to tuples on
+demand.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .perms import Perm
 Word = tuple[int, ...]
 
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_ZERO = ord("0")
 
 
 def format_word(word: Word) -> str:
@@ -82,28 +91,57 @@ def is_reduced(word: Word, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
     return len(word) == perms.length(evaluate(word, n, limits))
 
 
+def _unspell(spelled: str) -> Word:
+    return tuple(ord(c) - _ZERO for c in spelled)
+
+
 @dataclass(frozen=True)
 class ReducedWordSet:
-    """The complete set R(w) of reduced words of ``owner``, held as a
-    tuple in lexicographic order."""
+    """The complete set R(w) of reduced words of ``owner``, held in
+    lexicographic order as ``spelled`` strings, letter ``i`` spelled
+    ``chr(ord("0") + i)``.
+
+    ``words``, iteration and membership speak tuples of integer letters,
+    as everywhere else in this module; ``words`` decodes all of R(w) on
+    each access.
+    """
 
     owner: Perm
-    words: tuple[Word, ...]
+    spelled: tuple[str, ...]
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        """R(w) decoded to tuples of integer letters, in lexicographic
+        order."""
+        return tuple(map(_unspell, self.spelled))
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.spelled)
 
     def __contains__(self, word: Word) -> bool:
-        word = tuple(word)
-        i = bisect.bisect_left(self.words, word)
-        return i < len(self.words) and self.words[i] == word
+        n = len(self.owner)
+        letters = tuple(word)
+        # a letter outside 1..n-1 is in no reduced word of S_n; a letter
+        # that is not an integer raises TypeError, here or in chr
+        if not all(1 <= a < n for a in letters):
+            return False
+        spelled = "".join([chr(_ZERO + a) for a in letters])
+        i = bisect.bisect_left(self.spelled, spelled)
+        return i < len(self.spelled) and self.spelled[i] == spelled
 
     def __iter__(self) -> Iterator[Word]:
-        return iter(self.words)
+        return map(_unspell, self.spelled)
 
     def to_json(self) -> list[str]:
-        """Lexicographically sorted word strings, for reproducible fixtures."""
-        return [format_word(word) for word in self.words]
+        """Lexicographically sorted word strings, for reproducible fixtures.
+
+        Up to S_10 every letter is one digit, so the spelled strings are
+        already the text forms.  Past it :func:`format_word` chooses per
+        word between run-together digits and space-separated letters.
+        """
+        if len(self.owner) <= 10:
+            return list(self.spelled)
+        return [format_word(word) for word in self]
 
 
 def _check_word_length(w: Perm, limits: Limits) -> None:
@@ -172,20 +210,29 @@ def reduced_words(w: Perm, limits: Limits = DEFAULT_LIMITS) -> ReducedWordSet:
     built once, from those of each s_i v with i a left descent of v (the
     values i that appear to the right of i+1), taken in ascending order.
     All words of R(w) have the same length, so listing each first
-    letter's words in turn keeps the result lexicographic.  Every table
-    is per-call, so concurrent invocations do not share state.
+    letter's words in turn keeps the result lexicographic.  Each word is
+    built as its spelled string (see :class:`ReducedWordSet`), which
+    sorts as the tuple of letters does.  Every table is per-call, so
+    concurrent invocations do not share state.
+
+    >>> reduced_words((3, 2, 4, 1)).spelled
+    ('1213', '1231', '2123')
+    >>> reduced_words((3, 2, 4, 1)).words[0]
+    (1, 2, 1, 3)
     """
     _check_word_length(w, limits)
     ideal = _weak_order_ideal(w)
     cap = limits.max_reduced_words
     if _count(ideal) > cap:
         raise CapExceeded(f"|R(w)| exceeds the cap max_reduced_words={cap}")
-    memo: dict[Perm, tuple[Word, ...]] = {}
+    memo: dict[Perm, tuple[str, ...]] = {}
     for inv, below in ideal.items():
-        memo[inv] = got = tuple(
-            (i,) + rest for i, lower in below for rest in memo[lower]
-        ) or ((),)
-    return ReducedWordSet(owner=w, words=got)
+        spelled: list[str] = []
+        for i, lower in below:
+            letter = chr(_ZERO + i)
+            spelled += [letter + rest for rest in memo[lower]]
+        memo[inv] = got = tuple(spelled) or ("",)
+    return ReducedWordSet(owner=w, spelled=got)
 
 
 def iter_reduced_words(

@@ -43,7 +43,7 @@ def brute_force_reduced_words(w: Perm) -> set[Word]:
             walk(perms.apply_right(v, a))
             prefix.pop()
 
-    walk(perms.identity(n))
+    walk(tuple(range(1, n + 1)))  # not perms.identity, which caps n
     return found
 
 

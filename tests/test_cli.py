@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import pytest
 
 from bruhatkit import bruhat, cli, forcing, perms, posets, words
 from bruhatkit.cli import main
+from bruhatkit.limits import Limits
 
-from oracles import is_reduced_word_of
+from oracles import brute_force_reduced_words, is_reduced_word_of
 
 
 def run(capsys, *argv):
@@ -28,6 +30,29 @@ class TestWords:
         code, out, _ = run(capsys, "words", "1234")
         assert code == 0
         assert out == "\n"
+
+    @staticmethod
+    def expected(w):
+        return "".join(words.format_word(t) + "\n"
+                       for t in sorted(brute_force_reduced_words(w)))
+
+    def test_s4_equals_brute_force(self, capsys):
+        for w in [*itertools.permutations((1, 2, 3, 4)), (1,)]:
+            code, out, _ = run(capsys, "words", perms.format_perm(w))
+            assert (code, out) == (0, self.expected(w)), w
+
+    @pytest.mark.parametrize("text,lines", [
+        ("1 2 3 4 5 6 7 8 11 10 9 12", ["9 10 9", "10 9 10"]),
+        ("2 1 3 4 5 6 7 8 9 11 10 12", ["1 10", "10 1"]),
+        ("2 3 1 4 5 6 7 8 9 10 11 12", ["12"]),
+    ])
+    def test_letters_past_nine(self, capsys, text, lines):
+        # past S_10 a word prints run together only when every letter is
+        # one digit
+        code, out, _ = run(capsys, "words", text, "--max-group-size", "12")
+        assert code == 0
+        assert out == "".join(line + "\n" for line in lines)
+        assert out == self.expected(perms.parse_perm(text, Limits(max_n=12)))
 
 
 class TestEval:

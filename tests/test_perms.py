@@ -43,6 +43,15 @@ class TestConstruction:
             perms.identity(9)
         perms.identity(9, Limits(max_n=9))
 
+    @pytest.mark.parametrize(
+        "field", ["max_n", "max_word_length", "max_reduced_words"])
+    @pytest.mark.parametrize("value", [0, -1, 2.0, "8"])
+    def test_limits_reject_a_cap_that_is_not_a_count(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer "
+                                             f"of at least 1, got "):
+            Limits(**{field: value})
+        assert getattr(Limits(**{field: 1}), field) == 1
+
     def test_make_perm_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             perms.make_perm((1, 1, 3))

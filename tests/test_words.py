@@ -136,6 +136,25 @@ class TestReducedWords:
         assert words.count_reduced_words(w) == 3_711_370
 
 
+class TestSpelled:
+    def test_equals_brute_force_s5(self, s5_brute_force):
+        for w, expected in s5_brute_force.items():
+            got = words.reduced_words(w)
+            assert got.words == tuple(sorted(expected)), w
+            assert tuple(got) == got.words, w
+            assert got.to_json() == [words.format_word(t) for t in got.words]
+
+    def test_letters_outside_the_alphabet(self):
+        rws = words.reduced_words(P("3241"))
+        for word in [(0, 2, 1, 3), (-1, 2, 1, 3), (1, 2, 1, 4),
+                     (1, 2, 1, 2**40), (2**40,)]:
+            assert word not in rws
+
+    def test_non_integer_letters_raise(self):
+        with pytest.raises(TypeError):
+            "1213" in words.reduced_words(P("3241"))
+
+
 class TestCountReducedWords:
     def test_equals_brute_force_s5(self, s5_brute_force):
         for w, expected in s5_brute_force.items():
