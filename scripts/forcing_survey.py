@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bruhatkit import forcing, perms, structure  # noqa: E402
+from bruhatkit import cli, forcing, perms, structure  # noqa: E402
 
 
 def survey_one(w, max_m, jobs):
@@ -46,7 +46,7 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=4)
     parser.add_argument("--max-m", type=int, default=None,
                         help="ambient bound for the search (default n + 2)")
-    parser.add_argument("--jobs", type=int, default=None)
+    parser.add_argument("--jobs", type=cli._at_least_one, default=None)
     parser.add_argument("-o", "--out", type=Path, default=None)
     args = parser.parse_args()
 

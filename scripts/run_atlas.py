@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bruhatkit import posets  # noqa: E402
+from bruhatkit import cli, posets  # noqa: E402
 
 
 def main() -> int:
@@ -21,7 +21,7 @@ def main() -> int:
     parser.add_argument("--min-n", type=int, default=2)
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--max-len", type=int, default=5)
-    parser.add_argument("--jobs", type=int, default=None)
+    parser.add_argument("--jobs", type=cli._at_least_one, default=None)
     parser.add_argument("-o", "--out", type=Path, default=None,
                         help="write the collected JSON here")
     args = parser.parse_args()

@@ -50,20 +50,20 @@ def bruhat_leq(x: Perm, y: Perm) -> bool:
     return all(a <= b for a, b in zip(tx, ty))
 
 
-@functools.lru_cache(maxsize=None)
-def covers_above(x: Perm) -> tuple[Perm, ...]:
-    """All z covering x: z > x with length(z) = length(x) + 1.
+def _covers(x: Perm, up: bool) -> tuple[Perm, ...]:
+    """The elements covering x (``up``) or covered by it, sorted.
 
-    Transposing positions i < j raises the length by exactly one iff
-    x(i) < x(j) and no intermediate position holds a value between them;
-    every cover arises this way.
+    Transposing positions i < j changes the length by exactly one iff no
+    intermediate position holds a value between x(i) and x(j); it goes
+    up when x(i) < x(j).  Every cover arises this way.
     """
     n = len(x)
     out = []
     for i in range(n):
         for j in range(i + 1, n):
             a, b = x[i], x[j]
-            if a < b and not any(a < x[k] < b for k in range(i + 1, j)):
+            lo, hi = (a, b) if up else (b, a)
+            if lo < hi and not any(lo < x[k] < hi for k in range(i + 1, j)):
                 lst = list(x)
                 lst[i], lst[j] = b, a
                 out.append(tuple(lst))
@@ -71,18 +71,15 @@ def covers_above(x: Perm) -> tuple[Perm, ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def covers_above(x: Perm) -> tuple[Perm, ...]:
+    """All z covering x: z > x with length(z) = length(x) + 1."""
+    return _covers(x, up=True)
+
+
+@functools.lru_cache(maxsize=None)
 def covers_below(x: Perm) -> tuple[Perm, ...]:
     """All z covered by x: z < x with length(z) = length(x) - 1."""
-    n = len(x)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = x[i], x[j]
-            if a > b and not any(b < x[k] < a for k in range(i + 1, j)):
-                lst = list(x)
-                lst[i], lst[j] = b, a
-                out.append(tuple(lst))
-    return tuple(sorted(out))
+    return _covers(x, up=False)
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,7 @@ from .limits import CapExceeded, Limits
 
 
 def _limits_from(args: argparse.Namespace) -> Limits:
-    return Limits(
-        max_n=args.max_group_size,
-        max_word_length=args.max_word_length,
-        max_reduced_words=args.max_reduced_words,
-    )
+    return Limits(max_n=args.max_group_size)
 
 
 def _print_json(obj) -> None:
@@ -60,7 +56,11 @@ def _parse_poset_spec(spec: str, limits: Limits) -> posets.RankedPoset:
 
 
 def cmd_words(args) -> int:
-    limits = _limits_from(args)
+    limits = Limits(
+        max_n=args.max_group_size,
+        max_word_length=args.max_word_length,
+        max_reduced_words=args.max_reduced_words,
+    )
     w = perms.parse_perm(args.perm, limits)
     print("\n".join(words.reduced_words(w, limits).to_json()))
     return 0
@@ -177,7 +177,6 @@ def cmd_forces(args) -> int:
         w,
         args.max_n,
         jobs=args.jobs,
-        use_symmetry=args.use_symmetry,
         limits=limits,
     )
     _print_json(verdict.to_json(timing=args.timing))
@@ -208,24 +207,29 @@ def _common_args(p: argparse.ArgumentParser) -> None:
         metavar="N",
         help="cap on the symmetric group size (default %(default)s)",
     )
+
+
+def _perm_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("perm")
+
+
+def _words_args(p: argparse.ArgumentParser) -> None:
+    """The reduced-word caps: 'words' is the one command that enumerates
+    R(w), so the only one that takes them."""
     p.add_argument(
         "--max-word-length", type=_at_least_one,
         default=Limits.max_word_length,
         metavar="L",
-        help="cap on the length of w for 'words', the one command that "
-             "enumerates R(w); 'forces' and 'atlas' only echo it "
-             "(default %(default)s)",
+        help="cap on the length of w (default %(default)s)",
     )
     p.add_argument(
         "--max-reduced-words", type=_at_least_one,
         default=Limits.max_reduced_words,
         metavar="R",
-        help="cap on |R(w)| for 'words' (default %(default)s)",
+        help="cap on |R(w)|, counted before any word is built "
+             "(default %(default)s)",
     )
-
-
-def _perm_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("perm")
+    _perm_args(p)
 
 
 def _pair_args(p: argparse.ArgumentParser) -> None:
@@ -274,9 +278,6 @@ def _forces_args(p: argparse.ArgumentParser) -> None:
                    help="largest ambient group to scan (default w.n + 2)")
     p.add_argument("--jobs", type=_at_least_one, default=None,
                    help=_JOBS_HELP)
-    p.add_argument("--use-symmetry", action="store_true",
-                   help="skip order-automorphism images (changes only the "
-                        "intervals examined and the sample certificate)")
     p.add_argument("--timing", action="store_true",
                    help="report real seconds instead of 0.0")
 
@@ -286,7 +287,7 @@ def _commands() -> dict:
     in the order ``--help`` lists them.  Built per call, so that a wrapper
     set on a ``cmd_*`` attribute of this module is the one called."""
     return {
-        "words": (cmd_words, _perm_args,
+        "words": (cmd_words, _words_args,
                   "list all reduced words of a permutation"),
         "eval": (cmd_eval, _eval_args,
                  "evaluate a word of generator letters"),
@@ -317,7 +318,8 @@ def _commands() -> dict:
 
 
 def _fill(p: argparse.ArgumentParser, func, own_args) -> None:
-    """A subcommand's arguments after its -h: the caps, then its own."""
+    """A subcommand's arguments after its -h: the group-size cap, then
+    its own."""
     _common_args(p)
     own_args(p)
     p.set_defaults(func=func)

@@ -217,7 +217,7 @@ class ForcingVerdict:
         return out
 
 
-def _forces_range(w, m, use_symmetry, limits, lo, hi):
+def _forces_range(w, m, limits, lo, hi):
     """Worker: decide, in order, every interval isomorphic to the ideal
     of w whose bottom is at positions [lo, hi) of S_m, until one admits
     no factor deletion.  Returns (intervals examined, the last interval
@@ -225,10 +225,6 @@ def _forces_range(w, m, use_symmetry, limits, lo, hi):
     examined = 0
     last: tuple[Perm, Perm] | None = None
     for x, y in intervals_isomorphic_to(w, m, limits, lo, hi):
-        if use_symmetry and (x, y) != min(
-            zip(perms.symmetry_images(x), perms.symmetry_images(y))
-        ):
-            continue
         examined += 1
         last = (x, y)
         if next(_factorizations(x, y), None) is None:
@@ -250,23 +246,17 @@ def forces_factor(
     m_max: int | None = None,
     *,
     jobs: int | None = None,
-    use_symmetry: bool = False,
     limits: Limits = DEFAULT_LIMITS,
 ) -> ForcingVerdict:
     """Scan S_m for w.n <= m <= m_max for a counterexample interval.
 
     The first interval (smallest m, then least (x, y) in one-line order)
-    admitting no factor deletion is returned as the counterexample.  With
-    ``use_symmetry`` the scan skips intervals that are order-automorphism
-    images of earlier ones.  The symmetries map counterexamples to
-    counterexamples, so the first one met is the least of its orbit and
-    the outcome and counterexample cannot change; only
-    ``intervals_examined`` and the sample certificate do, which is why it
-    is off by default.  ``jobs`` fans the scan out over processes; the
-    verdict equals the sequential one.  Only the group size m_max is held
-    to ``limits``, before the scan starts; ``max_word_length`` and
-    ``max_reduced_words`` bound nothing here and are only echoed in the
-    stats.
+    admitting no factor deletion is returned as the counterexample.
+    ``jobs`` fans the scan out over processes; the verdict equals the
+    sequential one.  Only the group size m_max is held to ``limits``,
+    before the scan starts; the scan enumerates no reduced words, so
+    ``max_word_length`` and ``max_reduced_words`` bound nothing here and
+    are only echoed in the stats.
     """
     n = len(w)
     if m_max is None:
@@ -283,7 +273,7 @@ def forces_factor(
         (m, result)
         for m in range(n, m_max + 1)
         for result in posets._fan_out(
-            _forces_range, (w, m, use_symmetry, limits),
+            _forces_range, (w, m, limits),
             math.factorial(m), jobs,
         )
     )

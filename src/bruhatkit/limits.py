@@ -31,8 +31,9 @@ class Limits:
         Cap on the length of permutations whose reduced words are
         enumerated.  The full set R(w) for the reversal in S_6 already
         has 292864 members at length 15.  Only ``words.reduced_words``
-        enumerates R(w); the factor-forcing scan and the atlas only echo
-        this cap in their JSON output, and ``structure`` ignores it.
+        enumerates R(w), so only the ``words`` command takes this cap and
+        the next; the factor-forcing scan and the atlas echo both in their
+        JSON output, and ``structure`` ignores them.
     max_reduced_words:
         Cap on |R(w)|, counted before R(w) is enumerated.
 

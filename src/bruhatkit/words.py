@@ -29,6 +29,7 @@ demand.
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -212,8 +213,10 @@ def reduced_words(w: Perm, limits: Limits = DEFAULT_LIMITS) -> ReducedWordSet:
     All words of R(w) have the same length, so listing each first
     letter's words in turn keeps the result lexicographic.  Each word is
     built as its spelled string (see :class:`ReducedWordSet`), which
-    sorts as the tuple of letters does.  Every table is per-call, so
-    concurrent invocations do not share state.
+    sorts as the tuple of letters does.  The words of an element are
+    dropped once every element above it that reads them is built, not
+    kept until the fold ends.  Every table is per-call, so concurrent
+    invocations do not share state.
 
     >>> reduced_words((3, 2, 4, 1)).spelled
     ('1213', '1231', '2123')
@@ -225,12 +228,16 @@ def reduced_words(w: Perm, limits: Limits = DEFAULT_LIMITS) -> ReducedWordSet:
     cap = limits.max_reduced_words
     if _count(ideal) > cap:
         raise CapExceeded(f"|R(w)| exceeds the cap max_reduced_words={cap}")
+    readers = Counter(lower for below in ideal.values() for _, lower in below)
     memo: dict[Perm, tuple[str, ...]] = {}
     for inv, below in ideal.items():
         spelled: list[str] = []
         for i, lower in below:
             letter = chr(_ZERO + i)
             spelled += [letter + rest for rest in memo[lower]]
+            readers[lower] -= 1
+            if not readers[lower]:
+                del memo[lower]
         memo[inv] = got = tuple(spelled) or ("",)
     return ReducedWordSet(owner=w, spelled=got)
 

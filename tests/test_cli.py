@@ -282,19 +282,6 @@ class TestForces:
         _, second, _ = run(capsys, "forces", "321", "--max-n", "4")
         assert first == second
 
-    def test_word_length_cap_is_only_echoed(self, capsys):
-        argv = ("forces", "21", "--max-n", "5")
-        _, out, _ = run(capsys, *argv)
-        expected = json.loads(out)
-        expected["stats"]["max_word_length"] = 3
-        first = run(capsys, *argv, "--max-word-length", "3")
-        assert first[0] == 0
-        assert json.loads(first[1]) == expected
-        assert run(capsys, *argv, "--max-word-length", "3") == first
-        assert run(
-            capsys, *argv, "--max-word-length", "3", "--jobs", "2"
-        ) == first
-
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -302,6 +289,7 @@ class TestExitCodes:
             ["no-such-command"],
             ["forces", "2143", "--max-n", "4", "--jobs", "-2"],
             ["atlas", "--n", "3", "--max-len", "2", "--jobs", "-1"],
+            ["forces", "2314", "--use-symmetry"],
             ["words", "21", "--max-group-size", "-1"],
             ["words", "21", "--max-word-length", "0"],
             ["words", "21", "--max-reduced-words", "0"],
@@ -410,3 +398,50 @@ class TestParsing:
             main()
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: bruhatkit ")
+
+
+WORD_CAPS = ("--max-word-length", "--max-reduced-words")
+
+
+class TestCapFlags:
+    # the reduced-word caps belong to 'words', the one command that
+    # enumerates R(w); every command takes the group-size cap
+    @pytest.mark.parametrize("name", list(cli._commands()))
+    def test_help_lists_the_caps_of_the_command(self, capsys, name):
+        with pytest.raises(SystemExit) as info:
+            main([name, "--help"])
+        out = capsys.readouterr().out
+        assert info.value.code == 0
+        assert "--max-group-size" in out
+        for flag in WORD_CAPS:
+            assert (flag in out) == (name == "words"), flag
+
+    @pytest.mark.parametrize("flag", WORD_CAPS)
+    @pytest.mark.parametrize(
+        "name", [name for name in cli._commands() if name != "words"])
+    def test_word_caps_elsewhere_are_usage_errors(self, capsys, name, flag):
+        with pytest.raises(SystemExit) as info:
+            main([name, *QUERIES[name], flag, "3"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["forces", "atlas"])
+    def test_default_word_caps_still_echoed(self, capsys, name):
+        code, out, _ = run(capsys, name, *QUERIES[name])
+        assert code == 0
+        assert '"max_word_length": 15' in out
+        assert '"max_reduced_words": 1000000' in out
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script", ["run_atlas.py", "forcing_survey.py"])
+    def test_jobs_below_one_is_a_usage_error(self, script):
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            os.pardir, "scripts", script)
+        done = subprocess.run(
+            [sys.executable, path, "--jobs", "0"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "argument --jobs: must be at least 1, got 0" in done.stderr
+        assert "Traceback" not in done.stderr

@@ -135,6 +135,21 @@ class TestReducedWords:
         assert peak < 20 * 2**20
         assert words.count_reduced_words(w) == 3_711_370
 
+    def test_peak_near_what_the_result_keeps(self):
+        # the words of an element are dropped once every element above it
+        # has read them; a memo kept whole peaks at about 3.5 times R(w)
+        w = P("654213")
+        words.reduced_words(w)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rws = words.reduced_words(w)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rws) == 15015
+        assert peak - base < 2 * (kept - base)
+
 
 class TestSpelled:
     def test_equals_brute_force_s5(self, s5_brute_force):
