@@ -70,7 +70,8 @@ def cmd_eval(args) -> int:
     limits = _limits_from(args)
     word = words.parse_word(args.word)
     n = args.n if args.n is not None else max(word, default=0) + 1
-    print(perms.format_perm(words.evaluate(word, n, limits)))
+    perms.check_group_size(n, limits)
+    print(perms.format_perm(words.evaluate(word, n)))
     return 0
 
 
@@ -79,8 +80,8 @@ def cmd_leq(args) -> int:
     x = perms.parse_perm(args.x, limits)
     y = perms.parse_perm(args.y, limits)
     m = max(len(x), len(y))
-    print("true" if bruhat.bruhat_leq(perms.embed(x, m, limits),
-                                      perms.embed(y, m, limits)) else "false")
+    print("true" if bruhat.bruhat_leq(perms.embed(x, m),
+                                      perms.embed(y, m)) else "false")
     return 0
 
 
@@ -117,7 +118,7 @@ def cmd_atlas(args) -> int:
 def cmd_decompose(args) -> int:
     limits = _limits_from(args)
     w = perms.parse_perm(args.perm, limits)
-    d = structure.decompose(w, limits)
+    d = structure.decompose(w)
     _print_json(None if d is None else d.to_json())
     return 0
 
@@ -125,7 +126,7 @@ def cmd_decompose(args) -> int:
 def cmd_witness(args) -> int:
     limits = _limits_from(args)
     w = perms.parse_perm(args.perm, limits)
-    d = structure.decompose(w, limits)
+    d = structure.decompose(w)
     if d is None:
         _print_json(None)
         return 0
@@ -142,7 +143,7 @@ def cmd_swapstring(args) -> int:
     if ss is None:
         _print_json(None)
         return 0
-    _, _, _, t = structure.swap_string_factorization(x, y, ss, limits)
+    _, _, _, t = structure.swap_string_factorization(x, y, ss)
     out = ss.to_json()
     out["t"] = t
     _print_json(out)
@@ -158,7 +159,7 @@ def cmd_factorize(args) -> int:
         raise ValueError(
             "the pair does not differ by a thin monotonic swap-string"
         )
-    a, b, c, t = structure.swap_string_factorization(x, y, ss, limits)
+    a, b, c, t = structure.swap_string_factorization(x, y, ss)
     _print_json(
         {
             "a": words.format_word(a),
@@ -349,8 +350,14 @@ def main(argv: list[str] | None = None) -> int:
     if command is None or extra:
         # the full tree reports these as it always has
         args = _build_parser().parse_args(argv)
+    return report_errors(args.func, args)
+
+
+def report_errors(func, *args) -> int:
+    """``func(*args)``, ending in one ``error:`` line on stderr and exit
+    code 1 for a cap exceeded or 2 for a bad value; scripts use it too."""
     try:
-        return args.func(args)
+        return func(*args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

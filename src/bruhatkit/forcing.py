@@ -116,7 +116,7 @@ def factor_deletion(
     gap = perms.length(y) - perms.length(x)
     start = next(
         s for s in range(len(j) - gap + 1)
-        if words.evaluate(j[:s] + j[s + gap:], n, limits) == x
+        if words.evaluate(j[:s] + j[s + gap:], n) == x
     )
     return FactorCertificate(
         j=j, start=start, length=gap, i=j[:start] + j[start + gap:]
@@ -253,10 +253,7 @@ def forces_factor(
     The first interval (smallest m, then least (x, y) in one-line order)
     admitting no factor deletion is returned as the counterexample.
     ``jobs`` fans the scan out over processes; the verdict equals the
-    sequential one.  Only the group size m_max is held to ``limits``,
-    before the scan starts; the scan enumerates no reduced words, so
-    ``max_word_length`` and ``max_reduced_words`` bound nothing here and
-    are only echoed in the stats.
+    sequential one.  m_max is held to ``limits`` before the scan starts.
     """
     n = len(w)
     if m_max is None:

@@ -26,16 +26,18 @@ class Limits:
     """Bounds shared across the toolkit.
 
     max_n:
-        Largest permitted symmetric group S_n.
+        Largest permitted symmetric group S_n.  Checked where input
+        enters: ``perms.make_perm``/``parse_perm``, ``perms.all_perms``,
+        ``forcing.forces_factor``, ``intervals_isomorphic_to`` and
+        ``factor_deletion``, ``posets.atlas``, the ambient group of
+        ``structure.nonforcing_witness`` and ``eval --n``.
     max_word_length:
         Cap on the length of permutations whose reduced words are
         enumerated.  The full set R(w) for the reversal in S_6 already
-        has 292864 members at length 15.  Only ``words.reduced_words``
-        enumerates R(w), so only the ``words`` command takes this cap and
-        the next; the factor-forcing scan and the atlas echo both in their
-        JSON output, and ``structure`` ignores them.
+        has 292864 members at length 15.  Checked by the ``words`` walks
+        over R(w); ``forces`` and ``atlas`` only echo both word caps.
     max_reduced_words:
-        Cap on |R(w)|, counted before R(w) is enumerated.
+        Cap on |R(w)|, counted before ``words.reduced_words`` builds R(w).
 
     Each cap is an integer of at least 1; anything else raises
     ValueError naming the field.

@@ -24,10 +24,15 @@ from .limits import DEFAULT_LIMITS, CapExceeded, Limits
 Perm = tuple[int, ...]
 
 
-def check_group_size(n: int, limits: Limits = DEFAULT_LIMITS) -> None:
-    """Reject nonpositive or over-cap group sizes."""
+def require_positive(n: int) -> None:
+    """Reject a nonpositive group size; the builders' one check."""
     if n < 1:
         raise ValueError(f"invalid group size n={n}; need n >= 1")
+
+
+def check_group_size(n: int, limits: Limits = DEFAULT_LIMITS) -> None:
+    """Reject nonpositive or over-cap group sizes where input enters."""
+    require_positive(n)
     if n > limits.max_n:
         raise CapExceeded(
             f"group size n={n} exceeds the configured cap max_n={limits.max_n}"
@@ -47,17 +52,17 @@ def make_perm(entries: Iterable[int], limits: Limits = DEFAULT_LIMITS) -> Perm:
     return w
 
 
-def identity(n: int, limits: Limits = DEFAULT_LIMITS) -> Perm:
+def identity(n: int) -> Perm:
     """The identity 1 2 ... n.
 
     >>> identity(4)
     (1, 2, 3, 4)
     """
-    check_group_size(n, limits)
+    require_positive(n)
     return tuple(range(1, n + 1))
 
 
-def longest(n: int, limits: Limits = DEFAULT_LIMITS) -> Perm:
+def longest(n: int) -> Perm:
     """The reversal n (n-1) ... 1, the unique element of maximal length.
 
     >>> longest(4)
@@ -65,7 +70,7 @@ def longest(n: int, limits: Limits = DEFAULT_LIMITS) -> Perm:
     >>> length(longest(4))
     6
     """
-    check_group_size(n, limits)
+    require_positive(n)
     return tuple(range(n, 0, -1))
 
 
@@ -147,7 +152,7 @@ def apply_right(w: Perm, i: int) -> Perm:
     return tuple(lst)
 
 
-def embed(w: Perm, m: int, limits: Limits = DEFAULT_LIMITS) -> Perm:
+def embed(w: Perm, m: int) -> Perm:
     """View ``w`` inside S_m by appending fixed points; length is preserved.
 
     >>> embed((3, 4, 1, 2), 5)
@@ -155,7 +160,6 @@ def embed(w: Perm, m: int, limits: Limits = DEFAULT_LIMITS) -> Perm:
     """
     if m < len(w):
         raise ValueError(f"cannot embed an S_{len(w)} element into S_{m}")
-    check_group_size(m, limits)
     return w + tuple(range(len(w) + 1, m + 1))
 
 

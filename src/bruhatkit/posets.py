@@ -451,16 +451,13 @@ def atlas(
     cache.  With ``jobs`` > 1 ranges of the bottoms are fanned out
     across processes; the merged counts are independent of the schedule.
     """
-    perms.check_group_size(n, limits)
+    bottoms = perms.all_perms(n, limits)
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     started = time.perf_counter()
     # The orbit maximum, not the minimum, is the representative: it
     # leaves atlas(5, 5) 125 certificate cache misses instead of 149.
-    x_reps = [
-        x for x in perms.all_perms(n, limits)
-        if x == max(perms.symmetry_images(x))
-    ]
+    x_reps = [x for x in bottoms if x == max(perms.symmetry_images(x))]
     certs: dict[tuple[str, int], set] = defaultdict(set)
     examined = 0
     for part, part_examined in _fan_out(

@@ -111,9 +111,7 @@ def _least_splits(w: Perm) -> Iterator[tuple[Word, int, int, str]]:
                 yield u_word + v_word, m, len(u_word), side
 
 
-def decompose(
-    w: Perm, limits: Limits = DEFAULT_LIMITS
-) -> Decomposition | None:
+def decompose(w: Perm) -> Decomposition | None:
     """The first two-block split of a reduced word of w; None means
     indecomposable.
 
@@ -136,15 +134,13 @@ def decompose(
     first splitting word of R(w), and each of its splits is a feasible
     (m, side) with that same word.  A word splits on at most one side at
     a given m, as its first letter is small or large, so the least (word,
-    m) is the scan's first hit.  Only the group size is held to
-    ``limits``.
+    m) is the scan's first hit.
 
     >>> decompose((2, 3, 1, 4))
     Decomposition(m=1, a1=(1,), a2=(2,), side='left')
     >>> decompose((3, 4, 1, 2)) is None
     True
     """
-    perms.check_group_size(len(w), limits)
     first = min(_least_splits(w), default=None)
     if first is None:
         return None
@@ -183,8 +179,7 @@ class NonForcingWitness:
         }
 
 
-def _validate_decomposition(w: Perm, d: Decomposition,
-                            limits: Limits) -> None:
+def _validate_decomposition(w: Perm, d: Decomposition) -> None:
     word = d.a1 + d.a2
     if not d.a1 or not d.a2:
         raise ValueError("decomposition blocks must be nonempty")
@@ -192,9 +187,7 @@ def _validate_decomposition(w: Perm, d: Decomposition,
         raise ValueError("decomposition blocks do not split at m")
     if not 1 <= d.m <= len(w) - 2:
         raise ValueError(f"split letter m={d.m} out of range")
-    if words.evaluate(word, len(w), limits) != w or not words.is_reduced(
-        word, len(w), limits
-    ):
+    if words.evaluate(word, len(w)) != w or len(word) != perms.length(w):
         raise ValueError("a1 + a2 is not a reduced word of w")
 
 
@@ -214,8 +207,9 @@ def nonforcing_witness(
     A small-letters-right decomposition is handled by running the same
     construction on the reversed word (a reduced word of the inverse,
     whose ideal has the same shape); the witness records the orientation.
+    Its ambient S_n or S_{n+1} is held to ``limits`` before it is built.
     """
-    _validate_decomposition(w, d, limits)
+    _validate_decomposition(w, d)
     if d.side == "left":
         a_small, a_large = d.a1, d.a2
     else:
@@ -226,10 +220,11 @@ def nonforcing_witness(
     b = tuple(range(k1 + 1, k2 + 1))
     full = a_small + b + words.shift(a_large, 1)
     ambient = max(len(w), max(full) + 1)
-    w_minus = words.evaluate(b, ambient, limits)
-    w_plus = words.evaluate(full, ambient, limits)
+    perms.check_group_size(ambient, limits)
+    w_minus = words.evaluate(b, ambient)
+    w_plus = words.evaluate(full, ambient)
 
-    if not words.is_reduced(full, ambient, limits):
+    if not words.is_reduced(full, ambient):
         raise RuntimeError("witness construction produced a non-reduced word")
     shape = posets.poset_from_interval(bruhat.interval(w_minus, w_plus))
     if not posets.is_isomorphic(shape, posets.poset_from_interval(
@@ -332,7 +327,7 @@ def _sort_block_letters(block: Sequence[int], start: int) -> list[int]:
 
 
 def swap_string_factorization(
-    x: Perm, y: Perm, ss: SwapString, limits: Limits = DEFAULT_LIMITS
+    x: Perm, y: Perm, ss: SwapString
 ) -> tuple[Word, Word, Word, int]:
     """Reduced words ``a + c`` of x and ``a + b + c`` of y, with
     ``shift(b, t)`` a reduced word of the reversal of size k.
@@ -394,13 +389,11 @@ def swap_string_factorization(
     a = words.lex_least_reduced_word(tuple(cur_x))
     t = -lo
 
-    if words.evaluate(a + c, n, limits) != x:
+    if words.evaluate(a + c, n) != x:
         raise RuntimeError("factorization failed: a + c is not a word for x")
-    if words.evaluate(a + b + c, n, limits) != y:
+    if words.evaluate(a + b + c, n) != y:
         raise RuntimeError("factorization failed: a + b + c is not a word for y")
-    if words.evaluate(words.shift(b, t), ss.k, limits) != perms.longest(
-        ss.k, limits
-    ):
+    if words.evaluate(words.shift(b, t), ss.k) != perms.longest(ss.k):
         raise RuntimeError("factorization failed: b does not shift to a "
                            "reversal word")
     return a, b, c, t

@@ -70,7 +70,7 @@ def parse_word(text: str) -> Word:
     return tuple(int(c) for c in text)
 
 
-def evaluate(word: Word, n: int, limits: Limits = DEFAULT_LIMITS) -> Perm:
+def evaluate(word: Word, n: int) -> Perm:
     """The product of the corresponding simple reflections, in word order.
 
     >>> evaluate((1, 2, 1, 3), 4)
@@ -78,7 +78,7 @@ def evaluate(word: Word, n: int, limits: Limits = DEFAULT_LIMITS) -> Perm:
     >>> evaluate((), 4)
     (1, 2, 3, 4)
     """
-    perms.check_group_size(n, limits)
+    perms.require_positive(n)
     w = list(range(1, n + 1))
     for a in word:
         if not 1 <= a <= n - 1:
@@ -87,9 +87,9 @@ def evaluate(word: Word, n: int, limits: Limits = DEFAULT_LIMITS) -> Perm:
     return tuple(w)
 
 
-def is_reduced(word: Word, n: int, limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_reduced(word: Word, n: int) -> bool:
     """True iff the word has minimal length for the element it evaluates to."""
-    return len(word) == perms.length(evaluate(word, n, limits))
+    return len(word) == perms.length(evaluate(word, n))
 
 
 def _unspell(spelled: str) -> Word:
@@ -311,8 +311,7 @@ def shift(word: Word, t: int) -> Word:
     return tuple(a + t for a in word)
 
 
-def is_shifted_longest_word(b: Word, k: int,
-                            limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_shifted_longest_word(b: Word, k: int) -> bool:
     """Whether some shift of ``b`` is a reduced word of the reversal in
     S_k (it must then use exactly the k-1 letters of one contiguous run)."""
     if len(b) != k * (k - 1) // 2:
@@ -323,7 +322,7 @@ def is_shifted_longest_word(b: Word, k: int,
     shifted = shift(b, t)
     if max(shifted) > k - 1:
         return False
-    return evaluate(shifted, k, limits) == perms.longest(k, limits)
+    return evaluate(shifted, k) == perms.longest(k)
 
 
 def delete_factor(word: Word, start: int, count: int) -> Word:

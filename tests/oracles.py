@@ -43,7 +43,7 @@ def brute_force_reduced_words(w: Perm) -> set[Word]:
             walk(perms.apply_right(v, a))
             prefix.pop()
 
-    walk(tuple(range(1, n + 1)))  # not perms.identity, which caps n
+    walk(tuple(range(1, n + 1)))
     return found
 
 
@@ -227,6 +227,18 @@ def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
+
+
+def cover_tops_oracle(x: Perm) -> list[Perm]:
+    """Every y covering x in the Bruhat order: x with the entries at
+    positions i < j swapped, where x(i) < x(j) and no position between
+    holds a value between them (Bjorner and Brenti, GTM 231, 2.1.4)."""
+    tops = []
+    for i, j in itertools.combinations(range(len(x)), 2):
+        if x[i] < x[j] and not any(x[i] < x[k] < x[j]
+                                   for k in range(i + 1, j)):
+            tops.append(x[:i] + (x[j],) + x[i + 1:j] + (x[i],) + x[j + 1:])
+    return tops
 
 
 def deletion_oracle(x: Perm, y: Perm) -> bool:

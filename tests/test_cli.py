@@ -11,13 +11,29 @@ from bruhatkit import bruhat, cli, forcing, perms, posets, words
 from bruhatkit.cli import main
 from bruhatkit.limits import Limits
 
-from oracles import brute_force_reduced_words, is_reduced_word_of
+from oracles import (
+    backtracking_isomorphic,
+    bubble_sort_word,
+    brute_force_reduced_words,
+    deletion_oracle,
+    is_reduced_word_of,
+    reduced_subword_closure,
+    subword_oracle_leq,
+)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def parse9(text):
+    return perms.parse_perm(text, Limits(max_n=9))
+
+
+def shape(iv):
+    return posets.poset_from_interval(iv)
 
 
 class TestWords:
@@ -229,6 +245,16 @@ class TestStructureCommands:
         code, _, err = run(capsys, "witness", "76543281")
         assert code == 1
         assert "max_n=8" in err
+        # a raised cap lets it through
+        assert run(capsys, "witness", "21436587")[0] == 1
+        code, out, _ = run(capsys, "witness", "21436587",
+                           "--max-group-size", "9")
+        data = json.loads(out)
+        lo, hi = parse9(data["w_minus"]), parse9(data["w_plus"])
+        assert (code, len(hi)) == (0, 9)
+        assert is_reduced_word_of(words.parse_word(data["word"]), hi)
+        assert backtracking_isomorphic(shape(bruhat.interval(lo, hi)),
+                                       shape(bruhat.ideal(perms.parse_perm("21436587"))))
 
     def test_swapstring(self, capsys):
         code, out, _ = run(capsys, "swapstring", "1243", "4213")
@@ -254,6 +280,71 @@ class TestStructureCommands:
     def test_factorize_without_swap_string(self, capsys):
         code, _, err = run(capsys, "factorize", "12543", "52341")
         assert code == 2
+
+
+class TestRaisedGroupSize:
+    """S_9 inputs: answered with --max-group-size 9 and checked against
+    the oracles, refused at the default cap."""
+
+    CALLS = [
+        ["interval", "213456789", "231546789"],
+        ["ideal", "213465789"],
+        ["iso", "213465789", "2143"],
+        ["iso", "213465789", "123456789:321456789"],
+        ["witness", "213465789"],
+    ]
+
+    @pytest.mark.parametrize("argv", CALLS)
+    def test_default_cap_refuses(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == ("error: group size n=9 exceeds the configured cap "
+                       "max_n=8\n")
+
+    def answer(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--max-group-size", "9")
+        assert (code, err) == (0, "")
+        return out
+
+    def test_interval(self, capsys):
+        x, y = parse9("213456789"), parse9("231546789")
+        data = json.loads(self.answer(capsys, self.CALLS[0]))
+        below_y = reduced_subword_closure(bubble_sort_word(y), 9)
+        expected = {z for z in below_y if subword_oracle_leq(x, z)}
+        assert {parse9(z) for z in data["elements"]} == expected
+        assert {(parse9(a), parse9(b)) for a, b in data["covers"]} == {
+            (a, b) for a in expected for b in expected
+            if perms.length(b) == perms.length(a) + 1
+            and subword_oracle_leq(a, b)
+        }
+
+    def test_ideal(self, capsys):
+        w = parse9("213465789")
+        data = json.loads(self.answer(capsys, self.CALLS[1]))
+        assert {parse9(z) for z in data["elements"]} == (
+            reduced_subword_closure(bubble_sort_word(w), 9))
+
+    @pytest.mark.parametrize("argv", CALLS[2:4])
+    def test_iso(self, capsys, argv):
+        spec = argv[2].split(":")
+        other = (bruhat.interval(parse9(spec[0]), parse9(spec[1]))
+                 if len(spec) == 2 else bruhat.ideal(parse9(spec[0])))
+        expected = backtracking_isomorphic(
+            shape(bruhat.ideal(parse9(argv[1]))), shape(other))
+        out = self.answer(capsys, argv)
+        assert out == ("true\n" if expected else "false\n")
+
+    def test_witness(self, capsys):
+        w = parse9("213465789")
+        data = json.loads(self.answer(capsys, self.CALLS[4]))
+        lo, hi = parse9(data["w_minus"]), parse9(data["w_plus"])
+        assert is_reduced_word_of(words.parse_word(data["word"]), hi)
+        assert backtracking_isomorphic(shape(bruhat.interval(lo, hi)),
+                                       shape(bruhat.ideal(w)))
+        # the word uses letters 1..6 only, so no deletion exists in S_9
+        # exactly when none exists in S_7
+        assert lo[7:] == hi[7:] == (8, 9)
+        assert not deletion_oracle(lo[:7], hi[:7])
 
 
 class TestForces:
@@ -433,15 +524,33 @@ class TestCapFlags:
         assert '"max_reduced_words": 1000000' in out
 
 
+def run_script(script, *argv):
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "scripts", script)
+    return subprocess.run(
+        [sys.executable, path, *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestScripts:
     @pytest.mark.parametrize("script", ["run_atlas.py", "forcing_survey.py"])
     def test_jobs_below_one_is_a_usage_error(self, script):
-        path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            os.pardir, "scripts", script)
-        done = subprocess.run(
-            [sys.executable, path, "--jobs", "0"],
-            capture_output=True, text=True, timeout=120,
-        )
+        done = run_script(script, "--jobs", "0")
         assert done.returncode == 2
         assert "argument --jobs: must be at least 1, got 0" in done.stderr
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["run_atlas.py", "--min-n", "2", "--max-n", "2", "--max-len", "-1"],
+         2, "max_len must be nonnegative"),
+        (["run_atlas.py", "--min-n", "9", "--max-n", "9", "--max-len", "1"],
+         1, "group size n=9 exceeds the configured cap max_n=8"),
+        (["forcing_survey.py", "--n", "2", "--max-m", "1"],
+         2, "m_max=1 is below the group size 2"),
+    ])
+    def test_errors_end_in_one_line(self, argv, code, message):
+        # as bruhatkit does: exit 2 for a bad value, 1 for a cap exceeded
+        done = run_script(*argv)
+        assert done.returncode == code
+        assert done.stderr == f"error: {message}\n"

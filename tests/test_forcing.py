@@ -4,10 +4,11 @@ import random
 import pytest
 
 from bruhatkit import bruhat, forcing, perms, posets, structure, words
-from bruhatkit.limits import Limits
+from bruhatkit.limits import CapExceeded, Limits
 from bruhatkit.tables import group_table, iter_bits
 from oracles import (
     backtracking_isomorphic,
+    cover_tops_oracle,
     deletion_oracle,
     is_reduced_word_of,
 )
@@ -151,6 +152,29 @@ class TestFactorDeletion:
         assert cert is not None
         assert exhaustive_factor_scan(P("12543"), P("52341"))
         assert words.evaluate(cert.i, 5) == P("12543")
+
+
+class TestRaisedGroupSize:
+    @pytest.mark.parametrize("x,y", [("1324", "2341"), ("1243", "4213")])
+    def test_factor_deletion_in_s9(self, x, y):
+        x, y = P(x), P(y)
+        x9, y9 = perms.embed(x, 9), perms.embed(y, 9)
+        with pytest.raises(CapExceeded, match="max_n=8"):
+            forcing.factor_deletion(x9, y9)
+        cert = forcing.factor_deletion(x9, y9, Limits(max_n=9))
+        # every reduced word of y9 uses letters of S_4 alone
+        assert cert == forcing.factor_deletion(x, y)
+        assert (cert is not None) == deletion_oracle(x, y)
+
+    def test_forces_worker_in_s9(self):
+        with pytest.raises(CapExceeded, match="max_n=8"):
+            forcing._forces_range((2, 1), 9, Limits(), 0, 30)
+        got = forcing._forces_range((2, 1), 9, Limits(max_n=9), 0, 30)
+        # the intervals shaped like the ideal of 21 are the covers, and
+        # each admits the deletion of one letter
+        bottoms = itertools.islice(itertools.permutations(range(1, 10)), 30)
+        pairs = [(x, y) for x in bottoms for y in sorted(cover_tops_oracle(x))]
+        assert got == (len(pairs), pairs[-1], False)
 
 
 def table_scan(w, m):

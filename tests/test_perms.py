@@ -39,9 +39,19 @@ class TestConstruction:
             perms.longest(0)
 
     def test_group_size_cap(self):
-        with pytest.raises(CapExceeded):
-            perms.identity(9)
-        perms.identity(9, Limits(max_n=9))
+        # the cap is checked where input enters; the builders take none
+        nine, raised = tuple(range(1, 10)), Limits(max_n=9)
+        for enter, arg in ((perms.make_perm, nine),
+                           (perms.parse_perm, "123456789")):
+            with pytest.raises(CapExceeded, match="max_n=8"):
+                enter(arg)
+            assert enter(arg, raised) == nine
+        with pytest.raises(CapExceeded, match="max_n=8"):
+            perms.all_perms(9)
+        assert next(perms.all_perms(9, raised)) == nine
+        assert perms.identity(9) == nine
+        assert perms.longest(9) == nine[::-1]
+        assert perms.embed(nine, 10) == nine + (10,)
 
     @pytest.mark.parametrize(
         "field", ["max_n", "max_word_length", "max_reduced_words"])
@@ -174,7 +184,7 @@ class TestText:
 
     def test_wide_groups_use_spaces(self):
         limits = Limits(max_n=12)
-        w = perms.identity(10, limits)
+        w = perms.identity(10)
         text = perms.format_perm(w)
         assert text == "1 2 3 4 5 6 7 8 9 10"
         assert perms.parse_perm(text, limits) == w

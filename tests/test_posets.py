@@ -9,7 +9,11 @@ from bruhatkit import bruhat, perms, posets
 from bruhatkit.limits import CapExceeded
 from bruhatkit.tables import group_table, iter_bits, up_ball
 
-from oracles import backtracking_isomorphic, min_certificate_oracle
+from oracles import (
+    backtracking_isomorphic,
+    cover_tops_oracle,
+    min_certificate_oracle,
+)
 from whole_group import above
 
 
@@ -384,9 +388,19 @@ class TestAtlas:
         assert result.counts("ideals") == (1, 1, 1, 2)
 
     def test_atlas_cap(self):
-        # the group-size cap max_n is the atlas's only cap
-        with pytest.raises(CapExceeded, match="max_n=8"):
-            posets.atlas(9, 2)
+        # the group-size cap max_n is the atlas's only cap, checked first
+        for max_len in (2, -1):
+            with pytest.raises(CapExceeded, match="max_n=8"):
+                posets.atlas(9, max_len)
+
+    def test_scan_in_s9_under_a_raised_cap(self):
+        # atlas(9, 1) takes seconds; its scan over a slice of the bottoms
+        bottoms = list(
+            itertools.islice(itertools.permutations(range(1, 10)), 20))
+        certs, examined = posets._scan_intervals(9, 1, bottoms, 0, 20)
+        assert examined == sum(len(cover_tops_oracle(x)) for x in bottoms)
+        assert {key: len(c) for key, c in certs.items()} == {
+            ("intervals", 1): 1, ("ideals", 1): 1}
 
     def test_s8_rows_to_length_2(self):
         result = posets.atlas(8, 2)
