@@ -10,21 +10,25 @@ for m up to a configurable bound, and report either a counterexample
 interval (with the exhausted search as proof) or "no counterexample up
 to the bound" - never an unconditional "forces".
 
-The deletion test uses the factorization criterion: [x, y] admits a
-deletion exactly when x = u v and y = u beta v are both length-additive
-with length(beta) = length(y) - length(x) (Bjorner and Brenti,
-*Combinatorics of Coxeter Groups*, GTM 231, chs. 2-3).  The search runs
-over the weak-order prefixes u of x and never enumerates R(y); the
-certificate is still the lexicographically first (word of y, start).
+The deletion test is a factorization criterion: [x, y] admits a deletion
+exactly when x = u v and y = u beta v are both length-additive (Bjorner
+and Brenti, *Combinatorics of Coxeter Groups*, GTM 231, chs. 2-3).  Such
+a u is a common prefix of x and y in the right weak order, and for a
+common prefix u the deletion exists iff u^-1 x <=_L u^-1 y in the left
+weak order, which is containment of position-inversion sets.  The search
+walks the common prefixes with those sets as bitmasks and never
+enumerates R(y); the certificate is still the lexicographically first
+(word of y, start).  ``notes/decisions.md`` has the proof.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import bruhat, perms, posets, words
 from .limits import DEFAULT_LIMITS, Limits
@@ -55,31 +59,86 @@ class FactorCertificate:
         }
 
 
+@functools.cache
+def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """``bits[a][b] == bits[b][a]``: the mask bit of the 0-based position
+    pair {a, b}, one bit for each of the n(n-1)/2 pairs."""
+    bits = [[0] * n for _ in range(n)]
+    for k, (a, b) in enumerate(itertools.combinations(range(n), 2)):
+        bits[a][b] = bits[b][a] = 1 << k
+    return tuple(map(tuple, bits))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _mask_and_positions(w: Perm) -> tuple[int, tuple[int, ...]]:
+    """The position-inversion mask of w and its position array (entry k
+    the 0-based position of the value k + 1).  Bottoms and tops recur
+    across the intervals of a scan; the cache holds all of S_8."""
+    bits = _pair_bits(len(w))
+    mask = sum([
+        bits[a][b]
+        for a, b in itertools.combinations(range(len(w)), 2)
+        if w[a] > w[b]
+    ])
+    pos = [0] * len(w)
+    for p, value in enumerate(w):
+        pos[value - 1] = p
+    return mask, tuple(pos)
+
+
+def _deletion_hits(x: Perm, y: Perm) -> Iterator[Sequence[int]]:
+    """The position array of v = u^-1 x for every common prefix u of x
+    and y in the right weak order with u^-1 x <=_L u^-1 y, each u once.
+
+    The walk starts at u = e, with v = x and z = y, and steps u -> u s_i
+    when i is a left descent of both v and z, so it stays on common
+    prefixes and reaches them all, since they form a lower set.  A step
+    swaps the positions of the values i and i + 1 in v and in z, and
+    clears the one position inversion that swap undoes in each mask.
+    v <=_L z is containment of position-inversion sets, the test
+    ``mask_v & ~mask_z == 0``.  No length is computed: on a common prefix
+    length(z) - length(v) is the gap already.  The visited set holds the
+    masks of v, each of which fixes v and so u = x v^-1.  Arrays are
+    read-only once yielded.
+    """
+    bits = _pair_bits(len(x))
+    mask_v, pos_v = _mask_and_positions(x)
+    mask_z, pos_z = _mask_and_positions(y)
+    seen = {mask_v}
+    stack = [(mask_v, mask_z, pos_v, pos_z)]
+    steps = range(len(x) - 1)
+    while stack:
+        mask_v, mask_z, pos_v, pos_z = stack.pop()
+        if not mask_v & ~mask_z:
+            yield pos_v
+        for k in steps:
+            a, b = pos_v[k], pos_v[k + 1]
+            c, d = pos_z[k], pos_z[k + 1]
+            if a > b and c > d:
+                step_mask = mask_v ^ bits[a][b]
+                if step_mask in seen:
+                    continue
+                seen.add(step_mask)
+                step_v = list(pos_v)
+                step_v[k], step_v[k + 1] = b, a
+                step_z = list(pos_z)
+                step_z[k], step_z[k + 1] = d, c
+                stack.append((step_mask, mask_z ^ bits[c][d], step_v, step_z))
+
+
 def _factorizations(x: Perm, y: Perm) -> Iterator[tuple[Perm, Perm, Perm]]:
     """Every (u, beta, v) with x = u v and y = u beta v, both products
-    length-additive, for x <= y.
+    length-additive, for x <= y, each once.
 
-    The prefixes u of x (in the right weak order) are walked breadth-first
-    from e, stepping u -> u s_i for each left descent i of v = u^-1 x.
-    With t = y x^-1 the middle factor is beta = u^-1 t u, and the triple is
-    yielded when length(beta) = length(y) - length(x), which makes
-    y = u beta v length-additive.
+    These are exactly the common prefixes u of x and y in the right weak
+    order with v = u^-1 x <=_L u^-1 y, and beta = u^-1 y v^-1; the walk
+    is :func:`_deletion_hits`, whose position array of v is v^-1.
     """
-    gap = perms.length(y) - perms.length(x)
-    t = perms.compose(y, perms.inverse(x))
-    level = {perms.identity(len(x)): x}
-    while level:
-        below: dict[Perm, Perm] = {}
-        for u, v in level.items():
-            u_inv = perms.inverse(u)
-            beta = tuple(u_inv[t[a - 1] - 1] for a in u)
-            if perms.length(beta) == gap:
-                yield u, beta, v
-            for i in perms.left_descents(v):
-                prefix = perms.apply_right(u, i)
-                if prefix not in below:
-                    below[prefix] = perms.apply_left(i, v)
-        level = below
+    for pos_v in _deletion_hits(x, y):
+        u = tuple(x[p] for p in pos_v)
+        u_inv = perms.inverse(u)
+        beta = tuple(u_inv[y[p] - 1] for p in pos_v)
+        yield u, beta, perms.compose(u_inv, x)
 
 
 def factor_deletion(
@@ -87,14 +146,15 @@ def factor_deletion(
 ) -> FactorCertificate | None:
     """The first factor deletion connecting x and y, or None.
 
-    A deletion exists exactly when x = u v and y = u beta v are both
-    length-additive with length(beta) = length(y) - length(x) (Bjorner and
-    Brenti, *Combinatorics of Coxeter Groups*, GTM 231, chs. 2-3), so the
-    search runs over the weak-order prefixes u of x and never enumerates
-    R(y).  The certificate is still the lexicographically first (word,
-    start) of R(y) in lex order with starts ascending: that word is the
-    least lexleast(u) + lexleast(beta) + lexleast(v) over all
-    factorizations, and ``start`` its least deletion position.
+    A deletion exists exactly when some common prefix u of x and y in the
+    right weak order has u^-1 x <=_L u^-1 y; then x = u v and
+    y = u beta v are length-additive, with v = u^-1 x and
+    beta = u^-1 y v^-1.  Those triples come from :func:`_factorizations`,
+    and R(y) is never enumerated.  The certificate is still the
+    lexicographically first (word, start) of R(y) in lex order with
+    starts ascending: that word is the least lexleast(u) +
+    lexleast(beta) + lexleast(v) over all factorizations, and ``start``
+    its least deletion position.  For x == y it is lexleast(x) at 0.
     """
     if not bruhat.bruhat_leq(x, y):
         raise ValueError(
@@ -102,6 +162,9 @@ def factor_deletion(
         )
     n = len(x)
     perms.check_group_size(n, limits)
+    if x == y:
+        j = words.lex_least_reduced_word(x)
+        return FactorCertificate(j=j, start=0, length=0, i=j)
     j = min(
         (
             words.lex_least_reduced_word(u)
@@ -227,7 +290,7 @@ def _forces_range(w, m, limits, lo, hi):
     for x, y in intervals_isomorphic_to(w, m, limits, lo, hi):
         examined += 1
         last = (x, y)
-        if next(_factorizations(x, y), None) is None:
+        if next(_deletion_hits(x, y), None) is None:
             return examined, last, True
     return examined, last, False
 

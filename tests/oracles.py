@@ -6,9 +6,10 @@ closing one bubble-sort word under Coxeter moves, two-block splits from
 a scan over all of those words, Bruhat comparison from the subword
 formulation, poset isomorphism from a plain backtracking matcher,
 canonical certificates from a search over every branch with no
-automorphism pruning, factor deletion from a scan over all of S_n with
-plain tuples and inversion sets, and whether a word is a reduced word of
-w from evaluating it on a plain list and counting inversions.
+automorphism pruning, factor deletion and its length-additive
+factorizations from a scan over all of S_n with plain tuples and
+inversion sets, and whether a word is a reduced word of w from
+evaluating it on a plain list and counting inversions.
 """
 
 from __future__ import annotations
@@ -241,13 +242,13 @@ def cover_tops_oracle(x: Perm) -> list[Perm]:
     return tops
 
 
-def deletion_oracle(x: Perm, y: Perm) -> bool:
-    """Whether some reduced word of y loses one consecutive block and
-    leaves a reduced word of x (for x <= y), by length-additive
-    factorization: x = u v and y = u b v with length(b) equal to the
-    length gap.  The prefixes u of x in the right weak order are exactly
-    the u whose value-inversion set lies inside that of x; every u in S_n
-    is tested, with no `bruhatkit.perms`."""
+def _factorization_scan(x: Perm, y: Perm):
+    """Every (u, b, v) with x = u v and y = u b v, both products
+    length-additive (for x <= y), by a scan over all of S_n with plain
+    tuples: the prefixes u of x in the right weak order are exactly the u
+    whose value-inversion set lies inside that of x, v = u^-1 x and
+    b = u^-1 y v^-1, and the triple is kept when the length of b is the
+    length gap, so that the lengths of u, b and v add up to that of y."""
     inv_x = _value_inversions(x)
     gap = len(_value_inversions(y)) - len(inv_x)
     for u in itertools.permutations(range(1, len(x) + 1)):
@@ -257,8 +258,20 @@ def deletion_oracle(x: Perm, y: Perm) -> bool:
         v = _times(u_inv, x)
         b = _times(u_inv, _times(y, _inverse(v)))
         if len(_value_inversions(b)) == gap:
-            return True
-    return False
+            yield u, b, v
+
+
+def factorizations_oracle(x: Perm, y: Perm) -> set[tuple[Perm, Perm, Perm]]:
+    """The set of length-additive factorizations x = u v, y = u b v, as
+    (u, b, v) triples, with no `bruhatkit.perms`."""
+    return set(_factorization_scan(x, y))
+
+
+def deletion_oracle(x: Perm, y: Perm) -> bool:
+    """Whether some reduced word of y loses one consecutive block and
+    leaves a reduced word of x (for x <= y): whether the scan of
+    :func:`factorizations_oracle` finds a factorization."""
+    return next(_factorization_scan(x, y), None) is not None
 
 
 def is_reduced_word_of(word: Word, w: Perm) -> bool:

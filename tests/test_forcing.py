@@ -10,6 +10,7 @@ from oracles import (
     backtracking_isomorphic,
     cover_tops_oracle,
     deletion_oracle,
+    factorizations_oracle,
     is_reduced_word_of,
 )
 from whole_group import above
@@ -118,6 +119,14 @@ class TestFactorDeletion:
                 not deletion_oracle(x, y)
             ), (x, y)
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_factorizations_match_oracle(self, n):
+        pairs = comparable_pairs(n) if n < 6 else sampled_pairs(6, 1500, 6)
+        for x, y in pairs:
+            found = list(forcing._factorizations(x, y))
+            assert len(found) == len(set(found))
+            assert set(found) == factorizations_oracle(x, y), (x, y)
+
     def test_tops_past_old_word_length_cap_match_oracle(self):
         # factor_deletion enumerates no reduced words, so it decides tops
         # longer than max_word_length; check them against the oracle
@@ -165,6 +174,13 @@ class TestRaisedGroupSize:
         # every reduced word of y9 uses letters of S_4 alone
         assert cert == forcing.factor_deletion(x, y)
         assert (cert is not None) == deletion_oracle(x, y)
+        # and so does every factorization
+        assert set(forcing._factorizations(x9, y9)) == {
+            tuple(perms.embed(p, 9) for p in triple)
+            for triple in factorizations_oracle(x, y)
+        }
+        hit = next(forcing._deletion_hits(x9, y9), None)
+        assert (hit is not None) == deletion_oracle(x, y)
 
     def test_forces_worker_in_s9(self):
         with pytest.raises(CapExceeded, match="max_n=8"):
