@@ -22,15 +22,13 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--max-len", type=int, default=5)
     parser.add_argument("--jobs", type=cli._at_least_one, default=None)
-    cli._common_args(parser)
     parser.add_argument("-o", "--out", type=Path, default=None,
                         help="write the collected JSON here")
     args = parser.parse_args()
-    limits = cli._limits_from(args)
 
     collected = []
     for n in range(args.min_n, args.max_n + 1):
-        result = posets.atlas(n, args.max_len, jobs=args.jobs, limits=limits)
+        result = posets.atlas(n, args.max_len, jobs=args.jobs)
         collected.append(result.to_json(timing=True))
         intervals = ",".join(str(c) for c in result.counts("intervals"))
         ideals = ",".join(str(c) for c in result.counts("ideals"))

@@ -69,11 +69,9 @@ def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, bits))
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _mask_and_positions(w: Perm) -> tuple[int, tuple[int, ...]]:
+def _mask_and_positions(w: Perm) -> tuple[int, list[int]]:
     """The position-inversion mask of w and its position array (entry k
-    the 0-based position of the value k + 1).  Bottoms and tops recur
-    across the intervals of a scan; the cache holds all of S_8."""
+    the 0-based position of the value k + 1)."""
     bits = _pair_bits(len(w))
     mask = sum([
         bits[a][b]
@@ -83,7 +81,7 @@ def _mask_and_positions(w: Perm) -> tuple[int, tuple[int, ...]]:
     pos = [0] * len(w)
     for p, value in enumerate(w):
         pos[value - 1] = p
-    return mask, tuple(pos)
+    return mask, pos
 
 
 def _deletion_hits(x: Perm, y: Perm) -> Iterator[Sequence[int]]:

@@ -2,7 +2,6 @@ import argparse
 import itertools
 import json
 import os
-import re
 import subprocess
 import sys
 
@@ -555,30 +554,3 @@ class TestScripts:
         done = run_script(*argv)
         assert done.returncode == code
         assert done.stderr == f"error: {message}\n"
-
-    @pytest.mark.parametrize("argv,n", [
-        (["run_atlas.py", "--min-n", "3", "--max-n", "3", "--max-len", "1"],
-         3),
-        (["forcing_survey.py", "--n", "3", "--max-m", "3"], 3),
-    ])
-    def test_cap_below_n_ends_in_one_line(self, argv, n):
-        done = run_script(*argv, "--max-group-size", str(n - 1))
-        assert done.returncode == 1
-        assert done.stdout == ""
-        assert done.stderr == (f"error: group size n={n} exceeds the "
-                               f"configured cap max_n={n - 1}\n")
-
-    @pytest.mark.parametrize("argv", [
-        ["run_atlas.py", "--min-n", "2", "--max-n", "4", "--max-len", "3"],
-        ["forcing_survey.py", "--n", "3", "--max-m", "4"],
-    ])
-    def test_raised_cap_keeps_stdout(self, argv):
-        default = run_script(*argv)
-        raised = run_script(*argv, "--max-group-size", "9")
-        assert default.returncode == raised.returncode == 0
-        # run_atlas.py prints each row's wall time, the one field that
-        # varies from run to run
-        seconds = re.compile(r"\d+\.\ds\)")
-        assert seconds.sub("s)", raised.stdout) == seconds.sub(
-            "s)", default.stdout)
-        assert raised.stdout.count("\n") > 1

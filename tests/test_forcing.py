@@ -113,19 +113,16 @@ class TestFactorDeletion:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_decision_matches_deletion_oracle(self, n):
-        pairs = comparable_pairs(n) if n < 6 else sampled_pairs(6, 1500, 6)
-        for x, y in pairs:
-            assert (forcing.factor_deletion(x, y) is None) == (
-                not deletion_oracle(x, y)
-            ), (x, y)
-
-    @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_factorizations_match_oracle(self, n):
+        # the deletion decision and every factorization behind it
         pairs = comparable_pairs(n) if n < 6 else sampled_pairs(6, 1500, 6)
         for x, y in pairs:
             found = list(forcing._factorizations(x, y))
-            assert len(found) == len(set(found))
-            assert set(found) == factorizations_oracle(x, y), (x, y)
+            expected = factorizations_oracle(x, y)
+            assert len(found) == len(set(found)), (x, y)
+            assert set(found) == expected, (x, y)
+            assert (forcing.factor_deletion(x, y) is None) == (
+                not expected
+            ), (x, y)
 
     def test_tops_past_old_word_length_cap_match_oracle(self):
         # factor_deletion enumerates no reduced words, so it decides tops
