@@ -185,7 +185,8 @@ def factor_deletion(
 
 
 def _ideal_fingerprint(w: Perm):
-    """(span, size, rank profile, certificate) of the ideal of w."""
+    """(span, size, rank profile, certificate) of the ideal of w, the
+    shape that :func:`_shaped_intervals` looks for."""
     shape = posets.poset_from_interval(bruhat.ideal(w))
     return (
         max(shape.ranks),
@@ -193,6 +194,24 @@ def _ideal_fingerprint(w: Perm):
         shape.rank_profile(),
         posets._certificate(shape.ranks, shape.covers),
     )
+
+
+def _shaped_intervals(shape, m: int, limits: Limits, lo: int, hi):
+    """Every interval of S_m whose shape has the fingerprint ``shape``,
+    with its bottom at positions [lo, hi) of :func:`perms.all_perms`; see
+    :func:`intervals_isomorphic_to`."""
+    d, size, profile, cert = shape
+    bottoms = itertools.islice(perms.all_perms(m, limits), lo, hi)
+
+    def screen(ball, mask: int) -> bool:
+        return mask.bit_count() == size and all(
+            (mask & ball.rank_masks[r]).bit_count() == profile[r]
+            for r in range(d + 1)
+        )
+
+    for x, y, _, found in posets._scan(bottoms, d, d, screen):
+        if found == cert:
+            yield x, y
 
 
 def intervals_isomorphic_to(
@@ -211,18 +230,7 @@ def intervals_isomorphic_to(
     keeps the masks with the ideal's element count and rank profile, and
     what passes is compared by certificate.
     """
-    bottoms = itertools.islice(perms.all_perms(m, limits), lo, hi)
-    d, size, profile, cert = _ideal_fingerprint(w)
-
-    def screen(ball, mask: int) -> bool:
-        return mask.bit_count() == size and all(
-            (mask & ball.rank_masks[r]).bit_count() == profile[r]
-            for r in range(d + 1)
-        )
-
-    for x, y, _, found in posets._scan(bottoms, d, d, screen):
-        if found == cert:
-            yield x, y
+    return _shaped_intervals(_ideal_fingerprint(w), m, limits, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -278,14 +286,15 @@ class ForcingVerdict:
         return out
 
 
-def _forces_range(w, m, limits, lo, hi):
-    """Worker: decide, in order, every interval isomorphic to the ideal
-    of w whose bottom is at positions [lo, hi) of S_m, until one admits
-    no factor deletion.  Returns (intervals examined, the last interval
-    decided or None, whether that one admits no deletion)."""
+def _forces_range(shape, m, limits, lo, hi):
+    """Worker: decide, in order, every interval of S_m shaped like the
+    ideal fingerprint ``shape`` whose bottom is at positions [lo, hi),
+    until one admits no factor deletion.  Returns (intervals examined,
+    the last interval decided or None, whether that one admits no
+    deletion)."""
     examined = 0
     last: tuple[Perm, Perm] | None = None
-    for x, y in intervals_isomorphic_to(w, m, limits, lo, hi):
+    for x, y in _shaped_intervals(shape, m, limits, lo, hi):
         examined += 1
         last = (x, y)
         if next(_deletion_hits(x, y), None) is None:
@@ -302,6 +311,34 @@ def _no_factor_proof(y: Perm, gap: int) -> dict:
     }
 
 
+# typed: jobs=2.0 must miss the entry of jobs=2 and be refused
+@functools.lru_cache(maxsize=1024, typed=True)
+def _shape_verdict(n: int, shape, m_max: int, jobs, limits: Limits):
+    """(counterexample, no-factor proof, sample certificate, intervals
+    examined) of the scan of S_n..S_m_max for intervals shaped like an
+    ideal with fingerprint ``shape``: all of a verdict but w and the
+    time.  The intervals of each S_m, and so all of these, depend on w
+    only through n and the shape of its ideal, so one scan serves every
+    w of S_n with that shape."""
+    examined = 0
+    last: tuple[Perm, Perm] | None = None
+    ranges = (
+        (m, result)
+        for m in range(n, m_max + 1)
+        for result in posets._fan_out(
+            _forces_range, (shape, m, limits), math.factorial(m), jobs,
+        )
+    )
+    for m, (count, pair, refuted) in ranges:
+        examined += count
+        last = pair or last
+        if refuted:
+            proof = _no_factor_proof(pair[1], shape[0])
+            return Counterexample(*pair, m), proof, None, examined
+    sample = None if last is None else factor_deletion(*last, limits)
+    return None, None, sample, examined
+
+
 def forces_factor(
     w: Perm,
     m_max: int | None = None,
@@ -315,6 +352,10 @@ def forces_factor(
     admitting no factor deletion is returned as the counterexample.
     ``jobs`` fans the scan out over processes; the verdict equals the
     sequential one.  m_max is held to ``limits`` before the scan starts.
+    The scan's result is cached by the size of w and the shape of its
+    ideal (:func:`_shape_verdict`), so a w whose ideal is shaped like
+    that of an earlier w with the same size and arguments is answered
+    without a scan; only ``w`` and ``seconds`` are its own.
     """
     n = len(w)
     if m_max is None:
@@ -323,34 +364,17 @@ def forces_factor(
         raise ValueError(f"m_max={m_max} is below the group size {n}")
     perms.check_group_size(m_max, limits)
     started = time.perf_counter()
-    examined = 0
-    last: tuple[Perm, Perm] | None = None
-    counterexample: Counterexample | None = None
-    proof: dict | None = None
-    ranges = (
-        (m, result)
-        for m in range(n, m_max + 1)
-        for result in posets._fan_out(
-            _forces_range, (w, m, limits),
-            math.factorial(m), jobs,
-        )
+    counterexample, proof, sample, examined = _shape_verdict(
+        n, _ideal_fingerprint(w), m_max, jobs, limits
     )
-    for m, (count, pair, refuted) in ranges:
-        examined += count
-        last = pair or last
-        if refuted:
-            counterexample = Counterexample(*pair, m)
-            proof = _no_factor_proof(pair[1], perms.length(w))
-            break
     return ForcingVerdict(
         w=w,
         m_max=m_max,
         outcome="counterexample" if counterexample
         else "no-counterexample-up-to-bound",
         counterexample=counterexample,
-        no_factor_proof=proof,
-        sample_certificate=None if counterexample or last is None
-        else factor_deletion(*last, limits),
+        no_factor_proof=None if proof is None else dict(proof),
+        sample_certificate=sample,
         intervals_examined=examined,
         seconds=time.perf_counter() - started,
         limits=limits,

@@ -8,7 +8,20 @@ programming over the cover relation in id order.  Every element of an
 interval [x, y] lies on a saturated chain from x, so for y in the ball
 the interval is exactly ``below[y]``; and since ids are rank-major, the
 set bits of any interval mask already run in the interval's (rank,
-one-line) order, with its minimum first.
+one-line) order, with its minimum first.  The covers inside a mask are
+read off the masks too: z is covered by u exactly when z <= u and z lies
+one rank below u.
+
+A ball is built over the lexicographic ranks of S_m, 0..m!-1, whose
+order is one-line order, so sorting a level of ranks sorts it in
+one-line order.  The covers come from a per-m :class:`RankTable`: its
+row for rank r holds the ranks of the elements covering r, computed by
+the transposition rule on ranks (see :meth:`RankTable.row`) the first
+time a ball reaches r.  The table keeps the permutation of every rank it
+has met next to the rows, so a ball's elements are looked up, not
+decoded.  The tables sit in a bounded module-level cache, one per m,
+which every cache reset clears; scans leave the tuple-keyed covers of
+:mod:`bruhatkit.bruhat` to the queries.
 
 The one interval walk that builds up-balls is ``posets._scan``, shared
 by ``forces`` and the atlas.  Every element of S_n lies above the
@@ -20,11 +33,11 @@ the benchmark still call :func:`group_table`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from . import perms
-from .bruhat import covers_above
 from .perms import Perm
 
 MAX_TABLE_N = 7
@@ -38,13 +51,88 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def rank(w: Perm) -> int:
+    """The lexicographic rank of w in S_n, from 0 for the identity to
+    n! - 1 for the reversal: its Lehmer code read in factorial base."""
+    n = len(w)
+    r = 0
+    for i, a in enumerate(w):
+        r = r * (n - i) + sum(b < a for b in w[i + 1:])
+    return r
+
+
+class RankTable:
+    """The covers of S_m by lexicographic rank, one row per rank, each
+    filled when a ball first reaches its rank.  ``perms`` holds the
+    permutation of every rank met so far: each ball's bottom, and the
+    covers of every row filled."""
+
+    def __init__(self, m: int):
+        self.m = m
+        # weights[i] = (m - 1 - i)!, the place value of Lehmer digit i
+        self.weights = tuple(math.factorial(m - 1 - i) for i in range(m))
+        self.ups: dict[int, tuple[int, ...]] = {}
+        self.perms: dict[int, Perm] = {}
+
+    def row(self, r: int) -> tuple[int, ...]:
+        """Fill and return the row of rank r, whose permutation is met.
+
+        Swapping the entries a = w(i) < b = w(j) at positions i < j is a
+        cover iff no position between holds a value between them
+        (Bjorner and Brenti, GTM 231, 2.1.4).  It raises Lehmer digit i
+        by 1 + c and lowers digit j by c, with c = #{l > j : a < w(l) <
+        b}, and leaves the other digits alone, so it adds
+        (1 + c)(m-1-i)! - c(m-1-j)! to the rank.
+        """
+        w = self.perms[r]
+        m, weights, met = self.m, self.weights, self.perms
+        out = []
+        for i in range(m - 1):
+            a = w[i]
+            hi = m + 1              # least value above a met so far
+            for j in range(i + 1, m):
+                b = w[j]
+                if a < b < hi:
+                    hi = b
+                    c = sum(a < v < b for v in w[j + 1:])
+                    top = r + (1 + c) * weights[i] - c * weights[j]
+                    if top not in met:
+                        met[top] = w[:i] + (b,) + w[i + 1:j] + (a,) + w[j + 1:]
+                    out.append(top)
+        row = self.ups[r] = tuple(out)
+        return row
+
+
+@functools.lru_cache(maxsize=8)
+def rank_table(m: int) -> RankTable:
+    """The rank table of S_m.  The cache holds eight, so a scan that
+    cycles through S_1..S_8, the default cap, never evicts a table it
+    comes back to."""
+    return RankTable(m)
+
+
 @dataclass(frozen=True)
 class Ball:
     elements: tuple[Perm, ...]          # level by level, one-line order
     ranks: tuple[int, ...]              # length(u) - length(x)
     rank_masks: tuple[int, ...]         # mask of ids at each rank
-    down_adj: tuple[tuple[int, ...], ...]   # ids covered by u
     below: tuple[int, ...]              # bitmask of {z in the ball : z <= u}
+
+    def _covered(self, u: int, mask: int) -> int:
+        """The mask of the ids in ``mask`` that u covers: those below u
+        one rank down, since a z <= u of length one less is covered."""
+        if not u:
+            return 0
+        return self.below[u] & mask & self.rank_masks[self.ranks[u] - 1]
+
+    @functools.cached_property
+    def down_adj(self) -> tuple[tuple[int, ...], ...]:
+        """The ids covered by each u, in increasing order."""
+        everything = (1 << len(self.below)) - 1
+        return tuple(
+            tuple(iter_bits(self._covered(u, everything)))
+            for u in range(len(self.below))
+        )
 
     def structure(self, mask: int):
         """Relabel the elements of an interval mask to 0..m-1 in id order
@@ -54,51 +142,54 @@ class Ball:
         index = {e: i for i, e in enumerate(elems)}
         low_rank = self.ranks[elems[0]]
         rel_ranks = tuple(self.ranks[e] - low_rank for e in elems)
-        covers = tuple(
-            sorted(
-                (index[v], index[u])
-                for u in elems
-                for v in self.down_adj[u]
-                if mask >> v & 1
-            )
-        )
-        return rel_ranks, covers
+        covers = []
+        for i, u in enumerate(elems):
+            downs = self._covered(u, mask)
+            while downs:
+                low = downs & -downs
+                covers.append((index[low.bit_length() - 1], i))
+                downs ^= low
+        covers.sort()
+        return rel_ranks, tuple(covers)
 
 
 def up_ball(x: Perm, depth: int) -> Ball:
     """The up-ball of x with the given depth (see the module docstring)."""
-    elements = [x]
+    table = rank_table(len(x))
+    ups, fill, met = table.ups, table.row, table.perms
+    bottom = rank(x)
+    met.setdefault(bottom, x)
+    order = [bottom]                    # the rank of each id
     ranks = [0]
     rank_masks = [1]
-    down_adj: list[tuple[int, ...]] = [()]
     below = [1]
-    level = [x]
+    level = order[:]
     for r in range(1, depth + 1):
-        start = len(elements)
-        below_of: dict[Perm, list[int]] = {}
+        start = len(order)
+        # the rank of each element of the next level, with the union of
+        # the below-masks of the elements of this level that it covers
+        covering: dict[int, int] = {}
+        get = covering.get
         for zid, z in enumerate(level, start - len(level)):
-            for c in covers_above(z):
-                zids = below_of.get(c)
-                if zids is None:
-                    below_of[c] = [zid]
-                else:
-                    zids.append(zid)
-        level = sorted(below_of)
+            try:
+                row = ups[z]
+            except KeyError:
+                row = fill(z)
+            mask = below[zid]
+            for c in row:
+                covering[c] = get(c, 0) | mask
+        level = sorted(covering)
+        bit = 1 << start
         for c in level:
-            downs = tuple(below_of[c])
-            mask = 1 << len(below)
-            for v in downs:
-                mask |= below[v]
-            below.append(mask)
-            down_adj.append(downs)
-        elements += level
+            below.append(covering[c] | bit)
+            bit <<= 1
+        order += level
         ranks += [r] * len(level)
-        rank_masks.append((1 << len(elements)) - (1 << start))
+        rank_masks.append((1 << len(order)) - (1 << start))
     return Ball(
-        elements=tuple(elements),
+        elements=tuple(map(met.__getitem__, order)),
         ranks=tuple(ranks),
         rank_masks=tuple(rank_masks),
-        down_adj=tuple(down_adj),
         below=tuple(below),
     )
 

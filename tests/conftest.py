@@ -2,9 +2,19 @@ import os
 
 import pytest
 
-from bruhatkit import posets
+from bruhatkit import forcing, posets, tables
 
 CPUS = 4
+
+
+@pytest.fixture(autouse=True)
+def cold_scan_caches():
+    """Clear the verdict cache and the rank tables before each test, so
+    that a test that calls ``forces_factor`` compares a real scan, not a
+    verdict an earlier test left behind, and a test that reads a rank
+    table sees only the rows it filled itself."""
+    forcing._shape_verdict.cache_clear()
+    tables.rank_table.cache_clear()
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ formulation, poset isomorphism from a plain backtracking matcher,
 canonical certificates from a search over every branch with no
 automorphism pruning, factor deletion and its length-additive
 factorizations from a scan over all of S_n with plain tuples and
-inversion sets, and whether a word is a reduced word of w from
+inversion sets, Bruhat covers and up-balls from the transposition rule
+on plain tuples, and whether a word is a reduced word of w from
 evaluating it on a plain list and counting inversions.
 """
 
@@ -240,6 +241,34 @@ def cover_tops_oracle(x: Perm) -> list[Perm]:
                                    for k in range(i + 1, j)):
             tops.append(x[:i] + (x[j],) + x[i + 1:j] + (x[i],) + x[j + 1:])
     return tops
+
+
+def up_ball_oracle(x: Perm, depth: int):
+    """The up-ball of x with the given depth as (elements, ranks,
+    rank_masks, down_adj, below), the fields of ``tables.Ball``, built
+    over plain tuples from :func:`cover_tops_oracle`: each level is the
+    set of covers of the one before, sorted in one-line order, and
+    ``below`` of an element is its own bit with the ``below`` of every
+    element it covers."""
+    elements, ranks, rank_masks, down_adj, below = [x], [0], [1], [()], [1]
+    prev = [(0, x, set(cover_tops_oracle(x)))]
+    for r in range(1, depth + 1):
+        start = len(elements)
+        level = sorted(set().union(*(tops for _, _, tops in prev)))
+        for y in level:
+            downs = tuple(zid for zid, _, tops in prev if y in tops)
+            mask = 1 << len(elements)
+            for v in downs:
+                mask |= below[v]
+            elements.append(y)
+            ranks.append(r)
+            down_adj.append(downs)
+            below.append(mask)
+        rank_masks.append((1 << len(elements)) - (1 << start))
+        prev = [(yid, y, set(cover_tops_oracle(y)))
+                for yid, y in enumerate(level, start)]
+    return (tuple(elements), tuple(ranks), tuple(rank_masks),
+            tuple(down_adj), tuple(below))
 
 
 def _factorization_scan(x: Perm, y: Perm):

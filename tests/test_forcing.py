@@ -5,7 +5,7 @@ import pytest
 
 from bruhatkit import bruhat, forcing, perms, posets, structure, words
 from bruhatkit.limits import CapExceeded, Limits
-from bruhatkit.tables import group_table, iter_bits
+from bruhatkit.tables import group_table, iter_bits, rank_table
 from oracles import (
     backtracking_isomorphic,
     cover_tops_oracle,
@@ -180,14 +180,20 @@ class TestRaisedGroupSize:
         assert (hit is not None) == deletion_oracle(x, y)
 
     def test_forces_worker_in_s9(self):
+        shape = forcing._ideal_fingerprint((2, 1))
         with pytest.raises(CapExceeded, match="max_n=8"):
-            forcing._forces_range((2, 1), 9, Limits(), 0, 30)
-        got = forcing._forces_range((2, 1), 9, Limits(max_n=9), 0, 30)
+            forcing._forces_range(shape, 9, Limits(), 0, 30)
+        got = forcing._forces_range(shape, 9, Limits(max_n=9), 0, 30)
         # the intervals shaped like the ideal of 21 are the covers, and
         # each admits the deletion of one letter
         bottoms = itertools.islice(itertools.permutations(range(1, 10)), 30)
         pairs = [(x, y) for x in bottoms for y in sorted(cover_tops_oracle(x))]
         assert got == (len(pairs), pairs[-1], False)
+        # the S_9 rank table holds the rows of the 30 bottoms alone, and
+        # the permutations of those and of their covers
+        table = rank_table(9)
+        assert len(table.ups) == 30
+        assert len(table.perms) == len({p for pair in pairs for p in pair})
 
 
 def table_scan(w, m):
@@ -402,6 +408,41 @@ class TestForcesFactor:
                 "words_scanned": total,
                 "deletions_tried": total * perms.length(y),
             }
+
+
+class TestShapeVerdictCache:
+    @pytest.mark.parametrize("n,m_max,classes", [(4, 6, 10), (5, 5, 30)])
+    def test_cached_verdicts_equal_cold_ones(self, n, m_max, classes):
+        # one scan per ideal shape: the misses are the shapes, and every
+        # verdict served from the cache equals a cold call's
+        s_n = list(perms.all_perms(n))
+        warm = [forcing.forces_factor(w, m_max).to_json() for w in s_n]
+        info = forcing._shape_verdict.cache_info()
+        shapes = {forcing._ideal_fingerprint(w)[3] for w in s_n}
+        assert info.misses == len(shapes) == classes
+        assert info.hits == len(s_n) - classes
+        for w, got in zip(s_n, warm):
+            forcing._shape_verdict.cache_clear()
+            assert got == forcing.forces_factor(w, m_max).to_json()
+
+    def test_same_shape_other_size_is_another_scan(self):
+        # 21 and 2134 share the 2-chain ideal, but 21 also scans S_2, S_3
+        short, long = P("21"), P("2134")
+        assert (forcing._ideal_fingerprint(short)
+                == forcing._ideal_fingerprint(long))
+        a = forcing.forces_factor(short, 4)
+        b = forcing.forces_factor(long, 4)
+        assert forcing._shape_verdict.cache_info().misses == 2
+        assert a.intervals_examined != b.intervals_examined
+
+    def test_hit_echoes_the_callers_w(self):
+        first = forcing.forces_factor(P("2134"), 4)
+        hit = forcing.forces_factor(P("1324"), 4)
+        assert forcing._shape_verdict.cache_info().hits == 1
+        assert (first.w, hit.w) == (P("2134"), P("1324"))
+        expected = first.to_json()
+        expected["w"] = "1324"
+        assert hit.to_json() == expected
 
 
 class TestCertificateShiftedLongest:

@@ -1,0 +1,68 @@
+import itertools
+import math
+import random
+
+import pytest
+
+from bruhatkit.tables import rank, rank_table, up_ball
+from oracles import cover_tops_oracle, up_ball_oracle
+
+
+def seeded_perms(n, count, seed):
+    """``count`` seeded random permutations of S_n."""
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(1, n + 1), n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rank_is_the_lexicographic_index(n):
+    # one-line order is rank order, and the ranks are 0..n!-1
+    ranks = [rank(w) for w in itertools.permutations(range(1, n + 1))]
+    assert ranks == list(range(math.factorial(n)))
+
+
+@pytest.mark.parametrize("n,bottoms", [
+    *((n, None) for n in range(1, 7)),
+    (7, seeded_perms(7, 200, 71)),
+    (9, seeded_perms(9, 60, 91)),
+])
+def test_rows_match_cover_oracle(n, bottoms):
+    # a depth-1 ball fills exactly its bottom's row; each row holds the
+    # ranks of the transposition-rule covers, each decoded to its cover
+    if bottoms is None:
+        bottoms = list(itertools.permutations(range(1, n + 1)))
+    for x in bottoms:
+        up_ball(x, 1)
+    table = rank_table(n)
+    assert len(table.ups) == len(set(bottoms))
+    for x in bottoms:
+        row = table.ups[rank(x)]
+        tops = cover_tops_oracle(x)
+        assert sorted(row) == sorted(rank(y) for y in tops)
+        assert sorted(table.perms[r] for r in row) == sorted(tops)
+
+
+@pytest.mark.parametrize("n,bottoms", [
+    (5, None),
+    (6, seeded_perms(6, 120, 61)),
+])
+def test_up_ball_matches_oracle(n, bottoms):
+    if bottoms is None:
+        bottoms = list(itertools.permutations(range(1, n + 1)))
+    for x in bottoms:
+        for depth in range(7):
+            ball = up_ball(x, depth)
+            got = (ball.elements, ball.ranks, ball.rank_masks,
+                   ball.down_adj, ball.below)
+            assert got == up_ball_oracle(x, depth)
+
+
+def test_tables_are_one_bounded_cache_per_size():
+    # every cache reset clears the tables, and one table serves each m
+    assert rank_table(5) is rank_table(5)
+    assert rank_table.cache_info().maxsize == 8
+    x = (2, 1, 3, 4, 5)
+    up_ball(x, 2)
+    assert len(rank_table(5).ups) == 1 + len(cover_tops_oracle(x))
+    rank_table.cache_clear()
+    assert rank_table(5).ups == {}
