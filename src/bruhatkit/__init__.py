@@ -7,7 +7,6 @@ from .bruhat import (
     bruhat_leq,
     coatom_avoiding_position,
     coatoms,
-    covers_above,
     covers_below,
     ideal,
     interval,

@@ -5,24 +5,22 @@ x <= y iff for every position i and value j,
 
     #{k <= i : x(k) >= j}  <=  #{k <= i : y(k) >= j}.
 
-That is O(n^2) per comparison with cached count tables, which matters
-because interval enumeration performs millions of comparisons.  The
-equivalent subword formulation (x <= y iff some reduced word of x is a
-subsequence of one of y) lives in the test suite as an oracle.
+That is O(n^2) per comparison.  The equivalent subword formulation
+(x <= y iff some reduced word of x is a subsequence of one of y) lives
+in the test suite as an oracle.
 
-Interval values are immutable once constructed; all functions are pure.
+Interval values are immutable once constructed; all functions are pure
+and keep no state between calls.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import perms
 from .perms import Perm
 
 
-@functools.lru_cache(maxsize=None)
 def _dominance_table(w: Perm) -> tuple[int, ...]:
     """Flattened table D[i][j] = #{k <= i : w(k) >= j} for i, j in 1..n."""
     n = len(w)
@@ -41,45 +39,33 @@ def bruhat_leq(x: Perm, y: Perm) -> bool:
         raise ValueError(
             f"size mismatch: S_{len(x)} vs S_{len(y)}; embed first"
         )
-    if x == y:
-        return True
-    if perms.length(x) >= perms.length(y):
-        return False
-    tx = _dominance_table(x)
-    ty = _dominance_table(y)
-    return all(a <= b for a, b in zip(tx, ty))
+    return _dominated(_dominance_table(x), y)
 
 
-def _covers(x: Perm, up: bool) -> tuple[Perm, ...]:
-    """The elements covering x (``up``) or covered by it, sorted.
+def _dominated(tx: tuple[int, ...], z: Perm) -> bool:
+    """Whether the permutation whose dominance table is tx lies below z."""
+    return all(a <= b for a, b in zip(tx, _dominance_table(z)))
 
-    Transposing positions i < j changes the length by exactly one iff no
-    intermediate position holds a value between x(i) and x(j); it goes
-    up when x(i) < x(j).  Every cover arises this way.
+
+def covers_below(x: Perm) -> tuple[Perm, ...]:
+    """All z covered by x: z < x with length(z) = length(x) - 1, sorted.
+
+    Transposing positions i < j with x(i) > x(j) goes down by exactly
+    one iff no position between holds a value between x(j) and x(i);
+    every cover arises this way.
     """
     n = len(x)
     out = []
-    for i in range(n):
+    for i in range(n - 1):
+        a = x[i]
+        lo = 0                  # greatest value below a met so far
         for j in range(i + 1, n):
-            a, b = x[i], x[j]
-            lo, hi = (a, b) if up else (b, a)
-            if lo < hi and not any(lo < x[k] < hi for k in range(i + 1, j)):
-                lst = list(x)
-                lst[i], lst[j] = b, a
-                out.append(tuple(lst))
-    return tuple(sorted(out))
-
-
-@functools.lru_cache(maxsize=None)
-def covers_above(x: Perm) -> tuple[Perm, ...]:
-    """All z covering x: z > x with length(z) = length(x) + 1."""
-    return _covers(x, up=True)
-
-
-@functools.lru_cache(maxsize=None)
-def covers_below(x: Perm) -> tuple[Perm, ...]:
-    """All z covered by x: z < x with length(z) = length(x) - 1."""
-    return _covers(x, up=False)
+            b = x[j]
+            if lo < b < a:
+                lo = b
+                out.append(x[:i] + (b,) + x[i + 1:j] + (a,) + x[j + 1:])
+    out.sort()
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -118,44 +104,46 @@ class Interval:
 def interval(x: Perm, y: Perm) -> Interval:
     """Construct [x, y]; raises ValueError unless x <= y.
 
-    Enumeration walks cover-by-cover downward from y (every element of the
-    interval lies on a saturated chain up to y), filtering with
-    :func:`bruhat_leq` against x, so only elements near the interval are
-    ever touched.
+    The interval is graded and each of its elements lies on a saturated
+    chain below y, so a walk down from y, one rank per step for
+    length(y) - length(x) steps, meets each element once and at its own
+    rank.  A step reads the lower covers of each element of its level
+    once, keeps those above x and records the cover pairs; a candidate
+    is compared with x's dominance table once, and the verdict is kept
+    for the other elements that cover it.
     """
     if len(x) != len(y):
         raise ValueError(f"size mismatch: S_{len(x)} vs S_{len(y)}")
-    if not bruhat_leq(x, y):
+    tx = _dominance_table(x)
+    if not _dominated(tx, y):
         raise ValueError(
             f"{perms.format_perm(x)} is not below {perms.format_perm(y)} "
             "in the Bruhat order"
         )
     principal = x == perms.identity(len(x))
-    low_rank = perms.length(x)
-    keep = {y}
-    frontier = [y]
-    while frontier:
-        nxt = []
-        for z in frontier:
-            if perms.length(z) <= low_rank:
-                continue
+    above_x: dict[Perm, bool] = {}
+    levels = [[y]]
+    covers = []
+    for _ in range(perms.length(y) - perms.length(x)):
+        level = []
+        for z in levels[-1]:
             for c in covers_below(z):
-                if c in keep:
-                    continue
-                if principal or bruhat_leq(x, c):
-                    keep.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    elements = tuple(sorted(keep, key=lambda z: (perms.length(z), z)))
-    covers = tuple(
-        sorted(
-            (c, z)
-            for z in elements
-            for c in covers_below(z)
-            if c in keep
-        )
+                keep = above_x.get(c)
+                if keep is None:
+                    keep = above_x[c] = principal or _dominated(tx, c)
+                    if keep:
+                        level.append(c)
+                if keep:
+                    covers.append((c, z))
+        level.sort()
+        levels.append(level)
+    covers.sort()
+    return Interval(
+        low=x,
+        high=y,
+        elements=tuple(z for level in reversed(levels) for z in level),
+        covers=tuple(covers),
     )
-    return Interval(low=x, high=y, elements=elements, covers=covers)
 
 
 def ideal(w: Perm) -> Interval:

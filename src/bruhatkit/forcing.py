@@ -158,8 +158,13 @@ def factor_deletion(
         raise ValueError(
             f"{perms.format_perm(x)} is not below {perms.format_perm(y)}"
         )
-    n = len(x)
-    perms.check_group_size(n, limits)
+    perms.check_group_size(len(x), limits)
+    return _first_deletion(x, y)
+
+
+def _first_deletion(x: Perm, y: Perm) -> FactorCertificate | None:
+    """:func:`factor_deletion` for x <= y, with the group size already
+    held to the caller's limits."""
     if x == y:
         j = words.lex_least_reduced_word(x)
         return FactorCertificate(j=j, start=0, length=0, i=j)
@@ -177,7 +182,7 @@ def factor_deletion(
     gap = perms.length(y) - perms.length(x)
     start = next(
         s for s in range(len(j) - gap + 1)
-        if words.evaluate(j[:s] + j[s + gap:], n) == x
+        if words.evaluate(j[:s] + j[s + gap:], len(x)) == x
     )
     return FactorCertificate(
         j=j, start=start, length=gap, i=j[:start] + j[start + gap:]
@@ -196,12 +201,12 @@ def _ideal_fingerprint(w: Perm):
     )
 
 
-def _shaped_intervals(shape, m: int, limits: Limits, lo: int, hi):
+def _shaped_intervals(shape, m: int, lo: int, hi: int | None):
     """Every interval of S_m whose shape has the fingerprint ``shape``,
-    with its bottom at positions [lo, hi) of :func:`perms.all_perms`; see
+    with its bottom at positions [lo, hi) of S_m in one-line order; see
     :func:`intervals_isomorphic_to`."""
     d, size, profile, cert = shape
-    bottoms = itertools.islice(perms.all_perms(m, limits), lo, hi)
+    bottoms = itertools.islice(itertools.permutations(range(1, m + 1)), lo, hi)
 
     def screen(ball, mask: int) -> bool:
         return mask.bit_count() == size and all(
@@ -215,22 +220,19 @@ def _shaped_intervals(shape, m: int, limits: Limits, lo: int, hi):
 
 
 def intervals_isomorphic_to(
-    w: Perm,
-    m: int,
-    limits: Limits = DEFAULT_LIMITS,
-    lo: int = 0,
-    hi: int | None = None,
+    w: Perm, m: int, limits: Limits = DEFAULT_LIMITS
 ) -> Iterator[tuple[Perm, Perm]]:
     """Every interval [x, y] in S_m isomorphic to the ideal of w, each
-    exactly once, ordered by (x, y) in one-line order; only bottoms x at
-    positions [lo, hi) of :func:`perms.all_perms` are scanned.
+    exactly once, ordered by (x, y) in one-line order.  m is held to
+    ``limits`` at the call, before the scan starts.
 
     The walk is :func:`posets._scan` at rank gap d = length(w): the tops
     y are the top level of the up-ball of x with depth d.  Its screen
     keeps the masks with the ideal's element count and rank profile, and
     what passes is compared by certificate.
     """
-    return _shaped_intervals(_ideal_fingerprint(w), m, limits, lo, hi)
+    perms.check_group_size(m, limits)
+    return _shaped_intervals(_ideal_fingerprint(w), m, 0, None)
 
 
 @dataclass(frozen=True)
@@ -286,7 +288,7 @@ class ForcingVerdict:
         return out
 
 
-def _forces_range(shape, m, limits, lo, hi):
+def _forces_range(shape, m, lo, hi):
     """Worker: decide, in order, every interval of S_m shaped like the
     ideal fingerprint ``shape`` whose bottom is at positions [lo, hi),
     until one admits no factor deletion.  Returns (intervals examined,
@@ -294,7 +296,7 @@ def _forces_range(shape, m, limits, lo, hi):
     deletion)."""
     examined = 0
     last: tuple[Perm, Perm] | None = None
-    for x, y in _shaped_intervals(shape, m, limits, lo, hi):
+    for x, y in _shaped_intervals(shape, m, lo, hi):
         examined += 1
         last = (x, y)
         if next(_deletion_hits(x, y), None) is None:
@@ -311,9 +313,8 @@ def _no_factor_proof(y: Perm, gap: int) -> dict:
     }
 
 
-# typed: jobs=2.0 must miss the entry of jobs=2 and be refused
-@functools.lru_cache(maxsize=1024, typed=True)
-def _shape_verdict(n: int, shape, m_max: int, jobs, limits: Limits):
+@functools.lru_cache(maxsize=1024)
+def _shape_verdict(n: int, shape, m_max: int, jobs):
     """(counterexample, no-factor proof, sample certificate, intervals
     examined) of the scan of S_n..S_m_max for intervals shaped like an
     ideal with fingerprint ``shape``: all of a verdict but w and the
@@ -326,7 +327,7 @@ def _shape_verdict(n: int, shape, m_max: int, jobs, limits: Limits):
         (m, result)
         for m in range(n, m_max + 1)
         for result in posets._fan_out(
-            _forces_range, (shape, m, limits), math.factorial(m), jobs,
+            _forces_range, (shape, m), math.factorial(m), jobs,
         )
     )
     for m, (count, pair, refuted) in ranges:
@@ -335,7 +336,7 @@ def _shape_verdict(n: int, shape, m_max: int, jobs, limits: Limits):
         if refuted:
             proof = _no_factor_proof(pair[1], shape[0])
             return Counterexample(*pair, m), proof, None, examined
-    sample = None if last is None else factor_deletion(*last, limits)
+    sample = None if last is None else _first_deletion(*last)
     return None, None, sample, examined
 
 
@@ -351,12 +352,14 @@ def forces_factor(
     The first interval (smallest m, then least (x, y) in one-line order)
     admitting no factor deletion is returned as the counterexample.
     ``jobs`` fans the scan out over processes; the verdict equals the
-    sequential one.  m_max is held to ``limits`` before the scan starts.
-    The scan's result is cached by the size of w and the shape of its
-    ideal (:func:`_shape_verdict`), so a w whose ideal is shaped like
+    sequential one.  ``jobs`` and m_max are checked here, before the
+    scan starts, and ``limits`` is read only for that check.  The scan's
+    result is cached by the size of w, the shape of its ideal, m_max and
+    ``jobs`` (:func:`_shape_verdict`), so a w whose ideal is shaped like
     that of an earlier w with the same size and arguments is answered
-    without a scan; only ``w`` and ``seconds`` are its own.
+    without a scan; only ``w``, ``seconds`` and ``limits`` are its own.
     """
+    posets._check_jobs(jobs)
     n = len(w)
     if m_max is None:
         m_max = n + 2
@@ -365,7 +368,7 @@ def forces_factor(
     perms.check_group_size(m_max, limits)
     started = time.perf_counter()
     counterexample, proof, sample, examined = _shape_verdict(
-        n, _ideal_fingerprint(w), m_max, jobs, limits
+        n, _ideal_fingerprint(w), m_max, jobs
     )
     return ForcingVerdict(
         w=w,

@@ -391,19 +391,24 @@ def _scan(bottoms, lo: int, hi: int, screen=None):
                        _certificate(*ball.structure(mask)))
 
 
+def _check_jobs(jobs) -> None:
+    """Refuse a ``jobs`` that is neither None nor an integer of at least
+    1, where ``forces_factor`` and ``atlas`` take it in."""
+    if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
+        raise ValueError(
+            f"jobs must be None or an integer of at least 1, got {jobs!r}")
+
+
 def _fan_out(fn, args: tuple, count: int, jobs: int | None):
     """The results of ``fn(*args, lo, hi)`` over ordered, contiguous
     ranges [lo, hi) that cover range(count), lazily and in range order,
     so a caller that stops at its first hit sees what one range would.
 
-    ``jobs`` is None or an integer of at least 1; anything else raises
-    ValueError.  With ``jobs`` > 1, min(jobs, CPU count) worker processes
+    ``jobs`` is None or an integer of at least 1, as :func:`_check_jobs`
+    makes sure.  With ``jobs`` > 1, min(jobs, CPU count) worker processes
     take about four ranges each, which evens out uneven ranges; otherwise
     [0, count) runs in this process.  ``fn`` and ``args`` must pickle.
     Closing the iterator early cancels the ranges not started."""
-    if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
-        raise ValueError(
-            f"jobs must be None or an integer of at least 1, got {jobs!r}")
     workers = min(jobs or 1, os.cpu_count() or 1)
     if workers <= 1:
         yield fn(*args, 0, count)
@@ -451,6 +456,7 @@ def atlas(
     cache.  With ``jobs`` > 1 ranges of the bottoms are fanned out
     across processes; the merged counts are independent of the schedule.
     """
+    _check_jobs(jobs)
     bottoms = perms.all_perms(n, limits)
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")

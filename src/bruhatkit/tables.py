@@ -20,8 +20,8 @@ the transposition rule on ranks (see :meth:`RankTable.row`) the first
 time a ball reaches r.  The table keeps the permutation of every rank it
 has met next to the rows, so a ball's elements are looked up, not
 decoded.  The tables sit in a bounded module-level cache, one per m,
-which every cache reset clears; scans leave the tuple-keyed covers of
-:mod:`bruhatkit.bruhat` to the queries.
+which every cache reset clears; the queries' intervals come from
+:mod:`bruhatkit.bruhat`, on tuples and with no state between calls.
 
 The one interval walk that builds up-balls is ``posets._scan``, shared
 by ``forces`` and the atlas.  Every element of S_n lies above the
@@ -137,7 +137,8 @@ class Ball:
     def structure(self, mask: int):
         """Relabel the elements of an interval mask to 0..m-1 in id order
         and return (ranks relative to the interval's minimum, cover id
-        pairs); the minimum is the lowest id, because ids are rank-major."""
+        pairs, unsorted); the minimum is the lowest id, because ids are
+        rank-major.  Certificates do not depend on the order of covers."""
         elems = list(iter_bits(mask))
         index = {e: i for i, e in enumerate(elems)}
         low_rank = self.ranks[elems[0]]
@@ -149,7 +150,6 @@ class Ball:
                 low = downs & -downs
                 covers.append((index[low.bit_length() - 1], i))
                 downs ^= low
-        covers.sort()
         return rel_ranks, tuple(covers)
 
 

@@ -9,8 +9,9 @@ canonical certificates from a search over every branch with no
 automorphism pruning, factor deletion and its length-additive
 factorizations from a scan over all of S_n with plain tuples and
 inversion sets, Bruhat covers and up-balls from the transposition rule
-on plain tuples, and whether a word is a reduced word of w from
-evaluating it on a plain list and counting inversions.
+on plain tuples, intervals from the subword formulation and that rule,
+and whether a word is a reduced word of w from evaluating it on a plain
+list and counting inversions.
 """
 
 from __future__ import annotations
@@ -241,6 +242,29 @@ def cover_tops_oracle(x: Perm) -> list[Perm]:
                                    for k in range(i + 1, j)):
             tops.append(x[:i] + (x[j],) + x[i + 1:j] + (x[i],) + x[j + 1:])
     return tops
+
+
+def interval_oracle(x: Perm, y: Perm):
+    """(elements, covers) of the interval [x, y] for x <= y, as
+    ``bruhat.Interval`` holds them: every z of S_n with x <= z <= y by
+    :func:`subword_oracle_leq`, sorted by (length, one-line order), and
+    the pairs (a, b) of those with b in :func:`cover_tops_oracle` of a,
+    sorted.  Only z whose length lies between those of x and y are
+    compared."""
+    low, high = len(_value_inversions(x)), len(_value_inversions(y))
+    elements = sorted(
+        (
+            z for z in itertools.permutations(range(1, len(x) + 1))
+            if low <= len(_value_inversions(z)) <= high
+            and subword_oracle_leq(x, z) and subword_oracle_leq(z, y)
+        ),
+        key=lambda z: (len(_value_inversions(z)), z),
+    )
+    inside = set(elements)
+    covers = sorted(
+        (a, b) for a in elements for b in cover_tops_oracle(a) if b in inside
+    )
+    return tuple(elements), tuple(covers)
 
 
 def up_ball_oracle(x: Perm, depth: int):

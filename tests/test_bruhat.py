@@ -5,7 +5,13 @@ import pytest
 
 from bruhatkit import bruhat, perms, words
 
-from oracles import maximal_chain_sizes, reduced_subword_closure, subword_oracle_leq
+from oracles import (
+    cover_tops_oracle,
+    interval_oracle,
+    maximal_chain_sizes,
+    reduced_subword_closure,
+    subword_oracle_leq,
+)
 
 
 def P(text):
@@ -62,18 +68,17 @@ class TestLeq:
 
 class TestCovers:
     def test_examples(self):
-        assert bruhat.covers_above(P("1234")) == (
-            P("1243"),
-            P("1324"),
-            P("2134"),
+        assert bruhat.covers_below(P("1234")) == ()
+        assert bruhat.covers_below(P("4321")) == (
+            P("3421"),
+            P("4231"),
+            P("4312"),
         )
-        assert bruhat.covers_above(P("4321")) == ()
-        assert bruhat.covers_above(P("2143")) == (
-            P("2341"),
-            P("2413"),
-            P("3142"),
-            P("4123"),
-        )
+        # the oracle's covers of 2143 are the z whose lower covers hold it
+        tops = (P("2341"), P("2413"), P("3142"), P("4123"))
+        assert tuple(sorted(cover_tops_oracle(P("2143")))) == tops
+        above = [z for z in S4 if P("2143") in bruhat.covers_below(z)]
+        assert above == list(tops)
 
     def test_covers_by_length_increment_scan(self):
         # every transposition neighbor at length +1 appears, nothing else
@@ -86,11 +91,18 @@ class TestCovers:
                     z = tuple(lst)
                     if perms.length(z) == perms.length(x) + 1:
                         expected.add(z)
-            assert set(bruhat.covers_above(x)) == expected
-            below = {
-                z for z in S4 if x in bruhat.covers_above(z)
-            }
-            assert set(bruhat.covers_below(x)) == below
+            assert set(cover_tops_oracle(x)) == expected
+            above = {z for z in S4 if x in bruhat.covers_below(z)}
+            assert above == expected
+
+    def test_covers_below_match_oracle_s5(self):
+        s5 = list(itertools.permutations(range(1, 6)))
+        below = {x: [] for x in s5}
+        for z in s5:
+            for top in cover_tops_oracle(z):
+                below[top].append(z)
+        for x in s5:
+            assert bruhat.covers_below(x) == tuple(sorted(below[x]))
 
 
 FIGURE2_ELEMENTS = {
@@ -130,6 +142,37 @@ class TestInterval:
                 assert iv.rank_of(b) == iv.rank_of(a) + 1
             sizes = maximal_chain_sizes(iv.elements, iv.covers, x, y)
             assert sizes == {iv.span + 1}
+
+
+class TestIntervalOracle:
+    """``bruhat.interval`` equals :func:`oracles.interval_oracle`, built
+    from the subword formulation and the transposition rule: the same
+    elements in the same order, and the same covers in the same order."""
+
+    @staticmethod
+    def assert_oracle(x, y):
+        iv = bruhat.interval(x, y)
+        assert (iv.elements, iv.covers) == interval_oracle(x, y)
+
+    def test_every_comparable_pair_of_s4(self):
+        pairs = [(x, y) for x in S4 for y in S4 if subword_oracle_leq(x, y)]
+        assert len(pairs) == 213
+        for x, y in pairs:
+            self.assert_oracle(x, y)
+
+    def test_every_ideal_of_s5(self):
+        for y in itertools.permutations(range(1, 6)):
+            self.assert_oracle(perms.identity(5), y)
+
+    def test_seeded_sample_of_s5(self):
+        rng = random.Random(1905)
+        s5 = list(itertools.permutations(range(1, 6)))
+        checked = 0
+        while checked < 40:
+            x, y = rng.choice(s5), rng.choice(s5)
+            if x != perms.identity(5) and subword_oracle_leq(x, y):
+                self.assert_oracle(x, y)
+                checked += 1
 
 
 class TestIdeal:

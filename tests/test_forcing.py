@@ -180,10 +180,12 @@ class TestRaisedGroupSize:
         assert (hit is not None) == deletion_oracle(x, y)
 
     def test_forces_worker_in_s9(self):
-        shape = forcing._ideal_fingerprint((2, 1))
+        # the cap is checked where input enters, in forces_factor; the
+        # worker takes the group size it is given
         with pytest.raises(CapExceeded, match="max_n=8"):
-            forcing._forces_range(shape, 9, Limits(), 0, 30)
-        got = forcing._forces_range(shape, 9, Limits(max_n=9), 0, 30)
+            forcing.forces_factor(P("21"), 9)
+        shape = forcing._ideal_fingerprint((2, 1))
+        got = forcing._forces_range(shape, 9, 0, 30)
         # the intervals shaped like the ideal of 21 are the covers, and
         # each admits the deletion of one letter
         bottoms = itertools.islice(itertools.permutations(range(1, 10)), 30)
@@ -231,10 +233,10 @@ class TestIntervalsIsomorphicTo:
         covers = [
             (x, y)
             for x in itertools.permutations((1, 2, 3))
-            for y in bruhat.covers_above(tuple(x))
+            for y in cover_tops_oracle(x)
         ]
         assert len(pairs) == len(covers) == 8
-        assert set(pairs) == {(tuple(x), y) for x, y in covers}
+        assert set(pairs) == set(covers)
 
     def test_indecomposable_shape_in_s5(self):
         pairs = forcing.intervals_isomorphic_to(P("3412"), 5)
@@ -343,13 +345,13 @@ class TestForcesFactor:
                                          inline_pool):
         # the sample certificate is built once, not once per m and range
         calls = []
-        factor_deletion = forcing.factor_deletion
+        first_deletion = forcing._first_deletion
 
         def counting(*args):
             calls.append(args)
-            return factor_deletion(*args)
+            return first_deletion(*args)
 
-        monkeypatch.setattr(forcing, "factor_deletion", counting)
+        monkeypatch.setattr(forcing, "_first_deletion", counting)
         verdict = forcing.forces_factor(P("321"), 5, jobs=jobs)
         assert verdict.sample_certificate is not None
         assert len(calls) == 1
@@ -434,6 +436,15 @@ class TestShapeVerdictCache:
         b = forcing.forces_factor(long, 4)
         assert forcing._shape_verdict.cache_info().misses == 2
         assert a.intervals_examined != b.intervals_examined
+
+    @pytest.mark.parametrize("good,bad", [(2, 2.0), (None, 0)])
+    def test_bad_jobs_refused_when_cached(self, good, bad, inline_pool):
+        # jobs is checked at the call, not by the scan a cache hit skips
+        forcing.forces_factor(P("21"), 3, jobs=good)
+        with pytest.raises(ValueError, match="jobs must be None or an "
+                                             "integer of at least 1"):
+            forcing.forces_factor(P("21"), 3, jobs=bad)
+        assert forcing._shape_verdict.cache_info().misses == 1
 
     def test_hit_echoes_the_callers_w(self):
         first = forcing.forces_factor(P("2134"), 4)

@@ -316,7 +316,13 @@ class TestIntervalStructure:
     def test_table_relabel_matches_interval(self, n):
         # ball ids are rank-major, so the relabel needs no sort to number
         # each interval in its (rank, one-line) order; checked for the
-        # whole-group table and for the x-local balls that the scans read
+        # whole-group table and for the x-local balls that the scans read.
+        # The relabel leaves its covers unsorted: both sides are sorted.
+        def same(struct, shape):
+            ranks, covers = struct
+            return (ranks, sorted(covers)) == (
+                shape.ranks, sorted(shape.covers))
+
         gt = group_table(n)
         up = above(n)
         pairs = 0
@@ -326,7 +332,7 @@ class TestIntervalStructure:
                 shape = posets.poset_from_interval(
                     bruhat.interval(x, gt.elements[yid])
                 )
-                assert struct == (shape.ranks, shape.covers)
+                assert same(struct, shape)
                 pairs += 1
         assert pairs == {4: 213, 5: 3781}[n]
         tops = 0
@@ -336,9 +342,7 @@ class TestIntervalStructure:
                 shape = posets.poset_from_interval(
                     bruhat.interval(x, ball.elements[yid])
                 )
-                assert ball.structure(ball.below[yid]) == (
-                    shape.ranks, shape.covers
-                )
+                assert same(ball.structure(ball.below[yid]), shape)
                 tops += 1
         assert tops == sum(
             1 for x in gt.elements for y in gt.elements
