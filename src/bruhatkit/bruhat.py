@@ -73,7 +73,8 @@ class Interval:
     """The interval [low, high] = {z : low <= z <= high} with its covers.
 
     ``elements`` is sorted by (rank, one-line order); ``covers`` holds the
-    pairs (a, b) with a covered by b, both inside the interval.  When
+    pairs (a, b) with a covered by b, both inside the interval, sorted by
+    (a, b) in one-line order.  When
     ``low`` is the identity this is the principal order ideal of ``high``.
     """
 
@@ -190,16 +191,17 @@ def coatom_avoiding_position(x: Perm, y: Perm, i: int) -> Perm:
 
 def interval_to_json(iv: Interval) -> dict:
     """JSON form: {low, high, n, elements, covers} with permutations in
-    text form, elements sorted by (rank, one-line order)."""
+    text form, elements sorted by (rank, one-line order) and covers by
+    (rank, one-line order) of their bottom, then by their top."""
+    index = {z: i for i, z in enumerate(iv.elements)}
+    text = [perms.format_perm(z) for z in iv.elements]
     return {
         "low": perms.format_perm(iv.low),
         "high": perms.format_perm(iv.high),
         "n": iv.n,
-        "elements": [perms.format_perm(z) for z in iv.elements],
+        "elements": text,
         "covers": [
-            [perms.format_perm(a), perms.format_perm(b)]
-            for a, b in sorted(
-                iv.covers, key=lambda ab: (perms.length(ab[0]), ab)
-            )
+            [text[index[a]], text[index[b]]]
+            for a, b in sorted(iv.covers, key=lambda ab: index[ab[0]])
         ],
     }

@@ -19,6 +19,13 @@ weak order, which is containment of position-inversion sets.  The search
 walks the common prefixes with those sets as bitmasks and never
 enumerates R(y); the certificate is still the lexicographically first
 (word of y, start).  ``notes/decisions.md`` has the proof.
+
+Inversion and conjugation by w0 are automorphisms of the Bruhat order
+that keep the shape of an interval and whether it admits a deletion, so
+the verdict builds up-balls only for the bottoms least in their orbit
+under those maps, and counts the rest of each orbit from them; the
+counterexample, the count and the certificate are those of the scan of
+every bottom, which :func:`intervals_isomorphic_to` still is.
 """
 
 from __future__ import annotations
@@ -201,12 +208,11 @@ def _ideal_fingerprint(w: Perm):
     )
 
 
-def _shaped_intervals(shape, m: int, lo: int, hi: int | None):
-    """Every interval of S_m whose shape has the fingerprint ``shape``,
-    with its bottom at positions [lo, hi) of S_m in one-line order; see
+def _shaped_intervals(shape, bottoms):
+    """Every interval whose shape has the fingerprint ``shape``, for each
+    x of ``bottoms`` in turn and its tops in one-line order; see
     :func:`intervals_isomorphic_to`."""
     d, size, profile, cert = shape
-    bottoms = itertools.islice(itertools.permutations(range(1, m + 1)), lo, hi)
 
     def screen(ball, mask: int) -> bool:
         return mask.bit_count() == size and all(
@@ -231,8 +237,8 @@ def intervals_isomorphic_to(
     keeps the masks with the ideal's element count and rank profile, and
     what passes is compared by certificate.
     """
-    perms.check_group_size(m, limits)
-    return _shaped_intervals(_ideal_fingerprint(w), m, 0, None)
+    bottoms = perms.all_perms(m, limits)
+    return _shaped_intervals(_ideal_fingerprint(w), bottoms)
 
 
 @dataclass(frozen=True)
@@ -290,18 +296,25 @@ class ForcingVerdict:
 
 def _forces_range(shape, m, lo, hi):
     """Worker: decide, in order, every interval of S_m shaped like the
-    ideal fingerprint ``shape`` whose bottom is at positions [lo, hi),
-    until one admits no factor deletion.  Returns (intervals examined,
-    the last interval decided or None, whether that one admits no
-    deletion)."""
-    examined = 0
-    last: tuple[Perm, Perm] | None = None
-    for x, y in _shaped_intervals(shape, m, lo, hi):
-        examined += 1
-        last = (x, y)
+    ideal fingerprint ``shape`` whose bottom x is at positions [lo, hi)
+    and is the least of its symmetry orbit, until one admits no factor
+    deletion.  Returns the (number of tops, distinct symmetry images) of
+    each such x with a top, and (x, y, number of tops decided at x) for
+    the interval with no deletion, or None."""
+    bottoms = (
+        x for x in itertools.islice(
+            itertools.permutations(range(1, m + 1)), lo, hi)
+        if x == min(perms.symmetry_images(x))
+    )
+    counts: dict[Perm, int] = {}
+    refuted = None
+    for x, y in _shaped_intervals(shape, bottoms):
+        counts[x] = counts.get(x, 0) + 1
         if next(_deletion_hits(x, y), None) is None:
-            return examined, last, True
-    return examined, last, False
+            refuted = x, y, counts[x]
+            break
+    orbits = [(c, set(perms.symmetry_images(x))) for x, c in counts.items()]
+    return orbits, refuted
 
 
 def _no_factor_proof(y: Perm, gap: int) -> dict:
@@ -320,24 +333,38 @@ def _shape_verdict(n: int, shape, m_max: int, jobs):
     ideal with fingerprint ``shape``: all of a verdict but w and the
     time.  The intervals of each S_m, and so all of these, depend on w
     only through n and the shape of its ideal, so one scan serves every
-    w of S_n with that shape."""
+    w of S_n with that shape.
+
+    Each S_m builds up-balls only for the bottoms least in their orbit
+    under inversion and conjugation by w0 (:func:`_forces_range`).  Those
+    maps are Bruhat automorphisms that keep the shape and the deletion,
+    so every bottom of an orbit has as many tops as the least, and the
+    least bottom with a refuted top is the least of its orbit: it is the
+    counterexample of the full scan, and the intervals that scan examines
+    are counted per orbit.  The sample certificate is that of the last
+    top of the greatest bottom with a top, whose ball alone is rebuilt.
+    ``notes/decisions.md`` has the proof."""
     examined = 0
-    last: tuple[Perm, Perm] | None = None
-    ranges = (
-        (m, result)
-        for m in range(n, m_max + 1)
-        for result in posets._fan_out(
+    last = None
+    for m in range(n, m_max + 1):
+        orbits = []
+        for part, refuted in posets._fan_out(
             _forces_range, (shape, m), math.factorial(m), jobs,
-        )
-    )
-    for m, (count, pair, refuted) in ranges:
-        examined += count
-        last = pair or last
-        if refuted:
-            proof = _no_factor_proof(pair[1], shape[0])
-            return Counterexample(*pair, m), proof, None, examined
-    sample = None if last is None else _first_deletion(*last)
-    return None, None, sample, examined
+        ):
+            orbits += part
+            if refuted:
+                x, y, tops = refuted
+                examined += tops + sum(
+                    c * sum(g < x for g in images) for c, images in orbits
+                )
+                proof = _no_factor_proof(y, shape[0])
+                return Counterexample(x, y, m), proof, None, examined
+        examined += sum(c * len(images) for c, images in orbits)
+        last = max((g for _, images in orbits for g in images), default=last)
+    if last is None:
+        return None, None, None, examined
+    *_, pair = _shaped_intervals(shape, [last])
+    return None, None, _first_deletion(*pair), examined
 
 
 def forces_factor(

@@ -10,7 +10,7 @@ automorphism pruning, factor deletion and its length-additive
 factorizations from a scan over all of S_n with plain tuples and
 inversion sets, Bruhat covers and up-balls from the transposition rule
 on plain tuples, intervals from the subword formulation and that rule,
-and whether a word is a reduced word of w from evaluating it on a plain
+the symmetries of S_n from index arithmetic on plain tuples, and whether a word is a reduced word of w from evaluating it on a plain
 list and counting inversions.
 """
 
@@ -230,6 +230,20 @@ def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
+
+
+def _conjugate_by_reversal(w: tuple[int, ...]) -> tuple[int, ...]:
+    """w0 w w0, the map i -> n + 1 - w(n + 1 - i)."""
+    return tuple(len(w) + 1 - v for v in reversed(w))
+
+
+def symmetries_oracle(w: Perm) -> tuple[Perm, Perm, Perm]:
+    """The images of w under the three non-trivial Bruhat automorphisms
+    generated by inversion and conjugation by w0: w^-1, w0 w w0 and
+    w0 w^-1 w0, with no `bruhatkit.perms`."""
+    inverse = _inverse(w)
+    return (inverse, _conjugate_by_reversal(w),
+            _conjugate_by_reversal(inverse))
 
 
 def cover_tops_oracle(x: Perm) -> list[Perm]:

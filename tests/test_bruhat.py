@@ -260,3 +260,18 @@ class TestJson:
         assert data["elements"][0] == "2143"
         assert len(data["covers"]) == 16
         assert all(len(pair) == 2 for pair in data["covers"])
+
+    def test_covers_ordered_by_rank_then_pair(self):
+        # the covers come sorted by the length of their bottom, then by
+        # the pair in one-line order
+        s_4 = list(itertools.permutations(range(1, 5)))
+        ivs = [bruhat.interval(x, y) for x in s_4 for y in s_4
+               if bruhat.bruhat_leq(x, y)]
+        ivs += [bruhat.ideal(w) for w in perms.all_perms(5)]
+        for iv in ivs:
+            expected = sorted(
+                iv.covers, key=lambda ab: (perms.length(ab[0]), ab))
+            assert bruhat.interval_to_json(iv)["covers"] == [
+                [perms.format_perm(a), perms.format_perm(b)]
+                for a, b in expected
+            ]

@@ -12,6 +12,7 @@ from oracles import (
     deletion_oracle,
     factorizations_oracle,
     is_reduced_word_of,
+    symmetries_oracle,
 )
 from whole_group import above
 
@@ -186,16 +187,23 @@ class TestRaisedGroupSize:
             forcing.forces_factor(P("21"), 9)
         shape = forcing._ideal_fingerprint((2, 1))
         got = forcing._forces_range(shape, 9, 0, 30)
-        # the intervals shaped like the ideal of 21 are the covers, and
-        # each admits the deletion of one letter
+        # the worker keeps the bottoms least in their symmetry orbit; the
+        # intervals shaped like the ideal of 21 are the covers, and each
+        # admits the deletion of one letter
         bottoms = itertools.islice(itertools.permutations(range(1, 10)), 30)
-        pairs = [(x, y) for x in bottoms for y in sorted(cover_tops_oracle(x))]
-        assert got == (len(pairs), pairs[-1], False)
-        # the S_9 rank table holds the rows of the 30 bottoms alone, and
+        least = [x for x in bottoms if x <= min(symmetries_oracle(x))]
+        assert len(least) < 30
+        assert got == ([
+            (len(cover_tops_oracle(x)), {x, *symmetries_oracle(x)})
+            for x in least
+        ], None)
+        # the S_9 rank table holds the rows of those bottoms alone, and
         # the permutations of those and of their covers
         table = rank_table(9)
-        assert len(table.ups) == 30
-        assert len(table.perms) == len({p for pair in pairs for p in pair})
+        assert len(table.ups) == len(least)
+        assert len(table.perms) == len(
+            {p for x in least for p in [x, *cover_tops_oracle(x)]}
+        )
 
 
 def table_scan(w, m):
@@ -410,6 +418,95 @@ class TestForcesFactor:
                 "words_scanned": total,
                 "deletions_tried": total * perms.length(y),
             }
+
+
+def oracle_comparable_pairs(bottoms):
+    """Every pair x <= y with x in ``bottoms``: y runs over the closure of
+    x under :func:`oracles.cover_tops_oracle`."""
+    pairs = []
+    for x in bottoms:
+        above_x, frontier = {x}, [x]
+        while frontier:
+            for y in cover_tops_oracle(frontier.pop()):
+                if y not in above_x:
+                    above_x.add(y)
+                    frontier.append(y)
+        pairs += [(x, y) for y in sorted(above_x)]
+    return pairs
+
+
+def full_scan_verdict(w, m_max):
+    """(outcome, counterexample, intervals examined, certificate of the
+    last interval) of the scan of every bottom of S_n..S_m_max, each
+    interval of :func:`forcing.intervals_isomorphic_to` decided by
+    :func:`oracles.deletion_oracle`."""
+    examined, last = 0, None
+    for m in range(len(w), m_max + 1):
+        for x, y in forcing.intervals_isomorphic_to(w, m):
+            examined += 1
+            last = x, y
+            if not deletion_oracle(x, y):
+                return ("counterexample", forcing.Counterexample(x, y, m),
+                        examined, None)
+    sample = None if last is None else forcing.factor_deletion(*last)
+    return "no-counterexample-up-to-bound", None, examined, sample
+
+
+class TestOrbitScan:
+    """The scan builds balls only for the least bottom of each orbit of
+    inversion and conjugation by w0; ``notes/decisions.md`` has the
+    proof that the verdict is the full scan's."""
+
+    @pytest.mark.parametrize("n,sample", [(4, None), (5, None), (6, 150)])
+    def test_deletion_kept_by_symmetries(self, n, sample):
+        # over tests/oracles.py alone: each non-trivial symmetry maps an
+        # interval with a deletion to one with a deletion, and one with
+        # none to one with none
+        s_n = list(itertools.permutations(range(1, n + 1)))
+        if sample is None:
+            pairs = oracle_comparable_pairs(s_n)
+        else:
+            rng = random.Random(2020)
+            pairs = rng.sample(oracle_comparable_pairs(rng.sample(s_n, 12)),
+                               sample)
+        outcomes = set()
+        for x, y in pairs:
+            found = deletion_oracle(x, y)
+            outcomes.add(found)
+            for gx, gy in zip(symmetries_oracle(x), symmetries_oracle(y)):
+                assert deletion_oracle(gx, gy) == found, (x, y, gx, gy)
+        assert outcomes == ({True, False} if n > 3 else {True})
+
+    @pytest.mark.parametrize("n,m_max", [(4, 6), (5, 5)])
+    def test_verdicts_equal_full_scan(self, n, m_max):
+        references = {}
+        for w in perms.all_perms(n):
+            key = forcing._ideal_fingerprint(w)
+            if key not in references:
+                references[key] = full_scan_verdict(w, m_max)
+            verdict = forcing.forces_factor(w, m_max)
+            assert (
+                verdict.outcome, verdict.counterexample,
+                verdict.intervals_examined, verdict.sample_certificate,
+            ) == references[key], w
+
+    @pytest.mark.parametrize("text,m_max", [
+        ("21", 5), ("321", 6), ("2314", 5), ("3412", 5), ("4231", 6),
+        ("1243", 5),
+    ])
+    def test_ranges_equal_full_scan(self, text, m_max, inline_pool):
+        # with jobs=2 each S_m from S_4 on is cut into eight ranges, so
+        # the members of an orbit fall in different ranges
+        w = P(text)
+        seq = forcing.forces_factor(w, m_max)
+        forcing._shape_verdict.cache_clear()
+        par = forcing.forces_factor(w, m_max, jobs=2)
+        assert par.to_json() == seq.to_json()
+        assert (
+            par.outcome, par.counterexample,
+            par.intervals_examined, par.sample_certificate,
+        ) == full_scan_verdict(w, m_max)
+        assert {pool.max_workers for pool in inline_pool} == {2}
 
 
 class TestShapeVerdictCache:
