@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from bruhatkit import cli, forcing, perms, structure  # noqa: E402
 
 
-def survey_one(w, max_m, jobs):
+def survey_one(w, max_m, jobs, limits):
     entry = {
         "w": perms.format_perm(w),
         "length": perms.length(w),
@@ -30,9 +30,9 @@ def survey_one(w, max_m, jobs):
     d = structure.decompose(w)
     if d is not None:
         entry["decomposable"] = True
-        witness = structure.nonforcing_witness(w, d)
+        witness = structure.nonforcing_witness(w, d, limits)
         entry["witness"] = witness.to_json()
-    verdict = forcing.forces_factor(w, max_m, jobs=jobs)
+    verdict = forcing.forces_factor(w, max_m, jobs=jobs, limits=limits)
     entry["outcome"] = verdict.outcome
     if verdict.counterexample is not None:
         entry["counterexample"] = verdict.counterexample.to_json()
@@ -42,17 +42,19 @@ def survey_one(w, max_m, jobs):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    cli._common_args(parser)
     parser.add_argument("--n", type=int, default=4)
     parser.add_argument("--max-m", type=int, default=None,
                         help="ambient bound for the search (default n + 2)")
     parser.add_argument("--jobs", type=cli._at_least_one, default=None)
     parser.add_argument("-o", "--out", type=Path, default=None)
     args = parser.parse_args()
+    limits = cli._limits_from(args)
 
     entries = []
     open_cases = []
-    for w in perms.all_perms(args.n):
-        entry = survey_one(w, args.max_m, args.jobs)
+    for w in perms.all_perms(args.n, limits):
+        entry = survey_one(w, args.max_m, args.jobs, limits)
         entries.append(entry)
         flag = "D" if entry["decomposable"] else " "
         if "counterexample" in entry:

@@ -18,6 +18,7 @@ from bruhatkit import cli, posets  # noqa: E402
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    cli._common_args(parser)
     parser.add_argument("--min-n", type=int, default=2)
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--max-len", type=int, default=5)
@@ -25,10 +26,12 @@ def main() -> int:
     parser.add_argument("-o", "--out", type=Path, default=None,
                         help="write the collected JSON here")
     args = parser.parse_args()
+    limits = cli._limits_from(args)
 
     collected = []
     for n in range(args.min_n, args.max_n + 1):
-        result = posets.atlas(n, args.max_len, jobs=args.jobs)
+        result = posets.atlas(n, args.max_len, jobs=args.jobs,
+                              limits=limits)
         collected.append(result.to_json(timing=True))
         intervals = ",".join(str(c) for c in result.counts("intervals"))
         ideals = ",".join(str(c) for c in result.counts("ideals"))

@@ -326,14 +326,31 @@ def _no_factor_proof(y: Perm, gap: int) -> dict:
     }
 
 
+class _Jobs:
+    """``jobs`` as an argument that a cache leaves out of its key: every
+    value compares equal, because the verdict is the same for each."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int | None):
+        self.value = value
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Jobs)
+
+    def __hash__(self) -> int:
+        return 0
+
+
 @functools.lru_cache(maxsize=1024)
-def _shape_verdict(n: int, shape, m_max: int, jobs):
+def _shape_verdict(n: int, shape, m_max: int, jobs: _Jobs):
     """(counterexample, no-factor proof, sample certificate, intervals
     examined) of the scan of S_n..S_m_max for intervals shaped like an
     ideal with fingerprint ``shape``: all of a verdict but w and the
     time.  The intervals of each S_m, and so all of these, depend on w
     only through n and the shape of its ideal, so one scan serves every
-    w of S_n with that shape.
+    w of S_n with that shape, whatever its ``jobs``, which sets only how
+    the scan is fanned out.
 
     Each S_m builds up-balls only for the bottoms least in their orbit
     under inversion and conjugation by w0 (:func:`_forces_range`).  Those
@@ -349,7 +366,7 @@ def _shape_verdict(n: int, shape, m_max: int, jobs):
     for m in range(n, m_max + 1):
         orbits = []
         for part, refuted in posets._fan_out(
-            _forces_range, (shape, m), math.factorial(m), jobs,
+            _forces_range, (shape, m), math.factorial(m), jobs.value,
         ):
             orbits += part
             if refuted:
@@ -381,10 +398,11 @@ def forces_factor(
     ``jobs`` fans the scan out over processes; the verdict equals the
     sequential one.  ``jobs`` and m_max are checked here, before the
     scan starts, and ``limits`` is read only for that check.  The scan's
-    result is cached by the size of w, the shape of its ideal, m_max and
-    ``jobs`` (:func:`_shape_verdict`), so a w whose ideal is shaped like
-    that of an earlier w with the same size and arguments is answered
-    without a scan; only ``w``, ``seconds`` and ``limits`` are its own.
+    result is cached by the size of w, the shape of its ideal and m_max
+    (:func:`_shape_verdict`), so a w whose ideal is shaped like that of
+    an earlier w with the same size and m_max is answered without a
+    scan, whatever either call's ``jobs``; only ``w``, ``seconds`` and
+    ``limits`` are its own.
     """
     posets._check_jobs(jobs)
     n = len(w)
@@ -395,7 +413,7 @@ def forces_factor(
     perms.check_group_size(m_max, limits)
     started = time.perf_counter()
     counterexample, proof, sample, examined = _shape_verdict(
-        n, _ideal_fingerprint(w), m_max, jobs
+        n, _ideal_fingerprint(w), m_max, _Jobs(jobs)
     )
     return ForcingVerdict(
         w=w,

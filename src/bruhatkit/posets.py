@@ -24,15 +24,22 @@ canonical form, is the one the full search finds (checked against it in
 ``tests/oracles.py``).
 
 The atlas counts isomorphism classes of intervals and of principal order
-ideals per length across a whole symmetric group.  Like ``forces``, it
-reduces over ``_scan``, the one interval walk, which reads each interval
-[x, y] off the up-ball of its bottom x from :mod:`bruhatkit.tables` and
-certifies its shape; ``_fan_out`` splits the bottoms across processes.
+ideals per length across a whole symmetric group.  An interval that
+splits by position or by value is the product of two intervals of
+smaller groups, so the atlas builds the classes of S_n from those of the
+smaller groups and certifies only the intervals that do not split.  Like
+``forces``, it reduces over ``_scan``, the one interval walk, which reads
+each interval [x, y] off the up-ball of its bottom x from
+:mod:`bruhatkit.tables` and certifies its shape; the atlas's screen
+drops the split intervals before the relabel.  ``_fan_out`` splits the
+bottoms across processes.  The split is about shapes only, and
+``forces`` does not use it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import time
 from collections import defaultdict
@@ -421,20 +428,106 @@ def _fan_out(fn, args: tuple, count: int, jobs: int | None):
         )
 
 
+def _split_screen(n: int):
+    """The atlas's ``screen`` for :func:`_scan` in S_n, and a function
+    that returns how many intervals it has been shown.  The screen passes
+    [x, y] on to the relabel only when it splits neither by position nor
+    by value: no i < n has {x(1..i)} = {y(1..i)} or {x^-1(1..i)} =
+    {y^-1(1..i)}.
+
+    The code of w packs, for i = 1..n-1, the prefix sums w(1) + ... +
+    w(i) and w^-1(1) + ... + w^-1(i) into fields of ``width`` bits.  For
+    x <= y no field of code(y) - code(x) is negative, and a field is zero
+    exactly when its prefix sets agree (``notes/decisions.md``), so the
+    zero-field bit test decides the split; fields never borrow, because
+    each field of code(y) is at least that of code(x).  Codes are kept
+    per call, keyed by the permutation."""
+    width = max(8, (n * (n + 1) // 2 - 1).bit_length())
+    low = sum(1 << (width * k) for k in range(2 * (n - 1)))
+    high = low << (width - 1)
+    codes: dict[perms.Perm, int] = {}
+    bottom, base, seen = None, 0, 0         # the ball in hand, its code
+
+    def code(w) -> int:
+        inverse = perms.inverse(w)
+        packed = by_position = by_value = 0
+        for i in range(n - 1):
+            by_position += w[i]
+            by_value += inverse[i]
+            packed = (packed << 2 * width) | (by_position << width) | by_value
+        codes[w] = packed
+        return packed
+
+    def screen(ball, mask: int) -> bool:
+        nonlocal bottom, base, seen
+        seen += 1
+        if ball is not bottom:
+            bottom, base = ball, code(ball.elements[0])
+        y = ball.elements[mask.bit_length() - 1]
+        try:
+            diff = codes[y] - base
+        except KeyError:
+            diff = code(y) - base
+        return not (diff - low) & ~diff & high
+
+    return screen, lambda: seen
+
+
 def _scan_intervals(n: int, max_len: int, x_reps: list, lo: int, hi: int):
-    """Certificates of all intervals [x, y] with x in ``x_reps[lo:hi]``
-    and 1 <= rank gap <= max_len, keyed by ("intervals", gap), plus those
-    with x the identity (the ideals) keyed by ("ideals", gap); and the
-    number of intervals examined."""
+    """Certificates of the intervals [x, y] with x in ``x_reps[lo:hi]``
+    and 1 <= rank gap <= max_len that split neither by position nor by
+    value (:func:`_split_screen`), keyed by ("intervals", gap), plus
+    those with x the identity (the ideals) keyed by ("ideals", gap); and
+    the number of intervals examined, split or not."""
     identity = perms.identity(n)
     certs: dict[tuple[str, int], set] = defaultdict(set)
-    examined = 0
-    for x, _, gap, cert in _scan(x_reps[lo:hi], 1, max_len):
+    screen, examined = _split_screen(n)
+    for x, _, gap, cert in _scan(x_reps[lo:hi], 1, max_len, screen):
         certs["intervals", gap].add(cert)
         if x == identity:
             certs["ideals", gap].add(cert)
-        examined += 1
-    return certs, examined
+    return certs, examined()
+
+
+def _orbit_reps(n: int) -> list:
+    """The bottoms the atlas scans in S_n: the maximum of each orbit
+    under inversion and conjugation by the reversal.  The maximum, not
+    the minimum, leaves atlas(5, 5) 125 certificate cache misses instead
+    of 149."""
+    return [
+        x for x in itertools.permutations(range(1, n + 1))
+        if x == max(perms.symmetry_images(x))
+    ]
+
+
+def _product_certificate(p: Cert, q: Cert) -> Cert:
+    """The certificate of the product of the two shapes certified by p
+    and q; a certificate's ranks and covers are a shape of its own."""
+    pq = direct_product(RankedPoset(p[1], p[2]), RankedPoset(q[1], q[2]))
+    return _certificate(pq.ranks, pq.covers)
+
+
+def _level_classes(below: dict, k: int, max_len: int, irreducible: dict):
+    """The classes of S_k, keyed by ("intervals", gap) and ("ideals",
+    gap) for 1 <= gap <= max_len: those of S_(k-1), the products of
+    classes of S_i and S_(k-i) (of ideal classes, for the ideals), and
+    the classes ``irreducible`` of the intervals of S_k that split
+    neither by position nor by value.  ``below[i]`` holds the classes of
+    S_i for i < k."""
+    level: dict[tuple[str, int], set] = defaultdict(set)
+    for key, found in itertools.chain(
+        below[k - 1].items(), irreducible.items()
+    ):
+        level[key] |= found
+    for i in range(2, k // 2 + 1):
+        for which, d in itertools.product(
+            ("intervals", "ideals"), range(2, max_len + 1)
+        ):
+            for a in range(1, d):
+                for p in below[i].get((which, a), ()):
+                    for q in below[k - i].get((which, d - a), ()):
+                        level[which, d].add(_product_certificate(p, q))
+    return level
 
 
 def atlas(
@@ -447,31 +540,45 @@ def atlas(
     """Per-length counts of isomorphism classes of intervals and of
     principal order ideals in S_n, for lengths 0..max_len.
 
-    Interval enumeration runs over representatives of the order-
-    automorphism orbits of the bottom element, each with its up-ball of
-    depth max_len (inversion and conjugation by the reversal preserve
-    isomorphism classes, so every class has an interval with such a
-    bottom; they fix the identity, whose up-ball holds the ideals).
-    Repeated raw shapes are canonicalized once, through the certificate
-    cache.  With ``jobs`` > 1 ranges of the bottoms are fanned out
-    across processes; the merged counts are independent of the schedule.
+    An interval [x, y] with {x(1..i)} = {y(1..i)}, 0 < i < n, is the
+    product of the intervals of S_i and S_(n-i) that its two blocks
+    flatten to, and likewise by values (``notes/decisions.md``).  So the
+    classes of S_k at gap d are those of S_(k-1), the products of classes
+    of S_i and S_(k-i) at gaps a and d - a (ideal classes, for the
+    ideals), and the classes of the intervals of S_k that split neither
+    way, which alone are certified (:func:`_split_screen`); k runs from 2
+    to n, and each level's classes are kept for the call.
+
+    Each scan runs over representatives of the order-automorphism orbits
+    of the bottom element, each with its up-ball of depth max_len
+    (inversion and conjugation by the reversal preserve isomorphism
+    classes and splitting; they fix the identity, whose up-ball holds the
+    ideals).  ``intervals_examined`` counts every interval of the scan of
+    S_n, split or not.  With ``jobs`` > 1 ranges of the bottoms of S_n
+    are fanned out across processes; the merged counts are independent
+    of the schedule.
     """
     _check_jobs(jobs)
-    bottoms = perms.all_perms(n, limits)
+    perms.check_group_size(n, limits)
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     started = time.perf_counter()
-    # The orbit maximum, not the minimum, is the representative: it
-    # leaves atlas(5, 5) 125 certificate cache misses instead of 149.
-    x_reps = [x for x in bottoms if x == max(perms.symmetry_images(x))]
-    certs: dict[tuple[str, int], set] = defaultdict(set)
+    # S_1 has no gap of 1 or more
+    classes: dict[int, dict] = {1: defaultdict(set)}
     examined = 0
-    for part, part_examined in _fan_out(
-        _scan_intervals, (n, max_len, x_reps), len(x_reps), jobs
-    ):
-        examined += part_examined
-        for key, s in part.items():
-            certs[key] |= s
+    for k in range(2, n + 1):
+        x_reps = _orbit_reps(k)
+        irreducible: dict[tuple[str, int], set] = defaultdict(set)
+        examined = 0                        # the last level's, S_n's
+        for part, part_examined in _fan_out(
+            _scan_intervals, (k, max_len, x_reps), len(x_reps),
+            jobs if k == n else None,
+        ):
+            examined += part_examined
+            for key, found in part.items():
+                irreducible[key] |= found
+        classes[k] = _level_classes(classes, k, max_len, irreducible)
+    certs = classes[n]
 
     rows = [AtlasRow(length=0, intervals=1, ideals=1)]
     for d in range(1, max_len + 1):

@@ -554,3 +554,25 @@ class TestScripts:
         done = run_script(*argv)
         assert done.returncode == code
         assert done.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run_atlas.py", "--min-n", "5", "--max-n", "5",
+          "--max-group-size", "4"],
+         "group size n=5 exceeds the configured cap max_n=4"),
+        (["forcing_survey.py", "--n", "2", "--max-m", "3",
+          "--max-group-size", "2"],
+         "group size n=3 exceeds the configured cap max_n=2"),
+    ])
+    def test_group_size_cap_is_a_flag(self, argv, message):
+        # the scripts take the cap as bruhatkit does and pass it on: the
+        # survey's m_max is held to it, not only its n
+        done = run_script(*argv)
+        assert done.returncode == 1
+        assert done.stderr == f"error: {message}\n"
+
+    def test_raised_group_size_cap_reaches_s9(self):
+        done = run_script("run_atlas.py", "--min-n", "9", "--max-n", "9",
+                          "--max-len", "0", "--max-group-size", "9")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(
+            "n=9: intervals [1]  ideals [1]  (0 intervals examined, ")

@@ -543,6 +543,16 @@ class TestShapeVerdictCache:
             forcing.forces_factor(P("21"), 3, jobs=bad)
         assert forcing._shape_verdict.cache_info().misses == 1
 
+    def test_jobs_is_not_part_of_the_key(self, inline_pool):
+        # the verdict is the same for every jobs, so a call that differs
+        # only in jobs is a hit and starts no pool
+        first = forcing.forces_factor(P("321"), 5)
+        again = forcing.forces_factor(P("321"), 5, jobs=2)
+        info = forcing._shape_verdict.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert inline_pool == []
+        assert again.to_json() == first.to_json()
+
     def test_hit_echoes_the_callers_w(self):
         first = forcing.forces_factor(P("2134"), 4)
         hit = forcing.forces_factor(P("1324"), 4)

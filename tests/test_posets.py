@@ -2,17 +2,19 @@ import functools
 import itertools
 import os
 import random
+from collections import defaultdict
 
 import pytest
 
 from bruhatkit import bruhat, perms, posets
-from bruhatkit.limits import CapExceeded
+from bruhatkit.limits import DEFAULT_LIMITS, CapExceeded
 from bruhatkit.tables import group_table, iter_bits, up_ball
 
 from oracles import (
     backtracking_isomorphic,
     cover_tops_oracle,
     min_certificate_oracle,
+    up_ball_oracle,
 )
 from whole_group import above
 
@@ -57,6 +59,94 @@ def atlas_shapes(n, max_len):
         for y in range(1, len(ball.elements)):
             shapes.add(ball.structure(ball.below[y]))
     return shapes
+
+
+@functools.cache
+def full_scan_atlas(n, max_len):
+    """``atlas(n, max_len).to_json()`` by certifying every interval of the
+    orbit representatives, none screened out: the atlas as it was before
+    it built the classes of S_n from those of the smaller groups."""
+    identity = perms.identity(n)
+    reps = [x for x in perms.all_perms(n)
+            if x == max(perms.symmetry_images(x))]
+    certs = defaultdict(set)
+    examined = 0
+    for x, _, gap, cert in posets._scan(reps, 1, max_len):
+        certs["intervals", gap].add(cert)
+        if x == identity:
+            certs["ideals", gap].add(cert)
+        examined += 1
+    rows = [{"length": 0, "intervals": 1, "ideals": 1}] + [
+        {"length": d, "intervals": len(certs["intervals", d]),
+         "ideals": len(certs["ideals", d])}
+        for d in range(1, max_len + 1)
+    ]
+    return {
+        "n": n,
+        "rows": rows,
+        "stats": {"intervals_examined": examined, "seconds": 0.0,
+                  **DEFAULT_LIMITS.to_json()},
+    }
+
+
+def plain_inverse(w):
+    inv = [0] * len(w)
+    for p, v in enumerate(w):
+        inv[v - 1] = p + 1
+    return tuple(inv)
+
+
+def flatten(entries):
+    """The permutation of 1..k in the relative order of k distinct
+    entries."""
+    order = sorted(entries)
+    return tuple(order.index(e) + 1 for e in entries)
+
+
+def split_points(x, y):
+    """Each (kind, i), 0 < i < n, at which [x, y] splits, by direct set
+    comparison: "position" when {x(1..i)} = {y(1..i)}, "value" when
+    {x^-1(1..i)} = {y^-1(1..i)}."""
+    xi, yi = plain_inverse(x), plain_inverse(y)
+    return [
+        (kind, i)
+        for kind, a, b in (("position", x, y), ("value", xi, yi))
+        for i in range(1, len(x))
+        if set(a[:i]) == set(b[:i])
+    ]
+
+
+def split_factors(x, y, kind, i):
+    """The two flattened factor pairs of [x, y] at a split: the first i
+    and the last n - i positions, or the values up to i and above i in
+    the order they stand in."""
+    if kind == "position":
+        return ((flatten(x[:i]), flatten(y[:i])),
+                (flatten(x[i:]), flatten(y[i:])))
+    low = tuple(v for v in x if v <= i), tuple(v for v in y if v <= i)
+    high = (tuple(v - i for v in x if v > i),
+            tuple(v - i for v in y if v > i))
+    return low, high
+
+
+@functools.cache
+def oracle_ball(x):
+    """``up_ball_oracle`` of x up to the top of its group."""
+    n = len(x)
+    inversions = sum(a > b for a, b in itertools.combinations(x, 2))
+    return up_ball_oracle(x, n * (n - 1) // 2 - inversions)
+
+
+def oracle_digraph(nx, x, y):
+    """The covers of [x, y] as a networkx DiGraph with each element's
+    rank above x as its ``rank``, read off ``up_ball_oracle`` alone."""
+    elements, ranks, _, down_adj, below = oracle_ball(x)
+    mask = below[elements.index(y)]
+    inside = [u for u in range(len(elements)) if mask >> u & 1]
+    g = nx.DiGraph()
+    g.add_nodes_from((u, {"rank": ranks[u]}) for u in inside)
+    g.add_edges_from((v, u) for u in inside for v in down_adj[u])
+    return g
 
 
 def relabeled(p, seed):
@@ -311,6 +401,78 @@ class TestDirectProduct:
         )
 
 
+class TestParabolicSplit:
+    """The split screen and the lemma behind it: an interval that splits
+    by position or by value is the product of its flattened factors."""
+
+    @pytest.mark.parametrize("n,pairs", [(4, 213), (5, 3781)])
+    def test_screen_equals_prefix_sets(self, n, pairs):
+        screen, seen = posets._split_screen(n)
+        top = n * (n - 1) // 2
+        count = 0
+        for x in perms.all_perms(n):
+            ball = up_ball(x, top - perms.length(x))
+            for yid, y in enumerate(ball.elements):
+                passed = screen(ball, ball.below[yid])
+                assert passed == (not split_points(x, y)), (x, y)
+                count += 1
+        assert count == seen() == pairs
+
+    @pytest.mark.parametrize("n,splits", [(4, 268), (5, 5580)])
+    def test_split_interval_is_product_of_factors(self, n, splits):
+        # every split point of every pair x < y: 128 pairs of S_4 and
+        # 2,404 of S_5 split
+        nx = pytest.importorskip("networkx")
+
+        def rank_match(a, b):
+            return a["rank"] == b["rank"]
+
+        checked = 0
+        for x in itertools.permutations(range(1, n + 1)):
+            elements = oracle_ball(x)[0]
+            for y in elements[1:]:
+                for kind, i in split_points(x, y):
+                    (x1, y1), (x2, y2) = split_factors(x, y, kind, i)
+                    product = nx.cartesian_product(
+                        oracle_digraph(nx, x1, y1),
+                        oracle_digraph(nx, x2, y2))
+                    for node in product:
+                        product.nodes[node]["rank"] = sum(
+                            product.nodes[node]["rank"])
+                    assert nx.is_isomorphic(
+                        oracle_digraph(nx, x, y), product,
+                        node_match=rank_match), (x, y, kind, i)
+                    checked += 1
+        assert checked == splits
+
+    @pytest.mark.parametrize("k,i", [(4, 2), (5, 2), (6, 3)])
+    def test_level_takes_products_of_smaller_groups(self, k, i):
+        # in the atlas's own rows every product class is met again among
+        # the unsplit intervals or in S_(k-1), so give a level nothing but
+        # the edge of S_2 at S_i and S_(k-i): the diamond at gap 2 can come
+        # only from the product step, for every i up to k/2
+        edge = posets._certificate((0, 1), ((0, 1),))
+        diamond = posets._product_certificate(edge, edge)
+        below = {j: {} for j in range(1, k)}
+        for j in (i, k - i):
+            below[j] = {("intervals", 1): {edge}, ("ideals", 1): {edge}}
+        level = posets._level_classes(below, k, 2, {})
+        assert dict(level) == {
+            ("intervals", 2): {diamond}, ("ideals", 2): {diamond}}
+        shape = shape_of_ideal("2143")
+        assert diamond == posets._certificate(shape.ranks, shape.covers)
+
+    def test_only_s2_has_an_irreducible_cover(self):
+        # a cover swaps the entries a < b at positions i < j; it splits
+        # unless i = 1, j = n, a = 1 and b = n, which leaves no entry
+        # between them for n >= 3
+        for n in range(2, 6):
+            certs, examined = posets._scan_intervals(
+                n, 1, posets._orbit_reps(n), 0, len(posets._orbit_reps(n)))
+            assert bool(certs) == (n == 2)
+            assert examined > 0
+
+
 class TestIntervalStructure:
     @pytest.mark.parametrize("n", [4, 5])
     def test_table_relabel_matches_interval(self, n):
@@ -403,8 +565,9 @@ class TestAtlas:
             itertools.islice(itertools.permutations(range(1, 10)), 20))
         certs, examined = posets._scan_intervals(9, 1, bottoms, 0, 20)
         assert examined == sum(len(cover_tops_oracle(x)) for x in bottoms)
-        assert {key: len(c) for key, c in certs.items()} == {
-            ("intervals", 1): 1, ("ideals", 1): 1}
+        # every cover of S_9 splits, so none is certified here; the class
+        # of gap 1 comes from S_2
+        assert certs == {}
 
     def test_s8_rows_to_length_2(self):
         result = posets.atlas(8, 2)
@@ -441,6 +604,16 @@ class TestAtlas:
         assert tuple(map(len, classes)) == expected
         top = n * (n - 1) // 2
         assert posets.atlas(n, top, jobs=jobs).counts("ideals") == expected
+
+    @pytest.mark.parametrize("n,max_len", [
+        (4, 6), (5, 5), (5, 10), (6, 4), (7, 2),
+    ])
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_equals_full_scan(self, n, max_len, jobs):
+        # building classes from the smaller groups changes no row and no
+        # count of intervals examined
+        result = posets.atlas(n, max_len, jobs=jobs)
+        assert result.to_json() == full_scan_atlas(n, max_len)
 
     @pytest.mark.parametrize("jobs", [-1, 0, 2.0])
     def test_jobs_not_a_count_rejected(self, jobs):
