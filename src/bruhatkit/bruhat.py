@@ -72,9 +72,10 @@ def covers_below(x: Perm) -> tuple[Perm, ...]:
 class Interval:
     """The interval [low, high] = {z : low <= z <= high} with its covers.
 
-    ``elements`` is sorted by (rank, one-line order); ``covers`` holds the
-    pairs (a, b) with a covered by b, both inside the interval, sorted by
-    (a, b) in one-line order.  When
+    ``elements`` is sorted by (rank, one-line order), and ``ranks`` holds
+    the rank of each, length(z) - length(low), as the walk that built the
+    interval met it; ``covers`` holds the pairs (a, b) with a covered by
+    b, both inside the interval, sorted by (a, b) in one-line order.  When
     ``low`` is the identity this is the principal order ideal of ``high``.
     """
 
@@ -82,6 +83,7 @@ class Interval:
     high: Perm
     elements: tuple[Perm, ...]
     covers: tuple[tuple[Perm, Perm], ...]
+    ranks: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -96,9 +98,9 @@ class Interval:
         return perms.length(z) - perms.length(self.low)
 
     def rank_profile(self) -> tuple[int, ...]:
-        counts = [0] * (self.span + 1)
-        for z in self.elements:
-            counts[self.rank_of(z)] += 1
+        counts = [0] * (self.ranks[-1] + 1)
+        for r in self.ranks:
+            counts[r] += 1
         return tuple(counts)
 
 
@@ -139,11 +141,13 @@ def interval(x: Perm, y: Perm) -> Interval:
         level.sort()
         levels.append(level)
     covers.sort()
+    levels.reverse()
     return Interval(
         low=x,
         high=y,
-        elements=tuple(z for level in reversed(levels) for z in level),
+        elements=tuple(z for level in levels for z in level),
         covers=tuple(covers),
+        ranks=tuple(r for r, level in enumerate(levels) for _ in level),
     )
 
 

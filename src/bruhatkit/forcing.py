@@ -298,9 +298,9 @@ def _forces_range(shape, m, lo, hi):
     """Worker: decide, in order, every interval of S_m shaped like the
     ideal fingerprint ``shape`` whose bottom x is at positions [lo, hi)
     and is the least of its symmetry orbit, until one admits no factor
-    deletion.  Returns the (number of tops, distinct symmetry images) of
-    each such x with a top, and (x, y, number of tops decided at x) for
-    the interval with no deletion, or None."""
+    deletion.  Returns (number of tops, orbit size, greatest image, x)
+    for each such x with a top, and (x, y, number of tops decided at x)
+    for the interval with no deletion, or None."""
     bottoms = (
         x for x in itertools.islice(
             itertools.permutations(range(1, m + 1)), lo, hi)
@@ -313,7 +313,10 @@ def _forces_range(shape, m, lo, hi):
         if next(_deletion_hits(x, y), None) is None:
             refuted = x, y, counts[x]
             break
-    orbits = [(c, set(perms.symmetry_images(x))) for x, c in counts.items()]
+    orbits = []
+    for x, c in counts.items():
+        images = set(perms.symmetry_images(x))
+        orbits.append((c, len(images), max(images), x))
     return orbits, refuted
 
 
@@ -358,9 +361,12 @@ def _shape_verdict(n: int, shape, m_max: int, jobs: _Jobs):
     so every bottom of an orbit has as many tops as the least, and the
     least bottom with a refuted top is the least of its orbit: it is the
     counterexample of the full scan, and the intervals that scan examines
-    are counted per orbit.  The sample certificate is that of the last
-    top of the greatest bottom with a top, whose ball alone is rebuilt.
-    ``notes/decisions.md`` has the proof."""
+    are counted per orbit.  An orbit is kept as (tops, size, greatest
+    image, least bottom); its images are made again only for the count
+    of a counterexample, which takes the images below its bottom.  The
+    sample certificate is that of the last top of the greatest bottom
+    with a top, whose ball alone is rebuilt.  ``notes/decisions.md`` has
+    the proof."""
     examined = 0
     last = None
     for m in range(n, m_max + 1):
@@ -372,12 +378,13 @@ def _shape_verdict(n: int, shape, m_max: int, jobs: _Jobs):
             if refuted:
                 x, y, tops = refuted
                 examined += tops + sum(
-                    c * sum(g < x for g in images) for c, images in orbits
+                    c * sum(g < x for g in set(perms.symmetry_images(least)))
+                    for c, _, _, least in orbits
                 )
                 proof = _no_factor_proof(y, shape[0])
                 return Counterexample(x, y, m), proof, None, examined
-        examined += sum(c * len(images) for c, images in orbits)
-        last = max((g for _, images in orbits for g in images), default=last)
+        examined += sum(c * size for c, size, _, _ in orbits)
+        last = max((g for _, _, g, _ in orbits), default=last)
     if last is None:
         return None, None, None, examined
     *_, pair = _shaped_intervals(shape, [last])

@@ -4,10 +4,20 @@ A :class:`RankedPoset` is the abstract shape of a Bruhat interval:
 elements 0..size-1 with a rank each and cover relations between adjacent
 ranks only.  Isomorphism testing goes through a canonical certificate:
 iterated rank-respecting degree refinement, followed by backtracking over
-the remaining color classes taking the lexicographically least relation
+the remaining cells taking the lexicographically least relation
 encoding.  Two posets have equal certificates iff they are isomorphic
 (the test suite validates this against a brute-force matcher and
 networkx).
+
+Refinement works on an ordered partition whose colors are the start
+positions of the cells.  A round splits cells as refining every element
+would, but reads only the cells next to an element whose color the round
+before changed: no other cell can split, since its members' neighbors
+keep their colors.  Individualizing an element propagates from its own
+cell alone, and each node of the search carries its cells down.  The
+ordered partitions are those of round-by-round refinement of every
+element, so the certificates are too (``notes/decisions.md``; the old
+refinement is ``tests/oracles.refine_oracle``).
 
 The backtracking prunes by automorphisms (McKay & Piperno, "Practical
 graph isomorphism, II", J. Symbolic Comput. 60, 2014).  Two leaves with
@@ -15,8 +25,8 @@ equal certificates give an automorphism, the map between their element
 orders; the search jumps back to the two leaves' common ancestor, and at
 every node it skips a child in the orbit of an explored child under the
 automorphisms found that fix the node's path.  This is sound because
-refinement keeps the order of the color classes and an individualized
-element takes the lowest position of its class: such an automorphism
+refinement keeps the order of the cells and an individualized element
+takes the lowest position of its cell: such an automorphism
 fixes the path to the ancestor and maps one child's subtree onto the
 other's, leaf certificates included.  A skipped subtree thus holds only
 certificates already met, so the least certificate, and with it every
@@ -91,7 +101,7 @@ def poset_from_interval(iv: Interval) -> RankedPoset:
     interval's (rank, one-line) element order."""
     index = {z: i for i, z in enumerate(iv.elements)}
     return RankedPoset(
-        ranks=tuple(iv.rank_of(z) for z in iv.elements),
+        ranks=iv.ranks,
         covers=tuple((index[a], index[b]) for a, b in iv.covers),
     )
 
@@ -129,49 +139,109 @@ def direct_product(p: RankedPoset, q: RankedPoset) -> RankedPoset:
 # --- canonical certificates ---------------------------------------------
 
 
-def _refine(colors: list[int], up, down) -> list[int]:
-    """Iterated degree refinement respecting the current coloring.
+def _refine(colors: list[int], cells: dict[int, list[int]], changed,
+            up, down) -> None:
+    """Refine the ordered partition (``colors``, ``cells``) in place until
+    no cell splits, with the ordered partition of round-synchronous
+    degree refinement as the result.
 
-    Each round recolors a vertex by (its color, the sorted colors of its
-    upper covers, the sorted colors of its lower covers) and renumbers the
-    distinct signatures in sorted order, so the result depends only on the
-    isomorphism type.  Stops when the partition no longer splits.
+    A color is the start of its cell in the ordered partition: ``cells``
+    maps each start to the cell's members in increasing order.  A round
+    splits a cell by (the sorted colors of a member's upper covers, the
+    sorted colors of its lower covers), read before the round changes
+    any, and puts the sub-cells in that order, each at its own start; the
+    first keeps the cell's start, so its members keep their color.  A
+    cell can split only if a member is next to a vertex whose color the
+    round before changed, since every other neighbor's color, and with it
+    the member's signature, is as it was when the cell last agreed
+    (``notes/decisions.md``); so a round reads only those cells, and
+    ``changed`` holds the vertices whose color changed before the first.
     """
-    m = len(colors)
-    while True:
-        color_of = colors.__getitem__
-        sigs = [
-            (
-                colors[v],
-                tuple(sorted(map(color_of, up[v]))),
-                tuple(sorted(map(color_of, down[v]))),
-            )
-            for v in range(m)
-        ]
-        palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        refined = [palette[sig] for sig in sigs]
-        if len(palette) == len(set(colors)):
-            return refined
-        colors = refined
+    color_of = colors.__getitem__
+    while changed:
+        splits = []
+        touched = {colors[u] for v in changed for u in up[v]}
+        touched.update([colors[u] for v in changed for u in down[v]])
+        for s in touched:
+            members = cells[s]
+            if len(members) == 1:
+                continue
+            parts: dict[tuple, list[int]] = {}
+            for v in members:
+                key = (tuple(sorted(map(color_of, up[v]))),
+                       tuple(sorted(map(color_of, down[v]))))
+                try:
+                    parts[key].append(v)
+                except KeyError:
+                    parts[key] = [v]
+            if len(parts) > 1:
+                splits.append((s, parts))
+        changed = []
+        for s, parts in splits:
+            for i, key in enumerate(sorted(parts)):
+                part = cells[s] = parts[key]
+                if i:
+                    for v in part:
+                        colors[v] = s
+                    changed += part
+                s += len(part)
 
 
-def _min_certificate(colors, ranks, up, down) -> Cert:
+def _root_partition(ranks, up, down):
+    """The refined ordered partition (colors, cells) that the search of
+    :func:`_min_certificate` starts from: the cells of the ranks, in rank
+    order, refined."""
+    m = len(ranks)
+    cells: dict[int, list[int]] = {}
+    colors = [0] * m
+    by_rank: dict[int, list[int]] = defaultdict(list)
+    for v, r in enumerate(ranks):
+        by_rank[r].append(v)
+    start = 0
+    for r in sorted(by_rank):
+        members = cells[start] = by_rank[r]
+        for v in members:
+            colors[v] = start
+        start += len(members)
+    _refine(colors, cells, range(m), up, down)
+    return colors, cells
+
+
+def _individualize(colors, cells, v, up, down):
+    """A copy of the refined partition (colors, cells) with v made the
+    lowest of its cell, refined again: v keeps the cell's start, the rest
+    of the cell moves up by one, and only their neighbors are read."""
+    colors = colors[:]
+    cells = cells.copy()
+    s = colors[v]
+    rest = [u for u in cells[s] if u != v]
+    cells[s] = [v]
+    cells[s + 1] = rest
+    for u in rest:
+        colors[u] = s + 1
+    _refine(colors, cells, rest, up, down)
+    return colors, cells
+
+
+def _min_certificate(colors, cells, ranks, up, down) -> Cert:
     """The least leaf certificate of the individualization tree below the
-    refined coloring ``colors``.
+    refined ordered partition (``colors``, ``cells``) of
+    :func:`_root_partition`.
 
-    A node whose coloring has a class of two or more elements has one
-    child per member v of the least such class: v is made the lowest of
-    its class and the coloring refined again.  A discrete coloring is a
-    leaf; it orders the elements, and its certificate is (size, ranks in
-    that order relative to the least rank, the sorted cover pairs in
-    that order).
+    A node whose partition has a cell of two or more elements has one
+    child per member v of the first such cell: v is made the lowest of
+    its cell and the partition refined again (:func:`_individualize`);
+    each child carries its own copy of the cells.  A discrete partition
+    is a leaf: each color is then a position, and its certificate is
+    (size, ranks in that order relative to the least rank, the sorted
+    cover pairs in that order).
 
     The search skips automorphic subtrees (McKay & Piperno, "Practical
     graph isomorphism, II", J. Symbolic Comput. 60, 2014).  It keeps the
     first leaf and the best leaf so far; a later leaf with the same
     certificate as either gives an automorphism g, the map between the
-    two leaf orders.  Refinement keeps the order of the classes and an
-    individualized element takes the lowest position of its class, so
+    two leaf orders.  Refinement keeps the order of the cells and an
+    individualized element takes the lowest position of its cell, so
     every element individualized on the way to a node keeps one position
     in all the leaves below it: g fixes the path to the two leaves'
     common ancestor and maps the ancestor's child towards the earlier
@@ -191,16 +261,15 @@ def _min_certificate(colors, ranks, up, down) -> Cert:
 
     def leaf(colors: list[int], path: list[int]) -> int:
         nonlocal first, best
-        order = sorted(range(m), key=colors.__getitem__)
-        pos = [0] * m
-        for i, v in enumerate(order):
-            pos[v] = i
+        order = [0] * m
+        for v, c in enumerate(colors):
+            order[c] = v
         cert = (
             m,
             tuple(ranks[v] - base for v in order),
-            tuple(
-                sorted((pos[a], pos[b]) for b in range(m) for a in down[b])
-            ),
+            tuple(sorted(
+                (colors[a], colors[b]) for b in range(m) for a in down[b]
+            )),
         )
         if first is None:
             first = best = (cert, order, path)
@@ -219,28 +288,22 @@ def _min_certificate(colors, ranks, up, down) -> Cert:
             best = (cert, order, path)
         return len(path)
 
-    def search(colors: list[int], path: list[int]) -> int:
+    def search(colors: list[int], cells: dict, path: list[int]) -> int:
         """Search below a node; return the depth of the ancestor that
         goes on with its next child (the node's own depth unless a leaf
         jumped back above it)."""
-        if len(set(colors)) == m:
+        if len(cells) == m:
             return leaf(colors, path)
         depth = len(path)
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = min(c for c, k in counts.items() if k > 1)
+        target = min(s for s, members in cells.items() if len(members) > 1)
         # explored children and their images under the automorphisms
         # found so far that fix ``path``
         done: set[int] = set()
-        for v in range(m):
-            if colors[v] != target or v in done:
+        for v in cells[target]:
+            if v in done:
                 continue
-            split = [(c, 1) for c in colors]
-            split[v] = (colors[v], 0)
-            palette = {sig: i for i, sig in enumerate(sorted(set(split)))}
-            branch = _refine([palette[s] for s in split], up, down)
-            resume = search(branch, path + [v])
+            resume = search(*_individualize(colors, cells, v, up, down),
+                            path + [v])
             if resume < depth:
                 return resume
             done.add(v)
@@ -256,7 +319,7 @@ def _min_certificate(colors, ranks, up, down) -> Cert:
                         stack.append(g[u])
         return depth
 
-    search(colors, [])
+    search(colors, cells, [])
     assert best is not None
     return best[0]
 
@@ -273,8 +336,8 @@ def _adjacency(m: int, covers):
 @functools.lru_cache(maxsize=65536)
 def _certificate(ranks: tuple[int, ...], covers: tuple) -> Cert:
     up, down = _adjacency(len(ranks), covers)
-    colors = _refine(list(ranks), up, down)
-    return _min_certificate(colors, ranks, up, down)
+    return _min_certificate(*_root_partition(ranks, up, down), ranks, up,
+                            down)
 
 
 def _check_interval_shape(p: RankedPoset) -> None:
@@ -547,7 +610,8 @@ def atlas(
     of S_i and S_(k-i) at gaps a and d - a (ideal classes, for the
     ideals), and the classes of the intervals of S_k that split neither
     way, which alone are certified (:func:`_split_screen`); k runs from 2
-    to n, and each level's classes are kept for the call.
+    to n, and each level's classes are kept for the call.  With max_len 0
+    nothing is scanned: the one row of length 0 holds one class each.
 
     Each scan runs over representatives of the order-automorphism orbits
     of the bottom element, each with its up-ball of depth max_len
@@ -563,10 +627,11 @@ def atlas(
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     started = time.perf_counter()
-    # S_1 has no gap of 1 or more
+    # S_1 has no gap of 1 or more, and the row of length 0 needs no scan
+    top = n if max_len else 1
     classes: dict[int, dict] = {1: defaultdict(set)}
     examined = 0
-    for k in range(2, n + 1):
+    for k in range(2, top + 1):
         x_reps = _orbit_reps(k)
         irreducible: dict[tuple[str, int], set] = defaultdict(set)
         examined = 0                        # the last level's, S_n's
@@ -578,7 +643,7 @@ def atlas(
             for key, found in part.items():
                 irreducible[key] |= found
         classes[k] = _level_classes(classes, k, max_len, irreducible)
-    certs = classes[n]
+    certs = classes[top]
 
     rows = [AtlasRow(length=0, intervals=1, ideals=1)]
     for d in range(1, max_len + 1):

@@ -6,7 +6,8 @@ closing one bubble-sort word under Coxeter moves, two-block splits from
 a scan over all of those words, Bruhat comparison from the subword
 formulation, poset isomorphism from a plain backtracking matcher,
 canonical certificates from a search over every branch with no
-automorphism pruning, factor deletion and its length-additive
+automorphism pruning and a refinement that recolors every element in
+every round, factor deletion and its length-additive
 factorizations from a scan over all of S_n with plain tuples and
 inversion sets, Bruhat covers and up-balls from the transposition rule
 on plain tuples, intervals from the subword formulation and that rule,
@@ -351,19 +352,50 @@ def is_reduced_word_of(word: Word, w: Perm) -> bool:
     return tuple(v) == tuple(w) and len(word) == len(_value_inversions(w))
 
 
+def refine_oracle(colors: list[int], up, down) -> list[int]:
+    """Iterated degree refinement of a coloring, round by round: each
+    round recolors every vertex by (its color, the sorted colors of its
+    upper covers, the sorted colors of its lower covers), renumbered
+    0..k-1 in sorted signature order, until no class splits.  ``up`` and
+    ``down`` list each vertex's upper and lower covers."""
+    m = len(colors)
+    while True:
+        sigs = [
+            (
+                colors[v],
+                tuple(sorted(colors[u] for u in up[v])),
+                tuple(sorted(colors[u] for u in down[v])),
+            )
+            for v in range(m)
+        ]
+        palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        refined = [palette[sig] for sig in sigs]
+        if len(palette) == len(set(colors)):
+            return refined
+        colors = refined
+
+
+def individualize_oracle(colors: list[int], v: int, up, down) -> list[int]:
+    """The refined coloring ``colors`` with v made the lowest of its
+    class, renumbered 0..k-1 and refined again by :func:`refine_oracle`."""
+    split = [(c, 1) for c in colors]
+    split[v] = (colors[v], 0)
+    palette = {sig: i for i, sig in enumerate(sorted(set(split)))}
+    return refine_oracle([palette[s] for s in split], up, down)
+
+
 def min_certificate_oracle(ranks: tuple[int, ...], covers) -> tuple:
     """The least leaf certificate of a ranked poset's individualization
     tree, visiting every branch.
 
-    Colors start as the ranks and are refined by (color, sorted colors of
-    the upper covers, sorted colors of the lower covers), renumbered in
-    sorted signature order, until no class splits.  While some class has
-    two or more members, each member of the least such class is made the
-    lowest of its class in turn and the coloring refined again.  A
-    discrete coloring orders the elements; its certificate is (size,
-    ranks in that order relative to the least rank, the sorted cover
-    pairs in that order).  The library's search must return the same
-    tuple while skipping automorphic branches.
+    Colors start as the ranks and are refined by :func:`refine_oracle`.
+    While some class has two or more members, each member of the least
+    such class is made the lowest of its class in turn and the coloring
+    refined again (:func:`individualize_oracle`).  A discrete coloring
+    orders the elements; its certificate is (size, ranks in that order
+    relative to the least rank, the sorted cover pairs in that order).
+    The library's search must return the same tuple while skipping
+    automorphic branches.
     """
     m = len(ranks)
     up = [[] for _ in range(m)]
@@ -371,22 +403,6 @@ def min_certificate_oracle(ranks: tuple[int, ...], covers) -> tuple:
     for a, b in covers:
         up[a].append(b)
         down[b].append(a)
-
-    def refine(colors):
-        while True:
-            sigs = [
-                (
-                    colors[v],
-                    tuple(sorted(colors[u] for u in up[v])),
-                    tuple(sorted(colors[u] for u in down[v])),
-                )
-                for v in range(m)
-            ]
-            palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-            refined = [palette[sig] for sig in sigs]
-            if len(palette) == len(set(colors)):
-                return refined
-            colors = refined
 
     def least(colors):
         if len(set(colors)) == m:
@@ -400,15 +416,9 @@ def min_certificate_oracle(ranks: tuple[int, ...], covers) -> tuple:
         target = min(
             c for c in set(colors) if colors.count(c) > 1
         )
-        branches = []
-        for v in range(m):
-            if colors[v] == target:
-                split = [(c, 1) for c in colors]
-                split[v] = (target, 0)
-                palette = {
-                    sig: i for i, sig in enumerate(sorted(set(split)))
-                }
-                branches.append(least(refine([palette[s] for s in split])))
-        return min(branches)
+        return min(
+            least(individualize_oracle(colors, v, up, down))
+            for v in range(m) if colors[v] == target
+        )
 
-    return least(refine(list(ranks)))
+    return least(refine_oracle(list(ranks), up, down))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bruhatkit import bruhat, perms, words
+from bruhatkit import bruhat, perms, posets, words
 
 from oracles import (
     cover_tops_oracle,
@@ -142,6 +142,19 @@ class TestInterval:
                 assert iv.rank_of(b) == iv.rank_of(a) + 1
             sizes = maximal_chain_sizes(iv.elements, iv.covers, x, y)
             assert sizes == {iv.span + 1}
+
+    def test_ranks_from_the_walk_equal_rank_of(self):
+        # the walk's ranks, and the profile and shape read off them, are
+        # the lengths above the bottom
+        for x, y in itertools.product(S4, S4):
+            if not bruhat.bruhat_leq(x, y):
+                continue
+            iv = bruhat.interval(x, y)
+            ranks = tuple(iv.rank_of(z) for z in iv.elements)
+            assert iv.ranks == ranks
+            assert iv.rank_profile() == tuple(
+                ranks.count(r) for r in range(iv.span + 1))
+            assert posets.poset_from_interval(iv).ranks == ranks
 
 
 class TestIntervalOracle:

@@ -193,9 +193,10 @@ class TestRaisedGroupSize:
         bottoms = itertools.islice(itertools.permutations(range(1, 10)), 30)
         least = [x for x in bottoms if x <= min(symmetries_oracle(x))]
         assert len(least) < 30
+        images = [{x, *symmetries_oracle(x)} for x in least]
         assert got == ([
-            (len(cover_tops_oracle(x)), {x, *symmetries_oracle(x)})
-            for x in least
+            (len(cover_tops_oracle(x)), len(orbit), max(orbit), x)
+            for x, orbit in zip(least, images)
         ], None)
         # the S_9 rank table holds the rows of those bottoms alone, and
         # the permutations of those and of their covers

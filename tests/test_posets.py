@@ -7,13 +7,15 @@ from collections import defaultdict
 import pytest
 
 from bruhatkit import bruhat, perms, posets
-from bruhatkit.limits import DEFAULT_LIMITS, CapExceeded
+from bruhatkit.limits import DEFAULT_LIMITS, CapExceeded, Limits
 from bruhatkit.tables import group_table, iter_bits, up_ball
 
 from oracles import (
     backtracking_isomorphic,
     cover_tops_oracle,
+    individualize_oracle,
     min_certificate_oracle,
+    refine_oracle,
     up_ball_oracle,
 )
 from whole_group import above
@@ -48,6 +50,7 @@ def coxeter_ideal(k):
     )
 
 
+@functools.cache
 def atlas_shapes(n, max_len):
     """The raw (ranks, covers) shapes that atlas(n, max_len) certifies."""
     top = n * (n - 1) // 2
@@ -59,6 +62,23 @@ def atlas_shapes(n, max_len):
         for y in range(1, len(ball.elements)):
             shapes.add(ball.structure(ball.below[y]))
     return shapes
+
+
+def same_partition(colors, cells, labels):
+    """Whether (colors, cells) is the ordered partition that the 0..k-1
+    coloring ``labels`` gives: each color the start of its cell, each
+    cell its members in increasing order, and the colors ranked as the
+    labels are."""
+    m = len(colors)
+    starts = sorted(set(colors))
+    rank = {c: i for i, c in enumerate(starts)}
+    return (
+        [rank[c] for c in colors] == labels
+        and all(s == sum(colors.count(c) for c in starts[:i])
+                for i, s in enumerate(starts))
+        and cells == {s: [v for v in range(m) if colors[v] == s]
+                      for s in starts}
+    )
 
 
 @functools.cache
@@ -349,7 +369,30 @@ class TestCertificateSearch:
                 ranks, covers
             ) == min_certificate_oracle(ranks, covers)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_refine_equals_round_by_round_oracle(self):
+        # split-cell refinement gives the cells of the round-by-round
+        # refinement in the same order: at the root, and below each
+        # member of the root's first cell that is not a singleton
+        individualized = 0
+        shapes = atlas_shapes(5, 5) | atlas_shapes(6, 4) | atlas_shapes(7, 2)
+        for ranks, covers in shapes:
+            up, down = posets._adjacency(len(ranks), covers)
+            colors, cells = posets._root_partition(ranks, up, down)
+            expected = refine_oracle(list(ranks), up, down)
+            assert same_partition(colors, cells, expected)
+            target = min((s for s, members in cells.items()
+                          if len(members) > 1), default=None)
+            if target is None:
+                continue
+            for v in cells[target]:
+                assert same_partition(
+                    *posets._individualize(colors, cells, v, up, down),
+                    individualize_oracle(expected, v, up, down),
+                )
+                individualized += 1
+        assert individualized > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_equals_unpruned_search_on_boolean(self, k):
         for p in (boolean(k), coxeter_ideal(k), relabeled(boolean(k), k)):
             assert posets._certificate.__wrapped__(
@@ -568,6 +611,23 @@ class TestAtlas:
         # every cover of S_9 splits, so none is certified here; the class
         # of gap 1 comes from S_2
         assert certs == {}
+
+    def test_length_zero_scans_nothing(self, monkeypatch):
+        # the row of length 0 is fixed, so S_9 answers it with no orbit
+        # representatives and no up-ball
+        def refuse(*args):
+            raise AssertionError("atlas(n, 0) scanned")
+
+        monkeypatch.setattr(posets, "_orbit_reps", refuse)
+        monkeypatch.setattr(posets, "up_ball", refuse)
+        limits = Limits(max_n=9)
+        assert posets.atlas(9, 0, limits=limits).to_json() == {
+            "n": 9,
+            "rows": [{"length": 0, "intervals": 1, "ideals": 1}],
+            "stats": {"intervals_examined": 0, "seconds": 0.0,
+                      "max_n": 9, "max_word_length": 15,
+                      "max_reduced_words": 1000000},
+        }
 
     def test_s8_rows_to_length_2(self):
         result = posets.atlas(8, 2)
