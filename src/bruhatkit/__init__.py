@@ -3,7 +3,6 @@ isomorphism, and bounded factor-forcing searches."""
 
 from .bruhat import (
     Interval,
-    atoms,
     bruhat_leq,
     coatom_avoiding_position,
     coatoms,

@@ -162,11 +162,6 @@ def coatoms(iv: Interval) -> tuple[Perm, ...]:
     return tuple(sorted(a for a, b in iv.covers if b == iv.high))
 
 
-def atoms(iv: Interval) -> tuple[Perm, ...]:
-    """The elements of the interval covering its minimum."""
-    return tuple(sorted(b for a, b in iv.covers if a == iv.low))
-
-
 def coatom_avoiding_position(x: Perm, y: Perm, i: int) -> Perm:
     """Some w with x <= w, w covered by y, and w(i) != y(i).
 

@@ -304,7 +304,7 @@ def _forces_range(shape, m, lo, hi):
     bottoms = (
         x for x in itertools.islice(
             itertools.permutations(range(1, m + 1)), lo, hi)
-        if x == min(perms.symmetry_images(x))
+        if perms.is_orbit_extreme(x)
     )
     counts: dict[Perm, int] = {}
     refuted = None

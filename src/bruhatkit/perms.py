@@ -116,15 +116,6 @@ def compose(u: Perm, v: Perm) -> Perm:
     return tuple(u[j - 1] for j in v)
 
 
-def simple_reflection(i: int, n: int) -> Perm:
-    """The adjacent transposition s_i in S_n."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"reflection index {i} out of range for S_{n}")
-    lst = list(range(1, n + 1))
-    lst[i - 1], lst[i] = lst[i], lst[i - 1]
-    return tuple(lst)
-
-
 def apply_left(i: int, w: Perm) -> Perm:
     """``s_i w``: interchange the positions of the values i and i+1.
 
@@ -186,6 +177,22 @@ def symmetry_images(w: Perm) -> tuple[Perm, Perm, Perm, Perm]:
     """
     wi = inverse(w)
     return w, wi, conjugate_by_longest(w), conjugate_by_longest(wi)
+
+
+def is_orbit_extreme(w: Perm, greatest: bool = False) -> bool:
+    """Whether w is the least of :func:`symmetry_images` in one-line
+    order, or with ``greatest`` the greatest.  w^-1 is tried first, and
+    the test stops at the first image that beats w.
+
+    >>> is_orbit_extreme((2, 3, 1)), is_orbit_extreme((3, 1, 2))
+    (True, False)
+    >>> is_orbit_extreme((3, 1, 2), greatest=True)
+    True
+    """
+    beats = tuple.__gt__ if greatest else tuple.__lt__
+    wi = inverse(w)
+    return not (beats(wi, w) or beats(conjugate_by_longest(w), w)
+                or beats(conjugate_by_longest(wi), w))
 
 
 def all_perms(n: int, limits: Limits = DEFAULT_LIMITS) -> Iterator[Perm]:

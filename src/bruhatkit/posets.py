@@ -36,14 +36,18 @@ canonical form, is the one the full search finds (checked against it in
 The atlas counts isomorphism classes of intervals and of principal order
 ideals per length across a whole symmetric group.  An interval that
 splits by position or by value is the product of two intervals of
-smaller groups, so the atlas builds the classes of S_n from those of the
-smaller groups and certifies only the intervals that do not split.  Like
-``forces``, it reduces over ``_scan``, the one interval walk, which reads
-each interval [x, y] off the up-ball of its bottom x from
+smaller groups, and one with a frozen point (a position that every
+element of the interval keeps at one value) is isomorphic to an interval
+of the next smaller group.  So the atlas builds the classes of S_n from
+those of the smaller groups and certifies only the irreducible
+intervals, those with neither; an irreducible interval of S_k has a rank
+gap of at least ceil(k/2), so a smaller group is scanned only from that
+gap.  Like ``forces``, it reduces over ``_scan``, the one interval walk,
+which reads each interval [x, y] off the up-ball of its bottom x from
 :mod:`bruhatkit.tables` and certifies its shape; the atlas's screen
-drops the split intervals before the relabel.  ``_fan_out`` splits the
-bottoms across processes.  The split is about shapes only, and
-``forces`` does not use it.
+drops the reducible intervals before the relabel.  ``_fan_out`` splits
+the bottoms across processes.  Both reductions are about shapes only,
+and ``forces`` uses neither.
 """
 
 from __future__ import annotations
@@ -491,61 +495,88 @@ def _fan_out(fn, args: tuple, count: int, jobs: int | None):
         )
 
 
-def _split_screen(n: int):
+def _least_gap(n: int) -> int:
+    """The least rank gap of an irreducible interval of S_n, ceil(n/2): a
+    position that no cover of a maximal chain moves is frozen, and a
+    cover moves two positions (``notes/decisions.md``)."""
+    return (n + 1) // 2
+
+
+def _irreducible_screen(n: int):
     """The atlas's ``screen`` for :func:`_scan` in S_n, and a function
     that returns how many intervals it has been shown.  The screen passes
-    [x, y] on to the relabel only when it splits neither by position nor
-    by value: no i < n has {x(1..i)} = {y(1..i)} or {x^-1(1..i)} =
-    {y^-1(1..i)}.
+    [x, y] on to the relabel only when it is irreducible: its rank gap is
+    at least :func:`_least_gap`, it splits neither by position nor by
+    value (no i < n has {x(1..i)} = {y(1..i)} or {x^-1(1..i)} =
+    {y^-1(1..i)}), and no position j is frozen (x(j) = y(j) = v and
+    #{l < j : x(l) > v} = #{l < j : y(l) > v}).
 
-    The code of w packs, for i = 1..n-1, the prefix sums w(1) + ... +
-    w(i) and w^-1(1) + ... + w^-1(i) into fields of ``width`` bits.  For
-    x <= y no field of code(y) - code(x) is negative, and a field is zero
-    exactly when its prefix sets agree (``notes/decisions.md``), so the
-    zero-field bit test decides the split; fields never borrow, because
-    each field of code(y) is at least that of code(x).  Codes are kept
-    per call, keyed by the permutation."""
-    width = max(8, (n * (n + 1) // 2 - 1).bit_length())
-    low = sum(1 << (width * k) for k in range(2 * (n - 1)))
+    The code of w is a pair of integers with fields of ``width`` bits.
+    The first packs, for i = 1..n-1, the prefix sums w(1) + ... + w(i)
+    and w^-1(1) + ... + w^-1(i); the second packs, for each position j,
+    w(j) beside #{l < j : w(l) > w(j)}.  For x <= y no field of the
+    first of code(y) - code(x) is negative, and such a field is zero
+    exactly when its prefix sets agree (``notes/decisions.md``); fields
+    never borrow, because each field of code(y) is at least that of
+    code(x).  A field of the second of code(y) ^ code(x) is zero exactly
+    when its position is frozen.  So [x, y] is reducible iff the two
+    differences, side by side, have a zero field, which one bit test
+    decides.  Codes are kept per call, keyed by the permutation."""
+    least = _least_gap(n)
+    shift = (n - 1).bit_length()            # bits of a left count
+    width = max(8, (n * (n + 1) // 2 - 1).bit_length(),
+                shift + n.bit_length())
+    frozen_bits = n * width
+    low = sum(1 << (width * k) for k in range(3 * n - 2))
     high = low << (width - 1)
-    codes: dict[perms.Perm, int] = {}
-    bottom, base, seen = None, 0, 0         # the ball in hand, its code
+    codes: dict[perms.Perm, tuple[int, int]] = {}
+    bottom, base, seen = None, (0, 0), 0    # the ball in hand, its code
 
-    def code(w) -> int:
+    def code(w) -> tuple[int, int]:
         inverse = perms.inverse(w)
-        packed = by_position = by_value = 0
+        split = by_position = by_value = 0
         for i in range(n - 1):
             by_position += w[i]
             by_value += inverse[i]
-            packed = (packed << 2 * width) | (by_position << width) | by_value
-        codes[w] = packed
-        return packed
+            split = (split << 2 * width) | (by_position << width) | by_value
+        frozen = 0
+        for j, v in enumerate(w):
+            left = sum(u > v for u in w[:j])
+            frozen = (frozen << width) | (v << shift) | left
+        codes[w] = split, frozen
+        return split, frozen
 
     def screen(ball, mask: int) -> bool:
         nonlocal bottom, base, seen
         seen += 1
+        top = mask.bit_length() - 1
+        if ball.ranks[top] < least:
+            return False
         if ball is not bottom:
             bottom, base = ball, code(ball.elements[0])
-        y = ball.elements[mask.bit_length() - 1]
+        y = ball.elements[top]
         try:
-            diff = codes[y] - base
+            split, frozen = codes[y]
         except KeyError:
-            diff = code(y) - base
+            split, frozen = code(y)
+        diff = ((split - base[0]) << frozen_bits) | (frozen ^ base[1])
         return not (diff - low) & ~diff & high
 
     return screen, lambda: seen
 
 
-def _scan_intervals(n: int, max_len: int, x_reps: list, lo: int, hi: int):
-    """Certificates of the intervals [x, y] with x in ``x_reps[lo:hi]``
-    and 1 <= rank gap <= max_len that split neither by position nor by
-    value (:func:`_split_screen`), keyed by ("intervals", gap), plus
-    those with x the identity (the ideals) keyed by ("ideals", gap); and
-    the number of intervals examined, split or not."""
+def _scan_intervals(n: int, first: int, max_len: int, x_reps: list,
+                    lo: int, hi: int):
+    """Certificates of the irreducible intervals [x, y]
+    (:func:`_irreducible_screen`) with x in ``x_reps[lo:hi]`` and rank
+    gap at most ``max_len``, keyed by ("intervals", gap), plus those with
+    x the identity (the ideals) keyed by ("ideals", gap); and the number
+    of intervals with ``first`` <= gap <= ``max_len`` examined,
+    reducible or not."""
     identity = perms.identity(n)
     certs: dict[tuple[str, int], set] = defaultdict(set)
-    screen, examined = _split_screen(n)
-    for x, _, gap, cert in _scan(x_reps[lo:hi], 1, max_len, screen):
+    screen, examined = _irreducible_screen(n)
+    for x, _, gap, cert in _scan(x_reps[lo:hi], first, max_len, screen):
         certs["intervals", gap].add(cert)
         if x == identity:
             certs["ideals", gap].add(cert)
@@ -554,12 +585,13 @@ def _scan_intervals(n: int, max_len: int, x_reps: list, lo: int, hi: int):
 
 def _orbit_reps(n: int) -> list:
     """The bottoms the atlas scans in S_n: the maximum of each orbit
-    under inversion and conjugation by the reversal.  The maximum, not
-    the minimum, leaves atlas(5, 5) 125 certificate cache misses instead
-    of 149."""
+    under inversion and conjugation by the reversal
+    (:func:`perms.is_orbit_extreme`).  The maximum, not the minimum,
+    leaves a cold atlas(5, 5) 123 certificate cache misses instead of
+    149."""
     return [
         x for x in itertools.permutations(range(1, n + 1))
-        if x == max(perms.symmetry_images(x))
+        if perms.is_orbit_extreme(x, greatest=True)
     ]
 
 
@@ -574,9 +606,9 @@ def _level_classes(below: dict, k: int, max_len: int, irreducible: dict):
     """The classes of S_k, keyed by ("intervals", gap) and ("ideals",
     gap) for 1 <= gap <= max_len: those of S_(k-1), the products of
     classes of S_i and S_(k-i) (of ideal classes, for the ideals), and
-    the classes ``irreducible`` of the intervals of S_k that split
-    neither by position nor by value.  ``below[i]`` holds the classes of
-    S_i for i < k."""
+    the classes ``irreducible`` of the irreducible intervals of S_k,
+    those with neither a split nor a frozen point.  ``below[i]`` holds
+    the classes of S_i for i < k."""
     level: dict[tuple[str, int], set] = defaultdict(set)
     for key, found in itertools.chain(
         below[k - 1].items(), irreducible.items()
@@ -605,22 +637,29 @@ def atlas(
 
     An interval [x, y] with {x(1..i)} = {y(1..i)}, 0 < i < n, is the
     product of the intervals of S_i and S_(n-i) that its two blocks
-    flatten to, and likewise by values (``notes/decisions.md``).  So the
+    flatten to, and likewise by values.  One with a frozen position j
+    (x(j) = y(j) = v, with as many entries above v before j in x as in
+    y) keeps v at j throughout, and deleting row j and column v maps it
+    onto an interval of S_(n-1) (``notes/decisions.md``).  So the
     classes of S_k at gap d are those of S_(k-1), the products of classes
     of S_i and S_(k-i) at gaps a and d - a (ideal classes, for the
-    ideals), and the classes of the intervals of S_k that split neither
-    way, which alone are certified (:func:`_split_screen`); k runs from 2
-    to n, and each level's classes are kept for the call.  With max_len 0
-    nothing is scanned: the one row of length 0 holds one class each.
+    ideals), and the classes of the irreducible intervals of S_k, those
+    with neither a split nor a frozen point, which alone are certified
+    (:func:`_irreducible_screen`); k runs from 2 to n, and each level's
+    classes are kept for the call.  An irreducible interval of S_k has a
+    gap of at least ceil(k/2) (:func:`_least_gap`), so a level k < n
+    scans only from that gap, and not at all when it exceeds max_len.
+    With max_len 0 nothing is scanned: the one row of length 0 holds one
+    class each.
 
     Each scan runs over representatives of the order-automorphism orbits
     of the bottom element, each with its up-ball of depth max_len
     (inversion and conjugation by the reversal preserve isomorphism
-    classes and splitting; they fix the identity, whose up-ball holds the
-    ideals).  ``intervals_examined`` counts every interval of the scan of
-    S_n, split or not.  With ``jobs`` > 1 ranges of the bottoms of S_n
-    are fanned out across processes; the merged counts are independent
-    of the schedule.
+    classes; they fix the identity, whose up-ball holds the ideals).
+    ``intervals_examined`` counts every interval of the scan of S_n,
+    irreducible or not, so that level scans from gap 1.  With ``jobs`` > 1
+    ranges of the bottoms of S_n are fanned out across processes; the
+    merged counts are independent of the schedule.
     """
     _check_jobs(jobs)
     perms.check_group_size(n, limits)
@@ -632,16 +671,18 @@ def atlas(
     classes: dict[int, dict] = {1: defaultdict(set)}
     examined = 0
     for k in range(2, top + 1):
-        x_reps = _orbit_reps(k)
+        first = 1 if k == n else _least_gap(k)
         irreducible: dict[tuple[str, int], set] = defaultdict(set)
-        examined = 0                        # the last level's, S_n's
-        for part, part_examined in _fan_out(
-            _scan_intervals, (k, max_len, x_reps), len(x_reps),
-            jobs if k == n else None,
-        ):
-            examined += part_examined
-            for key, found in part.items():
-                irreducible[key] |= found
+        if first <= max_len:
+            x_reps = _orbit_reps(k)
+            examined = 0                    # the last level's, S_n's
+            for part, part_examined in _fan_out(
+                _scan_intervals, (k, first, max_len, x_reps), len(x_reps),
+                jobs if k == n else None,
+            ):
+                examined += part_examined
+                for key, found in part.items():
+                    irreducible[key] |= found
         classes[k] = _level_classes(classes, k, max_len, irreducible)
     certs = classes[top]
 

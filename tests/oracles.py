@@ -11,8 +11,10 @@ every round, factor deletion and its length-additive
 factorizations from a scan over all of S_n with plain tuples and
 inversion sets, Bruhat covers and up-balls from the transposition rule
 on plain tuples, intervals from the subword formulation and that rule,
-the symmetries of S_n from index arithmetic on plain tuples, and whether a word is a reduced word of w from evaluating it on a plain
-list and counting inversions.
+the symmetries of S_n from index arithmetic on plain tuples, frozen
+points from four entries of the rank matrices, and whether a word is a
+reduced word of w from evaluating it on a plain list and counting
+inversions.
 """
 
 from __future__ import annotations
@@ -65,6 +67,9 @@ def subword_oracle_leq(x: Perm, y: Perm) -> bool:
     :func:`brute_force_reduced_words`, cached per permutation."""
     ry = _word_sets(y)
     return any(_is_subsequence(i, j) for j in ry for i in _word_sets(x))
+
+
+_leq = functools.cache(subword_oracle_leq)
 
 
 def reduced_subword_closure(j: Word, n: int) -> set[Perm]:
@@ -265,13 +270,13 @@ def interval_oracle(x: Perm, y: Perm):
     :func:`subword_oracle_leq`, sorted by (length, one-line order), and
     the pairs (a, b) of those with b in :func:`cover_tops_oracle` of a,
     sorted.  Only z whose length lies between those of x and y are
-    compared."""
+    compared, and each comparison is made once per pair."""
     low, high = len(_value_inversions(x)), len(_value_inversions(y))
     elements = sorted(
         (
             z for z in itertools.permutations(range(1, len(x) + 1))
             if low <= len(_value_inversions(z)) <= high
-            and subword_oracle_leq(x, z) and subword_oracle_leq(z, y)
+            and _leq(x, z) and _leq(z, y)
         ),
         key=lambda z: (len(_value_inversions(z)), z),
     )
@@ -280,6 +285,23 @@ def interval_oracle(x: Perm, y: Perm):
         (a, b) for a in elements for b in cover_tops_oracle(a) if b in inside
     )
     return tuple(elements), tuple(covers)
+
+
+def frozen_points_oracle(x: Perm, y: Perm) -> list[tuple[int, int]]:
+    """The frozen points (j, v) of x <= y, j a 1-based position, by the
+    rank-matrix condition: x(j) = y(j) = v and x[p, q] = y[p, q] at the
+    four entries p in {j - 1, j}, q in {v, v + 1}, where w[p, q] =
+    #{a <= p : w(a) >= q} (Bjorner and Brenti, GTM 231, 2.1.5)."""
+
+    def entry(w: Perm, p: int, q: int) -> int:
+        return sum(1 for a in range(p) if w[a] >= q)
+
+    return [
+        (j, v) for j, v in enumerate(x, 1)
+        if y[j - 1] == v and all(
+            entry(x, p, q) == entry(y, p, q)
+            for p in (j - 1, j) for q in (v, v + 1))
+    ]
 
 
 def up_ball_oracle(x: Perm, depth: int):

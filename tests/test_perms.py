@@ -101,7 +101,7 @@ class TestApply:
 class TestCompose:
     def test_pinned_convention(self):
         # the word 1 2 1 3 evaluates to 3241 as an iterated product
-        s = [perms.simple_reflection(i, 4) for i in range(1, 4)]
+        s = [perms.apply_right(perms.identity(4), i) for i in range(1, 4)]
         prod = perms.identity(4)
         for i in (1, 2, 1, 3):
             prod = perms.compose(prod, s[i - 1])
@@ -172,6 +172,18 @@ class TestEmbed:
         bigger = perms.embed(w, len(w) + extra)
         assert perms.length(bigger) == perms.length(w)
         assert perms.inversions(bigger) == perms.inversions(w)
+
+
+class TestOrbitExtreme:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_the_four_image_filter(self, n):
+        # the early exit keeps the filters of the forcing scan (least)
+        # and of the atlas (greatest)
+        for w in perms.all_perms(n):
+            images = perms.symmetry_images(w)
+            assert perms.is_orbit_extreme(w) == (w == min(images))
+            assert perms.is_orbit_extreme(w, greatest=True) == (
+                w == max(images))
 
 
 class TestText:

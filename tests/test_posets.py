@@ -13,7 +13,9 @@ from bruhatkit.tables import group_table, iter_bits, up_ball
 from oracles import (
     backtracking_isomorphic,
     cover_tops_oracle,
+    frozen_points_oracle,
     individualize_oracle,
+    interval_oracle,
     min_certificate_oracle,
     refine_oracle,
     up_ball_oracle,
@@ -149,12 +151,15 @@ def split_factors(x, y, kind, i):
     return low, high
 
 
+def inversion_count(w):
+    return sum(a > b for a, b in itertools.combinations(w, 2))
+
+
 @functools.cache
 def oracle_ball(x):
     """``up_ball_oracle`` of x up to the top of its group."""
     n = len(x)
-    inversions = sum(a > b for a, b in itertools.combinations(x, 2))
-    return up_ball_oracle(x, n * (n - 1) // 2 - inversions)
+    return up_ball_oracle(x, n * (n - 1) // 2 - inversion_count(x))
 
 
 def oracle_digraph(nx, x, y):
@@ -167,6 +172,19 @@ def oracle_digraph(nx, x, y):
     g.add_nodes_from((u, {"rank": ranks[u]}) for u in inside)
     g.add_edges_from((v, u) for u in inside for v in down_adj[u])
     return g
+
+
+def interval_digraph(nx, x, y):
+    """The elements of [x, y] and its covers as a networkx DiGraph with
+    each element's rank above x as its ``rank``, from ``interval_oracle``
+    alone."""
+    elements, covers = interval_oracle(x, y)
+    base = inversion_count(x)
+    g = nx.DiGraph()
+    g.add_nodes_from(
+        (z, {"rank": inversion_count(z) - base}) for z in elements)
+    g.add_edges_from(covers)
+    return elements, g
 
 
 def relabeled(p, seed):
@@ -450,14 +468,17 @@ class TestParabolicSplit:
 
     @pytest.mark.parametrize("n,pairs", [(4, 213), (5, 3781)])
     def test_screen_equals_prefix_sets(self, n, pairs):
-        screen, seen = posets._split_screen(n)
+        # the screen drops the split intervals and, with them, those with
+        # a frozen point (TestFrozenPoint)
+        screen, seen = posets._irreducible_screen(n)
         top = n * (n - 1) // 2
         count = 0
         for x in perms.all_perms(n):
             ball = up_ball(x, top - perms.length(x))
             for yid, y in enumerate(ball.elements):
                 passed = screen(ball, ball.below[yid])
-                assert passed == (not split_points(x, y)), (x, y)
+                assert passed == (not split_points(x, y)
+                                  and not frozen_points_oracle(x, y)), (x, y)
                 count += 1
         assert count == seen() == pairs
 
@@ -511,9 +532,124 @@ class TestParabolicSplit:
         # between them for n >= 3
         for n in range(2, 6):
             certs, examined = posets._scan_intervals(
-                n, 1, posets._orbit_reps(n), 0, len(posets._orbit_reps(n)))
+                n, 1, 1, posets._orbit_reps(n), 0,
+                len(posets._orbit_reps(n)))
             assert bool(certs) == (n == 2)
             assert examined > 0
+
+
+class TestFrozenPoint:
+    """The frozen-point lemma and the gap bound behind the atlas's screen,
+    checked over tests/oracles.py and networkx.  Position j is frozen in
+    x <= y when x(j) = y(j) = v and #{l < j : x(l) > v} = #{l < j : y(l)
+    > v}; then every z in [x, y] has z(j) = v, and deleting row j and
+    column v maps [x, y] onto an interval of S_(n-1).  An interval with
+    no frozen point has a rank gap of at least ceil(n/2)."""
+
+    @staticmethod
+    def flattened(w, j):
+        return flatten(w[:j - 1] + w[j:])
+
+    @staticmethod
+    def seeded_pairs_of_s6(count):
+        """``count`` pairs x <= y of S_6 with a frozen point, seeded, y of
+        length at most 6: the subword oracle behind ``interval_oracle``
+        enumerates all 5^length(y) words."""
+        rng = random.Random(2301)
+        short = [w for w in itertools.permutations(range(1, 7))
+                 if inversion_count(w) <= 4]
+        pairs = []
+        while len(pairs) < count:
+            x = rng.choice(short)
+            elements = up_ball_oracle(x, 6 - inversion_count(x))[0]
+            y = rng.choice(elements[1:])
+            if frozen_points_oracle(x, y) and (x, y) not in pairs:
+                pairs.append((x, y))
+        return pairs
+
+    @pytest.mark.parametrize("n,frozen", [(4, 180), (5, 3915), (6, 99)])
+    def test_frozen_interval_keeps_its_point_and_flattens(self, n, frozen):
+        # every pair x < y of S_4 and S_5 with a frozen point, and a
+        # seeded sample of 40 such pairs of S_6
+        nx = pytest.importorskip("networkx")
+
+        def rank_match(a, b):
+            return a["rank"] == b["rank"]
+
+        if n == 6:
+            pairs = self.seeded_pairs_of_s6(40)
+        else:
+            pairs = [(x, y) for x in itertools.permutations(range(1, n + 1))
+                     for y in oracle_ball(x)[0][1:]]
+        checked = 0
+        for x, y in pairs:
+            points = frozen_points_oracle(x, y)
+            if not points:
+                continue
+            elements, whole = interval_digraph(nx, x, y)
+            for j, v in points:
+                assert all(z[j - 1] == v for z in elements), (x, y, j)
+                _, flat = interval_digraph(
+                    nx, self.flattened(x, j), self.flattened(y, j))
+                assert nx.is_isomorphic(whole, flat, node_match=rank_match)
+                checked += 1
+        assert checked == frozen
+
+    @pytest.mark.parametrize("n,irreducible", [
+        (2, 1), (3, 4), (4, 1), (5, 40), (6, 25),
+    ])
+    def test_least_irreducible_gap_is_half_of_n(self, n, irreducible):
+        # no pair with 2 * gap < n has neither a split nor a frozen point,
+        # and some pair of gap ceil(n/2) has neither: the atlas's bound is
+        # the least gap, not just a lower bound
+        least = -(-n // 2)
+        assert posets._least_gap(n) == least
+        found = defaultdict(int)
+        for x in itertools.permutations(range(1, n + 1)):
+            depth = min(least, n * (n - 1) // 2 - inversion_count(x))
+            elements, ranks = up_ball_oracle(x, depth)[:2]
+            for y, gap in zip(elements[1:], ranks[1:]):
+                if not split_points(x, y) and not frozen_points_oracle(x, y):
+                    found[gap] += 1
+        assert dict(found) == {least: irreducible}
+
+    def test_screen_on_a_seeded_sample_of_s6(self):
+        rng = random.Random(2302)
+        bottoms = rng.sample(list(perms.all_perms(6)), 40)
+        screen, seen = posets._irreducible_screen(6)
+        passed = 0
+        for x in bottoms:
+            ball = up_ball(x, 15 - perms.length(x))
+            for yid, y in enumerate(ball.elements):
+                irreducible = (not split_points(x, y)
+                               and not frozen_points_oracle(x, y))
+                assert screen(ball, ball.below[yid]) == irreducible, (x, y)
+                passed += irreducible
+        assert (passed, seen()) == (1897, 5928)
+
+    def test_levels_below_the_gap_bound_scan_nothing(self, monkeypatch):
+        # atlas(7, 2): S_5 and S_6 cannot hold an irreducible interval of
+        # gap 2 or less, so they get no orbit representatives and no
+        # up-ball; S_3 and S_4 scan from gap 2, and S_7 scans from gap 1
+        # to count every interval
+        reps, scans = [], []
+        orbit_reps, scan = posets._orbit_reps, posets._scan
+        expected = full_scan_atlas(7, 2)
+
+        def record_reps(k):
+            reps.append(k)
+            return orbit_reps(k)
+
+        def record_scan(bottoms, lo, hi, screen=None):
+            bottoms = list(bottoms)
+            scans.append((len(bottoms[0]), lo, hi))
+            return scan(bottoms, lo, hi, screen)
+
+        monkeypatch.setattr(posets, "_orbit_reps", record_reps)
+        monkeypatch.setattr(posets, "_scan", record_scan)
+        assert posets.atlas(7, 2).to_json() == expected
+        assert reps == [2, 3, 4, 7]
+        assert scans == [(2, 1, 2), (3, 2, 2), (4, 2, 2), (7, 1, 2)]
 
 
 class TestIntervalStructure:
@@ -606,7 +742,7 @@ class TestAtlas:
         # atlas(9, 1) takes seconds; its scan over a slice of the bottoms
         bottoms = list(
             itertools.islice(itertools.permutations(range(1, 10)), 20))
-        certs, examined = posets._scan_intervals(9, 1, bottoms, 0, 20)
+        certs, examined = posets._scan_intervals(9, 1, 1, bottoms, 0, 20)
         assert examined == sum(len(cover_tops_oracle(x)) for x in bottoms)
         # every cover of S_9 splits, so none is certified here; the class
         # of gap 1 comes from S_2
@@ -639,6 +775,7 @@ class TestAtlas:
         (5, 5, 1275, (1, 1, 1, 3, 7, 16), (1, 1, 1, 2, 3, 4)),
         (6, 4, 14847, (1, 1, 1, 3, 7), (1, 1, 1, 2, 3)),
         (4, 0, 0, (1,), (1,)),
+        (7, 3, 106514, (1, 1, 1, 3), (1, 1, 1, 2)),
     ])
     @pytest.mark.parametrize("jobs", [None, 2])
     def test_stats_pinned(self, n, max_len, examined, intervals, ideals,
@@ -666,7 +803,7 @@ class TestAtlas:
         assert posets.atlas(n, top, jobs=jobs).counts("ideals") == expected
 
     @pytest.mark.parametrize("n,max_len", [
-        (4, 6), (5, 5), (5, 10), (6, 4), (7, 2),
+        (4, 6), (5, 5), (5, 10), (6, 4), (7, 2), (7, 3), (8, 2),
     ])
     @pytest.mark.parametrize("jobs", [None, 2])
     def test_equals_full_scan(self, n, max_len, jobs):
