@@ -36,18 +36,19 @@ canonical form, is the one the full search finds (checked against it in
 The atlas counts isomorphism classes of intervals and of principal order
 ideals per length across a whole symmetric group.  An interval that
 splits by position or by value is the product of two intervals of
-smaller groups, and one with a frozen point (a position that every
-element of the interval keeps at one value) is isomorphic to an interval
-of the next smaller group.  So the atlas builds the classes of S_n from
-those of the smaller groups and certifies only the irreducible
-intervals, those with neither; an irreducible interval of S_k has a rank
-gap of at least ceil(k/2), so a smaller group is scanned only from that
-gap.  Like ``forces``, it reduces over ``_scan``, the one interval walk,
-which reads each interval [x, y] off the up-ball of its bottom x from
-:mod:`bruhatkit.tables` and certifies its shape; the atlas's screen
-drops the reducible intervals before the relabel.  ``_fan_out`` splits
-the bottoms across processes.  Both reductions are about shapes only,
-and ``forces`` uses neither.
+smaller groups, and such a product is already an interval of the next
+smaller group; one with a frozen point (a position that every element of
+the interval keeps at one value) is isomorphic to an interval of the
+next smaller group too.  So the classes of S_n are the union, over
+k = 2..n, of the classes of the irreducible intervals of S_k, those with
+neither, and only those are certified; an irreducible interval of S_k
+has a rank gap of at least ceil(k/2), so a smaller group is scanned only
+from that gap.  Like ``forces``, the atlas reduces over ``_scan``, the
+one interval walk, which reads each interval [x, y] off the up-ball of
+its bottom x from :mod:`bruhatkit.tables` and certifies its shape; the
+atlas's screen drops the reducible intervals before the relabel.
+``_fan_out`` splits the bottoms across processes.  Both reductions are
+about shapes only, and ``forces`` uses neither.
 """
 
 from __future__ import annotations
@@ -587,42 +588,12 @@ def _orbit_reps(n: int) -> list:
     """The bottoms the atlas scans in S_n: the maximum of each orbit
     under inversion and conjugation by the reversal
     (:func:`perms.is_orbit_extreme`).  The maximum, not the minimum,
-    leaves a cold atlas(5, 5) 123 certificate cache misses instead of
-    149."""
+    leaves a cold atlas(5, 5) 121 certificate cache misses instead of
+    147."""
     return [
         x for x in itertools.permutations(range(1, n + 1))
         if perms.is_orbit_extreme(x, greatest=True)
     ]
-
-
-def _product_certificate(p: Cert, q: Cert) -> Cert:
-    """The certificate of the product of the two shapes certified by p
-    and q; a certificate's ranks and covers are a shape of its own."""
-    pq = direct_product(RankedPoset(p[1], p[2]), RankedPoset(q[1], q[2]))
-    return _certificate(pq.ranks, pq.covers)
-
-
-def _level_classes(below: dict, k: int, max_len: int, irreducible: dict):
-    """The classes of S_k, keyed by ("intervals", gap) and ("ideals",
-    gap) for 1 <= gap <= max_len: those of S_(k-1), the products of
-    classes of S_i and S_(k-i) (of ideal classes, for the ideals), and
-    the classes ``irreducible`` of the irreducible intervals of S_k,
-    those with neither a split nor a frozen point.  ``below[i]`` holds
-    the classes of S_i for i < k."""
-    level: dict[tuple[str, int], set] = defaultdict(set)
-    for key, found in itertools.chain(
-        below[k - 1].items(), irreducible.items()
-    ):
-        level[key] |= found
-    for i in range(2, k // 2 + 1):
-        for which, d in itertools.product(
-            ("intervals", "ideals"), range(2, max_len + 1)
-        ):
-            for a in range(1, d):
-                for p in below[i].get((which, a), ()):
-                    for q in below[k - i].get((which, d - a), ()):
-                        level[which, d].add(_product_certificate(p, q))
-    return level
 
 
 def atlas(
@@ -637,20 +608,22 @@ def atlas(
 
     An interval [x, y] with {x(1..i)} = {y(1..i)}, 0 < i < n, is the
     product of the intervals of S_i and S_(n-i) that its two blocks
-    flatten to, and likewise by values.  One with a frozen position j
-    (x(j) = y(j) = v, with as many entries above v before j in x as in
-    y) keeps v at j throughout, and deleting row j and column v maps it
-    onto an interval of S_(n-1) (``notes/decisions.md``).  So the
-    classes of S_k at gap d are those of S_(k-1), the products of classes
-    of S_i and S_(k-i) at gaps a and d - a (ideal classes, for the
-    ideals), and the classes of the irreducible intervals of S_k, those
+    flatten to, and likewise by values.  An interval with a frozen
+    position j (x(j) = y(j) = v, with as many entries above v before j
+    in x as in y) keeps v at j throughout, and deleting row j and column
+    v maps it onto an interval of S_(n-1).  A product of intervals of
+    S_i and S_j, i, j >= 2, is an interval of S_(i+j-1), with the gaps
+    added and a product of ideals an ideal: place the factors' ends on
+    positions 1..i and i..i+j-1 and multiply (``notes/decisions.md``
+    has the proofs).  So the classes of S_n at gap d are the union, over
+    k = 2..n, of the classes of the irreducible intervals of S_k, those
     with neither a split nor a frozen point, which alone are certified
-    (:func:`_irreducible_screen`); k runs from 2 to n, and each level's
-    classes are kept for the call.  An irreducible interval of S_k has a
-    gap of at least ceil(k/2) (:func:`_least_gap`), so a level k < n
-    scans only from that gap, and not at all when it exceeds max_len.
-    With max_len 0 nothing is scanned: the one row of length 0 holds one
-    class each.
+    (:func:`_irreducible_screen`); one set of certificates per kind and
+    gap collects them.  An irreducible interval of S_k has a gap of at
+    least ceil(k/2) (:func:`_least_gap`), so a level k < n scans only
+    from that gap, and not at all when it exceeds max_len: the row of
+    length d is final from S_(2d) on.  With max_len 0 nothing is
+    scanned: the one row of length 0 holds one class each.
 
     Each scan runs over representatives of the order-automorphism orbits
     of the bottom element, each with its up-ball of depth max_len
@@ -668,23 +641,21 @@ def atlas(
     started = time.perf_counter()
     # S_1 has no gap of 1 or more, and the row of length 0 needs no scan
     top = n if max_len else 1
-    classes: dict[int, dict] = {1: defaultdict(set)}
+    certs: dict[tuple[str, int], set] = defaultdict(set)
     examined = 0
     for k in range(2, top + 1):
         first = 1 if k == n else _least_gap(k)
-        irreducible: dict[tuple[str, int], set] = defaultdict(set)
-        if first <= max_len:
-            x_reps = _orbit_reps(k)
-            examined = 0                    # the last level's, S_n's
-            for part, part_examined in _fan_out(
-                _scan_intervals, (k, first, max_len, x_reps), len(x_reps),
-                jobs if k == n else None,
-            ):
-                examined += part_examined
-                for key, found in part.items():
-                    irreducible[key] |= found
-        classes[k] = _level_classes(classes, k, max_len, irreducible)
-    certs = classes[top]
+        if first > max_len:
+            continue
+        x_reps = _orbit_reps(k)
+        examined = 0                        # the last level's, S_n's
+        for part, part_examined in _fan_out(
+            _scan_intervals, (k, first, max_len, x_reps), len(x_reps),
+            jobs if k == n else None,
+        ):
+            examined += part_examined
+            for key, found in part.items():
+                certs[key] |= found
 
     rows = [AtlasRow(length=0, intervals=1, ideals=1)]
     for d in range(1, max_len + 1):

@@ -174,6 +174,31 @@ def oracle_digraph(nx, x, y):
     return g
 
 
+def rank_match(a, b):
+    return a["rank"] == b["rank"]
+
+
+def product_digraph(nx, g, h):
+    """The Cartesian product of two cover digraphs, each node's ``rank``
+    the sum of its factors' ranks: the covers of the product order."""
+    product = nx.cartesian_product(g, h)
+    for node in product:
+        product.nodes[node]["rank"] = sum(product.nodes[node]["rank"])
+    return product
+
+
+def times(a, b):
+    """The product ab, the map i -> a(b(i))."""
+    return tuple(a[i - 1] for i in b)
+
+
+def placed(w, start, n):
+    """w of S_k on positions start..start+k-1 of S_n, its values shifted
+    by start - 1, with every other position fixed."""
+    return (tuple(range(1, start)) + tuple(v + start - 1 for v in w)
+            + tuple(range(start + len(w), n + 1)))
+
+
 def interval_digraph(nx, x, y):
     """The elements of [x, y] and its covers as a networkx DiGraph with
     each element's rank above x as its ``rank``, from ``interval_oracle``
@@ -487,44 +512,55 @@ class TestParabolicSplit:
         # every split point of every pair x < y: 128 pairs of S_4 and
         # 2,404 of S_5 split
         nx = pytest.importorskip("networkx")
-
-        def rank_match(a, b):
-            return a["rank"] == b["rank"]
-
         checked = 0
         for x in itertools.permutations(range(1, n + 1)):
             elements = oracle_ball(x)[0]
             for y in elements[1:]:
                 for kind, i in split_points(x, y):
                     (x1, y1), (x2, y2) = split_factors(x, y, kind, i)
-                    product = nx.cartesian_product(
-                        oracle_digraph(nx, x1, y1),
+                    product = product_digraph(
+                        nx, oracle_digraph(nx, x1, y1),
                         oracle_digraph(nx, x2, y2))
-                    for node in product:
-                        product.nodes[node]["rank"] = sum(
-                            product.nodes[node]["rank"])
                     assert nx.is_isomorphic(
                         oracle_digraph(nx, x, y), product,
                         node_match=rank_match), (x, y, kind, i)
                     checked += 1
         assert checked == splits
 
-    @pytest.mark.parametrize("k,i", [(4, 2), (5, 2), (6, 3)])
-    def test_level_takes_products_of_smaller_groups(self, k, i):
-        # in the atlas's own rows every product class is met again among
-        # the unsplit intervals or in S_(k-1), so give a level nothing but
-        # the edge of S_2 at S_i and S_(k-i): the diamond at gap 2 can come
-        # only from the product step, for every i up to k/2
-        edge = posets._certificate((0, 1), ((0, 1),))
-        diamond = posets._product_certificate(edge, edge)
-        below = {j: {} for j in range(1, k)}
-        for j in (i, k - i):
-            below[j] = {("intervals", 1): {edge}, ("ideals", 1): {edge}}
-        level = posets._level_classes(below, k, 2, {})
-        assert dict(level) == {
-            ("intervals", 2): {diamond}, ("ideals", 2): {diamond}}
-        shape = shape_of_ideal("2143")
-        assert diamond == posets._certificate(shape.ranks, shape.covers)
+    def test_products_recur_one_group_down(self):
+        # every pair of intervals P of S_i and Q of S_j, i, j >= 2 and
+        # n = i + j - 1 <= 5, gap 0 included: P placed on positions 1..i
+        # and Q on positions i..n lie in parabolic subgroups with disjoint
+        # generators, and the product of their ends spans an interval of
+        # S_n isomorphic to P x Q (notes/decisions.md).  So a split
+        # interval's class is already a class of the next smaller group
+        nx = pytest.importorskip("networkx")
+        intervals = {
+            k: [(x, y) for x in itertools.permutations(range(1, k + 1))
+                for y in oracle_ball(x)[0]]
+            for k in (2, 3, 4)
+        }
+        checked = 0
+        for i, j in itertools.product(intervals, repeat=2):
+            n = i + j - 1
+            if n > 5:
+                continue
+            for (x1, y1), (x2, y2) in itertools.product(
+                    intervals[i], intervals[j]):
+                x = times(placed(x1, 1, n), placed(x2, i, n))
+                y = times(placed(y1, 1, n), placed(y2, i, n))
+                assert inversion_count(y) - inversion_count(x) == (
+                    inversion_count(y1) - inversion_count(x1)
+                    + inversion_count(y2) - inversion_count(x2))
+                if x1 == tuple(sorted(x1)) and x2 == tuple(sorted(x2)):
+                    assert x == tuple(range(1, n + 1))
+                assert nx.is_isomorphic(
+                    oracle_digraph(nx, x, y),
+                    product_digraph(nx, oracle_digraph(nx, x1, y1),
+                                    oracle_digraph(nx, x2, y2)),
+                    node_match=rank_match), (x1, y1, x2, y2)
+                checked += 1
+        assert checked == 1762
 
     def test_only_s2_has_an_irreducible_cover(self):
         # a cover swaps the entries a < b at positions i < j; it splits
@@ -572,10 +608,6 @@ class TestFrozenPoint:
         # every pair x < y of S_4 and S_5 with a frozen point, and a
         # seeded sample of 40 such pairs of S_6
         nx = pytest.importorskip("networkx")
-
-        def rank_match(a, b):
-            return a["rank"] == b["rank"]
-
         if n == 6:
             pairs = self.seeded_pairs_of_s6(40)
         else:
