@@ -91,8 +91,8 @@ class Interval:
 
     @property
     def span(self) -> int:
-        """length(high) - length(low)."""
-        return perms.length(self.high) - perms.length(self.low)
+        """length(high) - length(low), the rank of high."""
+        return self.ranks[-1]
 
     def rank_of(self, z: Perm) -> int:
         return perms.length(z) - perms.length(self.low)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -294,18 +293,14 @@ class ForcingVerdict:
         return out
 
 
-def _forces_range(shape, m, lo, hi):
-    """Worker: decide, in order, every interval of S_m shaped like the
-    ideal fingerprint ``shape`` whose bottom x is at positions [lo, hi)
-    and is the least of its symmetry orbit, until one admits no factor
-    deletion.  Returns (number of tops, orbit size, greatest image, x)
-    for each such x with a top, and (x, y, number of tops decided at x)
-    for the interval with no deletion, or None."""
-    bottoms = (
-        x for x in itertools.islice(
-            itertools.permutations(range(1, m + 1)), lo, hi)
-        if perms.is_orbit_extreme(x)
-    )
+def _forces_range(shape, bottoms):
+    """Worker: decide, in order, every interval shaped like the ideal
+    fingerprint ``shape`` whose bottom x is in ``bottoms``, the
+    permutations of one range of S_m least in their symmetry orbit
+    (:func:`posets._fan_out`), until one admits no factor deletion.
+    Returns (number of tops, orbit size, greatest image, x) for each such
+    x with a top, and (x, y, number of tops decided at x) for the
+    interval with no deletion, or None."""
     counts: dict[Perm, int] = {}
     refuted = None
     for x, y in _shaped_intervals(shape, bottoms):
@@ -356,7 +351,7 @@ def _shape_verdict(n: int, shape, m_max: int, jobs: _Jobs):
     the scan is fanned out.
 
     Each S_m builds up-balls only for the bottoms least in their orbit
-    under inversion and conjugation by w0 (:func:`_forces_range`).  Those
+    under inversion and conjugation by w0 (:func:`posets._fan_out`).  Those
     maps are Bruhat automorphisms that keep the shape and the deletion,
     so every bottom of an orbit has as many tops as the least, and the
     least bottom with a refuted top is the least of its orbit: it is the
@@ -372,7 +367,7 @@ def _shape_verdict(n: int, shape, m_max: int, jobs: _Jobs):
     for m in range(n, m_max + 1):
         orbits = []
         for part, refuted in posets._fan_out(
-            _forces_range, (shape, m), math.factorial(m), jobs.value,
+            _forces_range, (shape,), m, jobs.value,
         ):
             orbits += part
             if refuted:

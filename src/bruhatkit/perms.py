@@ -46,6 +46,9 @@ def make_perm(entries: Iterable[int], limits: Limits = DEFAULT_LIMITS) -> Perm:
     (3, 2, 4, 1)
     """
     w = tuple(entries)
+    for v in w:
+        if type(v) is not int:
+            raise ValueError(f"entries must be integers, got {v!r}")
     check_group_size(len(w), limits)
     if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"{w} is not a bijection on 1..{len(w)}")

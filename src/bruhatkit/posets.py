@@ -47,14 +47,16 @@ from that gap.  Like ``forces``, the atlas reduces over ``_scan``, the
 one interval walk, which reads each interval [x, y] off the up-ball of
 its bottom x from :mod:`bruhatkit.tables` and certifies its shape; the
 atlas's screen drops the reducible intervals before the relabel.
-``_fan_out`` splits the bottoms across processes.  Both reductions are
-about shapes only, and ``forces`` uses neither.
+``_fan_out`` hands each scan the orbit-extreme bottoms of a range of
+S_k, in this process or across processes.  Both reductions are about
+shapes only, and ``forces`` uses neither.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import time
 from collections import defaultdict
@@ -474,26 +476,38 @@ def _check_jobs(jobs) -> None:
             f"jobs must be None or an integer of at least 1, got {jobs!r}")
 
 
-def _fan_out(fn, args: tuple, count: int, jobs: int | None):
-    """The results of ``fn(*args, lo, hi)`` over ordered, contiguous
-    ranges [lo, hi) that cover range(count), lazily and in range order,
-    so a caller that stops at its first hit sees what one range would.
+def _over_range(fn, args: tuple, m: int, greatest: bool, lo: int, hi: int):
+    """``fn(*args, bottoms)``, with ``bottoms`` the permutations at
+    positions [lo, hi) of S_m that :func:`perms.is_orbit_extreme` keeps,
+    made lazily where this runs."""
+    group = itertools.permutations(range(1, m + 1))
+    return fn(*args, (x for x in itertools.islice(group, lo, hi)
+                      if perms.is_orbit_extreme(x, greatest)))
 
-    ``jobs`` is None or an integer of at least 1, as :func:`_check_jobs`
-    makes sure.  With ``jobs`` > 1, min(jobs, CPU count) worker processes
-    take about four ranges each, which evens out uneven ranges; otherwise
-    [0, count) runs in this process.  ``fn`` and ``args`` must pickle.
+
+def _fan_out(fn, args: tuple, m: int, jobs: int | None, greatest=False):
+    """The results of ``fn(*args, bottoms)`` over ordered, contiguous
+    ranges of the positions of S_m in one-line order, lazily and in range
+    order, so a caller that stops at its first hit sees what one range
+    would.  ``bottoms`` holds the permutations of a range least in their
+    symmetry orbit, or with ``greatest`` the greatest; a worker makes
+    them itself, so only m and the range cross the pipe.
+
+    ``jobs`` is None or an integer of at least 1 (:func:`_check_jobs`).
+    With ``jobs`` > 1, min(jobs, CPU count) worker processes take about
+    four ranges each, which evens out uneven ranges; otherwise all of S_m
+    is one range, run in this process.  ``fn`` and ``args`` must pickle.
     Closing the iterator early cancels the ranges not started."""
+    count = math.factorial(m)
     workers = min(jobs or 1, os.cpu_count() or 1)
     if workers <= 1:
-        yield fn(*args, 0, count)
+        yield _over_range(fn, args, m, greatest, 0, count)
         return
     parts = min(4 * workers, count)
     bounds = [count * i // parts for i in range(parts + 1)]
     with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(
-            functools.partial(fn, *args), bounds[:-1], bounds[1:]
-        )
+        yield from pool.map(functools.partial(
+            _over_range, fn, args, m, greatest), bounds[:-1], bounds[1:])
 
 
 def _least_gap(n: int) -> int:
@@ -566,34 +580,20 @@ def _irreducible_screen(n: int):
     return screen, lambda: seen
 
 
-def _scan_intervals(n: int, first: int, max_len: int, x_reps: list,
-                    lo: int, hi: int):
+def _scan_intervals(n: int, first: int, max_len: int, bottoms):
     """Certificates of the irreducible intervals [x, y]
-    (:func:`_irreducible_screen`) with x in ``x_reps[lo:hi]`` and rank
-    gap at most ``max_len``, keyed by ("intervals", gap), plus those with
-    x the identity (the ideals) keyed by ("ideals", gap); and the number
-    of intervals with ``first`` <= gap <= ``max_len`` examined,
-    reducible or not."""
+    (:func:`_irreducible_screen`) with x in ``bottoms`` and rank gap at
+    most ``max_len``, keyed by ("intervals", gap), plus those with x the
+    identity (the ideals) keyed by ("ideals", gap); and how many
+    intervals with ``first`` <= gap <= ``max_len`` it examined."""
     identity = perms.identity(n)
     certs: dict[tuple[str, int], set] = defaultdict(set)
     screen, examined = _irreducible_screen(n)
-    for x, _, gap, cert in _scan(x_reps[lo:hi], first, max_len, screen):
+    for x, _, gap, cert in _scan(bottoms, first, max_len, screen):
         certs["intervals", gap].add(cert)
         if x == identity:
             certs["ideals", gap].add(cert)
     return certs, examined()
-
-
-def _orbit_reps(n: int) -> list:
-    """The bottoms the atlas scans in S_n: the maximum of each orbit
-    under inversion and conjugation by the reversal
-    (:func:`perms.is_orbit_extreme`).  The maximum, not the minimum,
-    leaves a cold atlas(5, 5) 121 certificate cache misses instead of
-    147."""
-    return [
-        x for x in itertools.permutations(range(1, n + 1))
-        if perms.is_orbit_extreme(x, greatest=True)
-    ]
 
 
 def atlas(
@@ -625,33 +625,34 @@ def atlas(
     length d is final from S_(2d) on.  With max_len 0 nothing is
     scanned: the one row of length 0 holds one class each.
 
-    Each scan runs over representatives of the order-automorphism orbits
-    of the bottom element, each with its up-ball of depth max_len
-    (inversion and conjugation by the reversal preserve isomorphism
-    classes; they fix the identity, whose up-ball holds the ideals).
-    ``intervals_examined`` counts every interval of the scan of S_n,
-    irreducible or not, so that level scans from gap 1.  With ``jobs`` > 1
-    ranges of the bottoms of S_n are fanned out across processes; the
-    merged counts are independent of the schedule.
+    Each level scans the greatest bottom of each orbit under inversion
+    and conjugation by the reversal (:func:`_fan_out`), with its up-ball
+    of depth max_len: both maps preserve isomorphism classes and fix the
+    identity, whose up-ball holds the ideals.  ``intervals_examined``
+    counts every interval of the scan of S_n, irreducible or not, so
+    that level scans from gap 1.  With ``jobs`` > 1 only S_n is fanned
+    out, after the smaller levels, so that its workers start with the
+    certificates those cached: on atlas(7, 5) S_7 then misses 18
+    certificates, and 142 from a cold cache.  The counts do not depend
+    on the schedule.
     """
     _check_jobs(jobs)
     perms.check_group_size(n, limits)
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     started = time.perf_counter()
-    # S_1 has no gap of 1 or more, and the row of length 0 needs no scan
-    top = n if max_len else 1
     certs: dict[tuple[str, int], set] = defaultdict(set)
     examined = 0
-    for k in range(2, top + 1):
+    for k in range(2, n + 1):
         first = 1 if k == n else _least_gap(k)
         if first > max_len:
             continue
-        x_reps = _orbit_reps(k)
         examined = 0                        # the last level's, S_n's
+        # orbit maxima, not minima: a cold atlas(5, 5) then misses 121
+        # certificates instead of 147
         for part, part_examined in _fan_out(
-            _scan_intervals, (k, first, max_len, x_reps), len(x_reps),
-            jobs if k == n else None,
+            _scan_intervals, (k, first, max_len), k,
+            jobs if k == n else None, greatest=True,
         ):
             examined += part_examined
             for key, found in part.items():

@@ -186,13 +186,13 @@ class TestRaisedGroupSize:
         with pytest.raises(CapExceeded, match="max_n=8"):
             forcing.forces_factor(P("21"), 9)
         shape = forcing._ideal_fingerprint((2, 1))
-        got = forcing._forces_range(shape, 9, 0, 30)
-        # the worker keeps the bottoms least in their symmetry orbit; the
-        # intervals shaped like the ideal of 21 are the covers, and each
-        # admits the deletion of one letter
+        # the bottoms least in their symmetry orbit among the first 30 of
+        # S_9; the intervals shaped like the ideal of 21 are the covers,
+        # and each admits the deletion of one letter
         bottoms = itertools.islice(itertools.permutations(range(1, 10)), 30)
         least = [x for x in bottoms if x <= min(symmetries_oracle(x))]
         assert len(least) < 30
+        got = forcing._forces_range(shape, least)
         images = [{x, *symmetries_oracle(x)} for x in least]
         assert got == ([
             (len(cover_tops_oracle(x)), len(orbit), max(orbit), x)

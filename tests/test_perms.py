@@ -68,6 +68,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             perms.make_perm((0, 1, 2))
 
+    @pytest.mark.parametrize("entries,bad", [
+        ([2.0, 1.0], "2.0"), ([True, 2], "True"),
+    ])
+    def test_make_perm_rejects_entries_that_are_not_integers(
+            self, entries, bad):
+        # 2.0 and True pass the bijection check as 2 and 1 would, and
+        # format_perm would print (2.0, 1.0) as 2.01.0
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            perms.make_perm(entries)
+
 
 class TestApply:
     def test_apply_left_examples(self):

@@ -18,6 +18,7 @@ from oracles import (
     interval_oracle,
     min_certificate_oracle,
     refine_oracle,
+    symmetries_oracle,
     up_ball_oracle,
 )
 from whole_group import above
@@ -568,8 +569,7 @@ class TestParabolicSplit:
         # between them for n >= 3
         for n in range(2, 6):
             certs, examined = posets._scan_intervals(
-                n, 1, 1, posets._orbit_reps(n), 0,
-                len(posets._orbit_reps(n)))
+                n, 1, 1, itertools.permutations(range(1, n + 1)))
             assert bool(certs) == (n == 2)
             assert examined > 0
 
@@ -661,26 +661,26 @@ class TestFrozenPoint:
 
     def test_levels_below_the_gap_bound_scan_nothing(self, monkeypatch):
         # atlas(7, 2): S_5 and S_6 cannot hold an irreducible interval of
-        # gap 2 or less, so they get no orbit representatives and no
-        # up-ball; S_3 and S_4 scan from gap 2, and S_7 scans from gap 1
-        # to count every interval
-        reps, scans = [], []
-        orbit_reps, scan = posets._orbit_reps, posets._scan
+        # gap 2 or less, so they get no bottoms and no up-ball; S_3 and
+        # S_4 scan from gap 2, and S_7 scans from gap 1 to count every
+        # interval
+        fanned, scans = [], []
+        fan_out, scan = posets._fan_out, posets._scan
         expected = full_scan_atlas(7, 2)
 
-        def record_reps(k):
-            reps.append(k)
-            return orbit_reps(k)
+        def record_fan_out(fn, args, m, jobs, greatest=False):
+            fanned.append(m)
+            return fan_out(fn, args, m, jobs, greatest)
 
         def record_scan(bottoms, lo, hi, screen=None):
             bottoms = list(bottoms)
             scans.append((len(bottoms[0]), lo, hi))
             return scan(bottoms, lo, hi, screen)
 
-        monkeypatch.setattr(posets, "_orbit_reps", record_reps)
+        monkeypatch.setattr(posets, "_fan_out", record_fan_out)
         monkeypatch.setattr(posets, "_scan", record_scan)
         assert posets.atlas(7, 2).to_json() == expected
-        assert reps == [2, 3, 4, 7]
+        assert fanned == [2, 3, 4, 7]
         assert scans == [(2, 1, 2), (3, 2, 2), (4, 2, 2), (7, 1, 2)]
 
 
@@ -774,19 +774,20 @@ class TestAtlas:
         # atlas(9, 1) takes seconds; its scan over a slice of the bottoms
         bottoms = list(
             itertools.islice(itertools.permutations(range(1, 10)), 20))
-        certs, examined = posets._scan_intervals(9, 1, 1, bottoms, 0, 20)
+        certs, examined = posets._scan_intervals(9, 1, 1, bottoms)
         assert examined == sum(len(cover_tops_oracle(x)) for x in bottoms)
         # every cover of S_9 splits, so none is certified here; the class
         # of gap 1 comes from S_2
         assert certs == {}
 
     def test_length_zero_scans_nothing(self, monkeypatch):
-        # the row of length 0 is fixed, so S_9 answers it with no orbit
-        # representatives and no up-ball
-        def refuse(*args):
+        # the row of length 0 is fixed, so S_9 answers it with no bottoms
+        # and no up-ball
+        def refuse(*args, **kwargs):
             raise AssertionError("atlas(n, 0) scanned")
 
-        monkeypatch.setattr(posets, "_orbit_reps", refuse)
+        monkeypatch.setattr(posets, "_fan_out", refuse)
+        monkeypatch.setattr(perms, "is_orbit_extreme", refuse)
         monkeypatch.setattr(posets, "up_ball", refuse)
         limits = Limits(max_n=9)
         assert posets.atlas(9, 0, limits=limits).to_json() == {
@@ -860,7 +861,8 @@ class TestAtlas:
 
     def test_jobs_capped_at_cpu_count(self, inline_pool):
         # a --jobs value far past the CPU count must not start that many
-        # workers; the ranges are ordered, contiguous and cover the bottoms
+        # workers; the ranges are ordered, contiguous and cover the
+        # positions of S_5
         par = posets.atlas(5, 3, jobs=10**6)
         assert par.to_json() == posets.atlas(5, 3).to_json()
         (pool,) = inline_pool
@@ -870,9 +872,24 @@ class TestAtlas:
         assert ranges[0][0] == 0
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
         assert all(lo < hi for lo, hi in ranges)
-        reps = {x for x in itertools.permutations(range(1, 6))
-                if x == max(perms.symmetry_images(x))}
-        assert ranges[-1][1] == len(reps)
+        assert ranges[-1][1] == 120
+
+    @pytest.mark.parametrize("m", [5, 6])
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    @pytest.mark.parametrize("greatest", [False, True])
+    def test_fan_out_bottoms_are_the_orbit_extremes(self, m, jobs,
+                                                    greatest, inline_pool):
+        # the bottoms of the ranges, in range order, are the permutations
+        # of S_m extreme in their symmetry orbit, each once, in one-line
+        # order, however S_m is cut
+        parts = list(posets._fan_out(list, (), m, jobs, greatest))
+        extreme = max if greatest else min
+        assert sum(parts, []) == [
+            x for x in itertools.permutations(range(1, m + 1))
+            if x == extreme(x, *symmetries_oracle(x))
+        ]
+        assert len(parts) == (1 if jobs == 1 else 4 * jobs)
+        assert len(inline_pool) == (jobs > 1)
 
     def test_json_schema(self):
         data = posets.atlas(3, 2).to_json()
