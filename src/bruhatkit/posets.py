@@ -42,14 +42,17 @@ the interval keeps at one value) is isomorphic to an interval of the
 next smaller group too.  So the classes of S_n are the union, over
 k = 2..n, of the classes of the irreducible intervals of S_k, those with
 neither, and only those are certified; an irreducible interval of S_k
-has a rank gap of at least ceil(k/2), so a smaller group is scanned only
-from that gap.  Like ``forces``, the atlas reduces over ``_scan``, the
-one interval walk, which reads each interval [x, y] off the up-ball of
-its bottom x from :mod:`bruhatkit.tables` and certifies its shape; the
-atlas's screen drops the reducible intervals before the relabel.
-``_fan_out`` hands each scan the orbit-extreme bottoms of a range of
-S_k, in this process or across processes.  Both reductions are about
-shapes only, and ``forces`` uses neither.
+has a rank gap of at least ceil(k/2), so each group is scanned only from
+that gap.  The count of intervals examined takes in S_n's shorter
+intervals too, from the sizes of the up-balls, and a bottom whose ball
+cannot reach that gap is counted from the rank table's level sizes
+alone, with no ball.  Like ``forces``, the atlas reduces over
+``_scan``, the one interval walk, which reads each interval [x, y] off
+the up-ball of its bottom x from :mod:`bruhatkit.tables` and certifies
+its shape; the atlas's screen drops the reducible intervals before the
+relabel.  ``_fan_out`` hands each scan the orbit-extreme bottoms of a
+range of S_k, in this process or across processes.  Both reductions are
+about shapes only, and ``forces`` uses neither.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from dataclasses import dataclass
 from . import perms
 from .bruhat import Interval
 from .limits import DEFAULT_LIMITS, Limits
-from .tables import up_ball
+from .tables import count_above, up_ball
 
 Cert = tuple
 
@@ -519,12 +522,16 @@ def _least_gap(n: int) -> int:
 
 def _irreducible_screen(n: int):
     """The atlas's ``screen`` for :func:`_scan` in S_n, and a function
-    that returns how many intervals it has been shown.  The screen passes
-    [x, y] on to the relabel only when it is irreducible: its rank gap is
-    at least :func:`_least_gap`, it splits neither by position nor by
-    value (no i < n has {x(1..i)} = {y(1..i)} or {x^-1(1..i)} =
-    {y^-1(1..i)}), and no position j is frozen (x(j) = y(j) = v and
-    #{l < j : x(l) > v} = #{l < j : y(l) > v}).
+    that returns how many intervals [x, y], y != x, the balls it has been
+    shown hold, each ball counted once when it first comes.  ``_scan``
+    shows the screen every ball it builds, since a ball that reaches the
+    least gap holds an interval of that gap.  The screen passes [x, y]
+    on to the relabel only when it is irreducible: it splits neither by
+    position nor by value (no i < n has {x(1..i)} = {y(1..i)} or
+    {x^-1(1..i)} = {y^-1(1..i)}), and no position j is frozen (x(j) =
+    y(j) = v and #{l < j : x(l) > v} = #{l < j : y(l) > v}).  An
+    interval with a gap below :func:`_least_gap` has a frozen point, so
+    the scans start at that gap.
 
     The code of w is a pair of integers with fields of ``width`` bits.
     The first packs, for i = 1..n-1, the prefix sums w(1) + ... + w(i)
@@ -537,7 +544,6 @@ def _irreducible_screen(n: int):
     when its position is frozen.  So [x, y] is reducible iff the two
     differences, side by side, have a zero field, which one bit test
     decides.  Codes are kept per call, keyed by the permutation."""
-    least = _least_gap(n)
     shift = (n - 1).bit_length()            # bits of a left count
     width = max(8, (n * (n + 1) // 2 - 1).bit_length(),
                 shift + n.bit_length())
@@ -563,13 +569,10 @@ def _irreducible_screen(n: int):
 
     def screen(ball, mask: int) -> bool:
         nonlocal bottom, base, seen
-        seen += 1
-        top = mask.bit_length() - 1
-        if ball.ranks[top] < least:
-            return False
         if ball is not bottom:
             bottom, base = ball, code(ball.elements[0])
-        y = ball.elements[top]
+            seen += len(ball.elements) - 1
+        y = ball.elements[mask.bit_length() - 1]
         try:
             split, frozen = codes[y]
         except KeyError:
@@ -580,20 +583,37 @@ def _irreducible_screen(n: int):
     return screen, lambda: seen
 
 
-def _scan_intervals(n: int, first: int, max_len: int, bottoms):
+def _scan_intervals(n: int, max_len: int, bottoms):
     """Certificates of the irreducible intervals [x, y]
     (:func:`_irreducible_screen`) with x in ``bottoms`` and rank gap at
     most ``max_len``, keyed by ("intervals", gap), plus those with x the
     identity (the ideals) keyed by ("ideals", gap); and how many
-    intervals with ``first`` <= gap <= ``max_len`` it examined."""
+    intervals [x, y], y != x, with gap at most ``max_len`` the bottoms
+    have.  A bottom whose up-ball reaches the least gap
+    (:func:`_least_gap`) goes to :func:`_scan`, whose screen counts the
+    ball's intervals; any other holds no irreducible interval and is
+    only counted (:func:`tables.count_above`), with no ball."""
+    least = _least_gap(n)
+    top = n * (n - 1) // 2
+    counted = 0
+
+    def reaching():
+        nonlocal counted
+        for x in bottoms:
+            depth = min(max_len, top - perms.length(x))
+            if depth < least:
+                counted += count_above(x, depth)
+            else:
+                yield x
+
     identity = perms.identity(n)
     certs: dict[tuple[str, int], set] = defaultdict(set)
     screen, examined = _irreducible_screen(n)
-    for x, _, gap, cert in _scan(bottoms, first, max_len, screen):
+    for x, _, gap, cert in _scan(reaching(), least, max_len, screen):
         certs["intervals", gap].add(cert)
         if x == identity:
             certs["ideals", gap].add(cert)
-    return certs, examined()
+    return certs, counted + examined()
 
 
 def atlas(
@@ -620,21 +640,25 @@ def atlas(
     with neither a split nor a frozen point, which alone are certified
     (:func:`_irreducible_screen`); one set of certificates per kind and
     gap collects them.  An irreducible interval of S_k has a gap of at
-    least ceil(k/2) (:func:`_least_gap`), so a level k < n scans only
-    from that gap, and not at all when it exceeds max_len: the row of
-    length d is final from S_(2d) on.  With max_len 0 nothing is
+    least ceil(k/2) (:func:`_least_gap`), so every level scans only from
+    that gap, and a level k < n not at all when it exceeds max_len: the
+    row of length d is final from S_(2d) on.  With max_len 0 nothing is
     scanned: the one row of length 0 holds one class each.
 
     Each level scans the greatest bottom of each orbit under inversion
     and conjugation by the reversal (:func:`_fan_out`), with its up-ball
     of depth max_len: both maps preserve isomorphism classes and fix the
     identity, whose up-ball holds the ideals.  ``intervals_examined``
-    counts every interval of the scan of S_n, irreducible or not, so
-    that level scans from gap 1.  With ``jobs`` > 1 only S_n is fanned
-    out, after the smaller levels, so that its workers start with the
-    certificates those cached: on atlas(7, 5) S_7 then misses 18
-    certificates, and 142 from a cold cache.  The counts do not depend
-    on the schedule.
+    counts every interval [x, y], y != x, of gap at most max_len over
+    S_n's bottoms x, irreducible or not (:func:`_scan_intervals`): a
+    bottom's count is the size of its up-ball less one, read off the
+    ball where the scan builds one and off the level sizes of the rank
+    table where the ball could not reach the least gap, so S_n scans
+    from its least gap too, even when that exceeds max_len.  With
+    ``jobs`` > 1 only S_n is fanned out, after the smaller levels, so
+    that its workers start with the certificates those cached: on
+    atlas(7, 5) S_7 then misses 18 certificates, and 142 from a cold
+    cache.  The counts do not depend on the schedule.
     """
     _check_jobs(jobs)
     perms.check_group_size(n, limits)
@@ -643,15 +667,16 @@ def atlas(
     started = time.perf_counter()
     certs: dict[tuple[str, int], set] = defaultdict(set)
     examined = 0
-    for k in range(2, n + 1):
-        first = 1 if k == n else _least_gap(k)
-        if first > max_len:
-            continue
+    # a level k < n below its least gap holds no irreducible interval;
+    # S_n is scanned even then, to count its intervals
+    levels = [k for k in range(2, n + 1)
+              if max_len and (k == n or _least_gap(k) <= max_len)]
+    for k in levels:
         examined = 0                        # the last level's, S_n's
         # orbit maxima, not minima: a cold atlas(5, 5) then misses 121
         # certificates instead of 147
         for part, part_examined in _fan_out(
-            _scan_intervals, (k, first, max_len), k,
+            _scan_intervals, (k, max_len), k,
             jobs if k == n else None, greatest=True,
         ):
             examined += part_examined

@@ -24,10 +24,14 @@ which every cache reset clears; the queries' intervals come from
 :mod:`bruhatkit.bruhat`, on tuples and with no state between calls.
 
 The one interval walk that builds up-balls is ``posets._scan``, shared
-by ``forces`` and the atlas.  Every element of S_n lies above the
-identity, so the whole group is the identity's up-ball of depth
-n(n-1)/2, cached below as the group table for n <= 7; only the tests and
-the benchmark still call :func:`group_table`.
+by ``forces`` and the atlas.  Where the atlas needs only how many
+elements a ball would hold, to count the intervals of a bottom that
+cannot reach its least irreducible gap, :func:`count_above` walks the
+same rows and keeps each level as a set of ranks, with no masks and no
+ball.  Every element of S_n lies above the identity, so the whole group
+is the identity's up-ball of depth n(n-1)/2, cached below as the group
+table for n <= 7; only the tests and the benchmark still call
+:func:`group_table`.
 """
 
 from __future__ import annotations
@@ -192,6 +196,28 @@ def up_ball(x: Perm, depth: int) -> Ball:
         rank_masks=tuple(rank_masks),
         below=tuple(below),
     )
+
+
+def count_above(x: Perm, depth: int) -> int:
+    """How many elements ``up_ball(x, depth)`` holds above x, with no
+    ball: its levels as sets of ranks, each the union of the rows of the
+    level before, with no masks."""
+    table = rank_table(len(x))
+    ups, fill = table.ups, table.row
+    bottom = rank(x)
+    table.perms.setdefault(bottom, x)
+    level = {bottom}
+    count = 0
+    for _ in range(depth):
+        covering = set()
+        for z in level:
+            try:
+                covering.update(ups[z])
+            except KeyError:
+                covering.update(fill(z))
+        level = covering
+        count += len(level)
+    return count
 
 
 @functools.lru_cache(maxsize=MAX_TABLE_N)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bruhatkit.tables import rank, rank_table, up_ball
+from bruhatkit.tables import count_above, rank, rank_table, up_ball
 from oracles import cover_tops_oracle, up_ball_oracle
 
 
@@ -55,6 +55,20 @@ def test_up_ball_matches_oracle(n, bottoms):
             got = (ball.elements, ball.ranks, ball.rank_masks,
                    ball.down_adj, ball.below)
             assert got == up_ball_oracle(x, depth)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_count_above_matches_oracle(n):
+    # every bottom of S_n and every depth up to the top of the group: the
+    # level-size count is the number of elements above the bottom in the
+    # oracle's up-ball and in the library's
+    top = n * (n - 1) // 2
+    for x in itertools.permutations(range(1, n + 1)):
+        length = sum(a > b for a, b in itertools.combinations(x, 2))
+        for depth in range(top - length + 1):
+            count = count_above(x, depth)
+            assert count == len(up_ball_oracle(x, depth)[0]) - 1, (x, depth)
+            assert count == len(up_ball(x, depth).elements) - 1, (x, depth)
 
 
 def test_tables_are_one_bounded_cache_per_size():
