@@ -60,6 +60,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 import time
 from collections import defaultdict
@@ -533,39 +534,23 @@ def _irreducible_screen(n: int):
     interval with a gap below :func:`_least_gap` has a frozen point, so
     the scans start at that gap.
 
-    The code of w is a pair of integers with fields of ``width`` bits.
-    The first packs, for i = 1..n-1, the prefix sums w(1) + ... + w(i)
-    and w^-1(1) + ... + w^-1(i); the second packs, for each position j,
-    w(j) beside #{l < j : w(l) > w(j)}.  For x <= y no field of the
-    first of code(y) - code(x) is negative, and such a field is zero
-    exactly when its prefix sets agree (``notes/decisions.md``); fields
-    never borrow, because each field of code(y) is at least that of
-    code(x).  A field of the second of code(y) ^ code(x) is zero exactly
-    when its position is frozen.  So [x, y] is reducible iff the two
-    differences, side by side, have a zero field, which one bit test
-    decides.  Codes are kept per call, keyed by the permutation."""
-    shift = (n - 1).bit_length()            # bits of a left count
-    width = max(8, (n * (n + 1) // 2 - 1).bit_length(),
-                shift + n.bit_length())
-    frozen_bits = n * width
-    low = sum(1 << (width * k) for k in range(3 * n - 2))
-    high = low << (width - 1)
-    codes: dict[perms.Perm, tuple[int, int]] = {}
-    bottom, base, seen = None, (0, 0), 0    # the ball in hand, its code
+    The code of w is a tuple of 3n - 2 ints: the sets {w(1..i)} and
+    {w^-1(1..i)}, i = 1..n-1, as bitmasks, and for each position j the
+    pair (w(j), #{l < j : w(l) > w(j)}) as one int.  A field of code(x)
+    equals the same field of code(y) exactly when [x, y] splits at that
+    i or freezes that j, so [x, y] is reducible iff some field is equal.
+    Codes are kept per call, keyed by the permutation."""
+    codes: dict[perms.Perm, tuple[int, ...]] = {}
+    bottom, base, seen = None, (), 0        # the ball in hand, its code
 
-    def code(w) -> tuple[int, int]:
-        inverse = perms.inverse(w)
-        split = by_position = by_value = 0
-        for i in range(n - 1):
-            by_position += w[i]
-            by_value += inverse[i]
-            split = (split << 2 * width) | (by_position << width) | by_value
-        frozen = 0
-        for j, v in enumerate(w):
-            left = sum(u > v for u in w[:j])
-            frozen = (frozen << width) | (v << shift) | left
-        codes[w] = split, frozen
-        return split, frozen
+    def prefix_sets(w):
+        return itertools.accumulate((1 << v for v in w[:-1]), operator.or_)
+
+    def code(w) -> tuple[int, ...]:
+        frozen = (v * n + sum(u > v for u in w[:j]) for j, v in enumerate(w))
+        codes[w] = found = (*prefix_sets(w), *prefix_sets(perms.inverse(w)),
+                            *frozen)
+        return found
 
     def screen(ball, mask: int) -> bool:
         nonlocal bottom, base, seen
@@ -573,12 +558,7 @@ def _irreducible_screen(n: int):
             bottom, base = ball, code(ball.elements[0])
             seen += len(ball.elements) - 1
         y = ball.elements[mask.bit_length() - 1]
-        try:
-            split, frozen = codes[y]
-        except KeyError:
-            split, frozen = code(y)
-        diff = ((split - base[0]) << frozen_bits) | (frozen ^ base[1])
-        return not (diff - low) & ~diff & high
+        return not any(map(operator.eq, base, codes.get(y) or code(y)))
 
     return screen, lambda: seen
 

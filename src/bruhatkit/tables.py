@@ -129,15 +129,6 @@ class Ball:
             return 0
         return self.below[u] & mask & self.rank_masks[self.ranks[u] - 1]
 
-    @functools.cached_property
-    def down_adj(self) -> tuple[tuple[int, ...], ...]:
-        """The ids covered by each u, in increasing order."""
-        everything = (1 << len(self.below)) - 1
-        return tuple(
-            tuple(iter_bits(self._covered(u, everything)))
-            for u in range(len(self.below))
-        )
-
     def structure(self, mask: int):
         """Relabel the elements of an interval mask to 0..m-1 in id order
         and return (ranks relative to the interval's minimum, cover id

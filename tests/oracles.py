@@ -306,11 +306,12 @@ def frozen_points_oracle(x: Perm, y: Perm) -> list[tuple[int, int]]:
 
 def up_ball_oracle(x: Perm, depth: int):
     """The up-ball of x with the given depth as (elements, ranks,
-    rank_masks, down_adj, below), the fields of ``tables.Ball``, built
-    over plain tuples from :func:`cover_tops_oracle`: each level is the
-    set of covers of the one before, sorted in one-line order, and
-    ``below`` of an element is its own bit with the ``below`` of every
-    element it covers."""
+    rank_masks, down_adj, below): the fields of ``tables.Ball``, and in
+    ``down_adj`` the ids that each element covers, in increasing order.
+    It is built over plain tuples from :func:`cover_tops_oracle`: each
+    level is the set of covers of the one before, sorted in one-line
+    order, and ``below`` of an element is its own bit with the ``below``
+    of every element it covers."""
     elements, ranks, rank_masks, down_adj, below = [x], [0], [1], [()], [1]
     prev = [(0, x, set(cover_tops_oracle(x)))]
     for r in range(1, depth + 1):

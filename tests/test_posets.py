@@ -168,7 +168,13 @@ def oracle_ball(x):
 def oracle_digraph(nx, x, y):
     """The covers of [x, y] as a networkx DiGraph with each element's
     rank above x as its ``rank``, read off ``up_ball_oracle`` alone."""
-    elements, ranks, _, down_adj, below = oracle_ball(x)
+    return ball_digraph(nx, oracle_ball(x), y)
+
+
+def ball_digraph(nx, ball, y):
+    """The covers of [x, y] as in :func:`oracle_digraph`, read off
+    ``ball``, an ``up_ball_oracle`` of x that holds y."""
+    elements, ranks, _, down_adj, below = ball
     mask = below[elements.index(y)]
     inside = [u for u in range(len(elements)) if mask >> u & 1]
     g = nx.DiGraph()
@@ -532,26 +538,50 @@ class TestParabolicSplit:
                     checked += 1
         assert checked == splits
 
-    @pytest.mark.parametrize("n,splits", [(4, 268), (5, 5580)])
+    @staticmethod
+    def seeded_split_pairs_of_s6(count):
+        """``count`` pairs x < y of S_6 that split, seeded, with a gap of
+        at most 6, y drawn from ``up_ball_oracle`` of x."""
+        rng = random.Random(2701)
+        group = list(itertools.permutations(range(1, 7)))
+        pairs = []
+        while len(pairs) < count:
+            x = rng.choice(group)
+            depth = min(6, 15 - inversion_count(x))
+            if not depth:
+                continue
+            y = rng.choice(up_ball_oracle(x, depth)[0][1:])
+            if split_points(x, y) and (x, y) not in pairs:
+                pairs.append((x, y))
+        return pairs
+
+    @pytest.mark.parametrize("n,splits", [(4, 268), (5, 5580), (6, 991)])
     def test_split_interval_deletes_iff_both_factors_do(self, n, splits):
         # the claim that [x, y] admits a factor deletion iff both
-        # flattened factors do, on every split point of every pair x < y,
-        # by position and by value (the factors of x^-1 and y^-1 at i,
-        # inverted).  A factor with gap 0 admits one, the empty block,
-        # and the oracle says so.  128 split pairs of S_5 admit none.
-        # The combining direction has a proof sketch; this is evidence
-        # for the converse, not a proof of it
+        # flattened factors do, on every split point of every pair x < y
+        # of S_4 and S_5 and of 300 seeded split pairs of S_6, by position
+        # and by value (the factors of x^-1 and y^-1 at i, inverted).  A
+        # factor with gap 0 admits one, the empty block, and the oracle
+        # says so; 0, 128 and 26 of the split pairs admit none.  The
+        # combining direction has a proof sketch; this is evidence for
+        # the converse, not a proof of it
         deletes = functools.cache(deletion_oracle)
-        checked = 0
-        for x in itertools.permutations(range(1, n + 1)):
-            for y in oracle_ball(x)[0][1:]:
-                whole = deletes(x, y)
-                for kind, i in split_points(x, y):
-                    (x1, y1), (x2, y2) = split_factors(x, y, kind, i)
-                    assert whole == (deletes(x1, y1) and deletes(x2, y2)), (
-                        x, y, kind, i)
-                    checked += 1
-        assert checked == splits
+        if n == 6:
+            pairs = self.seeded_split_pairs_of_s6(300)
+        else:
+            pairs = [(x, y) for x in itertools.permutations(range(1, n + 1))
+                     for y in oracle_ball(x)[0][1:]]
+        checked = without = 0
+        for x, y in pairs:
+            whole = deletes(x, y)
+            points = split_points(x, y)
+            without += bool(points) and not whole
+            for kind, i in points:
+                (x1, y1), (x2, y2) = split_factors(x, y, kind, i)
+                assert whole == (deletes(x1, y1) and deletes(x2, y2)), (
+                    x, y, kind, i)
+                checked += 1
+        assert (checked, without) == (splits, {4: 0, 5: 128, 6: 26}[n])
 
     def test_products_recur_one_group_down(self):
         # every pair of intervals P of S_i and Q of S_j, i, j >= 2 and
@@ -658,16 +688,27 @@ class TestFrozenPoint:
     def test_least_irreducible_gap_is_half_of_n(self, n, irreducible):
         # no pair with 2 * gap < n has neither a split nor a frozen point,
         # and some pair of gap ceil(n/2) has neither: the atlas's bound is
-        # the least gap, not just a lower bound
+        # the least gap, not just a lower bound.  Every irreducible pair
+        # at that gap, 71 over S_2-S_6, is the Boolean lattice B_least,
+        # ranks matched: the oracle ideal of s_1 ... s_least = 23...1.  A
+        # proof is sketched for even n only; for odd n this is evidence,
+        # not a proof
+        nx = pytest.importorskip("networkx")
         least = -(-n // 2)
         assert posets._least_gap(n) == least
+        coxeter = tuple(range(2, least + 2)) + (1,)
+        cube = ball_digraph(
+            nx, up_ball_oracle(tuple(sorted(coxeter)), least), coxeter)
         found = defaultdict(int)
         for x in itertools.permutations(range(1, n + 1)):
             depth = min(least, n * (n - 1) // 2 - inversion_count(x))
-            elements, ranks = up_ball_oracle(x, depth)[:2]
-            for y, gap in zip(elements[1:], ranks[1:]):
+            ball = up_ball_oracle(x, depth)
+            for y, gap in zip(ball[0][1:], ball[1][1:]):
                 if not split_points(x, y) and not frozen_points_oracle(x, y):
                     found[gap] += 1
+                    assert nx.is_isomorphic(
+                        ball_digraph(nx, ball, y), cube,
+                        node_match=rank_match), (x, y)
         assert dict(found) == {least: irreducible}
 
     def test_screen_on_a_seeded_sample_of_s6(self):

@@ -18,10 +18,11 @@ def above(n: int) -> tuple[int, ...]:
     """Up-set masks of the whole-group table of S_n, by one reverse pass
     over its covers: every element covering u has a larger id, so
     ``above[u]`` is complete before u passes it down to the elements it
-    covers."""
+    covers.  The covers are those of the relabel of the full mask, whose
+    ids are the table's own."""
     gt = group_table(n)
     masks = [1 << u for u in range(len(gt.elements))]
-    for u in reversed(range(len(gt.elements))):
-        for v in gt.down_adj[u]:
-            masks[v] |= masks[u]
+    _, covers = gt.structure((1 << len(gt.elements)) - 1)
+    for v, u in sorted(covers, key=lambda cover: cover[1], reverse=True):
+        masks[v] |= masks[u]
     return tuple(masks)
