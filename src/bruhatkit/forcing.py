@@ -20,12 +20,14 @@ walks the common prefixes with those sets as bitmasks and never
 enumerates R(y); the certificate is still the lexicographically first
 (word of y, start).  ``notes/decisions.md`` has the proof.
 
-Inversion and conjugation by w0 are automorphisms of the Bruhat order
-that keep the shape of an interval and whether it admits a deletion, so
-the verdict builds up-balls only for the bottoms least in their orbit
-under those maps, and counts the rest of each orbit from them; the
-counterexample, the count and the certificate are those of the scan of
-every bottom, which :func:`intervals_isomorphic_to` still is.
+The intervals shaped like the ideal of w are read off the up-ball of
+each bottom (:func:`tables.up_ball`).  Inversion and conjugation by w0
+are automorphisms of the Bruhat order that keep the shape of an
+interval and whether it admits a deletion, so the verdict builds
+up-balls only for the bottoms least in their orbit under those maps,
+and counts the rest of each orbit from them; the counterexample, the
+count and the certificate are those of the scan of every bottom, which
+:func:`intervals_isomorphic_to` still is.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Iterator, Sequence
 from . import bruhat, perms, posets, words
 from .limits import DEFAULT_LIMITS, Limits
 from .perms import Perm
+from .tables import up_ball
 from .words import Word
 
 
@@ -208,20 +211,30 @@ def _ideal_fingerprint(w: Perm):
 
 
 def _shaped_intervals(shape, bottoms):
-    """Every interval whose shape has the fingerprint ``shape``, for each
-    x of ``bottoms`` in turn and its tops in one-line order; see
-    :func:`intervals_isomorphic_to`."""
+    """Every interval [x, y] whose shape has the fingerprint ``shape``,
+    for each x of ``bottoms`` in turn and its tops in one-line order.
+
+    The tops y are the top level of the up-ball of x with depth d, the
+    span of the shape; a bottom less than d below the top of its group
+    has none.  The mask of [x, y] is compared with the shape by element
+    count, then by rank profile, and what passes by certificate."""
     d, size, profile, cert = shape
-
-    def screen(ball, mask: int) -> bool:
-        return mask.bit_count() == size and all(
-            (mask & ball.rank_masks[r]).bit_count() == profile[r]
-            for r in range(d + 1)
-        )
-
-    for x, y, _, found in posets._scan(bottoms, d, d, screen):
-        if found == cert:
-            yield x, y
+    levels = range(d + 1)
+    for x in bottoms:
+        m = len(x)
+        if perms.length(x) + d > m * (m - 1) // 2:
+            continue
+        ball = up_ball(x, d)
+        rank_masks = ball.rank_masks
+        for y in range(ball.ranks.index(d), len(ball.elements)):
+            mask = ball.below[y]
+            if (
+                mask.bit_count() == size
+                and all((mask & rank_masks[r]).bit_count() == profile[r]
+                        for r in levels)
+                and posets._certificate(*ball.structure(mask)) == cert
+            ):
+                yield x, ball.elements[y]
 
 
 def intervals_isomorphic_to(
@@ -231,10 +244,9 @@ def intervals_isomorphic_to(
     exactly once, ordered by (x, y) in one-line order.  m is held to
     ``limits`` at the call, before the scan starts.
 
-    The walk is :func:`posets._scan` at rank gap d = length(w): the tops
-    y are the top level of the up-ball of x with depth d.  Its screen
-    keeps the masks with the ideal's element count and rank profile, and
-    what passes is compared by certificate.
+    The walk is :func:`_shaped_intervals` at rank gap d = length(w): the
+    tops y are the top level of the up-ball of x with depth d, kept when
+    [x, y] has the ideal's element count, rank profile and certificate.
     """
     bottoms = perms.all_perms(m, limits)
     return _shaped_intervals(_ideal_fingerprint(w), bottoms)
@@ -298,21 +310,14 @@ def _forces_range(shape, bottoms):
     fingerprint ``shape`` whose bottom x is in ``bottoms``, the
     permutations of one range of S_m least in their symmetry orbit
     (:func:`posets._fan_out`), until one admits no factor deletion.
-    Returns (number of tops, orbit size, greatest image, x) for each such
-    x with a top, and (x, y, number of tops decided at x) for the
-    interval with no deletion, or None."""
+    Returns {x: number of tops decided} for each such x with a top, and
+    the interval (x, y) with no deletion, or None."""
     counts: dict[Perm, int] = {}
-    refuted = None
     for x, y in _shaped_intervals(shape, bottoms):
         counts[x] = counts.get(x, 0) + 1
         if next(_deletion_hits(x, y), None) is None:
-            refuted = x, y, counts[x]
-            break
-    orbits = []
-    for x, c in counts.items():
-        images = set(perms.symmetry_images(x))
-        orbits.append((c, len(images), max(images), x))
-    return orbits, refuted
+            return counts, (x, y)
+    return counts, None
 
 
 def _no_factor_proof(y: Perm, gap: int) -> dict:
@@ -356,30 +361,33 @@ def _shape_verdict(n: int, shape, m_max: int, jobs: _Jobs):
     so every bottom of an orbit has as many tops as the least, and the
     least bottom with a refuted top is the least of its orbit: it is the
     counterexample of the full scan, and the intervals that scan examines
-    are counted per orbit.  An orbit is kept as (tops, size, greatest
-    image, least bottom); its images are made again only for the count
-    of a counterexample, which takes the images below its bottom.  The
-    sample certificate is that of the last top of the greatest bottom
-    with a top, whose ball alone is rebuilt.  ``notes/decisions.md`` has
-    the proof."""
+    are counted per orbit.  Each orbit's images are made once, here, and
+    an orbit whose least bottom has c tops decided adds c for each image
+    up to a bound: the counterexample's bottom, the only member of its
+    own orbit up to it, or, with no counterexample, (m + 1,), above all
+    of S_m.  The fan-out closes at the first range with a refuted top.
+    The sample certificate is that of the last top of the greatest
+    bottom with a top, whose ball alone is rebuilt.
+    ``notes/decisions.md`` has the proof."""
     examined = 0
     last = None
     for m in range(n, m_max + 1):
         orbits = []
-        for part, refuted in posets._fan_out(
+        for counts, refuted in posets._fan_out(
             _forces_range, (shape,), m, jobs.value,
         ):
-            orbits += part
+            orbits += [(tops, set(perms.symmetry_images(x)))
+                       for x, tops in counts.items()]
             if refuted:
-                x, y, tops = refuted
-                examined += tops + sum(
-                    c * sum(g < x for g in set(perms.symmetry_images(least)))
-                    for c, _, _, least in orbits
-                )
-                proof = _no_factor_proof(y, shape[0])
-                return Counterexample(x, y, m), proof, None, examined
-        examined += sum(c * size for c, size, _, _ in orbits)
-        last = max((g for _, _, g, _ in orbits), default=last)
+                break
+        bound = refuted[0] if refuted else (m + 1,)
+        examined += sum(tops * sum(g <= bound for g in images)
+                        for tops, images in orbits)
+        if refuted:
+            x, y = refuted
+            proof = _no_factor_proof(y, shape[0])
+            return Counterexample(x, y, m), proof, None, examined
+        last = max((max(images) for _, images in orbits), default=last)
     if last is None:
         return None, None, None, examined
     *_, pair = _shaped_intervals(shape, [last])

@@ -46,13 +46,13 @@ has a rank gap of at least ceil(k/2), so each group is scanned only from
 that gap.  The count of intervals examined takes in S_n's shorter
 intervals too, from the sizes of the up-balls, and a bottom whose ball
 cannot reach that gap is counted from the rank table's level sizes
-alone, with no ball.  Like ``forces``, the atlas reduces over
-``_scan``, the one interval walk, which reads each interval [x, y] off
-the up-ball of its bottom x from :mod:`bruhatkit.tables` and certifies
-its shape; the atlas's screen drops the reducible intervals before the
-relabel.  ``_fan_out`` hands each scan the orbit-extreme bottoms of a
-range of S_k, in this process or across processes.  Both reductions are
-about shapes only, and ``forces`` uses neither.
+alone, with no ball.  Like ``forces``, the atlas reads each interval
+[x, y] off the up-ball of its bottom x from :mod:`bruhatkit.tables` and
+certifies its shape; it drops the reducible intervals before the
+relabel by comparing a code of x with a code of y.  ``_fan_out`` hands
+each scan, the atlas's and that of ``forces``, the orbit-extreme
+bottoms of a range of S_k, in this process or across processes.  Both
+reductions are about shapes only, and ``forces`` uses neither.
 """
 
 from __future__ import annotations
@@ -451,27 +451,6 @@ class AtlasResult:
         }
 
 
-def _scan(bottoms, lo: int, hi: int, screen=None):
-    """(x, y, rank gap, certificate of [x, y]) for each x of ``bottoms``
-    in turn and each y of its up-ball with lo <= gap <= hi, in id order.
-    The depth is capped at the top of the group; a bottom whose ball
-    cannot reach rank lo is skipped.  An interval's below-mask goes
-    through ``screen(ball, mask)``, if given, before the relabel."""
-    for x in bottoms:
-        n = len(x)
-        depth = min(hi, n * (n - 1) // 2 - perms.length(x))
-        if depth < lo:
-            continue
-        ball = up_ball(x, depth)
-        level = ball.rank_masks[lo]     # ids are rank-major: one run
-        for y in range(level.bit_length() - level.bit_count(),
-                       len(ball.elements)):
-            mask = ball.below[y]
-            if screen is None or screen(ball, mask):
-                yield (x, ball.elements[y], ball.ranks[y],
-                       _certificate(*ball.structure(mask)))
-
-
 def _check_jobs(jobs) -> None:
     """Refuse a ``jobs`` that is neither None nor an integer of at least
     1, where ``forces_factor`` and ``atlas`` take it in."""
@@ -521,79 +500,65 @@ def _least_gap(n: int) -> int:
     return (n + 1) // 2
 
 
-def _irreducible_screen(n: int):
-    """The atlas's ``screen`` for :func:`_scan` in S_n, and a function
-    that returns how many intervals [x, y], y != x, the balls it has been
-    shown hold, each ball counted once when it first comes.  ``_scan``
-    shows the screen every ball it builds, since a ball that reaches the
-    least gap holds an interval of that gap.  The screen passes [x, y]
-    on to the relabel only when it is irreducible: it splits neither by
-    position nor by value (no i < n has {x(1..i)} = {y(1..i)} or
-    {x^-1(1..i)} = {y^-1(1..i)}), and no position j is frozen (x(j) =
-    y(j) = v and #{l < j : x(l) > v} = #{l < j : y(l) > v}).  An
-    interval with a gap below :func:`_least_gap` has a frozen point, so
-    the scans start at that gap.
-
-    The code of w is a tuple of 3n - 2 ints: the sets {w(1..i)} and
-    {w^-1(1..i)}, i = 1..n-1, as bitmasks, and for each position j the
-    pair (w(j), #{l < j : w(l) > w(j)}) as one int.  A field of code(x)
-    equals the same field of code(y) exactly when [x, y] splits at that
-    i or freezes that j, so [x, y] is reducible iff some field is equal.
-    Codes are kept per call, keyed by the permutation."""
+def _irreducible_code(n: int):
+    """The code of a permutation w of S_n, kept per call and keyed by w:
+    a tuple of 3n - 2 ints, the sets {w(1..i)} and {w^-1(1..i)}, i =
+    1..n-1, as bitmasks, and for each position j the pair (w(j), #{l < j
+    : w(l) > w(j)}) as one int.  A field of code(x) equals the same field
+    of code(y) exactly when [x, y] splits by position or by value at that
+    i, or freezes that j (x(j) = y(j) = v and #{l < j : x(l) > v} = #{l <
+    j : y(l) > v}); so [x, y] is irreducible iff no field is equal."""
     codes: dict[perms.Perm, tuple[int, ...]] = {}
-    bottom, base, seen = None, (), 0        # the ball in hand, its code
 
     def prefix_sets(w):
         return itertools.accumulate((1 << v for v in w[:-1]), operator.or_)
 
     def code(w) -> tuple[int, ...]:
-        frozen = (v * n + sum(u > v for u in w[:j]) for j, v in enumerate(w))
-        codes[w] = found = (*prefix_sets(w), *prefix_sets(perms.inverse(w)),
-                            *frozen)
+        found = codes.get(w)
+        if found is None:
+            frozen = (v * n + sum(u > v for u in w[:j])
+                      for j, v in enumerate(w))
+            found = codes[w] = (*prefix_sets(w),
+                                *prefix_sets(perms.inverse(w)), *frozen)
         return found
 
-    def screen(ball, mask: int) -> bool:
-        nonlocal bottom, base, seen
-        if ball is not bottom:
-            bottom, base = ball, code(ball.elements[0])
-            seen += len(ball.elements) - 1
-        y = ball.elements[mask.bit_length() - 1]
-        return not any(map(operator.eq, base, codes.get(y) or code(y)))
-
-    return screen, lambda: seen
+    return code
 
 
 def _scan_intervals(n: int, max_len: int, bottoms):
     """Certificates of the irreducible intervals [x, y]
-    (:func:`_irreducible_screen`) with x in ``bottoms`` and rank gap at
+    (:func:`_irreducible_code`) with x in ``bottoms`` and rank gap at
     most ``max_len``, keyed by ("intervals", gap), plus those with x the
     identity (the ideals) keyed by ("ideals", gap); and how many
     intervals [x, y], y != x, with gap at most ``max_len`` the bottoms
-    have.  A bottom whose up-ball reaches the least gap
-    (:func:`_least_gap`) goes to :func:`_scan`, whose screen counts the
-    ball's intervals; any other holds no irreducible interval and is
-    only counted (:func:`tables.count_above`), with no ball."""
+    have.  An interval with a gap below :func:`_least_gap` has a frozen
+    point, so a bottom whose up-ball cannot reach that gap is only
+    counted (:func:`tables.count_above`), with no ball.  Any other builds
+    its up-ball, whose size less one is its count, and certifies each
+    top from that gap on whose code shares no field with its own."""
     least = _least_gap(n)
     top = n * (n - 1) // 2
-    counted = 0
-
-    def reaching():
-        nonlocal counted
-        for x in bottoms:
-            depth = min(max_len, top - perms.length(x))
-            if depth < least:
-                counted += count_above(x, depth)
-            else:
-                yield x
-
     identity = perms.identity(n)
+    code = _irreducible_code(n)
     certs: dict[tuple[str, int], set] = defaultdict(set)
-    screen, examined = _irreducible_screen(n)
-    for x, _, gap, cert in _scan(reaching(), least, max_len, screen):
-        certs["intervals", gap].add(cert)
-        if x == identity:
-            certs["ideals", gap].add(cert)
-    return certs, counted + examined()
+    counted = 0
+    for x in bottoms:
+        depth = min(max_len, top - perms.length(x))
+        if depth < least:
+            counted += count_above(x, depth)
+            continue
+        ball = up_ball(x, depth)
+        counted += len(ball.elements) - 1
+        base = code(x)
+        for y in range(ball.ranks.index(least), len(ball.elements)):
+            if any(map(operator.eq, base, code(ball.elements[y]))):
+                continue
+            gap = ball.ranks[y]
+            cert = _certificate(*ball.structure(ball.below[y]))
+            certs["intervals", gap].add(cert)
+            if x == identity:
+                certs["ideals", gap].add(cert)
+    return certs, counted
 
 
 def atlas(
@@ -618,7 +583,7 @@ def atlas(
     has the proofs).  So the classes of S_n at gap d are the union, over
     k = 2..n, of the classes of the irreducible intervals of S_k, those
     with neither a split nor a frozen point, which alone are certified
-    (:func:`_irreducible_screen`); one set of certificates per kind and
+    (:func:`_irreducible_code`); one set of certificates per kind and
     gap collects them.  An irreducible interval of S_k has a gap of at
     least ceil(k/2) (:func:`_least_gap`), so every level scans only from
     that gap, and a level k < n not at all when it exceeds max_len: the

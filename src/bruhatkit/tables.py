@@ -23,9 +23,12 @@ decoded.  The tables sit in a bounded module-level cache, one per m,
 which every cache reset clears; the queries' intervals come from
 :mod:`bruhatkit.bruhat`, on tuples and with no state between calls.
 
-The one interval walk that builds up-balls is ``posets._scan``, shared
-by ``forces`` and the atlas.  Where the atlas needs only how many
-elements a ball would hold, to count the intervals of a bottom that
+Two scans build up-balls, each looping over its own bottoms:
+``forcing._shaped_intervals`` for ``forces`` and
+``posets._scan_intervals`` for the atlas.  Each reads the tops of a
+ball from the first id of the least rank it wants on, found by
+``ball.ranks.index``.  Where the atlas needs only how many elements a
+ball would hold, to count the intervals of a bottom that
 cannot reach its least irreducible gap, :func:`count_above` walks the
 same rows and keeps each level as a set of ranks, with no masks and no
 ball.  Every element of S_n lies above the identity, so the whole group

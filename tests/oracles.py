@@ -12,9 +12,10 @@ factorizations from a scan over all of S_n with plain tuples and
 inversion sets, Bruhat covers and up-balls from the transposition rule
 on plain tuples, intervals from the subword formulation and that rule,
 the symmetries of S_n from index arithmetic on plain tuples, frozen
-points from four entries of the rank matrices, and whether a word is a
+points from four entries of the rank matrices, whether a word is a
 reduced word of w from evaluating it on a plain list and counting
-inversions.
+inversions, and the networkx cover digraph of an interval from an
+oracle up-ball.
 """
 
 from __future__ import annotations
@@ -331,6 +332,24 @@ def up_ball_oracle(x: Perm, depth: int):
                 for yid, y in enumerate(level, start)]
     return (tuple(elements), tuple(ranks), tuple(rank_masks),
             tuple(down_adj), tuple(below))
+
+
+def ball_digraph(nx, ball, y):
+    """The covers of [x, y] as a networkx DiGraph with each element's
+    rank above x as its ``rank``, read off ``ball``, an
+    :func:`up_ball_oracle` of x that holds y."""
+    elements, ranks, _, down_adj, below = ball
+    mask = below[elements.index(y)]
+    inside = [u for u in range(len(elements)) if mask >> u & 1]
+    g = nx.DiGraph()
+    g.add_nodes_from((u, {"rank": ranks[u]}) for u in inside)
+    g.add_edges_from((v, u) for u in inside for v in down_adj[u])
+    return g
+
+
+def rank_match(a, b) -> bool:
+    """The node match of ranked cover digraphs: equal ranks."""
+    return a["rank"] == b["rank"]
 
 
 def _factorization_scan(x: Perm, y: Perm):

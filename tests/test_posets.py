@@ -13,12 +13,14 @@ from bruhatkit.tables import group_table, iter_bits, up_ball
 
 from oracles import (
     backtracking_isomorphic,
+    ball_digraph,
     cover_tops_oracle,
     deletion_oracle,
     frozen_points_oracle,
     individualize_oracle,
     interval_oracle,
     min_certificate_oracle,
+    rank_match,
     refine_oracle,
     symmetries_oracle,
     up_ball_oracle,
@@ -92,15 +94,20 @@ def full_scan_atlas(n, max_len):
     orbit representatives, none screened out: the atlas as it was before
     it built the classes of S_n from those of the smaller groups."""
     identity = perms.identity(n)
-    reps = [x for x in perms.all_perms(n)
-            if x == max(perms.symmetry_images(x))]
+    top = n * (n - 1) // 2
     certs = defaultdict(set)
     examined = 0
-    for x, _, gap, cert in posets._scan(reps, 1, max_len):
-        certs["intervals", gap].add(cert)
-        if x == identity:
-            certs["ideals", gap].add(cert)
-        examined += 1
+    for x in perms.all_perms(n):
+        if x != max(perms.symmetry_images(x)):
+            continue
+        ball = up_ball(x, min(max_len, top - perms.length(x)))
+        for y in range(1, len(ball.elements)):
+            gap = ball.ranks[y]
+            cert = posets._certificate(*ball.structure(ball.below[y]))
+            certs["intervals", gap].add(cert)
+            if x == identity:
+                certs["ideals", gap].add(cert)
+            examined += 1
     rows = [{"length": 0, "intervals": 1, "ideals": 1}] + [
         {"length": d, "intervals": len(certs["intervals", d]),
          "ideals": len(certs["ideals", d])}
@@ -141,6 +148,25 @@ def split_points(x, y):
     ]
 
 
+def equal_code_fields(code, x, y):
+    """The fields at which ``code(x)`` and ``code(y)`` agree, named as
+    the oracles name a split or a frozen point: ("position", i) and
+    ("value", i) for 0 < i < n, then ("frozen", j) for each position
+    j."""
+    n = len(x)
+    names = ([(kind, i) for kind in ("position", "value")
+              for i in range(1, n)]
+             + [("frozen", j) for j in range(1, n + 1)])
+    return [name for name, a, b in zip(names, code(x), code(y)) if a == b]
+
+
+def reducible_points(x, y):
+    """The splits and frozen points of x <= y, from the oracles, named as
+    in :func:`equal_code_fields`."""
+    return split_points(x, y) + [
+        ("frozen", j) for j, _ in frozen_points_oracle(x, y)]
+
+
 def split_factors(x, y, kind, i):
     """The two flattened factor pairs of [x, y] at a split: the first i
     and the last n - i positions, or the values up to i and above i in
@@ -169,22 +195,6 @@ def oracle_digraph(nx, x, y):
     """The covers of [x, y] as a networkx DiGraph with each element's
     rank above x as its ``rank``, read off ``up_ball_oracle`` alone."""
     return ball_digraph(nx, oracle_ball(x), y)
-
-
-def ball_digraph(nx, ball, y):
-    """The covers of [x, y] as in :func:`oracle_digraph`, read off
-    ``ball``, an ``up_ball_oracle`` of x that holds y."""
-    elements, ranks, _, down_adj, below = ball
-    mask = below[elements.index(y)]
-    inside = [u for u in range(len(elements)) if mask >> u & 1]
-    g = nx.DiGraph()
-    g.add_nodes_from((u, {"rank": ranks[u]}) for u in inside)
-    g.add_edges_from((v, u) for u in inside for v in down_adj[u])
-    return g
-
-
-def rank_match(a, b):
-    return a["rank"] == b["rank"]
 
 
 def product_digraph(nx, g, h):
@@ -502,21 +512,30 @@ class TestParabolicSplit:
 
     @pytest.mark.parametrize("n,pairs", [(4, 213), (5, 3781)])
     def test_screen_equals_prefix_sets(self, n, pairs):
-        # the screen drops the split intervals and, with them, those with
-        # a frozen point (TestFrozenPoint); it counts each ball's
-        # intervals once, its bottom left out
-        screen, seen = posets._irreducible_screen(n)
+        # the code fields that agree are the splits and, with them, the
+        # frozen points (TestFrozenPoint); the scan certifies exactly the
+        # intervals with none, and counts each ball's intervals once, its
+        # bottom left out
+        code = posets._irreducible_code(n)
         top = n * (n - 1) // 2
+        identity = perms.identity(n)
+        expected = defaultdict(set)
         count = 0
         for x in perms.all_perms(n):
             ball = up_ball(x, top - perms.length(x))
             for yid, y in enumerate(ball.elements):
-                passed = screen(ball, ball.below[yid])
-                assert passed == (not split_points(x, y)
-                                  and not frozen_points_oracle(x, y)), (x, y)
+                points = reducible_points(x, y)
+                assert equal_code_fields(code, x, y) == points, (x, y)
+                if not points:
+                    cert = posets._certificate(
+                        *ball.structure(ball.below[yid]))
+                    expected["intervals", ball.ranks[yid]].add(cert)
+                    if x == identity:
+                        expected["ideals", ball.ranks[yid]].add(cert)
                 count += 1
         assert count == pairs
-        assert seen() == pairs - math.factorial(n)
+        assert posets._scan_intervals(n, top, perms.all_perms(n)) == (
+            expected, pairs - math.factorial(n))
 
     @pytest.mark.parametrize("n,splits", [(4, 268), (5, 5580)])
     def test_split_interval_is_product_of_factors(self, n, splits):
@@ -683,24 +702,28 @@ class TestFrozenPoint:
         assert checked == frozen
 
     @pytest.mark.parametrize("n,irreducible", [
-        (2, 1), (3, 4), (4, 1), (5, 40), (6, 25),
+        (2, 1), (3, 4), (4, 1), (5, 40), (6, 25), (7, 174),
     ])
     def test_least_irreducible_gap_is_half_of_n(self, n, irreducible):
         # no pair with 2 * gap < n has neither a split nor a frozen point,
         # and some pair of gap ceil(n/2) has neither: the atlas's bound is
         # the least gap, not just a lower bound.  Every irreducible pair
-        # at that gap, 71 over S_2-S_6, is the Boolean lattice B_least,
-        # ranks matched: the oracle ideal of s_1 ... s_least = 23...1.  A
-        # proof is sketched for even n only; for odd n this is evidence,
-        # not a proof
+        # at that gap, 71 over S_2-S_6 and 174 above a seeded sample of
+        # 500 bottoms of S_7, is the Boolean lattice B_least, ranks
+        # matched: the oracle ideal of s_1 ... s_least = 23...1.  A proof
+        # is sketched for even n only; for odd n this is evidence, not a
+        # proof
         nx = pytest.importorskip("networkx")
         least = -(-n // 2)
         assert posets._least_gap(n) == least
         coxeter = tuple(range(2, least + 2)) + (1,)
         cube = ball_digraph(
             nx, up_ball_oracle(tuple(sorted(coxeter)), least), coxeter)
+        bottoms = list(itertools.permutations(range(1, n + 1)))
+        if n == 7:
+            bottoms = random.Random(2801).sample(bottoms, 500)
         found = defaultdict(int)
-        for x in itertools.permutations(range(1, n + 1)):
+        for x in bottoms:
             depth = min(least, n * (n - 1) // 2 - inversion_count(x))
             ball = up_ball_oracle(x, depth)
             for y, gap in zip(ball[0][1:], ball[1][1:]):
@@ -714,47 +737,49 @@ class TestFrozenPoint:
     def test_screen_on_a_seeded_sample_of_s6(self):
         rng = random.Random(2302)
         bottoms = rng.sample(list(perms.all_perms(6)), 40)
-        screen, seen = posets._irreducible_screen(6)
+        code = posets._irreducible_code(6)
         passed = 0
         for x in bottoms:
             ball = up_ball(x, 15 - perms.length(x))
-            for yid, y in enumerate(ball.elements):
-                irreducible = (not split_points(x, y)
-                               and not frozen_points_oracle(x, y))
-                assert screen(ball, ball.below[yid]) == irreducible, (x, y)
-                passed += irreducible
-        assert (passed, seen()) == (1897, 5928 - 40)
+            for y in ball.elements:
+                points = reducible_points(x, y)
+                assert equal_code_fields(code, x, y) == points, (x, y)
+                passed += not points
+        examined = posets._scan_intervals(6, 15, bottoms)[1]
+        assert (passed, examined) == (1897, 5928 - 40)
 
     def test_levels_below_the_gap_bound_scan_nothing(self, monkeypatch):
         # atlas(7, 2): S_5, S_6 and S_7 cannot hold an irreducible interval
-        # of gap 2 or less.  S_5 and S_6 get no bottoms and no up-ball; S_3
-        # and S_4 scan from gap 2.  S_7's bottoms are fanned out only to
-        # count intervals_examined, by level sizes: none reaches its scan
-        # from gap 4, and no S_7 up-ball is built
-        fanned, scans, balls = [], [], []
-        fan_out, scan, ball = posets._fan_out, posets._scan, posets.up_ball
+        # of gap 2 or less.  S_5 and S_6 get no bottoms and no up-ball.
+        # The bottoms of S_2, S_3 and S_4 that reach the least gap get a
+        # ball, the others are counted by level sizes.  S_7's bottoms are
+        # fanned out only to count intervals_examined: none reaches gap
+        # 4, and no S_7 up-ball is built
+        fanned, balls, counted = [], set(), set()
+        fan_out, ball, count = (posets._fan_out, posets.up_ball,
+                                posets.count_above)
         expected = full_scan_atlas(7, 2)
 
         def record_fan_out(fn, args, m, jobs, greatest=False):
             fanned.append(m)
             return fan_out(fn, args, m, jobs, greatest)
 
-        def record_scan(bottoms, lo, hi, screen=None):
-            bottoms = list(bottoms)
-            scans.append(({len(x) for x in bottoms}, lo, hi))
-            return scan(bottoms, lo, hi, screen)
-
         def record_ball(x, depth):
-            balls.append(len(x))
+            balls.add((len(x), depth))
             return ball(x, depth)
 
+        def record_count(x, depth):
+            counted.add((len(x), depth))
+            return count(x, depth)
+
         monkeypatch.setattr(posets, "_fan_out", record_fan_out)
-        monkeypatch.setattr(posets, "_scan", record_scan)
         monkeypatch.setattr(posets, "up_ball", record_ball)
+        monkeypatch.setattr(posets, "count_above", record_count)
         assert posets.atlas(7, 2).to_json() == expected
         assert fanned == [2, 3, 4, 7]
-        assert scans == [({2}, 1, 2), ({3}, 2, 2), ({4}, 2, 2), (set(), 4, 2)]
-        assert set(balls) == {2, 3, 4}
+        assert balls == {(2, 1), (3, 2), (4, 2)}
+        assert counted == {(2, 0), (3, 0), (3, 1), (4, 0), (4, 1),
+                           (7, 0), (7, 1), (7, 2)}
 
 
 class TestIntervalStructure:

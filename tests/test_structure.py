@@ -7,9 +7,14 @@ import pytest
 from bruhatkit import bruhat, forcing, perms, posets, structure, words
 
 from oracles import (
+    ball_digraph,
     brute_force_reduced_words,
     decompose_oracle,
+    deletion_oracle,
+    is_reduced_word_of,
     move_closure_reduced_words,
+    rank_match,
+    up_ball_oracle,
 )
 
 
@@ -186,6 +191,62 @@ class TestNonForcingWitness:
         bad = structure.Decomposition(m=1, a1=(1,), a2=(3,), side="left")
         with pytest.raises(ValueError):
             structure.nonforcing_witness(P("2314"), bad)
+
+
+class TestTheoremCrossChecks:
+    """The paper's two theorems, checked over tests/oracles.py and
+    networkx: a decomposable w never forces a factor, and every interval
+    shaped like the ideal of w0_k has a swap string, hence a factor
+    deletion."""
+
+    def test_every_decomposable_s5_has_a_counterexample(self):
+        # 73 decomposable w of S_5: the witness of 13 lies in S_5 and that
+        # of 60 in S_6
+        nx = pytest.importorskip("networkx")
+
+        def inversions(w):
+            return sum(a > b for a, b in itertools.combinations(w, 2))
+
+        ambients = {}
+        for w in itertools.permutations(range(1, 6)):
+            d = structure.decompose(w)
+            if d is None:
+                continue
+            witness = structure.nonforcing_witness(w, d)
+            x, y = witness.w_minus, witness.w_plus
+            ambients[len(y)] = ambients.get(len(y), 0) + 1
+            assert not deletion_oracle(x, y), w
+            found = ball_digraph(
+                nx, up_ball_oracle(x, inversions(y) - inversions(x)), y)
+            ideal = ball_digraph(
+                nx, up_ball_oracle(tuple(sorted(w)), inversions(w)), w)
+            assert nx.is_isomorphic(found, ideal, node_match=rank_match), w
+            verdict = forcing.forces_factor(w, len(y))
+            assert verdict.outcome == "counterexample", w
+        assert ambients == {5: 13, 6: 60}
+
+    def test_every_w0_k_interval_has_a_swap_string(self):
+        # every interval of S_k..S_6 shaped like the ideal of w0_k, k = 2,
+        # 3, 4, 5,717 in all; an interval shaped like w0_1 is a point
+        counts = {}
+        for k in range(2, 5):
+            for m in range(k, 7):
+                count = 0
+                for x, y in forcing.intervals_isomorphic_to(
+                        perms.longest(k), m):
+                    ss = structure.detect_swap_string(x, y)
+                    assert ss is not None and ss.k == k, (x, y)
+                    a, b, c, _ = structure.swap_string_factorization(x, y, ss)
+                    assert is_reduced_word_of(a + c, x), (x, y)
+                    assert is_reduced_word_of(a + b + c, y), (x, y)
+                    assert deletion_oracle(x, y), (x, y)
+                    count += 1
+                counts[k, m] = count
+        assert counts == {
+            (2, 2): 1, (2, 3): 8, (2, 4): 58, (2, 5): 444, (2, 6): 3708,
+            (3, 3): 1, (3, 4): 12, (3, 5): 118, (3, 6): 1152,
+            (4, 4): 1, (4, 5): 16, (4, 6): 198,
+        }
 
 
 class TestDetectSwapString:
