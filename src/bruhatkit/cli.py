@@ -1,7 +1,8 @@
 """Command-line surface: one subcommand per analysis family.
 
 Exit codes: 0 on success (including a "no counterexample" forcing
-verdict), 1 when a configured cap is exceeded, 2 on usage errors.
+verdict), 1 when a configured cap is exceeded or stdout is closed
+early, 2 on usage errors.
 Outputs are byte-stable across runs and across --jobs settings; timing
 is reported as 0.0 unless --timing is given, so that JSON outputs stay
 reproducible.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bruhat, forcing, perms, posets, structure, words
@@ -355,9 +357,19 @@ def main(argv: list[str] | None = None) -> int:
 
 def report_errors(func, *args) -> int:
     """``func(*args)``, ending in one ``error:`` line on stderr and exit
-    code 1 for a cap exceeded or 2 for a bad value; scripts use it too."""
+    code 1 for a cap exceeded or 2 for a bad value; scripts use it too.
+    A reader that closes stdout early (``| head``) ends the call with
+    exit code 1 and nothing on stderr: stdout is flushed here, and on a
+    broken pipe pointed at the null device, so that the flush at
+    shutdown has nothing left to fail on."""
     try:
-        return func(*args)
+        code = func(*args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -80,16 +80,22 @@ def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _mask_and_positions(w: Perm) -> tuple[int, list[int]]:
     """The position-inversion mask of w and its position array (entry k
-    the 0-based position of the value k + 1)."""
-    bits = _pair_bits(len(w))
-    mask = sum([
-        bits[a][b]
-        for a, b in itertools.combinations(range(len(w)), 2)
-        if w[a] > w[b]
-    ])
-    pos = [0] * len(w)
+    the 0-based position of the value k + 1).
+
+    The bits of the pairs {a, b}, b > a, run together from bit a(2n - a
+    - 1)/2 on (:func:`_pair_bits`), and the pair is an inversion when
+    w(b) < w(a).  So the walk takes the values in ascending order, keeps
+    the mask of the positions of the smaller ones, and shifts its bits
+    past the position a of each value into a's block.
+    """
+    n = len(w)
+    pos = [0] * n
     for p, value in enumerate(w):
         pos[value - 1] = p
+    mask = smaller = 0
+    for a in pos:
+        mask |= (smaller >> (a + 1)) << (a * (2 * n - a - 1) >> 1)
+        smaller |= 1 << a
     return mask, pos
 
 

@@ -17,6 +17,7 @@ is safe to use from many threads without coordination.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator
 
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
@@ -78,9 +79,18 @@ def longest(n: int) -> Perm:
 
 
 def length(w: Perm) -> int:
-    """Coxeter length: the number of inversions of ``w``."""
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    """Coxeter length: the number of inversions of ``w``.
+
+    The entry a = w(i) heads the inversions (i, j) with w(j) < a, and
+    a - 1 values lie below it, of which those met before i are the set
+    bits under a of ``seen``, the mask of the values w(1..i-1); so the
+    sum is one popcount per entry, not a scan of the rest of w.
+    """
+    total = seen = 0
+    for a in w:
+        total += a - 1 - (seen & ((1 << a) - 1)).bit_count()
+        seen |= 1 << a
+    return total
 
 
 def inversions(w: Perm) -> set[tuple[int, int]]:
@@ -184,15 +194,28 @@ def symmetry_images(w: Perm) -> tuple[Perm, Perm, Perm, Perm]:
 
 def is_orbit_extreme(w: Perm, greatest: bool = False) -> bool:
     """Whether w is the least of :func:`symmetry_images` in one-line
-    order, or with ``greatest`` the greatest.  w^-1 is tried first, and
-    the test stops at the first image that beats w.
+    order, or with ``greatest`` the greatest.
+
+    The first entries of the three other images need no image: w^-1(1)
+    is the position of 1, (w0 w w0)(1) is n + 1 - w(n), and
+    (w0 w^-1 w0)(1) is n + 1 less the position of n.  An image whose
+    first entry is not w(1) beats w exactly when that entry beats w(1),
+    so the images are built, and compared whole, only when no first
+    entry beats w(1) and one equals it.
 
     >>> is_orbit_extreme((2, 3, 1)), is_orbit_extreme((3, 1, 2))
     (True, False)
     >>> is_orbit_extreme((3, 1, 2), greatest=True)
     True
     """
-    beats = tuple.__gt__ if greatest else tuple.__lt__
+    beats = operator.gt if greatest else operator.lt
+    n, first = len(w), w[0]
+    heads = (w.index(1) + 1, n + 1 - w[-1], n - w.index(n))
+    if (beats(heads[0], first) or beats(heads[1], first)
+            or beats(heads[2], first)):
+        return False
+    if first not in heads:
+        return True
     wi = inverse(w)
     return not (beats(wi, w) or beats(conjugate_by_longest(w), w)
                 or beats(conjugate_by_longest(wi), w))

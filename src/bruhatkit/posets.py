@@ -459,13 +459,26 @@ def _check_jobs(jobs) -> None:
             f"jobs must be None or an integer of at least 1, got {jobs!r}")
 
 
+@functools.lru_cache(maxsize=64)
+def _extremes(m: int, greatest: bool, lo: int, hi: int) -> bytes:
+    """One flag per position in [lo, hi) of S_m in one-line order: 1 for
+    a permutation that :func:`perms.is_orbit_extreme` keeps.  It holds
+    hi - lo bytes, so m! per orientation for the whole group: 40 KB for
+    S_8 and 363 KB for S_9."""
+    group = itertools.permutations(range(1, m + 1))
+    return bytes(perms.is_orbit_extreme(x, greatest)
+                 for x in itertools.islice(group, lo, hi))
+
+
 def _over_range(fn, args: tuple, m: int, greatest: bool, lo: int, hi: int):
     """``fn(*args, bottoms)``, with ``bottoms`` the permutations at
     positions [lo, hi) of S_m that :func:`perms.is_orbit_extreme` keeps,
-    made lazily where this runs."""
+    made lazily where this runs from the range's flags, which each
+    process computes once (:func:`_extremes`) and every later scan of
+    the range replays."""
     group = itertools.permutations(range(1, m + 1))
-    return fn(*args, (x for x in itertools.islice(group, lo, hi)
-                      if perms.is_orbit_extreme(x, greatest)))
+    return fn(*args, itertools.compress(itertools.islice(group, lo, hi),
+                                        _extremes(m, greatest, lo, hi)))
 
 
 def _fan_out(fn, args: tuple, m: int, jobs: int | None, greatest=False):
@@ -474,7 +487,8 @@ def _fan_out(fn, args: tuple, m: int, jobs: int | None, greatest=False):
     order, so a caller that stops at its first hit sees what one range
     would.  ``bottoms`` holds the permutations of a range least in their
     symmetry orbit, or with ``greatest`` the greatest; a worker makes
-    them itself, so only m and the range cross the pipe.
+    them itself, so only m and the range cross the pipe, and each
+    process filters a range once (:func:`_over_range`).
 
     ``jobs`` is None or an integer of at least 1 (:func:`_check_jobs`).
     With ``jobs`` > 1, min(jobs, CPU count) worker processes take about

@@ -60,11 +60,17 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def rank(w: Perm) -> int:
     """The lexicographic rank of w in S_n, from 0 for the identity to
-    n! - 1 for the reversal: its Lehmer code read in factorial base."""
+    n! - 1 for the reversal: its Lehmer code read in factorial base.
+
+    Lehmer digit i counts the entries after position i below a = w(i):
+    the a - 1 values below a less those met before i, which are the set
+    bits under a of ``seen``, the mask of the values w(1..i-1).
+    """
     n = len(w)
-    r = 0
+    r = seen = 0
     for i, a in enumerate(w):
-        r = r * (n - i) + sum(b < a for b in w[i + 1:])
+        r = r * (n - i) + a - 1 - (seen & ((1 << a) - 1)).bit_count()
+        seen |= 1 << a
     return r
 
 
@@ -89,10 +95,15 @@ class RankTable:
         (Bjorner and Brenti, GTM 231, 2.1.4).  It raises Lehmer digit i
         by 1 + c and lowers digit j by c, with c = #{l > j : a < w(l) <
         b}, and leaves the other digits alone, so it adds
-        (1 + c)(m-1-i)! - c(m-1-j)! to the rank.
+        (1 + c)(m-1-i)! - c(m-1-j)! to the rank.  With ``after[j]`` the
+        mask of the values at the positions past j, c is the popcount of
+        its bits a + 1 .. b - 1.
         """
         w = self.perms[r]
         m, weights, met = self.m, self.weights, self.perms
+        after = [0] * m
+        for j in range(m - 1, 0, -1):
+            after[j - 1] = after[j] | 1 << w[j]
         out = []
         for i in range(m - 1):
             a = w[i]
@@ -101,7 +112,7 @@ class RankTable:
                 b = w[j]
                 if a < b < hi:
                     hi = b
-                    c = sum(a < v < b for v in w[j + 1:])
+                    c = (after[j] & ((1 << b) - (2 << a))).bit_count()
                     top = r + (1 + c) * weights[i] - c * weights[j]
                     if top not in met:
                         met[top] = w[:i] + (b,) + w[i + 1:j] + (a,) + w[j + 1:]

@@ -9,12 +9,14 @@ CPUS = 4
 
 @pytest.fixture(autouse=True)
 def cold_scan_caches():
-    """Clear the verdict cache and the rank tables before each test, so
-    that a test that calls ``forces_factor`` compares a real scan, not a
-    verdict an earlier test left behind, and a test that reads a rank
-    table sees only the rows it filled itself."""
+    """Clear the verdict cache, the rank tables and the orbit-extreme
+    flags before each test, so that a test that calls ``forces_factor``
+    compares a real scan, not a verdict an earlier test left behind, a
+    test that reads a rank table sees only the rows it filled itself,
+    and one that counts orbit filters sees its own."""
     forcing._shape_verdict.cache_clear()
     tables.rank_table.cache_clear()
+    posets._extremes.cache_clear()
 
 
 @pytest.fixture

@@ -11,7 +11,8 @@ every round, factor deletion and its length-additive
 factorizations from a scan over all of S_n with plain tuples and
 inversion sets, Bruhat covers and up-balls from the transposition rule
 on plain tuples, intervals from the subword formulation and that rule,
-the symmetries of S_n from index arithmetic on plain tuples, frozen
+the symmetries of S_n from index arithmetic on plain tuples, position
+inversions from a comparison of every pair of positions, frozen
 points from four entries of the rank matrices, whether a word is a
 reduced word of w from evaluating it on a plain list and counting
 inversions, and the networkx cover digraph of an interval from an
@@ -228,6 +229,16 @@ def _value_inversions(w: tuple[int, ...]) -> frozenset[tuple[int, int]]:
         for j in range(i + 1, len(w))
         if w[i] > w[j]
     )
+
+
+def position_inversions_oracle(w: Perm) -> set[tuple[int, int]]:
+    """Pairs (i, j) of 0-based positions with i < j and w[i] > w[j], by
+    comparing every pair; their number is the length of w."""
+    return {
+        (i, j)
+        for i, j in itertools.combinations(range(len(w)), 2)
+        if w[i] > w[j]
+    }
 
 
 def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

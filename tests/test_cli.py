@@ -374,6 +374,29 @@ class TestForces:
         assert first == second
 
 
+class TestClosedStdout:
+    # a reader that stops after one line, as ``| head -1`` does; stdout is
+    # unbuffered, so the survey writes each line as it is decided and
+    # meets the closed pipe on the next one
+    @pytest.mark.parametrize("argv", [
+        ("-m", "bruhatkit.cli", "words", "654321"),
+        (os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "scripts", "forcing_survey.py"),
+         "--n", "4", "--max-m", "6"),
+    ])
+    def test_exits_1_with_nothing_on_stderr(self, argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   PYTHONUNBUFFERED="1")
+        with subprocess.Popen([sys.executable, *argv], env=env,
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as child:
+            assert child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=120) == 1
+        assert err == b""
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         for argv in (

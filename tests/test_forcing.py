@@ -12,6 +12,7 @@ from oracles import (
     deletion_oracle,
     factorizations_oracle,
     is_reduced_word_of,
+    position_inversions_oracle,
     symmetries_oracle,
 )
 from whole_group import above
@@ -449,10 +450,44 @@ def full_scan_verdict(w, m_max):
     return "no-counterexample-up-to-bound", None, examined, sample
 
 
+class TestMaskAndPositions:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_the_inverted_pairs(self, n):
+        # the shifted blocks against a comparison of every pair, with
+        # the pairs' bits in the order of itertools.combinations
+        bit = {pair: 1 << k for k, pair in
+               enumerate(itertools.combinations(range(n), 2))}
+        for w in itertools.permutations(range(1, n + 1)):
+            mask, pos = forcing._mask_and_positions(w)
+            assert mask == sum(
+                bit[pair] for pair in position_inversions_oracle(w)), w
+            assert [w[p] for p in pos] == list(range(1, n + 1)), w
+
+
 class TestOrbitScan:
     """The scan builds balls only for the least bottom of each orbit of
     inversion and conjugation by w0; ``notes/decisions.md`` has the
     proof that the verdict is the full scan's."""
+
+    def test_each_range_is_filtered_once(self, monkeypatch):
+        # a second shape over the same S_m replays the first's flags,
+        # and a cleared memo filters all of S_m again
+        calls = []
+        screen = perms.is_orbit_extreme
+
+        def counted(w, greatest=False):
+            calls.append(w)
+            return screen(w, greatest)
+
+        monkeypatch.setattr(perms, "is_orbit_extreme", counted)
+        forcing.forces_factor(P("32145"), 5)
+        assert len(calls) == 120
+        forcing.forces_factor(P("21435"), 5)
+        assert len(calls) == 120
+        posets._extremes.cache_clear()
+        forcing.forces_factor(P("12354"), 5)
+        assert len(calls) == 240
+        assert forcing._shape_verdict.cache_info().misses == 3
 
     @pytest.mark.parametrize("n,sample", [(4, None), (5, None), (6, 150)])
     def test_deletion_kept_by_symmetries(self, n, sample):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from bruhatkit import perms
 from bruhatkit.limits import CapExceeded, Limits
+from oracles import position_inversions_oracle, symmetries_oracle
 
 
 def P(text):
@@ -143,6 +144,12 @@ class TestInversions:
     def test_length_counts_inversions(self, w):
         assert perms.length(w) == len(perms.inversions(w))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_length_counts_inverted_pairs(self, n):
+        # the popcount sum against a comparison of every pair
+        for w in perms.all_perms(n):
+            assert perms.length(w) == len(position_inversions_oracle(w)), w
+
 
 class TestCoxeterRelations:
     @given(perm_strategy)
@@ -185,15 +192,15 @@ class TestEmbed:
 
 
 class TestOrbitExtreme:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_equals_the_four_image_filter(self, n):
-        # the early exit keeps the filters of the forcing scan (least)
-        # and of the atlas (greatest)
+        # the first-entry screen and the early exit keep the filters of
+        # the forcing scan (least) and of the atlas (greatest)
         for w in perms.all_perms(n):
-            images = perms.symmetry_images(w)
-            assert perms.is_orbit_extreme(w) == (w == min(images))
+            images = (w, *symmetries_oracle(w))
+            assert perms.is_orbit_extreme(w) == (w == min(images)), w
             assert perms.is_orbit_extreme(w, greatest=True) == (
-                w == max(images))
+                w == max(images)), w
 
 
 class TestText:

@@ -199,31 +199,60 @@ class TestTheoremCrossChecks:
     shaped like the ideal of w0_k has a swap string, hence a factor
     deletion."""
 
+    @staticmethod
+    def _witnesses(n):
+        """(w, non-forcing witness) for each decomposable w of S_n, in
+        one-line order."""
+        return [
+            (w, structure.nonforcing_witness(w, d))
+            for w in itertools.permutations(range(1, n + 1))
+            if (d := structure.decompose(w)) is not None
+        ]
+
+    @staticmethod
+    def _check_counterexample(nx, w, witness):
+        # deletion_oracle finds no deletion in the witness, networkx
+        # matches it with the ideal of w, and the scan finds a
+        # counterexample by the witness's ambient
+        def inversions(w):
+            return sum(a > b for a, b in itertools.combinations(w, 2))
+
+        x, y = witness.w_minus, witness.w_plus
+        assert not deletion_oracle(x, y), w
+        found = ball_digraph(
+            nx, up_ball_oracle(x, inversions(y) - inversions(x)), y)
+        ideal = ball_digraph(
+            nx, up_ball_oracle(tuple(sorted(w)), inversions(w)), w)
+        assert nx.is_isomorphic(found, ideal, node_match=rank_match), w
+        verdict = forcing.forces_factor(w, len(y))
+        assert verdict.outcome == "counterexample", w
+
     def test_every_decomposable_s5_has_a_counterexample(self):
         # 73 decomposable w of S_5: the witness of 13 lies in S_5 and that
         # of 60 in S_6
         nx = pytest.importorskip("networkx")
-
-        def inversions(w):
-            return sum(a > b for a, b in itertools.combinations(w, 2))
-
         ambients = {}
-        for w in itertools.permutations(range(1, 6)):
-            d = structure.decompose(w)
-            if d is None:
-                continue
-            witness = structure.nonforcing_witness(w, d)
-            x, y = witness.w_minus, witness.w_plus
-            ambients[len(y)] = ambients.get(len(y), 0) + 1
-            assert not deletion_oracle(x, y), w
-            found = ball_digraph(
-                nx, up_ball_oracle(x, inversions(y) - inversions(x)), y)
-            ideal = ball_digraph(
-                nx, up_ball_oracle(tuple(sorted(w)), inversions(w)), w)
-            assert nx.is_isomorphic(found, ideal, node_match=rank_match), w
-            verdict = forcing.forces_factor(w, len(y))
-            assert verdict.outcome == "counterexample", w
+        for w, witness in self._witnesses(5):
+            ambients[len(witness.w_plus)] = (
+                ambients.get(len(witness.w_plus), 0) + 1)
+            self._check_counterexample(nx, w, witness)
         assert ambients == {5: 13, 6: 60}
+
+    def test_decomposable_s6_sample_has_counterexamples(self):
+        # 432 decomposable w of S_6: the witness of 73 lies in S_6 and that
+        # of 359 in S_7; a seeded 12 of them are checked in full
+        nx = pytest.importorskip("networkx")
+        witnesses = self._witnesses(6)
+        ambients = {}
+        for _, witness in witnesses:
+            ambients[len(witness.w_plus)] = (
+                ambients.get(len(witness.w_plus), 0) + 1)
+        assert ambients == {6: 73, 7: 359}
+        sample = random.Random(2901).sample(witnesses, 12)
+        assert sorted(len(witness.w_plus) for _, witness in sample) == (
+            [6] * 2 + [7] * 10)
+        for w, witness in sample:
+            self._check_counterexample(nx, w, witness)
 
     def test_every_w0_k_interval_has_a_swap_string(self):
         # every interval of S_k..S_6 shaped like the ideal of w0_k, k = 2,

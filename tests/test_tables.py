@@ -14,7 +14,7 @@ def seeded_perms(n, count, seed):
     return [tuple(rng.sample(range(1, n + 1), n)) for _ in range(count)]
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_rank_is_the_lexicographic_index(n):
     # one-line order is rank order, and the ranks are 0..n!-1
     ranks = [rank(w) for w in itertools.permutations(range(1, n + 1))]
@@ -25,6 +25,7 @@ def test_rank_is_the_lexicographic_index(n):
     *((n, None) for n in range(1, 7)),
     (7, seeded_perms(7, 200, 71)),
     (9, seeded_perms(9, 60, 91)),
+    (8, seeded_perms(8, 200, 81)),
 ])
 def test_rows_match_cover_oracle(n, bottoms):
     # a depth-1 ball fills exactly its bottom's row; each row holds the
