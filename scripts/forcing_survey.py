@@ -46,7 +46,7 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=4)
     parser.add_argument("--max-m", type=int, default=None,
                         help="ambient bound for the search (default n + 2)")
-    parser.add_argument("--jobs", type=cli._at_least_one, default=None)
+    cli._jobs(parser)
     parser.add_argument("-o", "--out", type=Path, default=None)
     args = parser.parse_args()
     limits = cli._limits_from(args)

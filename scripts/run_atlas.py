@@ -22,7 +22,7 @@ def main() -> int:
     parser.add_argument("--min-n", type=int, default=2)
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--max-len", type=int, default=5)
-    parser.add_argument("--jobs", type=cli._at_least_one, default=None)
+    cli._jobs(parser)
     parser.add_argument("-o", "--out", type=Path, default=None,
                         help="write the collected JSON here")
     args = parser.parse_args()

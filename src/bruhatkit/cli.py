@@ -7,6 +7,11 @@ Outputs are byte-stable across runs and across --jobs settings; timing
 is reported as 0.0 unless --timing is given, so that JSON outputs stay
 reproducible.
 
+Every subcommand enters through one input step, ``_run``: the caps from
+its flags, then each permutation argument parsed against them in order,
+before the command runs.  Each argument is declared once, in a piece
+that ``_COMMANDS`` lists for every command that takes it.
+
 Parsing builds only what the call needs.  When the first argument names
 a subcommand, ``main`` builds that subcommand's parser alone, exactly as
 the full tree builds it; building all twelve takes longer than most
@@ -20,6 +25,7 @@ cached parser would still be built once per call.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,6 +36,11 @@ from .limits import CapExceeded, Limits
 
 def _limits_from(args: argparse.Namespace) -> Limits:
     return Limits(max_n=args.max_group_size)
+
+
+def _word_limits(args: argparse.Namespace) -> Limits:
+    return Limits(args.max_group_size, args.max_word_length,
+                  args.max_reduced_words)
 
 
 def _print_json(obj) -> None:
@@ -48,114 +59,68 @@ def _interval_output(iv: bruhat.Interval, as_dot: bool) -> None:
 def _parse_poset_spec(spec: str, limits: Limits) -> posets.RankedPoset:
     """A poset argument is either a permutation w (its principal order
     ideal) or x:y (the interval [x, y])."""
-    if ":" in spec:
-        lo_text, hi_text = spec.split(":", 1)
-        x = perms.parse_perm(lo_text, limits)
-        y = perms.parse_perm(hi_text, limits)
-        return posets.poset_from_interval(bruhat.interval(x, y))
-    w = perms.parse_perm(spec, limits)
-    return posets.poset_from_interval(bruhat.ideal(w))
+    ends = [perms.parse_perm(text, limits) for text in spec.split(":", 1)]
+    iv = bruhat.interval(*ends) if len(ends) == 2 else bruhat.ideal(*ends)
+    return posets.poset_from_interval(iv)
 
 
-def cmd_words(args) -> int:
-    limits = Limits(
-        max_n=args.max_group_size,
-        max_word_length=args.max_word_length,
-        max_reduced_words=args.max_reduced_words,
-    )
-    w = perms.parse_perm(args.perm, limits)
+def cmd_words(args, limits, w) -> None:
     print("\n".join(words.reduced_words(w, limits).to_json()))
-    return 0
 
 
-def cmd_eval(args) -> int:
-    limits = _limits_from(args)
+def cmd_eval(args, limits) -> None:
     word = words.parse_word(args.word)
     n = args.n if args.n is not None else max(word, default=0) + 1
     perms.check_group_size(n, limits)
     print(perms.format_perm(words.evaluate(word, n)))
-    return 0
 
 
-def cmd_leq(args) -> int:
-    limits = _limits_from(args)
-    x = perms.parse_perm(args.x, limits)
-    y = perms.parse_perm(args.y, limits)
+def cmd_leq(args, limits, x, y) -> None:
     m = max(len(x), len(y))
     print("true" if bruhat.bruhat_leq(perms.embed(x, m),
                                       perms.embed(y, m)) else "false")
-    return 0
 
 
-def cmd_interval(args) -> int:
-    limits = _limits_from(args)
-    x = perms.parse_perm(args.x, limits)
-    y = perms.parse_perm(args.y, limits)
+def cmd_interval(args, limits, x, y) -> None:
     _interval_output(bruhat.interval(x, y), args.dot)
-    return 0
 
 
-def cmd_ideal(args) -> int:
-    limits = _limits_from(args)
-    w = perms.parse_perm(args.perm, limits)
+def cmd_ideal(args, limits, w) -> None:
     _interval_output(bruhat.ideal(w), args.dot)
-    return 0
 
 
-def cmd_iso(args) -> int:
-    limits = _limits_from(args)
+def cmd_iso(args, limits) -> None:
     p = _parse_poset_spec(args.spec1, limits)
     q = _parse_poset_spec(args.spec2, limits)
     print("true" if posets.is_isomorphic(p, q) else "false")
-    return 0
 
 
-def cmd_atlas(args) -> int:
-    limits = _limits_from(args)
+def cmd_atlas(args, limits) -> None:
     result = posets.atlas(args.n, args.max_len, jobs=args.jobs, limits=limits)
     _print_json(result.to_json(timing=args.timing))
-    return 0
 
 
-def cmd_decompose(args) -> int:
-    limits = _limits_from(args)
-    w = perms.parse_perm(args.perm, limits)
+def cmd_decompose(args, limits, w) -> None:
     d = structure.decompose(w)
     _print_json(None if d is None else d.to_json())
-    return 0
 
 
-def cmd_witness(args) -> int:
-    limits = _limits_from(args)
-    w = perms.parse_perm(args.perm, limits)
+def cmd_witness(args, limits, w) -> None:
     d = structure.decompose(w)
-    if d is None:
-        _print_json(None)
-        return 0
-    witness = structure.nonforcing_witness(w, d, limits)
-    _print_json(witness.to_json())
-    return 0
+    _print_json(None if d is None
+                else structure.nonforcing_witness(w, d, limits).to_json())
 
 
-def cmd_swapstring(args) -> int:
-    limits = _limits_from(args)
-    x = perms.parse_perm(args.x, limits)
-    y = perms.parse_perm(args.y, limits)
+def cmd_swapstring(args, limits, x, y) -> None:
     ss = structure.detect_swap_string(x, y)
-    if ss is None:
-        _print_json(None)
-        return 0
-    _, _, _, t = structure.swap_string_factorization(x, y, ss)
-    out = ss.to_json()
-    out["t"] = t
+    out = None
+    if ss is not None:
+        out = ss.to_json()
+        out["t"] = structure.swap_string_factorization(x, y, ss)[3]
     _print_json(out)
-    return 0
 
 
-def cmd_factorize(args) -> int:
-    limits = _limits_from(args)
-    x = perms.parse_perm(args.x, limits)
-    y = perms.parse_perm(args.y, limits)
+def cmd_factorize(args, limits, x, y) -> None:
     ss = structure.detect_swap_string(x, y)
     if ss is None:
         raise ValueError(
@@ -170,12 +135,9 @@ def cmd_factorize(args) -> int:
             "t": t,
         }
     )
-    return 0
 
 
-def cmd_forces(args) -> int:
-    limits = _limits_from(args)
-    w = perms.parse_perm(args.perm, limits)
+def cmd_forces(args, limits, w) -> None:
     verdict = forcing.forces_factor(
         w,
         args.max_n,
@@ -183,11 +145,19 @@ def cmd_forces(args) -> int:
         limits=limits,
     )
     _print_json(verdict.to_json(timing=args.timing))
+
+
+def _run(name, perm_names, limits_from, args) -> int:
+    """The one input step of every subcommand: its caps, then each
+    permutation argument in ``perm_names`` parsed against them in order,
+    then ``cmd_<name>(args, limits, *permutations)``, which succeeds by
+    returning and fails by raising for :func:`report_errors`."""
+    limits = limits_from(args)
+    parsed = []
+    for arg in perm_names:
+        parsed.append(perms.parse_perm(getattr(args, arg), limits))
+    globals()[f"cmd_{name}"](args, limits, *parsed)
     return 0
-
-
-_JOBS_HELP = ("worker processes, capped at the CPU count; the output is "
-             "identical for every value")
 
 
 def _at_least_one(text: str) -> int:
@@ -204,6 +174,9 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+# Argument pieces.  Each declares its arguments once; a piece that
+# declares permutations returns their names, in order.
+
 def _common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-group-size", type=_at_least_one, default=Limits.max_n,
@@ -212,11 +185,23 @@ def _common_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _perm_args(p: argparse.ArgumentParser) -> None:
+def _perm(p: argparse.ArgumentParser) -> tuple:
     p.add_argument("perm")
+    return ("perm",)
 
 
-def _words_args(p: argparse.ArgumentParser) -> None:
+def _pair(p: argparse.ArgumentParser) -> tuple:
+    p.add_argument("x")
+    p.add_argument("y")
+    return ("x", "y")
+
+
+def _dot(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dot", action="store_true",
+                   help="print the Hasse diagram as DOT instead of JSON")
+
+
+def _word_caps(p: argparse.ArgumentParser) -> None:
     """The reduced-word caps: 'words' is the one command that enumerates
     R(w), so the only one that takes them."""
     p.add_argument(
@@ -232,100 +217,80 @@ def _words_args(p: argparse.ArgumentParser) -> None:
         help="cap on |R(w)|, counted before any word is built "
              "(default %(default)s)",
     )
-    _perm_args(p)
 
 
-def _pair_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("x")
-    p.add_argument("y")
-
-
-def _format_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dot", action="store_true",
-                   help="print the Hasse diagram as DOT instead of JSON")
-
-
-def _eval_args(p: argparse.ArgumentParser) -> None:
+def _eval(p: argparse.ArgumentParser) -> None:
     p.add_argument("word")
     p.add_argument("--n", type=int, default=None,
                    help="ambient group size (default: largest letter + 1)")
 
 
-def _interval_args(p: argparse.ArgumentParser) -> None:
-    _pair_args(p)
-    _format_args(p)
-
-
-def _ideal_args(p: argparse.ArgumentParser) -> None:
-    _perm_args(p)
-    _format_args(p)
-
-
-def _iso_args(p: argparse.ArgumentParser) -> None:
+def _specs(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec1")
     p.add_argument("spec2")
 
 
-def _atlas_args(p: argparse.ArgumentParser) -> None:
+def _atlas_size(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--jobs", type=_at_least_one, default=None,
-                   help=_JOBS_HELP)
-    p.add_argument("--timing", action="store_true",
-                   help="report real seconds instead of 0.0")
 
 
-def _forces_args(p: argparse.ArgumentParser) -> None:
-    _perm_args(p)
+def _max_n(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-n", type=int, default=None,
                    help="largest ambient group to scan (default w.n + 2)")
+
+
+def _jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=_at_least_one, default=None,
-                   help=_JOBS_HELP)
+                   help="worker processes, capped at the CPU count; the "
+                        "output is identical for every value")
+
+
+def _timing(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timing", action="store_true",
                    help="report real seconds instead of 0.0")
 
 
-def _commands() -> dict:
-    """Each subcommand once: name -> (function, its own arguments, help),
-    in the order ``--help`` lists them.  Built per call, so that a wrapper
-    set on a ``cmd_*`` attribute of this module is the one called."""
-    return {
-        "words": (cmd_words, _words_args,
-                  "list all reduced words of a permutation"),
-        "eval": (cmd_eval, _eval_args,
-                 "evaluate a word of generator letters"),
-        "leq": (cmd_leq, _pair_args, "is x <= y in the Bruhat order?"),
-        "interval": (cmd_interval, _interval_args,
-                     "the interval [x, y] as JSON or DOT"),
-        "ideal": (cmd_ideal, _ideal_args,
-                  "the principal order ideal of w"),
-        "iso": (cmd_iso, _iso_args,
-                "poset isomorphism; a spec is 'w' (ideal) or 'x:y' "
-                "(interval)"),
-        "atlas": (cmd_atlas, _atlas_args,
-                  "counts of interval/ideal isomorphism classes per length"),
-        "decompose": (cmd_decompose, _perm_args,
-                      "two-block split of a reduced word, if any"),
-        "witness": (cmd_witness, _perm_args,
-                    "non-forcing witness interval for a decomposable "
-                    "permutation"),
-        "swapstring": (cmd_swapstring, _pair_args,
-                       "the thin monotonic substring separating x from y, "
-                       "if any"),
-        "factorize": (cmd_factorize, _pair_args,
-                      "reduced words ac of x and abc of y with b a shifted "
-                      "reversal word"),
-        "forces": (cmd_forces, _forces_args,
-                   "bounded factor-forcing verdict"),
-    }
+# Each subcommand once: name -> (its argument pieces in order, help), in
+# the order --help lists them.  The command ``name`` runs ``cmd_<name>``,
+# looked up on every call, so that a wrapper set on that attribute of
+# this module is the one called.
+_COMMANDS = {
+    "words": ((_word_caps, _perm), "list all reduced words of a permutation"),
+    "eval": ((_eval,), "evaluate a word of generator letters"),
+    "leq": ((_pair,), "is x <= y in the Bruhat order?"),
+    "interval": ((_pair, _dot), "the interval [x, y] as JSON or DOT"),
+    "ideal": ((_perm, _dot), "the principal order ideal of w"),
+    "iso": ((_specs,),
+            "poset isomorphism; a spec is 'w' (ideal) or 'x:y' (interval)"),
+    "atlas": ((_atlas_size, _jobs, _timing),
+              "counts of interval/ideal isomorphism classes per length"),
+    "decompose": ((_perm,), "two-block split of a reduced word, if any"),
+    "witness": ((_perm,),
+                "non-forcing witness interval for a decomposable "
+                "permutation"),
+    "swapstring": ((_pair,),
+                   "the thin monotonic substring separating x from y, "
+                   "if any"),
+    "factorize": ((_pair,),
+                  "reduced words ac of x and abc of y with b a shifted "
+                  "reversal word"),
+    "forces": ((_perm, _max_n, _jobs, _timing),
+               "bounded factor-forcing verdict"),
+}
 
 
-def _fill(p: argparse.ArgumentParser, func, own_args) -> None:
+def _fill(p: argparse.ArgumentParser, name: str) -> None:
     """A subcommand's arguments after its -h: the group-size cap, then
-    its own."""
+    its pieces; the parsed call runs :func:`_run` for the command."""
     _common_args(p)
-    own_args(p)
-    p.set_defaults(func=func)
+    pieces = _COMMANDS[name][0]
+    perm_names = ()
+    for piece in pieces:
+        perm_names += piece(p) or ()
+    limits_from = _word_limits if _word_caps in pieces else _limits_from
+    p.set_defaults(
+        func=functools.partial(_run, name, perm_names, limits_from))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -335,21 +300,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     "poset isomorphism, factor-forcing searches.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, own_args, help_text) in _commands().items():
-        _fill(sub.add_parser(name, help=help_text), func, own_args)
+    for name, (_, help_text) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = _commands().get(argv[0]) if argv else None
+    known = bool(argv) and argv[0] in _COMMANDS
     extra = None
-    if command is not None:
-        func, own_args, _ = command
+    if known:
         parser = argparse.ArgumentParser(prog=f"bruhatkit {argv[0]}")
-        _fill(parser, func, own_args)
+        _fill(parser, argv[0])
         args, extra = parser.parse_known_args(argv[1:])
-    if command is None or extra:
+    if not known or extra:
         # the full tree reports these as it always has
         args = _build_parser().parse_args(argv)
     return report_errors(args.func, args)

@@ -26,9 +26,10 @@ Perm = tuple[int, ...]
 
 
 def require_positive(n: int) -> None:
-    """Reject a nonpositive group size; the builders' one check."""
-    if n < 1:
-        raise ValueError(f"invalid group size n={n}; need n >= 1")
+    """Reject a group size that is not an integer of at least 1; the
+    builders' one check."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"invalid group size n={n!r}; need n >= 1")
 
 
 def check_group_size(n: int, limits: Limits = DEFAULT_LIMITS) -> None:

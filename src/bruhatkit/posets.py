@@ -621,6 +621,8 @@ def atlas(
     """
     _check_jobs(jobs)
     perms.check_group_size(n, limits)
+    if not isinstance(max_len, int):
+        raise ValueError(f"max_len must be an integer, got {max_len!r}")
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     started = time.perf_counter()

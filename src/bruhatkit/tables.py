@@ -33,8 +33,8 @@ cannot reach its least irreducible gap, :func:`count_above` walks the
 same rows and keeps each level as a set of ranks, with no masks and no
 ball.  Every element of S_n lies above the identity, so the whole group
 is the identity's up-ball of depth n(n-1)/2, cached below as the group
-table for n <= 7; only the tests and the benchmark still call
-:func:`group_table`.
+table for n <= 7.  Only the benchmark still calls :func:`group_table`;
+the tests build that up-ball themselves.
 """
 
 from __future__ import annotations

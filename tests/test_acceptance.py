@@ -16,10 +16,11 @@ import itertools
 import random
 
 from bruhatkit import bruhat, forcing, perms, posets, structure, words
-from bruhatkit.tables import group_table, iter_bits
+from bruhatkit.tables import iter_bits
 
 from oracles import backtracking_isomorphic, brute_force_reduced_words, \
     subword_oracle_leq, reduced_subword_closure
+from whole_group import table
 
 
 def P(text):
@@ -311,7 +312,7 @@ def _check_subword_oracle():
 
 
 def _check_coatom_positions_exhaustive_s5():
-    gt = group_table(5)
+    gt = table(5)
     for yid, y in enumerate(gt.elements):
         for xid in iter_bits(gt.below[yid]):
             if xid == yid:

@@ -5,7 +5,7 @@ import pytest
 
 from bruhatkit import bruhat, forcing, perms, posets, structure, words
 from bruhatkit.limits import CapExceeded, Limits
-from bruhatkit.tables import group_table, iter_bits, rank_table
+from bruhatkit.tables import iter_bits, rank_table
 from oracles import (
     backtracking_isomorphic,
     cover_tops_oracle,
@@ -15,7 +15,7 @@ from oracles import (
     position_inversions_oracle,
     symmetries_oracle,
 )
-from whole_group import above
+from whole_group import above, table
 
 
 def P(text):
@@ -211,7 +211,7 @@ def table_scan(w, m):
     target = posets.poset_from_interval(bruhat.ideal(w))
     cert = posets._certificate(target.ranks, target.covers)
     d = perms.length(w)
-    gt = group_table(m)
+    gt = table(m)
     up = above(m)
     found = []
     for xid, x in enumerate(gt.elements):
@@ -265,6 +265,10 @@ class TestIntervalsIsomorphicTo:
             shape = posets.poset_from_interval(bruhat.interval(x, y))
             assert posets.is_isomorphic(shape, target)
 
+    def test_m_not_an_integer_rejected(self):
+        with pytest.raises(ValueError, match="invalid group size n=3.0"):
+            forcing.intervals_isomorphic_to(P("21"), 3.0)
+
 
 class TestForcesFactor:
     @pytest.mark.parametrize("jobs", [-1, 0, 2.0])
@@ -272,6 +276,11 @@ class TestForcesFactor:
         with pytest.raises(ValueError, match="jobs must be None or an "
                                              "integer of at least 1"):
             forcing.forces_factor(P("21"), 3, jobs=jobs)
+
+    def test_m_max_not_an_integer_rejected(self):
+        # refused before the scan, instead of reaching range() inside it
+        with pytest.raises(ValueError, match="invalid group size n=3.0"):
+            forcing.forces_factor(P("21"), 3.0)
 
     def test_2314_counterexample(self):
         verdict = forcing.forces_factor(P("2314"), 4)

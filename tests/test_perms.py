@@ -39,6 +39,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             perms.longest(0)
 
+    @pytest.mark.parametrize("build,n", [
+        (perms.all_perms, 3.0), (perms.identity, 2.0),
+    ])
+    def test_group_size_that_is_not_an_integer_rejected(self, build, n):
+        # refused by name, as jobs=2.0 is, instead of reaching range()
+        with pytest.raises(ValueError,
+                           match=f"^invalid group size n={n}; need n >= 1$"):
+            build(n)
+
     def test_group_size_cap(self):
         # the cap is checked where input enters; the builders take none
         nine, raised = tuple(range(1, 10)), Limits(max_n=9)

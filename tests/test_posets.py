@@ -9,7 +9,7 @@ import pytest
 
 from bruhatkit import bruhat, perms, posets
 from bruhatkit.limits import DEFAULT_LIMITS, CapExceeded, Limits
-from bruhatkit.tables import group_table, iter_bits, up_ball
+from bruhatkit.tables import iter_bits, up_ball
 
 from oracles import (
     backtracking_isomorphic,
@@ -25,7 +25,7 @@ from oracles import (
     symmetries_oracle,
     up_ball_oracle,
 )
-from whole_group import above
+from whole_group import above, table
 
 
 def P(text):
@@ -794,7 +794,7 @@ class TestIntervalStructure:
             return (ranks, sorted(covers)) == (
                 shape.ranks, sorted(shape.covers))
 
-        gt = group_table(n)
+        gt = table(n)
         up = above(n)
         pairs = 0
         for xid, x in enumerate(gt.elements):
@@ -950,6 +950,15 @@ class TestAtlas:
         with pytest.raises(ValueError, match="jobs must be None or an "
                                              "integer of at least 1"):
             posets.atlas(3, 2, jobs=jobs)
+
+    @pytest.mark.parametrize("n,max_len,message", [
+        (4, 2.0, "max_len must be an integer, got 2.0"),
+        (4.0, 2, "invalid group size n=4.0; need n >= 1"),
+    ])
+    def test_size_not_an_integer_rejected(self, n, max_len, message):
+        # refused by name, as jobs=2.0 is, instead of reaching range()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            posets.atlas(n, max_len)
 
     def test_jobs_agree_with_sequential(self):
         seq = posets.atlas(4, 4)

@@ -43,6 +43,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             words.evaluate((0,), 4)
 
+    def test_group_size_that_is_not_an_integer_rejected(self):
+        with pytest.raises(ValueError, match="invalid group size n=2.0"):
+            words.evaluate((1,), 2.0)
+
     def test_non_reduced_expression(self):
         # a length-6 expression for a length-4 permutation
         assert words.evaluate(W("133231"), 4) == P("3241")

@@ -1,16 +1,24 @@
 """Whole-group up-sets, a reference for the x-local up-ball scans.
 
 The library reads every interval [x, y] off the up-ball of x.  Tests
-check it against the whole group instead: ``group_table(n)`` numbers all
-of S_n, and ``above(n)[u]`` is the bitmask of ids z >= u, so the
-interval is ``above(n)[x] & group_table(n).below[y]``.
+check it against the whole group instead: ``table(n)`` numbers all of
+S_n, and ``above(n)[u]`` is the bitmask of ids z >= u, so the interval
+is ``above(n)[x] & table(n).below[y]``.
 """
 
 from __future__ import annotations
 
 import functools
 
-from bruhatkit.tables import group_table
+from bruhatkit.perms import identity
+from bruhatkit.tables import Ball, up_ball
+
+
+@functools.cache
+def table(n: int) -> Ball:
+    """The identity's up-ball of depth n(n-1)/2: all of S_n, every
+    element above the identity."""
+    return up_ball(identity(n), n * (n - 1) // 2)
 
 
 @functools.cache
@@ -20,7 +28,7 @@ def above(n: int) -> tuple[int, ...]:
     ``above[u]`` is complete before u passes it down to the elements it
     covers.  The covers are those of the relabel of the full mask, whose
     ids are the table's own."""
-    gt = group_table(n)
+    gt = table(n)
     masks = [1 << u for u in range(len(gt.elements))]
     _, covers = gt.structure((1 << len(gt.elements)) - 1)
     for v, u in sorted(covers, key=lambda cover: cover[1], reverse=True):
