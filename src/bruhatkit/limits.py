@@ -50,7 +50,7 @@ class Limits:
     def __post_init__(self) -> None:
         for field in fields(self):
             value = getattr(self, field.name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError(
                     f"{field.name} must be an integer of at least 1, "
                     f"got {value!r}")

@@ -26,9 +26,9 @@ Perm = tuple[int, ...]
 
 
 def require_positive(n: int) -> None:
-    """Reject a group size that is not an integer of at least 1; the
-    builders' one check."""
-    if not isinstance(n, int) or n < 1:
+    """Reject a group size that is not an integer of at least 1 (a bool
+    is not one); the builders' one check."""
+    if type(n) is not int or n < 1:
         raise ValueError(f"invalid group size n={n!r}; need n >= 1")
 
 
@@ -166,13 +166,6 @@ def embed(w: Perm, m: int) -> Perm:
     if m < len(w):
         raise ValueError(f"cannot embed an S_{len(w)} element into S_{m}")
     return w + tuple(range(len(w) + 1, m + 1))
-
-
-def left_descents(w: Perm) -> list[int]:
-    """Indices i such that the value i appears to the right of i+1; these
-    are the legal first letters of reduced words of ``w``."""
-    pos = inverse(w)
-    return [i for i in range(1, len(w)) if pos[i - 1] > pos[i]]
 
 
 def conjugate_by_longest(w: Perm) -> Perm:

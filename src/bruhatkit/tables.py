@@ -14,11 +14,12 @@ one rank below u.
 
 A ball is built over the lexicographic ranks of S_m, 0..m!-1, whose
 order is one-line order, so sorting a level of ranks sorts it in
-one-line order.  The covers come from a per-m :class:`RankTable`: its
-row for rank r holds the ranks of the elements covering r, computed by
-the transposition rule on ranks (see :meth:`RankTable.row`) the first
-time a ball reaches r.  The table keeps the permutation of every rank it
-has met next to the rows, so a ball's elements are looked up, not
+one-line order.  The covers come from a per-m :class:`RankTable`, a
+dict from rank to row read one way, ``table[r]``: the row of rank r
+holds the ranks of the elements covering r, computed by the
+transposition rule on ranks (see :meth:`RankTable.__missing__`) the
+first time it is read.  The table keeps the permutation of every rank
+it has met next to the rows, so a ball's elements are looked up, not
 decoded.  The tables sit in a bounded module-level cache, one per m,
 which every cache reset clears; the queries' intervals come from
 :mod:`bruhatkit.bruhat`, on tuples and with no state between calls.
@@ -29,7 +30,7 @@ Two scans build up-balls, each looping over its own bottoms:
 ball from the first id of the least rank it wants on, found by
 ``ball.ranks.index``.  Where the atlas needs only how many elements a
 ball would hold, to count the intervals of a bottom that
-cannot reach its least irreducible gap, :func:`count_above` walks the
+cannot reach its least irreducible gap, :func:`count_above` reads the
 same rows and keeps each level as a set of ranks, with no masks and no
 ball.  Every element of S_n lies above the identity, so the whole group
 is the identity's up-ball of depth n(n-1)/2, cached below as the group
@@ -74,20 +75,20 @@ def rank(w: Perm) -> int:
     return r
 
 
-class RankTable:
-    """The covers of S_m by lexicographic rank, one row per rank, each
-    filled when a ball first reaches its rank.  ``perms`` holds the
+class RankTable(dict):
+    """The covers of S_m by lexicographic rank: ``table[r]`` is the row
+    of rank r, filled the first time it is read.  ``perms`` holds the
     permutation of every rank met so far: each ball's bottom, and the
     covers of every row filled."""
 
     def __init__(self, m: int):
+        super().__init__()
         self.m = m
         # weights[i] = (m - 1 - i)!, the place value of Lehmer digit i
         self.weights = tuple(math.factorial(m - 1 - i) for i in range(m))
-        self.ups: dict[int, tuple[int, ...]] = {}
         self.perms: dict[int, Perm] = {}
 
-    def row(self, r: int) -> tuple[int, ...]:
+    def __missing__(self, r: int) -> tuple[int, ...]:
         """Fill and return the row of rank r, whose permutation is met.
 
         Swapping the entries a = w(i) < b = w(j) at positions i < j is a
@@ -117,7 +118,7 @@ class RankTable:
                     if top not in met:
                         met[top] = w[:i] + (b,) + w[i + 1:j] + (a,) + w[j + 1:]
                     out.append(top)
-        row = self.ups[r] = tuple(out)
+        row = self[r] = tuple(out)
         return row
 
 
@@ -165,7 +166,7 @@ class Ball:
 def up_ball(x: Perm, depth: int) -> Ball:
     """The up-ball of x with the given depth (see the module docstring)."""
     table = rank_table(len(x))
-    ups, fill, met = table.ups, table.row, table.perms
+    met = table.perms
     bottom = rank(x)
     met.setdefault(bottom, x)
     order = [bottom]                    # the rank of each id
@@ -179,11 +180,8 @@ def up_ball(x: Perm, depth: int) -> Ball:
         # the below-masks of the elements of this level that it covers
         covering: dict[int, int] = {}
         get = covering.get
-        for zid, z in enumerate(level, start - len(level)):
-            try:
-                row = ups[z]
-            except KeyError:
-                row = fill(z)
+        rows = map(table.__getitem__, level)
+        for zid, row in enumerate(rows, start - len(level)):
             mask = below[zid]
             for c in row:
                 covering[c] = get(c, 0) | mask
@@ -208,19 +206,12 @@ def count_above(x: Perm, depth: int) -> int:
     ball: its levels as sets of ranks, each the union of the rows of the
     level before, with no masks."""
     table = rank_table(len(x))
-    ups, fill = table.ups, table.row
     bottom = rank(x)
     table.perms.setdefault(bottom, x)
     level = {bottom}
     count = 0
     for _ in range(depth):
-        covering = set()
-        for z in level:
-            try:
-                covering.update(ups[z])
-            except KeyError:
-                covering.update(fill(z))
-        level = covering
+        level = set().union(*map(table.__getitem__, level))
         count += len(level)
     return count
 

@@ -2,11 +2,14 @@
 
 Every walk over R(w) lives here.  Each one follows the left-descent
 recursion (a reduced word of w is a left descent i of w followed by a
-reduced word of s_i w): :func:`reduced_words` builds R(w),
-:func:`iter_reduced_words` yields it lazily, :func:`count_reduced_words`
-counts it without building a word, and :func:`peel` takes the least
-left descent at each step to spell the least word of w, or of one
-parabolic part of w.
+reduced word of s_i w).  The three walks over all of R(w) read one
+table, the elements below w in the left weak order with their left
+descents (:func:`_weak_order_ideal`): :func:`reduced_words` folds it up
+to build R(w), :func:`count_reduced_words` folds it to count R(w)
+without building a word, and :func:`iter_reduced_words` walks it down
+from w to yield R(w) lazily.  :func:`peel` takes the least left descent
+at each step to spell the least word of w, or of one parabolic part of
+w.
 
 A word is a tuple of integer letters, letter ``i`` standing for the
 adjacent transposition s_i.  Candidate reduced words for S_n must use
@@ -247,21 +250,22 @@ def iter_reduced_words(
 ) -> Iterator[Word]:
     """Yield R(w) lazily in lexicographic order.
 
-    The recursion of :func:`reduced_words` without its memo: nothing is
-    materialized, so searches can stop at the first hit.
+    The recursion of :func:`reduced_words` over the same table of the
+    elements below w, walked from w down without a memo: no word is
+    kept, so searches can stop at the first hit.
     """
     _check_word_length(w, limits)
+    ideal = _weak_order_ideal(w)
 
-    def gen(v: Perm) -> Iterator[Word]:
-        descents = perms.left_descents(v)
-        if not descents:
+    def gen(inv: Perm) -> Iterator[Word]:
+        below = ideal[inv]
+        if not below:
             yield ()
-            return
-        for i in descents:
-            for rest in gen(perms.apply_left(i, v)):
+        for i, lower in below:
+            for rest in gen(lower):
                 yield (i,) + rest
 
-    return gen(w)
+    return gen(perms.inverse(w))
 
 
 def peel(inv: list[int], block: range) -> Word:

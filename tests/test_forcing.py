@@ -198,7 +198,7 @@ class TestRaisedGroupSize:
         # the S_9 rank table holds the rows of those bottoms alone, and
         # the permutations of those and of their covers
         table = rank_table(9)
-        assert len(table.ups) == len(least)
+        assert len(table) == len(least)
         assert len(table.perms) == len(
             {p for x in least for p in [x, *cover_tops_oracle(x)]}
         )
@@ -271,7 +271,7 @@ class TestIntervalsIsomorphicTo:
 
 
 class TestForcesFactor:
-    @pytest.mark.parametrize("jobs", [-1, 0, 2.0])
+    @pytest.mark.parametrize("jobs", [-1, 0, 2.0, True])
     def test_jobs_not_a_count_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs must be None or an "
                                              "integer of at least 1"):

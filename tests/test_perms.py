@@ -40,7 +40,7 @@ class TestConstruction:
             perms.longest(0)
 
     @pytest.mark.parametrize("build,n", [
-        (perms.all_perms, 3.0), (perms.identity, 2.0),
+        (perms.all_perms, 3.0), (perms.identity, 2.0), (perms.identity, True),
     ])
     def test_group_size_that_is_not_an_integer_rejected(self, build, n):
         # refused by name, as jobs=2.0 is, instead of reaching range()
@@ -65,7 +65,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "field", ["max_n", "max_word_length", "max_reduced_words"])
-    @pytest.mark.parametrize("value", [0, -1, 2.0, "8"])
+    @pytest.mark.parametrize("value", [0, -1, 2.0, "8", True])
     def test_limits_reject_a_cap_that_is_not_a_count(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer "
                                              f"of at least 1, got "):

@@ -896,6 +896,23 @@ class TestAtlas:
                       "max_reduced_words": 1000000},
         }
 
+    def test_intervals_examined_counts_the_orbit_maxima(self):
+        # the count covers the bottoms S_n is scanned from, the greatest
+        # of each symmetry orbit, not every bottom of S_n: atlas(4, 2)
+        # examines 66 of the 121 intervals of gap 1-2 in S_4
+        def count(bottoms, max_len):
+            return sum(0 < r <= max_len for x in bottoms
+                       for r in up_ball_oracle(x, max_len)[1])
+
+        s4 = list(itertools.permutations(range(1, 5)))
+        assert count(s4, 2) == 121
+        for n in range(1, 6):
+            maxima = [x for x in itertools.permutations(range(1, n + 1))
+                      if x == max(x, *symmetries_oracle(x))]
+            for max_len in range(1, 5):
+                examined = posets.atlas(n, max_len).intervals_examined
+                assert examined == count(maxima, max_len), (n, max_len)
+
     def test_s8_rows_to_length_2(self):
         result = posets.atlas(8, 2)
         assert result.counts("intervals") == (1, 1, 1)
@@ -954,6 +971,8 @@ class TestAtlas:
     @pytest.mark.parametrize("n,max_len,message", [
         (4, 2.0, "max_len must be an integer, got 2.0"),
         (4.0, 2, "invalid group size n=4.0; need n >= 1"),
+        (3, True, "max_len must be an integer, got True"),
+        (True, 2, "invalid group size n=True; need n >= 1"),
     ])
     def test_size_not_an_integer_rejected(self, n, max_len, message):
         # refused by name, as jobs=2.0 is, instead of reaching range()

@@ -205,6 +205,25 @@ class TestIterReducedWords:
         assert lazy == tuple(sorted(lazy))
         assert lazy == words.reduced_words(w).words
 
+    def test_agrees_with_reduced_words_on_s5(self):
+        for w in itertools.permutations(range(1, 6)):
+            assert tuple(words.iter_reduced_words(w)) == (
+                words.reduced_words(w).words), w
+
+    def test_first_word_is_reached_lazily(self):
+        # R(w) of the reversal of S_6 holds 292,864 words; the walk to
+        # the first holds the weak-order table of its 720 elements and
+        # one path down it, not R(w)
+        w = perms.longest(6)
+        tracemalloc.start()
+        try:
+            first = next(words.iter_reduced_words(w))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == words.lex_least_reduced_word(w)
+        assert peak < 2_000_000
+
     def test_lex_least(self, s5_brute_force):
         for w, expected in s5_brute_force.items():
             assert words.lex_least_reduced_word(w) == min(expected), w
