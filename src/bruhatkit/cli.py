@@ -12,14 +12,17 @@ its flags, then each permutation argument parsed against them in order,
 before the command runs.  Each argument is declared once, in a piece
 that ``_COMMANDS`` lists for every command that takes it.
 
-Parsing builds only what the call needs.  When the first argument names
-a subcommand, ``main`` builds that subcommand's parser alone, exactly as
-the full tree builds it; building all twelve takes longer than most
-queries do.  The full tree of ``_build_parser`` is built only for
-top-level help, a missing or unknown subcommand, or arguments the
-subcommand leaves unrecognised, so that these print the usage and errors
-they always did.  No parser is cached: a CLI call is one process, so a
-cached parser would still be built once per call.
+Parsing builds no parser for a well-formed call.  When the first
+argument names a subcommand, ``main`` records that subcommand's
+arguments from the same pieces (``_Spec``) and ``_quick`` reads the call
+from them, accepting it only when every token is a positional, a
+declared flag spelled exactly or a value its type takes; it then gives
+the Namespace the full tree would.  Anything else (help, ``--flag=value``,
+an abbreviation, ``--``, a negative or bad value, a missing or extra
+argument, a missing or unknown subcommand) goes to the full tree of
+``_build_parser``, which prints the help, usage and errors it always
+did.  Nothing is cached: a CLI call is one process, so a cached parser
+or spec would still be built once per call.
 """
 
 from __future__ import annotations
@@ -280,9 +283,10 @@ _COMMANDS = {
 }
 
 
-def _fill(p: argparse.ArgumentParser, name: str) -> None:
-    """A subcommand's arguments after its -h: the group-size cap, then
-    its pieces; the parsed call runs :func:`_run` for the command."""
+def _fill(p: argparse.ArgumentParser | _Spec, name: str) -> None:
+    """A subcommand's arguments, into its parser after its -h or into
+    its :class:`_Spec`: the group-size cap, then its pieces; the parsed
+    call runs :func:`_run` for the command."""
     _common_args(p)
     pieces = _COMMANDS[name][0]
     perm_names = ()
@@ -305,15 +309,81 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Spec:
+    """A subcommand's arguments as :func:`_fill` declares them, recorded
+    instead of built into a parser: the positionals in order as (dest,
+    type), each flag's option string -> (dest, type), with type None for
+    a ``store_true`` flag, the required flags' dests and every other
+    default.  It takes only the keywords the pieces use, so that an
+    argument :func:`_quick` could read differently from argparse raises
+    here."""
+
+    def __init__(self):
+        self.positionals: list[tuple] = []
+        self.flags: dict[str, tuple] = {}
+        self.required: set[str] = set()
+        self.defaults: dict = {}
+
+    def add_argument(self, name, *, type=str, default=None, action=None,
+                     required=False, metavar=None, help=None):
+        if action not in (None, "store_true"):
+            raise TypeError(f"unsupported action {action!r}")
+        if not name.startswith("-"):
+            self.positionals.append((name, type))
+            return
+        dest = name.lstrip("-").replace("-", "_")
+        self.flags[name] = (dest, None if action else type)
+        if required:
+            self.required.add(dest)
+        else:
+            self.defaults[dest] = False if action else default
+
+    def set_defaults(self, **defaults):
+        self.defaults.update(defaults)
+
+
+def _quick(name: str, argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace the full tree gives for ``[name, *argv]``, read
+    from the subcommand's :class:`_Spec`, or None unless every token is
+    a positional, a declared flag spelled exactly or a value that does
+    not start with '-' and that the flag's type takes, with every
+    positional and required flag given."""
+    spec = _Spec()
+    _fill(spec, name)
+    values = {"command": name, **spec.defaults}
+    positionals = iter(spec.positionals)
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("-"):
+            if token not in spec.flags:
+                return None
+            dest, convert = spec.flags[token]
+            if convert is None:
+                values[dest] = True
+                continue
+            token = next(tokens, "-")     # a missing value is refused too
+            if token.startswith("-"):
+                return None
+        else:
+            dest, convert = next(positionals, (None, None))
+            if dest is None:
+                return None
+        try:
+            values[dest] = convert(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+    if (next(positionals, None) is not None
+            or not spec.required <= values.keys()):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    known = bool(argv) and argv[0] in _COMMANDS
-    extra = None
-    if known:
-        parser = argparse.ArgumentParser(prog=f"bruhatkit {argv[0]}")
-        _fill(parser, argv[0])
-        args, extra = parser.parse_known_args(argv[1:])
-    if not known or extra:
+    args = None
+    if argv and argv[0] in _COMMANDS:
+        args = _quick(argv[0], argv[1:])
+    if args is None:
         # the full tree reports these as it always has
         args = _build_parser().parse_args(argv)
     return report_errors(args.func, args)

@@ -204,13 +204,15 @@ def up_ball(x: Perm, depth: int) -> Ball:
 def count_above(x: Perm, depth: int) -> int:
     """How many elements ``up_ball(x, depth)`` holds above x, with no
     ball: its levels as sets of ranks, each the union of the rows of the
-    level before, with no masks."""
+    level before, with no masks.  The first level is the bottom's row."""
+    if depth <= 0:
+        return 0
     table = rank_table(len(x))
     bottom = rank(x)
     table.perms.setdefault(bottom, x)
-    level = {bottom}
-    count = 0
-    for _ in range(depth):
+    level = set(table[bottom])
+    count = len(level)
+    for _ in range(depth - 1):
         level = set().union(*map(table.__getitem__, level))
         count += len(level)
     return count

@@ -472,7 +472,43 @@ def outcome(capsys, call, argv):
 
 def full_parser(argv):
     args = cli._build_parser().parse_args(argv)
-    return args.func(args)
+    return cli.report_errors(args.func, args)
+
+
+def spec_of(name):
+    spec = cli._Spec()
+    cli._fill(spec, name)
+    return spec
+
+
+def accepted_calls(name):
+    """Well-formed calls of ``name`` after the name: each optional flag
+    given or left out, a valued flag given twice, each store_true flag
+    given twice, and each call's tokens in three orders."""
+    spec = spec_of(name)
+    # a value of its own for each flag, so that no two dests can swap
+    units = {flag: [flag] if convert is None else [flag, str(value)]
+             for value, (flag, (_, convert))
+             in enumerate(spec.flags.items(), 3)}
+    base = [[value] for value in ("2143", "4321")[:len(spec.positionals)]]
+    optional = []
+    for flag, (dest, _) in spec.flags.items():
+        (base if dest in spec.required else optional).append(units[flag])
+    calls = [base, base + optional]
+    for unit in optional:
+        twice = [unit[0], "2"] if len(unit) == 2 else unit
+        calls += [base + [unit], base + [twice, unit]]
+    for call in calls:
+        for order in (call, call[::-1], call[1:] + call[:1]):
+            yield list(itertools.chain.from_iterable(order))
+
+
+def comparable(args):
+    """``vars(args)`` with its ``func`` partial as its callee and
+    arguments, since partials compare by identity."""
+    values = dict(vars(args))
+    func = values.pop("func")
+    return values, func.func, func.args, func.keywords
 
 
 class TestParsing:
@@ -510,7 +546,50 @@ class TestParsing:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         assert run(capsys, "leq", "2143", "4321")[:2] == (0, "true\n")
-        assert made == ["bruhatkit leq"]
+        assert made == []
+        # a refused call builds the full tree and nothing else
+        assert run(capsys, "leq", "--max-g", "8", "2143", "4321")[:2] == (
+            0, "true\n")
+        assert made == ["bruhatkit", *(f"bruhatkit {name}"
+                                       for name in cli._COMMANDS)]
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_quick_parse_equals_full_parser(self, name):
+        full = cli._build_parser()
+        for argv in accepted_calls(name):
+            quick = cli._quick(name, argv)
+            assert quick is not None, argv
+            assert comparable(quick) == comparable(
+                full.parse_args([name, *argv])), argv
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_refused_calls_equal_full_parser(self, capsys, name):
+        query = QUERIES[name]
+        spec = spec_of(name)
+        refused = [[*query, "-h"], [*query, "--max-g", "9"], ["--", *query],
+                   query[1:], [*query, "extra"]]
+        for flag, (dest, convert) in spec.flags.items():
+            if dest in spec.required:
+                at = query.index(flag)
+                refused.append(query[:at] + query[at + 2:])
+            if convert is not None:
+                refused += [[*query, f"{flag}=1"], [*query, flag, "-3"],
+                            [*query, flag, "x"], [*query, flag]]
+        for argv in refused:
+            assert cli._quick(name, argv) is None, argv
+            argv = [name, *argv]
+            assert outcome(capsys, main, argv) == outcome(
+                capsys, full_parser, argv
+            ), argv
+
+    @pytest.mark.parametrize("declare", [
+        lambda spec: spec.add_argument("--k", nargs=2),
+        lambda spec: spec.add_argument("--k", action="append"),
+        lambda spec: spec.add_argument("-k", "--k"),
+    ])
+    def test_spec_rejects_arguments_it_cannot_read(self, declare):
+        with pytest.raises(TypeError):
+            declare(cli._Spec())
 
     @pytest.mark.parametrize("argv", [["leq", "12", "21"],
                                       ["leq", "2143", "4321"]])
