@@ -68,7 +68,7 @@ def _parse_poset_spec(spec: str, limits: Limits) -> posets.RankedPoset:
 
 
 def cmd_words(args, limits, w) -> None:
-    print("\n".join(words.reduced_words(w, limits).to_json()))
+    print(words.reduced_words(w, limits).to_text())
 
 
 def cmd_eval(args, limits) -> None:

@@ -23,15 +23,19 @@ single digits, and are space-separated otherwise.
 :func:`reduced_words` spells each word of R(w) as a string, letter ``i``
 as the character ``chr(ord("0") + i)``.  For S_n with n <= 10 that
 string is the word's text form, and for any n strings compare in the
-same order as the integer tuples.  Strings are not tracked by the cyclic
-garbage collector, so building 10^4-10^6 of them sets off no
-collections; :class:`ReducedWordSet` decodes them back to tuples on
-demand.
+same order as the integer tuples.  R(w) is built as one text, its
+spelled words in lexicographic order one per line: an element's text
+is made from those below it by a few string operations, not one Python
+object per word, and for S_n with n <= 10 it is what ``bruhatkit
+words`` prints.
+:class:`ReducedWordSet` splits it into lines, and decodes those back to
+tuples, on demand.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -101,17 +105,23 @@ def _unspell(spelled: str) -> Word:
 
 @dataclass(frozen=True)
 class ReducedWordSet:
-    """The complete set R(w) of reduced words of ``owner``, held in
-    lexicographic order as ``spelled`` strings, letter ``i`` spelled
-    ``chr(ord("0") + i)``.
+    """The complete set R(w) of reduced words of ``owner``, held as one
+    ``text``: the spelled words (letter ``i`` spelled
+    ``chr(ord("0") + i)``) in lexicographic order, one per line.
 
+    ``spelled`` splits the text into its lines once, on first access.
     ``words``, iteration and membership speak tuples of integer letters,
     as everywhere else in this module; ``words`` decodes all of R(w) on
     each access.
     """
 
     owner: Perm
-    spelled: tuple[str, ...]
+    text: str
+
+    @functools.cached_property
+    def spelled(self) -> tuple[str, ...]:
+        """The lines of ``text``: each word spelled as a string."""
+        return tuple(self.text.split("\n"))
 
     @property
     def words(self) -> tuple[Word, ...]:
@@ -120,7 +130,8 @@ class ReducedWordSet:
         return tuple(map(_unspell, self.spelled))
 
     def __len__(self) -> int:
-        return len(self.spelled)
+        # R(w) is never empty; the identity's one word is the empty line
+        return self.text.count("\n") + 1
 
     def __contains__(self, word: Word) -> bool:
         n = len(self.owner)
@@ -146,6 +157,13 @@ class ReducedWordSet:
         if len(self.owner) <= 10:
             return list(self.spelled)
         return [format_word(word) for word in self]
+
+    def to_text(self) -> str:
+        """The lines of :meth:`to_json` joined by newlines; up to S_10
+        that is ``text`` itself, with no line split out."""
+        if len(self.owner) <= 10:
+            return self.text
+        return "\n".join(self.to_json())
 
 
 def _check_word_length(w: Perm, limits: Limits) -> None:
@@ -179,6 +197,9 @@ def _weak_order_ideal(w: Perm) -> dict[Perm, list[tuple[int, Perm]]]:
         ideal[inv] = below
 
     visit(perms.inverse(w))
+    # visit holds itself, and so the table, in its closure: unbind it so
+    # that the table is freed with its last reader, not by the collector
+    del visit
     return ideal
 
 
@@ -214,13 +235,18 @@ def reduced_words(w: Perm, limits: Limits = DEFAULT_LIMITS) -> ReducedWordSet:
     built once, from those of each s_i v with i a left descent of v (the
     values i that appear to the right of i+1), taken in ascending order.
     All words of R(w) have the same length, so listing each first
-    letter's words in turn keeps the result lexicographic.  Each word is
-    built as its spelled string (see :class:`ReducedWordSet`), which
-    sorts as the tuple of letters does.  The words of an element are
-    dropped once every element above it that reads them is built, not
+    letter's words in turn keeps the result lexicographic.  The words of
+    an element are kept as one text, its spelled words one per line
+    (see :class:`ReducedWordSet`), and the spelled strings sort as the
+    tuples of letters do.  Putting letter i in front of every line of
+    the text of s_i v is one ``str.replace``, appended to v's text, so
+    the fold does no Python work per word.  The text of an element is
+    dropped once every element above it that reads it is built, not
     kept until the fold ends.  Every table is per-call, so concurrent
     invocations do not share state.
 
+    >>> reduced_words((3, 2, 4, 1)).text
+    '1213\\n1231\\n2123'
     >>> reduced_words((3, 2, 4, 1)).spelled
     ('1213', '1231', '2123')
     >>> reduced_words((3, 2, 4, 1)).words[0]
@@ -232,17 +258,20 @@ def reduced_words(w: Perm, limits: Limits = DEFAULT_LIMITS) -> ReducedWordSet:
     if _count(ideal) > cap:
         raise CapExceeded(f"|R(w)| exceeds the cap max_reduced_words={cap}")
     readers = Counter(lower for below in ideal.values() for _, lower in below)
-    memo: dict[Perm, tuple[str, ...]] = {}
+    memo: dict[Perm, str] = {}
     for inv, below in ideal.items():
-        spelled: list[str] = []
+        text = ""
         for i, lower in below:
             letter = chr(_ZERO + i)
-            spelled += [letter + rest for rest in memo[lower]]
             readers[lower] -= 1
-            if not readers[lower]:
-                del memo[lower]
-        memo[inv] = got = tuple(spelled) or ("",)
-    return ReducedWordSet(owner=w, spelled=got)
+            # appended in place, not joined from parts, which would hold
+            # every part and the whole text at once; the last reader pops
+            # the text it reads, freeing it before its copy is appended
+            read = memo.__getitem__ if readers[lower] else memo.pop
+            text += "\n" + letter if text else letter
+            text += read(lower).replace("\n", "\n" + letter)
+        memo[inv] = text
+    return ReducedWordSet(owner=w, text=text)
 
 
 def iter_reduced_words(

@@ -10,13 +10,13 @@ automorphism pruning and a refinement that recolors every element in
 every round, factor deletion and its length-additive
 factorizations from a scan over all of S_n with plain tuples and
 inversion sets, Bruhat covers and up-balls from the transposition rule
-on plain tuples, intervals from the subword formulation and that rule,
-the symmetries of S_n from index arithmetic on plain tuples, position
-inversions from a comparison of every pair of positions, frozen
-points from four entries of the rank matrices, whether a word is a
-reduced word of w from evaluating it on a plain list and counting
-inversions, and the networkx cover digraph of an interval from an
-oracle up-ball.
+on plain tuples, intervals from the subword closure of one reduced word
+and that rule, the symmetries of S_n from index arithmetic on plain
+tuples, position inversions from a comparison of every pair of
+positions, frozen points from four entries of the rank matrices,
+whether a word is a reduced word of w from evaluating it on a plain
+list and counting inversions, and the networkx cover digraph of an
+interval from an oracle up-ball.
 """
 
 from __future__ import annotations
@@ -69,9 +69,6 @@ def subword_oracle_leq(x: Perm, y: Perm) -> bool:
     :func:`brute_force_reduced_words`, cached per permutation."""
     ry = _word_sets(y)
     return any(_is_subsequence(i, j) for j in ry for i in _word_sets(x))
-
-
-_leq = functools.cache(subword_oracle_leq)
 
 
 def reduced_subword_closure(j: Word, n: int) -> set[Perm]:
@@ -276,20 +273,24 @@ def cover_tops_oracle(x: Perm) -> list[Perm]:
     return tops
 
 
+@functools.cache
+def _ideal_oracle(y: Perm) -> frozenset[Perm]:
+    """Every z <= y: the elements with a reduced word inside the one
+    reduced word :func:`bubble_sort_word` of y, by
+    :func:`reduced_subword_closure` (the subword property, Bjorner and
+    Brenti, GTM 231, Thm 2.2.2).  Cached per permutation, so that S_6
+    intervals cost one closure per element met."""
+    return frozenset(reduced_subword_closure(bubble_sort_word(y), len(y)))
+
+
 def interval_oracle(x: Perm, y: Perm):
     """(elements, covers) of the interval [x, y] for x <= y, as
-    ``bruhat.Interval`` holds them: every z of S_n with x <= z <= y by
-    :func:`subword_oracle_leq`, sorted by (length, one-line order), and
-    the pairs (a, b) of those with b in :func:`cover_tops_oracle` of a,
-    sorted.  Only z whose length lies between those of x and y are
-    compared, and each comparison is made once per pair."""
-    low, high = len(_value_inversions(x)), len(_value_inversions(y))
+    ``bruhat.Interval`` holds them: every z of :func:`_ideal_oracle` of y
+    whose own ideal holds x, sorted by (length, one-line order), and the
+    pairs (a, b) of those with b in :func:`cover_tops_oracle` of a,
+    sorted."""
     elements = sorted(
-        (
-            z for z in itertools.permutations(range(1, len(x) + 1))
-            if low <= len(_value_inversions(z)) <= high
-            and _leq(x, z) and _leq(z, y)
-        ),
+        (z for z in _ideal_oracle(y) if x in _ideal_oracle(z)),
         key=lambda z: (len(_value_inversions(z)), z),
     )
     inside = set(elements)

@@ -6,6 +6,7 @@ import pytest
 from bruhatkit import bruhat, perms, posets, words
 
 from oracles import (
+    bubble_sort_word,
     cover_tops_oracle,
     interval_oracle,
     maximal_chain_sizes,
@@ -37,6 +38,13 @@ class TestLeq:
         for x in S4:
             for y in S4:
                 assert bruhat.bruhat_leq(x, y) == subword_oracle_leq(x, y)
+
+    def test_oracle_equivalence_s5_exhaustive(self):
+        s5 = list(itertools.permutations(range(1, 6)))
+        for x in s5:
+            for y in s5:
+                assert bruhat.bruhat_leq(x, y) == subword_oracle_leq(x, y), (
+                    x, y)
 
     def test_strong_subword_property_s4(self):
         # if x <= y then EVERY reduced word of y has a reduced subword for x
@@ -159,7 +167,7 @@ class TestInterval:
 
 class TestIntervalOracle:
     """``bruhat.interval`` equals :func:`oracles.interval_oracle`, built
-    from the subword formulation and the transposition rule: the same
+    from the subword property and the transposition rule: the same
     elements in the same order, and the same covers in the same order."""
 
     @staticmethod
@@ -173,17 +181,24 @@ class TestIntervalOracle:
         for x, y in pairs:
             self.assert_oracle(x, y)
 
-    def test_every_ideal_of_s5(self):
-        for y in itertools.permutations(range(1, 6)):
-            self.assert_oracle(perms.identity(5), y)
-
-    def test_seeded_sample_of_s5(self):
-        rng = random.Random(1905)
+    def test_every_comparable_pair_of_s5(self):
+        # bruhat_leq picks the pairs; it equals the subword oracle on all
+        # of S_5 (TestLeq), and the count pins that no pair is missed
         s5 = list(itertools.permutations(range(1, 6)))
+        pairs = [(x, y) for x in s5 for y in s5 if bruhat.bruhat_leq(x, y)]
+        assert len(pairs) == 3781
+        for x, y in pairs:
+            self.assert_oracle(x, y)
+
+    def test_seeded_non_principal_pairs_of_s6(self):
+        rng = random.Random(1906)
+        s6 = list(itertools.permutations(range(1, 7)))
         checked = 0
-        while checked < 40:
-            x, y = rng.choice(s5), rng.choice(s5)
-            if x != perms.identity(5) and subword_oracle_leq(x, y):
+        while checked < 200:
+            x, y = rng.choice(s6), rng.choice(s6)
+            if x in (perms.identity(6), y):
+                continue
+            if x in reduced_subword_closure(bubble_sort_word(y), 6):
                 self.assert_oracle(x, y)
                 checked += 1
 

@@ -155,6 +155,70 @@ class TestReducedWords:
         assert peak - base < 2 * (kept - base)
 
 
+    def test_peak_of_the_longest_of_s6(self):
+        # R(w0_6) is 292,864 words of 15 letters, a text of 4.7 MB, and
+        # the fold reads each lower text once more as it appends its
+        # copy; a tuple of one string per word peaked at 25.8 MB
+        w = perms.longest(6)
+        tracemalloc.start()
+        try:
+            rws = words.reduced_words(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rws) == 292_864
+        assert peak < 12 * 2**20
+
+
+def spell(word):
+    return "".join(chr(ord("0") + a) for a in word)
+
+
+class TestTextFold:
+    """R(w) is folded as one text, its spelled words one per line."""
+
+    def test_equals_brute_force_s1_to_s5(self, s5_brute_force):
+        groups = [
+            {w: brute_force_reduced_words(w)
+             for w in itertools.permutations(range(1, n + 1))}
+            for n in range(1, 5)
+        ]
+        for group in groups + [s5_brute_force]:
+            for w, expected in group.items():
+                got = words.reduced_words(w)
+                assert got.text == "\n".join(sorted(map(spell, expected))), w
+                assert got.to_text() == "\n".join(got.to_json()), w
+
+    def test_identity_is_one_empty_line(self):
+        for n in (1, 4):
+            rws = words.reduced_words(perms.identity(n))
+            assert rws.text == ""
+            assert len(rws) == 1
+            assert rws.spelled == ("",)
+
+    def test_len_counts_lines_without_splitting(self):
+        long6 = [w for w in perms.all_perms(6) if perms.length(w) == 13]
+        assert len(long6) == 14
+        for w in long6 + [perms.longest(6)]:
+            rws = words.reduced_words(w)
+            assert len(rws) == words.count_reduced_words(w), w
+            assert "spelled" not in vars(rws), w
+
+    @pytest.mark.parametrize("text,expected", [
+        ("2 1 3 4 5 6 7 8 9 10 11", ["1"]),
+        ("1 2 3 4 5 6 7 8 10 9 12 11", ["9 11", "11 9"]),
+        ("1 2 3 4 5 6 7 8 9 12 11 10", ["10 11 10", "11 10 11"]),
+        ("2 1 3 4 5 6 7 8 9 11 12 10", ["1 10 11", "10 1 11", "10 11 1"]),
+    ])
+    def test_past_s10_words_keep_their_text_form(self, text, expected):
+        # letters 10 and up are no digits: each word takes format_word's
+        # space-separated form, and the lines keep the order of tuples
+        limits = Limits(max_n=12)
+        rws = words.reduced_words(perms.parse_perm(text, limits), limits)
+        assert rws.to_json() == expected
+        assert rws.to_text() == "\n".join(expected)
+
+
 class TestSpelled:
     def test_equals_brute_force_s5(self, s5_brute_force):
         for w, expected in s5_brute_force.items():
