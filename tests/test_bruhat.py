@@ -181,6 +181,20 @@ class TestIntervalOracle:
         for x, y in pairs:
             self.assert_oracle(x, y)
 
+    def test_every_ideal_of_s5(self):
+        for y in itertools.permutations(range(1, 6)):
+            self.assert_oracle(perms.identity(5), y)
+
+    def test_seeded_sample_of_s5(self):
+        rng = random.Random(1905)
+        s5 = list(itertools.permutations(range(1, 6)))
+        checked = 0
+        while checked < 40:
+            x, y = rng.choice(s5), rng.choice(s5)
+            if x != perms.identity(5) and subword_oracle_leq(x, y):
+                self.assert_oracle(x, y)
+                checked += 1
+
     def test_every_comparable_pair_of_s5(self):
         # bruhat_leq picks the pairs; it equals the subword oracle on all
         # of S_5 (TestLeq), and the count pins that no pair is missed
