@@ -49,10 +49,14 @@ cannot reach that gap is counted from the rank table's level sizes
 alone, with no ball.  Like ``forces``, the atlas reads each interval
 [x, y] off the up-ball of its bottom x from :mod:`bruhatkit.tables` and
 certifies its shape; it drops the reducible intervals before the
-relabel by comparing a code of x with a code of y.  ``_fan_out`` hands
-each scan, the atlas's and that of ``forces``, the orbit-extreme
-bottoms of a range of S_k, in this process or across processes.  Both
-reductions are about shapes only, and ``forces`` uses neither.
+relabel by comparing a code of x with a code of y.  A map g of the
+group generated by inversion and conjugation by the reversal that fixes
+x maps [x, y] onto [x, g(y)] and keeps the code's verdict, so of the
+tops that pass the screen only the least of each orbit under those maps
+is certified.  ``_fan_out`` hands each scan, the atlas's and that of
+``forces``, the orbit-extreme bottoms of a range of S_k, in this
+process or across processes.  The screen and the skip are about shapes
+only, and ``forces`` uses neither.
 """
 
 from __future__ import annotations
@@ -549,7 +553,17 @@ def _scan_intervals(n: int, max_len: int, bottoms):
     point, so a bottom whose up-ball cannot reach that gap is only
     counted (:func:`tables.count_above`), with no ball.  Any other builds
     its up-ball, whose size less one is its count, and certifies each
-    top from that gap on whose code shares no field with its own."""
+    top y from that gap on whose code shares no field with its own,
+    unless a map g of :func:`perms.symmetry_images` with g(x) = x has
+    g(y) < y in one-line order.  Such a g is an automorphism of the
+    Bruhat order that keeps lengths and the code's verdict, so [x, g(y)]
+    is irreducible and isomorphic to [x, y], and the least top of each
+    orbit of those maps adds the certificate that the others would
+    (``notes/decisions.md``).  All three maps fix the identity; an
+    orbit maximum may be fixed by inversion, by conjugation by the
+    reversal or by both composed.  The skip follows the screen, which
+    most tops fail, and a bottom none of whose tops passes makes no
+    images at all."""
     least = _least_gap(n)
     top = n * (n - 1) // 2
     identity = perms.identity(n)
@@ -564,9 +578,20 @@ def _scan_intervals(n: int, max_len: int, bottoms):
         ball = up_ball(x, depth)
         counted += len(ball.elements) - 1
         base = code(x)
-        for y in range(ball.ranks.index(least), len(ball.elements)):
-            if any(map(operator.eq, base, code(ball.elements[y]))):
-                continue
+        passed = [y for y in range(ball.ranks.index(least), len(ball.elements))
+                  if not any(map(operator.eq, base, code(ball.elements[y])))]
+        if not passed:
+            continue
+        # the maps of G other than the identity that fix x, as indices
+        # into perms.symmetry_images
+        fixing = [i for i, image in enumerate(perms.symmetry_images(x))
+                  if i and image == x]
+        for y in passed:
+            if fixing:
+                w = ball.elements[y]
+                images = perms.symmetry_images(w)
+                if any(images[i] < w for i in fixing):
+                    continue
             gap = ball.ranks[y]
             cert = _certificate(*ball.structure(ball.below[y]))
             certs["intervals", gap].add(cert)
@@ -616,10 +641,12 @@ def atlas(
     up-ball less one, read off the ball where the scan builds one and
     off the level sizes of the rank table where the ball could not
     reach the least gap, so S_n scans from its least gap too, even when
-    that exceeds max_len.  With
+    that exceeds max_len.  Of the irreducible tops of a bottom, the
+    scan certifies the least of each orbit under the maps of that group
+    that fix the bottom; the others have the same shapes.  With
     ``jobs`` > 1 only S_n is fanned out, after the smaller levels, so
     that its workers start with the certificates those cached: on
-    atlas(7, 5) S_7 then misses 18 certificates, and 142 from a cold
+    atlas(7, 5) S_7 then misses 20 certificates, and 129 from a cold
     cache.  The counts do not depend on the schedule.
     """
     _check_jobs(jobs)

@@ -121,6 +121,26 @@ def full_scan_atlas(n, max_len):
     }
 
 
+def every_top_certificates(n, max_len, bottoms):
+    """What ``posets._scan_intervals(n, max_len, bottoms)`` returns, with
+    every top that the oracles find irreducible certified, none skipped
+    for its stabilizer orbit, and every ball's tops counted."""
+    identity = perms.identity(n)
+    top = n * (n - 1) // 2
+    certs = defaultdict(set)
+    count = 0
+    for x in bottoms:
+        ball = up_ball(x, min(max_len, top - perms.length(x)))
+        for yid, y in enumerate(ball.elements[1:], 1):
+            if not reducible_points(x, y):
+                cert = posets._certificate(*ball.structure(ball.below[yid]))
+                certs["intervals", ball.ranks[yid]].add(cert)
+                if x == identity:
+                    certs["ideals", ball.ranks[yid]].add(cert)
+            count += 1
+    return certs, count
+
+
 def plain_inverse(w):
     inv = [0] * len(w)
     for p, v in enumerate(w):
@@ -780,6 +800,69 @@ class TestFrozenPoint:
         assert balls == {(2, 1), (3, 2), (4, 2)}
         assert counted == {(2, 0), (3, 0), (3, 1), (4, 0), (4, 1),
                            (7, 0), (7, 1), (7, 2)}
+
+
+class TestStabilizerSkip:
+    """The scan certifies one top per orbit of the maps of G = {id, ι,
+    κ, ικ} that fix the bottom: a map g with g(x) = x is an automorphism
+    of the Bruhat order that keeps lengths, so [x, y] ≅ [x, g(y)], and
+    it keeps the splits and frozen points (``notes/decisions.md``)."""
+
+    @pytest.mark.parametrize("n,pairs", [(4, 251), (5, 2219)])
+    def test_fixing_map_keeps_shape_and_verdict(self, n, pairs):
+        # every x of S_n, every map of symmetries_oracle that fixes x and
+        # every y > x, over tests/oracles.py and networkx alone: 251 such
+        # (x, g, y) in S_4 and 2,219 in S_5
+        nx = pytest.importorskip("networkx")
+        checked = 0
+        for x in itertools.permutations(range(1, n + 1)):
+            fixing = [i for i, image in enumerate(symmetries_oracle(x))
+                      if image == x]
+            elements = oracle_ball(x)[0]
+            for y in elements[1:]:
+                for i in fixing:
+                    gy = symmetries_oracle(y)[i]
+                    assert gy in elements, (x, y, i)
+                    assert nx.is_isomorphic(
+                        oracle_digraph(nx, x, y), oracle_digraph(nx, x, gy),
+                        node_match=rank_match), (x, y, i)
+                    assert (not reducible_points(x, y)) == (
+                        not reducible_points(x, gy)), (x, y, i)
+                    checked += 1
+        assert checked == pairs
+
+    def test_skip_fires_on_the_identity_of_s5(self, monkeypatch):
+        # all of G fixes the identity, so the scan certifies the least top
+        # of each G-orbit of irreducible tops: fewer lookups than tops
+        lookups = []
+        certificate = posets._certificate
+
+        def record(ranks, covers):
+            lookups.append(ranks)
+            return certificate(ranks, covers)
+
+        monkeypatch.setattr(posets, "_certificate", record)
+        identity = perms.identity(5)
+        irreducible = [y for y in up_ball(identity, 5).elements[1:]
+                       if not reducible_points(identity, y)]
+        least = [y for y in irreducible if y == min(y, *symmetries_oracle(y))]
+        posets._scan_intervals(5, 5, [identity])
+        assert len(lookups) == len(least) < len(irreducible)
+
+    def test_skip_equals_every_top_on_a_seeded_sample_of_s6(self):
+        # the identity, a bottom fixed by each of ι, κ and ικ alone, and
+        # 20 seeded bottoms of S_6
+        group = list(itertools.permutations(range(1, 7)))
+        rng = random.Random(3401)
+        bottoms = [perms.identity(6)]
+        for kind in range(3):
+            alone = [x for x in group
+                     if [image == x for image in symmetries_oracle(x)]
+                     == [i == kind for i in range(3)]]
+            bottoms.append(rng.choice(alone))
+        bottoms += rng.sample(group, 20)
+        assert posets._scan_intervals(6, 8, bottoms) == (
+            every_top_certificates(6, 8, bottoms))
 
 
 class TestIntervalStructure:
