@@ -42,11 +42,11 @@ def survey_one(w, max_m, jobs, limits):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    cli._common_args(parser)
+    cli._add(parser, cli._COMMON)
     parser.add_argument("--n", type=int, default=4)
     parser.add_argument("--max-m", type=int, default=None,
                         help="ambient bound for the search (default n + 2)")
-    cli._jobs(parser)
+    cli._add(parser, cli._JOBS)
     parser.add_argument("-o", "--out", type=Path, default=None)
     args = parser.parse_args()
     limits = cli._limits_from(args)

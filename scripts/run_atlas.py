@@ -18,11 +18,11 @@ from bruhatkit import cli, posets  # noqa: E402
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    cli._common_args(parser)
+    cli._add(parser, cli._COMMON)
     parser.add_argument("--min-n", type=int, default=2)
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--max-len", type=int, default=5)
-    cli._jobs(parser)
+    cli._add(parser, cli._JOBS)
     parser.add_argument("-o", "--out", type=Path, default=None,
                         help="write the collected JSON here")
     args = parser.parse_args()

@@ -9,20 +9,21 @@ reproducible.
 
 Every subcommand enters through one input step, ``_run``: the caps from
 its flags, then each permutation argument parsed against them in order,
-before the command runs.  Each argument is declared once, in a piece
-that ``_COMMANDS`` lists for every command that takes it.
+before the command runs.  Each argument is declared once, as data: a
+piece is a tuple of (option string, ``add_argument`` keywords), and
+``_COMMANDS`` lists the pieces of every command.  ``_add`` declares them
+on an argparse parser, the full tree's or a script's.
 
 Parsing builds no parser for a well-formed call.  When the first
-argument names a subcommand, ``main`` records that subcommand's
-arguments from the same pieces (``_Spec``) and ``_quick`` reads the call
-from them, accepting it only when every token is a positional, a
-declared flag spelled exactly or a value its type takes; it then gives
-the Namespace the full tree would.  Anything else (help, ``--flag=value``,
-an abbreviation, ``--``, a negative or bad value, a missing or extra
-argument, a missing or unknown subcommand) goes to the full tree of
-``_build_parser``, which prints the help, usage and errors it always
-did.  Nothing is cached: a CLI call is one process, so a cached parser
-or spec would still be built once per call.
+argument names a subcommand, ``_quick`` reads the call against that
+subcommand's pieces, accepting it only when every token is a
+positional, a declared flag spelled exactly or a value its type takes;
+it then gives the Namespace the full tree would.  Anything else (help,
+``--flag=value``, an abbreviation, ``--``, a negative or bad value, a
+missing or extra argument, a missing or unknown subcommand) goes to the
+full tree of ``_build_parser``, which prints the help, usage and errors
+it always did.  Nothing is cached: a CLI call is one process, so a
+cached parser would still be built once per call.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from .limits import CapExceeded, Limits
 
 
 def _limits_from(args: argparse.Namespace) -> Limits:
-    return Limits(max_n=args.max_group_size)
-
-
-def _word_limits(args: argparse.Namespace) -> Limits:
-    return Limits(args.max_group_size, args.max_word_length,
-                  args.max_reduced_words)
+    """The caps of a parsed call: the group size, and the reduced-word
+    caps where the command declares them (``_WORD_CAPS``)."""
+    return Limits(
+        args.max_group_size,
+        getattr(args, "max_word_length", Limits.max_word_length),
+        getattr(args, "max_reduced_words", Limits.max_reduced_words))
 
 
 def _print_json(obj) -> None:
@@ -150,15 +151,16 @@ def cmd_forces(args, limits, w) -> None:
     _print_json(verdict.to_json(timing=args.timing))
 
 
-def _run(name, perm_names, limits_from, args) -> int:
+def _run(name, args) -> int:
     """The one input step of every subcommand: its caps, then each
-    permutation argument in ``perm_names`` parsed against them in order,
-    then ``cmd_<name>(args, limits, *permutations)``, which succeeds by
-    returning and fails by raising for :func:`report_errors`."""
-    limits = limits_from(args)
-    parsed = []
-    for arg in perm_names:
-        parsed.append(perms.parse_perm(getattr(args, arg), limits))
+    permutation argument it declares (``_PERM_ARGS``) parsed against them
+    in order, then ``cmd_<name>(args, limits, *permutations)``, which
+    succeeds by returning and fails by raising for
+    :func:`report_errors`."""
+    limits = _limits_from(args)
+    values = vars(args)
+    parsed = [perms.parse_perm(values[arg], limits)
+              for arg in _PERM_ARGS if arg in values]
     globals()[f"cmd_{name}"](args, limits, *parsed)
     return 0
 
@@ -177,124 +179,86 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-# Argument pieces.  Each declares its arguments once; a piece that
-# declares permutations returns their names, in order.
+# Argument pieces: each argument once, as its one option string and the
+# keywords of its ``add_argument`` call.  A piece takes only ``type``,
+# ``default``, ``required``, ``metavar``, ``help`` and
+# ``action="store_true"``, the keywords that :func:`_quick` reads as
+# argparse does.
 
-def _common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--max-group-size", type=_at_least_one, default=Limits.max_n,
-        metavar="N",
-        help="cap on the symmetric group size (default %(default)s)",
-    )
-
-
-def _perm(p: argparse.ArgumentParser) -> tuple:
-    p.add_argument("perm")
-    return ("perm",)
-
-
-def _pair(p: argparse.ArgumentParser) -> tuple:
-    p.add_argument("x")
-    p.add_argument("y")
-    return ("x", "y")
-
-
-def _dot(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dot", action="store_true",
-                   help="print the Hasse diagram as DOT instead of JSON")
-
-
-def _word_caps(p: argparse.ArgumentParser) -> None:
-    """The reduced-word caps: 'words' is the one command that enumerates
-    R(w), so the only one that takes them."""
-    p.add_argument(
-        "--max-word-length", type=_at_least_one,
-        default=Limits.max_word_length,
-        metavar="L",
-        help="cap on the length of w (default %(default)s)",
-    )
-    p.add_argument(
-        "--max-reduced-words", type=_at_least_one,
-        default=Limits.max_reduced_words,
-        metavar="R",
+_COMMON = (
+    ("--max-group-size", dict(
+        type=_at_least_one, default=Limits.max_n, metavar="N",
+        help="cap on the symmetric group size (default %(default)s)")),
+)
+_PERM = (("perm", {}),)
+_PAIR = (("x", {}), ("y", {}))
+_PERM_ARGS = ("perm", "x", "y")     # the permutations, as _run parses them
+_DOT = (("--dot", dict(action="store_true",
+                       help="print the Hasse diagram as DOT instead of "
+                            "JSON")),)
+# the reduced-word caps: 'words' is the one command that enumerates
+# R(w), so the only one that takes them
+_WORD_CAPS = (
+    ("--max-word-length", dict(
+        type=_at_least_one, default=Limits.max_word_length, metavar="L",
+        help="cap on the length of w (default %(default)s)")),
+    ("--max-reduced-words", dict(
+        type=_at_least_one, default=Limits.max_reduced_words, metavar="R",
         help="cap on |R(w)|, counted before any word is built "
-             "(default %(default)s)",
-    )
-
-
-def _eval(p: argparse.ArgumentParser) -> None:
-    p.add_argument("word")
-    p.add_argument("--n", type=int, default=None,
-                   help="ambient group size (default: largest letter + 1)")
-
-
-def _specs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("spec1")
-    p.add_argument("spec2")
-
-
-def _atlas_size(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-len", type=int, required=True)
-
-
-def _max_n(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-n", type=int, default=None,
-                   help="largest ambient group to scan (default w.n + 2)")
-
-
-def _jobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=_at_least_one, default=None,
-                   help="worker processes, capped at the CPU count; the "
-                        "output is identical for every value")
-
-
-def _timing(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timing", action="store_true",
-                   help="report real seconds instead of 0.0")
-
+             "(default %(default)s)")),
+)
+_EVAL = (
+    ("word", {}),
+    ("--n", dict(type=int, default=None,
+                 help="ambient group size (default: largest letter + 1)")),
+)
+_SPECS = (("spec1", {}), ("spec2", {}))
+_ATLAS_SIZE = (("--n", dict(type=int, required=True)),
+               ("--max-len", dict(type=int, required=True)))
+_MAX_N = (("--max-n", dict(
+    type=int, default=None,
+    help="largest ambient group to scan (default w.n + 2)")),)
+_JOBS = (("--jobs", dict(
+    type=_at_least_one, default=None,
+    help="worker processes, capped at the CPU count; the output is "
+         "identical for every value")),)
+_TIMING = (("--timing", dict(action="store_true",
+                             help="report real seconds instead of 0.0")),)
 
 # Each subcommand once: name -> (its argument pieces in order, help), in
 # the order --help lists them.  The command ``name`` runs ``cmd_<name>``,
 # looked up on every call, so that a wrapper set on that attribute of
 # this module is the one called.
 _COMMANDS = {
-    "words": ((_word_caps, _perm), "list all reduced words of a permutation"),
-    "eval": ((_eval,), "evaluate a word of generator letters"),
-    "leq": ((_pair,), "is x <= y in the Bruhat order?"),
-    "interval": ((_pair, _dot), "the interval [x, y] as JSON or DOT"),
-    "ideal": ((_perm, _dot), "the principal order ideal of w"),
-    "iso": ((_specs,),
+    "words": ((_WORD_CAPS, _PERM), "list all reduced words of a permutation"),
+    "eval": ((_EVAL,), "evaluate a word of generator letters"),
+    "leq": ((_PAIR,), "is x <= y in the Bruhat order?"),
+    "interval": ((_PAIR, _DOT), "the interval [x, y] as JSON or DOT"),
+    "ideal": ((_PERM, _DOT), "the principal order ideal of w"),
+    "iso": ((_SPECS,),
             "poset isomorphism; a spec is 'w' (ideal) or 'x:y' (interval)"),
-    "atlas": ((_atlas_size, _jobs, _timing),
+    "atlas": ((_ATLAS_SIZE, _JOBS, _TIMING),
               "counts of interval/ideal isomorphism classes per length"),
-    "decompose": ((_perm,), "two-block split of a reduced word, if any"),
-    "witness": ((_perm,),
+    "decompose": ((_PERM,), "two-block split of a reduced word, if any"),
+    "witness": ((_PERM,),
                 "non-forcing witness interval for a decomposable "
                 "permutation"),
-    "swapstring": ((_pair,),
+    "swapstring": ((_PAIR,),
                    "the thin monotonic substring separating x from y, "
                    "if any"),
-    "factorize": ((_pair,),
+    "factorize": ((_PAIR,),
                   "reduced words ac of x and abc of y with b a shifted "
                   "reversal word"),
-    "forces": ((_perm, _max_n, _jobs, _timing),
+    "forces": ((_PERM, _MAX_N, _JOBS, _TIMING),
                "bounded factor-forcing verdict"),
 }
 
 
-def _fill(p: argparse.ArgumentParser | _Spec, name: str) -> None:
-    """A subcommand's arguments, into its parser after its -h or into
-    its :class:`_Spec`: the group-size cap, then its pieces; the parsed
-    call runs :func:`_run` for the command."""
-    _common_args(p)
-    pieces = _COMMANDS[name][0]
-    perm_names = ()
+def _add(parser: argparse.ArgumentParser, *pieces) -> None:
+    """Declare the arguments of ``pieces`` on ``parser``, in order."""
     for piece in pieces:
-        perm_names += piece(p) or ()
-    limits_from = _word_limits if _word_caps in pieces else _limits_from
-    p.set_defaults(
-        func=functools.partial(_run, name, perm_names, limits_from))
+        for option, keywords in piece:
+            parser.add_argument(option, **keywords)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -304,60 +268,44 @@ def _build_parser() -> argparse.ArgumentParser:
                     "poset isomorphism, factor-forcing searches.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        _fill(sub.add_parser(name, help=help_text), name)
+    for name, (pieces, help_text) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        _add(command, _COMMON, *pieces)
+        command.set_defaults(func=functools.partial(_run, name))
     return parser
-
-
-class _Spec:
-    """A subcommand's arguments as :func:`_fill` declares them, recorded
-    instead of built into a parser: the positionals in order as (dest,
-    type), each flag's option string -> (dest, type), with type None for
-    a ``store_true`` flag, the required flags' dests and every other
-    default.  It takes only the keywords the pieces use, so that an
-    argument :func:`_quick` could read differently from argparse raises
-    here."""
-
-    def __init__(self):
-        self.positionals: list[tuple] = []
-        self.flags: dict[str, tuple] = {}
-        self.required: set[str] = set()
-        self.defaults: dict = {}
-
-    def add_argument(self, name, *, type=str, default=None, action=None,
-                     required=False, metavar=None, help=None):
-        if action not in (None, "store_true"):
-            raise TypeError(f"unsupported action {action!r}")
-        if not name.startswith("-"):
-            self.positionals.append((name, type))
-            return
-        dest = name.lstrip("-").replace("-", "_")
-        self.flags[name] = (dest, None if action else type)
-        if required:
-            self.required.add(dest)
-        else:
-            self.defaults[dest] = False if action else default
-
-    def set_defaults(self, **defaults):
-        self.defaults.update(defaults)
 
 
 def _quick(name: str, argv: list[str]) -> argparse.Namespace | None:
     """The Namespace the full tree gives for ``[name, *argv]``, read
-    from the subcommand's :class:`_Spec`, or None unless every token is
-    a positional, a declared flag spelled exactly or a value that does
-    not start with '-' and that the flag's type takes, with every
-    positional and required flag given."""
-    spec = _Spec()
-    _fill(spec, name)
-    values = {"command": name, **spec.defaults}
-    positionals = iter(spec.positionals)
+    from the subcommand's pieces, or None unless every token is a
+    positional, a declared flag spelled exactly or a value that does not
+    start with '-' and that the flag's type takes, with every positional
+    and required flag given."""
+    values = {"command": name}
+    positionals = []
+    flags = {}
+    required = set()
+    for piece in (_COMMON, *_COMMANDS[name][0]):
+        for option, keywords in piece:
+            convert = keywords.get("type", str)
+            if not option.startswith("-"):
+                positionals.append((option, convert))
+                continue
+            dest = option.lstrip("-").replace("-", "_")
+            store_true = keywords.get("action") == "store_true"
+            flags[option] = (dest, None if store_true else convert)
+            if keywords.get("required"):
+                required.add(dest)
+            else:
+                values[dest] = keywords.get("default",
+                                            False if store_true else None)
+    positionals = iter(positionals)
     tokens = iter(argv)
     for token in tokens:
         if token.startswith("-"):
-            if token not in spec.flags:
+            if token not in flags:
                 return None
-            dest, convert = spec.flags[token]
+            dest, convert = flags[token]
             if convert is None:
                 values[dest] = True
                 continue
@@ -372,10 +320,9 @@ def _quick(name: str, argv: list[str]) -> argparse.Namespace | None:
             values[dest] = convert(token)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-    if (next(positionals, None) is not None
-            or not spec.required <= values.keys()):
+    if next(positionals, None) is not None or not required <= values.keys():
         return None
-    return argparse.Namespace(**values)
+    return argparse.Namespace(**values, func=functools.partial(_run, name))
 
 
 def main(argv: list[str] | None = None) -> int:

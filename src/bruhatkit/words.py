@@ -284,17 +284,21 @@ def iter_reduced_words(
     kept, so searches can stop at the first hit.
     """
     _check_word_length(w, limits)
-    ideal = _weak_order_ideal(w)
+    return _walk(_weak_order_ideal(w), perms.inverse(w))
 
-    def gen(inv: Perm) -> Iterator[Word]:
-        below = ideal[inv]
-        if not below:
-            yield ()
-        for i, lower in below:
-            for rest in gen(lower):
-                yield (i,) + rest
 
-    return gen(perms.inverse(w))
+def _walk(ideal: dict[Perm, list[tuple[int, Perm]]],
+          inv: Perm) -> Iterator[Word]:
+    """R(v) in lexicographic order, for the v whose inverse is ``inv``:
+    each left descent i of v, ascending, before each word of s_i v.  The
+    table is an argument, not a closure cell, so that it is freed with
+    the last generator that reads it, not by the collector."""
+    below = ideal[inv]
+    if not below:
+        yield ()
+    for i, lower in below:
+        for rest in _walk(ideal, lower):
+            yield (i,) + rest
 
 
 def peel(inv: list[int], block: range) -> Word:

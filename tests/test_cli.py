@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -475,9 +476,46 @@ def full_parser(argv):
     return cli.report_errors(args.func, args)
 
 
+def declared_entries():
+    """Every (option string, keywords) entry of ``_COMMON`` and of each
+    piece of ``_COMMANDS``."""
+    pieces = [cli._COMMON, *(piece for pieces, _ in cli._COMMANDS.values()
+                             for piece in pieces)]
+    return list(itertools.chain.from_iterable(pieces))
+
+
+def check_table(entries):
+    """Raise TypeError on an entry that ``_quick`` would read otherwise
+    than argparse does: a second option string, nargs or an action other
+    than store_true."""
+    allowed = {"type", "default", "required", "metavar", "help", "action"}
+    for entry in entries:
+        if len(entry) != 2:
+            raise TypeError(f"not one option string: {entry!r}")
+        option, keywords = entry
+        if not isinstance(option, str) or not isinstance(keywords, dict):
+            raise TypeError(f"not (option, keywords): {entry!r}")
+        if not keywords.keys() <= allowed:
+            raise TypeError(f"keywords _quick does not read: {entry!r}")
+        if keywords.get("action", "store_true") != "store_true":
+            raise TypeError(f"action other than store_true: {entry!r}")
+
+
 def spec_of(name):
-    spec = cli._Spec()
-    cli._fill(spec, name)
+    """The positionals of ``name``, each flag -> (dest, type or None for
+    a store_true flag) and the required flags' dests, read from the
+    table."""
+    spec = types.SimpleNamespace(positionals=[], flags={}, required=set())
+    pieces = (cli._COMMON, *cli._COMMANDS[name][0])
+    for option, keywords in itertools.chain.from_iterable(pieces):
+        if not option.startswith("-"):
+            spec.positionals.append(option)
+            continue
+        dest = option.lstrip("-").replace("-", "_")
+        spec.flags[option] = (dest, None if "action" in keywords
+                              else keywords.get("type", str))
+        if keywords.get("required"):
+            spec.required.add(dest)
     return spec
 
 
@@ -582,14 +620,19 @@ class TestParsing:
                 capsys, full_parser, argv
             ), argv
 
+    def test_table_holds_only_what_the_quick_parse_reads(self):
+        check_table(declared_entries())
+
     @pytest.mark.parametrize("declare", [
-        lambda spec: spec.add_argument("--k", nargs=2),
-        lambda spec: spec.add_argument("--k", action="append"),
-        lambda spec: spec.add_argument("-k", "--k"),
+        lambda table: table.append(("--k", {"nargs": 2})),
+        lambda table: table.append(("--k", {"action": "append"})),
+        lambda table: table.append(("-k", "--k", {})),
     ])
     def test_spec_rejects_arguments_it_cannot_read(self, declare):
+        table = declared_entries()
+        declare(table)
         with pytest.raises(TypeError):
-            declare(cli._Spec())
+            check_table(table)
 
     @pytest.mark.parametrize("argv", [["leq", "12", "21"],
                                       ["leq", "2143", "4321"]])

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -287,6 +288,27 @@ class TestIterReducedWords:
             tracemalloc.stop()
         assert first == words.lex_least_reduced_word(w)
         assert peak < 2_000_000
+
+    def test_dropped_walk_frees_its_table(self):
+        # with the collector off, only reference counts free the walk: a
+        # generator whose closure held itself kept the 720-entry table of
+        # S_6, about 333 KB, until gc.collect()
+        w = perms.longest(6)
+        next(words.iter_reduced_words(w))
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            walk = words.iter_reduced_words(w)
+            next(walk)
+            del walk
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert kept < 10_000
 
     def test_lex_least(self, s5_brute_force):
         for w, expected in s5_brute_force.items():
