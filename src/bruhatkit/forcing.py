@@ -335,69 +335,44 @@ def _no_factor_proof(y: Perm, gap: int) -> dict:
     }
 
 
-class _Jobs:
-    """``jobs`` as an argument that a cache leaves out of its key: every
-    value compares equal, because the verdict is the same for each."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int | None):
-        self.value = value
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Jobs)
-
-    def __hash__(self) -> int:
-        return 0
-
-
 @functools.lru_cache(maxsize=1024)
-def _shape_verdict(n: int, shape, m_max: int, jobs: _Jobs):
-    """(counterexample, no-factor proof, sample certificate, intervals
-    examined) of the scan of S_n..S_m_max for intervals shaped like an
-    ideal with fingerprint ``shape``: all of a verdict but w and the
-    time.  The intervals of each S_m, and so all of these, depend on w
-    only through n and the shape of its ideal, so one scan serves every
-    w of S_n with that shape, whatever its ``jobs``, which sets only how
-    the scan is fanned out.
+def _level(shape, m: int, jobs: int | None):
+    """The scan of S_m for intervals shaped like an ideal with
+    fingerprint ``shape``: the least refuted interval as a
+    (counterexample, no-factor proof) pair, or None; the number of
+    intervals examined; and, with no counterexample, the greatest bottom
+    with a top, or None.
+    The intervals of S_m depend on w only through the shape of its
+    ideal, so one scan serves every w with that shape, whatever its
+    size or bound, and ``jobs`` sets only how the scan is fanned out.
 
-    Each S_m builds up-balls only for the bottoms least in their orbit
-    under inversion and conjugation by w0 (:func:`posets._fan_out`).  Those
-    maps are Bruhat automorphisms that keep the shape and the deletion,
-    so every bottom of an orbit has as many tops as the least, and the
-    least bottom with a refuted top is the least of its orbit: it is the
-    counterexample of the full scan, and the intervals that scan examines
-    are counted per orbit.  Each orbit's images are made once, here, and
-    an orbit whose least bottom has c tops decided adds c for each image
-    up to a bound: the counterexample's bottom, the only member of its
-    own orbit up to it, or, with no counterexample, (m + 1,), above all
-    of S_m.  The fan-out closes at the first range with a refuted top.
-    The sample certificate is that of the last top of the greatest
-    bottom with a top, whose ball alone is rebuilt.
-    ``notes/decisions.md`` has the proof."""
-    examined = 0
-    last = None
-    for m in range(n, m_max + 1):
-        orbits = []
-        for counts, refuted in posets._fan_out(
-            _forces_range, (shape,), m, jobs.value,
-        ):
-            orbits += [(tops, set(perms.symmetry_images(x)))
-                       for x, tops in counts.items()]
-            if refuted:
-                break
-        bound = refuted[0] if refuted else (m + 1,)
-        examined += sum(tops * sum(g <= bound for g in images)
-                        for tops, images in orbits)
+    The scan builds up-balls only for the bottoms least in their orbit
+    under inversion and conjugation by w0 (:func:`posets._fan_out`).
+    Those maps are Bruhat automorphisms that keep the shape and the
+    deletion, so every bottom of an orbit has as many tops as the least,
+    and the least bottom with a refuted top is the least of its orbit:
+    it is the counterexample of the full scan, and the intervals that
+    scan examines are counted per orbit.  Each orbit's images are made
+    once, here, and an orbit whose least bottom has c tops decided adds
+    c for each image up to a bound: the counterexample's bottom, the
+    only member of its own orbit up to it, or, with no counterexample,
+    (m + 1,), above all of S_m.  The fan-out closes at the first range
+    with a refuted top.  ``notes/decisions.md`` has the proof."""
+    orbits = []
+    for counts, refuted in posets._fan_out(_forces_range, (shape,), m, jobs):
+        orbits += [(tops, set(perms.symmetry_images(x)))
+                   for x, tops in counts.items()]
         if refuted:
-            x, y = refuted
-            proof = _no_factor_proof(y, shape[0])
-            return Counterexample(x, y, m), proof, None, examined
-        last = max((max(images) for _, images in orbits), default=last)
-    if last is None:
-        return None, None, None, examined
-    *_, pair = _shaped_intervals(shape, [last])
-    return None, None, _first_deletion(*pair), examined
+            break
+    bound = refuted[0] if refuted else (m + 1,)
+    examined = sum(tops * sum(g <= bound for g in images)
+                   for tops, images in orbits)
+    if refuted:
+        x, y = refuted
+        return ((Counterexample(x, y, m), _no_factor_proof(y, shape[0])),
+                examined, None)
+    return None, examined, max((max(images) for _, images in orbits),
+                               default=None)
 
 
 def forces_factor(
@@ -413,12 +388,16 @@ def forces_factor(
     admitting no factor deletion is returned as the counterexample.
     ``jobs`` fans the scan out over processes; the verdict equals the
     sequential one.  ``jobs`` and m_max are checked here, before the
-    scan starts, and ``limits`` is read only for that check.  The scan's
-    result is cached by the size of w, the shape of its ideal and m_max
-    (:func:`_shape_verdict`), so a w whose ideal is shaped like that of
-    an earlier w with the same size and m_max is answered without a
-    scan, whatever either call's ``jobs``; only ``w``, ``seconds`` and
-    ``limits`` are its own.
+    scan starts, and ``limits`` is read only for that check.
+
+    The verdict folds the scans of S_n..S_m_max (:func:`_level`): it
+    stops at the first counterexample and sums the intervals examined;
+    with none, the sample certificate is that of the last top of the
+    greatest bottom with a top in the last S_m that has one, whose ball
+    alone is rebuilt.  Each scan is cached by the shape of the ideal, m
+    and ``jobs``, so a w whose ideal is shaped like that of an earlier w
+    pays only for the S_m that call did not scan, whatever the sizes and
+    bounds of the two.
     """
     posets._check_jobs(jobs)
     n = len(w)
@@ -428,9 +407,19 @@ def forces_factor(
         raise ValueError(f"m_max={m_max} is below the group size {n}")
     perms.check_group_size(m_max, limits)
     started = time.perf_counter()
-    counterexample, proof, sample, examined = _shape_verdict(
-        n, _ideal_fingerprint(w), m_max, _Jobs(jobs)
-    )
+    shape = _ideal_fingerprint(w)
+    counterexample = proof = sample = last = None
+    examined = 0
+    for m in range(n, m_max + 1):
+        refuted, count, greatest = _level(shape, m, jobs)
+        examined += count
+        if refuted:
+            counterexample, proof = refuted
+            break
+        last = greatest or last
+    if last and not counterexample:
+        *_, pair = _shaped_intervals(shape, [last])
+        sample = _first_deletion(*pair)
     return ForcingVerdict(
         w=w,
         m_max=m_max,

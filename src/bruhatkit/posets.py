@@ -72,7 +72,7 @@ from concurrent import futures
 from dataclasses import dataclass
 
 from . import perms
-from .bruhat import Interval
+from .bruhat import Interval, _prefix_masks
 from .limits import DEFAULT_LIMITS, Limits
 from .tables import count_above, up_ball
 
@@ -498,7 +498,9 @@ def _fan_out(fn, args: tuple, m: int, jobs: int | None, greatest=False):
     With ``jobs`` > 1, min(jobs, CPU count) worker processes take about
     four ranges each, which evens out uneven ranges; otherwise all of S_m
     is one range, run in this process.  ``fn`` and ``args`` must pickle.
-    Closing the iterator early cancels the ranges not started."""
+    Closing the iterator early cancels the ranges not yet handed to a
+    worker; those already handed over still run to their end before the
+    pool shuts down, and their results are dropped."""
     count = math.factorial(m)
     workers = min(jobs or 1, os.cpu_count() or 1)
     if workers <= 1:
@@ -528,16 +530,13 @@ def _irreducible_code(n: int):
     j : y(l) > v}); so [x, y] is irreducible iff no field is equal."""
     codes: dict[perms.Perm, tuple[int, ...]] = {}
 
-    def prefix_sets(w):
-        return itertools.accumulate((1 << v for v in w[:-1]), operator.or_)
-
     def code(w) -> tuple[int, ...]:
         found = codes.get(w)
         if found is None:
             frozen = (v * n + sum(u > v for u in w[:j])
                       for j, v in enumerate(w))
-            found = codes[w] = (*prefix_sets(w),
-                                *prefix_sets(perms.inverse(w)), *frozen)
+            found = codes[w] = (*_prefix_masks(w),
+                                *_prefix_masks(perms.inverse(w)), *frozen)
         return found
 
     return code

@@ -14,7 +14,7 @@ def cold_scan_caches():
     compares a real scan, not a verdict an earlier test left behind, a
     test that reads a rank table sees only the rows it filled itself,
     and one that counts orbit filters sees its own."""
-    forcing._shape_verdict.cache_clear()
+    forcing._level.cache_clear()
     tables.rank_table.cache_clear()
     posets._extremes.cache_clear()
 

@@ -496,7 +496,7 @@ class TestOrbitScan:
         posets._extremes.cache_clear()
         forcing.forces_factor(P("12354"), 5)
         assert len(calls) == 240
-        assert forcing._shape_verdict.cache_info().misses == 3
+        assert forcing._level.cache_info().misses == 3
 
     @pytest.mark.parametrize("n,sample", [(4, None), (5, None), (6, 150)])
     def test_deletion_kept_by_symmetries(self, n, sample):
@@ -540,7 +540,7 @@ class TestOrbitScan:
         # the members of an orbit fall in different ranges
         w = P(text)
         seq = forcing.forces_factor(w, m_max)
-        forcing._shape_verdict.cache_clear()
+        forcing._level.cache_clear()
         par = forcing.forces_factor(w, m_max, jobs=2)
         assert par.to_json() == seq.to_json()
         assert (
@@ -550,30 +550,66 @@ class TestOrbitScan:
         assert {pool.max_workers for pool in inline_pool} == {2}
 
 
+def levels_scanned():
+    return forcing._level.cache_info().misses
+
+
 class TestShapeVerdictCache:
-    @pytest.mark.parametrize("n,m_max,classes", [(4, 6, 10), (5, 5, 30)])
-    def test_cached_verdicts_equal_cold_ones(self, n, m_max, classes):
-        # one scan per ideal shape: the misses are the shapes, and every
+    @pytest.mark.parametrize("n,m_max,classes,levels", [
+        pytest.param(4, 6, 10, 23, id="4-6-10"),
+        pytest.param(5, 5, 30, 30, id="5-5-30"),
+    ])
+    def test_cached_verdicts_equal_cold_ones(self, n, m_max, classes,
+                                             levels):
+        # one scan per (ideal shape, S_m): the misses are the levels each
+        # shape reaches before its first counterexample, and every
         # verdict served from the cache equals a cold call's
         s_n = list(perms.all_perms(n))
         warm = [forcing.forces_factor(w, m_max).to_json() for w in s_n]
-        info = forcing._shape_verdict.cache_info()
-        shapes = {forcing._ideal_fingerprint(w)[3] for w in s_n}
-        assert info.misses == len(shapes) == classes
-        assert info.hits == len(s_n) - classes
+        reached = {}
         for w, got in zip(s_n, warm):
-            forcing._shape_verdict.cache_clear()
+            last = got.get("counterexample", {}).get("m", m_max)
+            reached[forcing._ideal_fingerprint(w)[3]] = last - n + 1
+        assert len(reached) == classes
+        assert levels_scanned() == sum(reached.values()) == levels
+        for w, got in zip(s_n, warm):
+            forcing._level.cache_clear()
             assert got == forcing.forces_factor(w, m_max).to_json()
 
-    def test_same_shape_other_size_is_another_scan(self):
-        # 21 and 2134 share the 2-chain ideal, but 21 also scans S_2, S_3
+    def test_surveys_share_levels(self):
+        # a survey scans only the (shape, S_m) levels that no earlier
+        # survey in the process scanned, whatever its group size or bound
+        scanned = []
+        for n, m_max in [(4, 6), (5, 7), (4, 5)]:
+            before = levels_scanned()
+            for w in perms.all_perms(n):
+                forcing.forces_factor(w, m_max)
+            scanned.append(levels_scanned() - before)
+        assert scanned == [23, 44, 0]
+
+    def test_lower_bound_is_served_from_levels(self):
+        # m_max 5 after m_max 6 scans nothing, and equals a cold call
+        forcing.forces_factor(P("321"), 6)
+        before = levels_scanned()
+        warm = forcing.forces_factor(P("321"), 5).to_json()
+        assert levels_scanned() == before
+        forcing._level.cache_clear()
+        assert warm == forcing.forces_factor(P("321"), 5).to_json()
+
+    def test_same_shape_other_size_shares_levels(self):
+        # 21 and 2134 share the 2-chain ideal: 21 scans S_2, S_3, S_4,
+        # and 2134 reuses the S_4 level and examines what 21 did there
         short, long = P("21"), P("2134")
         assert (forcing._ideal_fingerprint(short)
                 == forcing._ideal_fingerprint(long))
         a = forcing.forces_factor(short, 4)
         b = forcing.forces_factor(long, 4)
-        assert forcing._shape_verdict.cache_info().misses == 2
-        assert a.intervals_examined != b.intervals_examined
+        info = forcing._level.cache_info()
+        assert (info.misses, info.hits) == (3, 1)
+        below = forcing.forces_factor(short, 3)
+        assert b.intervals_examined == (
+            a.intervals_examined - below.intervals_examined)
+        assert b.intervals_examined < a.intervals_examined
 
     @pytest.mark.parametrize("good,bad", [(2, 2.0), (None, 0)])
     def test_bad_jobs_refused_when_cached(self, good, bad, inline_pool):
@@ -582,22 +618,12 @@ class TestShapeVerdictCache:
         with pytest.raises(ValueError, match="jobs must be None or an "
                                              "integer of at least 1"):
             forcing.forces_factor(P("21"), 3, jobs=bad)
-        assert forcing._shape_verdict.cache_info().misses == 1
-
-    def test_jobs_is_not_part_of_the_key(self, inline_pool):
-        # the verdict is the same for every jobs, so a call that differs
-        # only in jobs is a hit and starts no pool
-        first = forcing.forces_factor(P("321"), 5)
-        again = forcing.forces_factor(P("321"), 5, jobs=2)
-        info = forcing._shape_verdict.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert inline_pool == []
-        assert again.to_json() == first.to_json()
+        assert levels_scanned() == 2
 
     def test_hit_echoes_the_callers_w(self):
         first = forcing.forces_factor(P("2134"), 4)
         hit = forcing.forces_factor(P("1324"), 4)
-        assert forcing._shape_verdict.cache_info().hits == 1
+        assert forcing._level.cache_info().hits == 1
         assert (first.w, hit.w) == (P("2134"), P("1324"))
         expected = first.to_json()
         expected["w"] = "1324"
