@@ -4,9 +4,6 @@ isomorphism, and bounded factor-forcing searches."""
 from .bruhat import (
     Interval,
     bruhat_leq,
-    coatom_avoiding_position,
-    coatoms,
-    covers_below,
     ideal,
     interval,
     interval_to_json,
@@ -22,14 +19,11 @@ from .forcing import (
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
 from .perms import (
     Perm,
-    apply_left,
-    apply_right,
     compose,
     embed,
     format_perm,
     identity,
     inverse,
-    inversions,
     length,
     longest,
     parse_perm,
@@ -40,11 +34,8 @@ from .posets import (
     RankedPoset,
     atlas,
     canonical_form,
-    chain,
-    direct_product,
     is_isomorphic,
     poset_from_interval,
-    singleton,
     to_dot,
 )
 from .structure import (
@@ -60,11 +51,9 @@ from .structure import (
 from .words import (
     ReducedWordSet,
     Word,
-    delete_factor,
     evaluate,
     format_word,
     is_reduced,
-    is_subword,
     iter_reduced_words,
     lex_least_reduced_word,
     parse_word,

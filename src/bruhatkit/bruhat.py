@@ -76,11 +76,6 @@ def _lower_covers(x: Perm) -> Iterator[tuple[int, int, Perm]]:
                 yield i, j, x[:i] + (b,) + x[i + 1:j] + (a,) + x[j + 1:]
 
 
-def covers_below(x: Perm) -> tuple[Perm, ...]:
-    """All z covered by x: z < x with length(z) = length(x) - 1, sorted."""
-    return tuple(sorted(z for _, _, z in _lower_covers(x)))
-
-
 @dataclass(frozen=True)
 class Interval:
     """The interval [low, high] = {z : low <= z <= high} with its covers.
@@ -101,14 +96,6 @@ class Interval:
     @property
     def n(self) -> int:
         return len(self.low)
-
-    @property
-    def span(self) -> int:
-        """length(high) - length(low), the rank of high."""
-        return self.ranks[-1]
-
-    def rank_of(self, z: Perm) -> int:
-        return perms.length(z) - perms.length(self.low)
 
     def rank_profile(self) -> tuple[int, ...]:
         counts = [0] * (self.ranks[-1] + 1)
@@ -198,37 +185,6 @@ def ideal(w: Perm) -> Interval:
     """The principal order ideal of w: all z <= w, as the interval
     [identity, w]."""
     return interval(perms.identity(len(w)), w)
-
-
-def coatoms(iv: Interval) -> tuple[Perm, ...]:
-    """The elements of the interval covered by its maximum."""
-    return tuple(sorted(a for a, b in iv.covers if b == iv.high))
-
-
-def coatom_avoiding_position(x: Perm, y: Perm, i: int) -> Perm:
-    """Some w with x <= w, w covered by y, and w(i) != y(i).
-
-    Such a coatom always exists when x < y and x(i) != y(i); when the
-    interval is a single cover the answer is x itself.  Found by a direct
-    scan of the coatoms in one-line order, so the result is deterministic.
-    """
-    n = len(x)
-    if len(y) != n:
-        raise ValueError(f"size mismatch: S_{len(x)} vs S_{len(y)}")
-    if not 1 <= i <= n:
-        raise ValueError(f"position {i} out of range for S_{n}")
-    if x == y or not bruhat_leq(x, y):
-        raise ValueError("need x < y in the Bruhat order")
-    if x[i - 1] == y[i - 1]:
-        raise ValueError(f"x and y agree at position {i}")
-    if perms.length(y) - perms.length(x) == 1:
-        return x
-    for w in covers_below(y):
-        if w[i - 1] != y[i - 1] and bruhat_leq(x, w):
-            return w
-    raise RuntimeError(
-        "no coatom avoids the position; this should be impossible"
-    )
 
 
 def interval_to_json(iv: Interval) -> dict:

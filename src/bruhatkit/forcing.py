@@ -56,9 +56,6 @@ class FactorCertificate:
     length: int
     i: Word
 
-    def factor(self) -> Word:
-        return self.j[self.start:self.start + self.length]
-
     def to_json(self) -> dict:
         return {
             "j": words.format_word(self.j),

@@ -94,21 +94,6 @@ def length(w: Perm) -> int:
     return total
 
 
-def inversions(w: Perm) -> set[tuple[int, int]]:
-    """All pairs (i, j) of 1-based positions with i < j and w(i) > w(j).
-
-    >>> sorted(inversions((3, 2, 1)))
-    [(1, 2), (1, 3), (2, 3)]
-    """
-    n = len(w)
-    return {
-        (i + 1, j + 1)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if w[i] > w[j]
-    }
-
-
 def inverse(w: Perm) -> Perm:
     """The inverse permutation."""
     inv = [0] * len(w)
@@ -128,33 +113,6 @@ def compose(u: Perm, v: Perm) -> Perm:
             f"size mismatch: cannot compose S_{len(u)} with S_{len(v)} elements"
         )
     return tuple(u[j - 1] for j in v)
-
-
-def apply_left(i: int, w: Perm) -> Perm:
-    """``s_i w``: interchange the positions of the values i and i+1.
-
-    >>> apply_left(1, (3, 2, 4, 1))
-    (3, 1, 4, 2)
-    """
-    if not 1 <= i <= len(w) - 1:
-        raise ValueError(f"reflection index {i} out of range for S_{len(w)}")
-    lst = list(w)
-    p, q = lst.index(i), lst.index(i + 1)
-    lst[p], lst[q] = lst[q], lst[p]
-    return tuple(lst)
-
-
-def apply_right(w: Perm, i: int) -> Perm:
-    """``w s_i``: interchange the values in positions i and i+1.
-
-    >>> apply_right((3, 2, 4, 1), 1)
-    (2, 3, 4, 1)
-    """
-    if not 1 <= i <= len(w) - 1:
-        raise ValueError(f"reflection index {i} out of range for S_{len(w)}")
-    lst = list(w)
-    lst[i - 1], lst[i] = lst[i], lst[i - 1]
-    return tuple(lst)
 
 
 def embed(w: Perm, m: int) -> Perm:

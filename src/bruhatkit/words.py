@@ -1,4 +1,4 @@
-"""Words in the generators: evaluation, reduced words, shifts, subwords.
+"""Words in the generators: evaluation, reduced words, shifts.
 
 Every walk over R(w) lives here.  Each one follows the left-descent
 recursion (a reduced word of w is a left descent i of w followed by a
@@ -347,43 +347,3 @@ def shift(word: Word, t: int) -> Word:
     """
     return tuple(a + t for a in word)
 
-
-def is_shifted_longest_word(b: Word, k: int) -> bool:
-    """Whether some shift of ``b`` is a reduced word of the reversal in
-    S_k (it must then use exactly the k-1 letters of one contiguous run)."""
-    if len(b) != k * (k - 1) // 2:
-        return False
-    if not b:
-        return k == 1
-    t = 1 - min(b)
-    shifted = shift(b, t)
-    if max(shifted) > k - 1:
-        return False
-    return evaluate(shifted, k) == perms.longest(k)
-
-
-def delete_factor(word: Word, start: int, count: int) -> Word:
-    """Remove the consecutive block ``word[start:start+count]``.
-
-    >>> delete_factor((1, 2, 1, 3), 1, 2)
-    (1, 3)
-    """
-    if start < 0 or count < 0 or start + count > len(word):
-        raise ValueError(
-            f"factor [{start}:{start + count}] out of bounds for a word "
-            f"of size {len(word)}"
-        )
-    return word[:start] + word[start + count:]
-
-
-def is_subword(a: Word, b: Word) -> bool:
-    """True iff ``a`` embeds in ``b`` as a (not necessarily consecutive)
-    subsequence.
-
-    >>> is_subword((2,), (1, 2, 3))
-    True
-    >>> is_subword((2, 1), (1, 2))
-    False
-    """
-    it = iter(b)
-    return all(letter in it for letter in a)

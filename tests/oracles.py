@@ -14,9 +14,13 @@ on plain tuples, intervals from the subword closure of one reduced word
 and that rule, the symmetries of S_n from index arithmetic on plain
 tuples, position inversions from a comparison of every pair of
 positions, frozen points from four entries of the rank matrices,
-whether a word is a reduced word of w from evaluating it on a plain
-list and counting inversions, and the networkx cover digraph of an
-interval from an oracle up-ball.
+whether a word is a reduced word of w (or a shift of one of the
+reversal) from evaluating it on a plain list and counting inversions,
+products of ranked posets from index arithmetic, and the networkx cover
+digraph of an interval from an oracle up-ball.  Lengths are counts of
+value inversions throughout, and adjacent transpositions swap two
+entries of a plain tuple: nothing here imports ``bruhatkit`` at run
+time, and only type checkers read its type names.
 """
 
 from __future__ import annotations
@@ -25,19 +29,22 @@ import functools
 import itertools
 from typing import TYPE_CHECKING
 
-from bruhatkit import perms
-from bruhatkit.perms import Perm
-from bruhatkit.words import Word
-
 if TYPE_CHECKING:
+    from bruhatkit.perms import Perm
     from bruhatkit.posets import RankedPoset
+    from bruhatkit.words import Word
+
+
+def _swap(v: Perm, a: int) -> Perm:
+    """v s_a: v with the values in positions a and a+1 interchanged."""
+    return v[:a - 1] + (v[a], v[a - 1]) + v[a + 1:]
 
 
 def brute_force_reduced_words(w: Perm) -> set[Word]:
     """All words of length length(w) over the full alphabet that evaluate
     to w, by exhaustive tree search with no descent logic."""
     n = len(w)
-    target_len = perms.length(w)
+    target_len = len(_value_inversions(w))
     found: set[Word] = set()
     prefix: list[int] = []
 
@@ -48,7 +55,7 @@ def brute_force_reduced_words(w: Perm) -> set[Word]:
             return
         for a in range(1, n):
             prefix.append(a)
-            walk(perms.apply_right(v, a))
+            walk(_swap(v, a))
             prefix.pop()
 
     walk(tuple(range(1, n + 1)))
@@ -78,12 +85,12 @@ def reduced_subword_closure(j: Word, n: int) -> set[Perm]:
     the multiplication raises the length (so every retained subsequence
     is itself reduced).
     """
-    seen = {perms.identity(n)}
+    seen = {tuple(range(1, n + 1))}
     for a in j:
         extended = set()
         for z in seen:
-            za = perms.apply_right(z, a)
-            if perms.length(za) > perms.length(z):
+            za = _swap(z, a)
+            if len(_value_inversions(za)) > len(_value_inversions(z)):
                 extended.add(za)
         seen |= extended
     return seen
@@ -194,6 +201,19 @@ def backtracking_isomorphic(p: RankedPoset, q: RankedPoset) -> bool:
         return False
 
     return extend(0)
+
+
+def direct_product(p: RankedPoset, q: RankedPoset):
+    """(ranks, covers) of the product order of two ranked posets, the
+    fields of a ``RankedPoset``: the pair (i, j) is element i |q| + j,
+    with the sum of their ranks, and it is covered by the pairs that
+    step up in one coordinate alone."""
+    qs = len(q.ranks)
+    ranks = tuple(a + b for a in p.ranks for b in q.ranks)
+    covers = [(a * qs + j, b * qs + j) for a, b in p.covers for j in range(qs)]
+    covers += [(i * qs + c, i * qs + d)
+               for i in range(len(p.ranks)) for c, d in q.covers]
+    return ranks, tuple(covers)
 
 
 def maximal_chain_sizes(elements, covers, low, high) -> set[int]:
@@ -404,6 +424,19 @@ def is_reduced_word_of(word: Word, w: Perm) -> bool:
     for a in word:
         v[a - 1], v[a] = v[a], v[a - 1]
     return tuple(v) == tuple(w) and len(word) == len(_value_inversions(w))
+
+
+def is_shifted_longest_word(b: Word, k: int) -> bool:
+    """Whether some shift of ``b`` is a reduced word of the reversal of
+    S_k.  Such a word uses each of the letters 1..k-1, so the one shift
+    to try takes the least letter of b to 1; :func:`is_reduced_word_of`
+    checks it.  The empty word is one only for k = 1."""
+    if not b:
+        return k == 1
+    t = 1 - min(b)
+    shifted = tuple(a + t for a in b)
+    return (max(shifted) < k
+            and is_reduced_word_of(shifted, tuple(range(k, 0, -1))))
 
 
 def refine_oracle(colors: list[int], up, down) -> list[int]:

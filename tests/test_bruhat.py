@@ -22,6 +22,16 @@ def P(text):
 S4 = [tuple(w) for w in itertools.permutations((1, 2, 3, 4))]
 
 
+def covers_below(x):
+    """The z covered by x, sorted, from the interval walk's generator."""
+    return tuple(sorted(z for _, _, z in bruhat._lower_covers(x)))
+
+
+def coatoms(iv):
+    """The elements of an interval covered by its top, from its covers."""
+    return tuple(sorted(a for a, b in iv.covers if b == iv.high))
+
+
 class TestLeq:
     def test_examples(self):
         assert bruhat.bruhat_leq(P("1324"), P("2341"))
@@ -76,8 +86,8 @@ class TestLeq:
 
 class TestCovers:
     def test_examples(self):
-        assert bruhat.covers_below(P("1234")) == ()
-        assert bruhat.covers_below(P("4321")) == (
+        assert covers_below(P("1234")) == ()
+        assert covers_below(P("4321")) == (
             P("3421"),
             P("4231"),
             P("4312"),
@@ -85,7 +95,7 @@ class TestCovers:
         # the oracle's covers of 2143 are the z whose lower covers hold it
         tops = (P("2341"), P("2413"), P("3142"), P("4123"))
         assert tuple(sorted(cover_tops_oracle(P("2143")))) == tops
-        above = [z for z in S4 if P("2143") in bruhat.covers_below(z)]
+        above = [z for z in S4 if P("2143") in covers_below(z)]
         assert above == list(tops)
 
     def test_covers_by_length_increment_scan(self):
@@ -100,7 +110,7 @@ class TestCovers:
                     if perms.length(z) == perms.length(x) + 1:
                         expected.add(z)
             assert set(cover_tops_oracle(x)) == expected
-            above = {z for z in S4 if x in bruhat.covers_below(z)}
+            above = {z for z in S4 if x in covers_below(z)}
             assert above == expected
 
     def test_covers_below_match_oracle_s5(self):
@@ -110,7 +120,7 @@ class TestCovers:
             for top in cover_tops_oracle(z):
                 below[top].append(z)
         for x in s5:
-            assert bruhat.covers_below(x) == tuple(sorted(below[x]))
+            assert covers_below(x) == tuple(sorted(below[x]))
 
 
 FIGURE2_ELEMENTS = {
@@ -147,9 +157,9 @@ class TestInterval:
         for x, y in rng.sample(pairs, 40):
             iv = bruhat.interval(x, y)
             for a, b in iv.covers:
-                assert iv.rank_of(b) == iv.rank_of(a) + 1
+                assert perms.length(b) == perms.length(a) + 1
             sizes = maximal_chain_sizes(iv.elements, iv.covers, x, y)
-            assert sizes == {iv.span + 1}
+            assert sizes == {perms.length(y) - perms.length(x) + 1}
 
     def test_ranks_from_the_walk_equal_rank_of(self):
         # the walk's ranks, and the profile and shape read off them, are
@@ -158,10 +168,11 @@ class TestInterval:
             if not bruhat.bruhat_leq(x, y):
                 continue
             iv = bruhat.interval(x, y)
-            ranks = tuple(iv.rank_of(z) for z in iv.elements)
+            ranks = tuple(perms.length(z) - perms.length(iv.low)
+                          for z in iv.elements)
             assert iv.ranks == ranks
             assert iv.rank_profile() == tuple(
-                ranks.count(r) for r in range(iv.span + 1))
+                ranks.count(r) for r in range(ranks[-1] + 1))
             assert posets.poset_from_interval(iv).ranks == ranks
 
 
@@ -238,7 +249,7 @@ class TestIdeal:
 class TestCoatoms:
     def test_figure2_coatoms(self):
         iv = bruhat.interval(P("2143"), P("4231"))
-        assert bruhat.coatoms(iv) == (
+        assert coatoms(iv) == (
             P("2431"),
             P("3241"),
             P("4132"),
@@ -247,27 +258,32 @@ class TestCoatoms:
 
     def test_singleton(self):
         iv = bruhat.interval(P("2413"), P("2413"))
-        assert bruhat.coatoms(iv) == ()
+        assert coatoms(iv) == ()
 
     def test_full_group_coatoms(self):
         iv = bruhat.ideal(P("4321"))
-        assert bruhat.coatoms(iv) == (P("3421"), P("4231"), P("4312"))
+        assert coatoms(iv) == (P("3421"), P("4231"), P("4312"))
 
 
 class TestCoatomAvoidingPosition:
+    """For x < y with x(i) != y(i), some coatom w of [x, y] has
+    w(i) != y(i), read off the covers of ``bruhat.interval``."""
+
+    @staticmethod
+    def avoiding(x, y, i):
+        iv = bruhat.interval(x, y)
+        return {w for w in coatoms(iv) if w[i - 1] != y[i - 1]}
+
     def test_figure2_scan(self):
-        got = bruhat.coatom_avoiding_position(P("2143"), P("4231"), 1)
-        assert got in {P("2431"), P("3241")}
+        assert self.avoiding(P("2143"), P("4231"), 1) == {
+            P("2431"), P("3241")}
 
     def test_single_cover_returns_x(self):
-        assert bruhat.coatom_avoiding_position(
-            P("1324"), P("3124"), 1
-        ) == P("1324")
+        assert coatoms(bruhat.interval(P("1324"), P("3124"))) == (P("1324"),)
 
     def test_full_group(self):
-        got = bruhat.coatom_avoiding_position(P("1234"), P("4321"), 2)
-        assert got in {P("4231"), P("3421")}
-        assert got[1] != 3
+        assert self.avoiding(P("1234"), P("4321"), 2) == {
+            P("4231"), P("3421")}
 
     def test_exhaustive_s4(self):
         for x in S4:
@@ -275,20 +291,8 @@ class TestCoatomAvoidingPosition:
                 if x == y or not bruhat.bruhat_leq(x, y):
                     continue
                 for i in range(1, 5):
-                    if x[i - 1] == y[i - 1]:
-                        continue
-                    w = bruhat.coatom_avoiding_position(x, y, i)
-                    assert w[i - 1] != y[i - 1]
-                    assert bruhat.bruhat_leq(x, w)
-                    assert w == x or w in bruhat.covers_below(y)
-
-    def test_precondition_errors(self):
-        with pytest.raises(ValueError):
-            # x and y agree at position 3
-            bruhat.coatom_avoiding_position(P("1234"), P("2134"), 3)
-        with pytest.raises(ValueError):
-            # incomparable pair
-            bruhat.coatom_avoiding_position(P("2341"), P("4123"), 1)
+                    if x[i - 1] != y[i - 1]:
+                        assert self.avoiding(x, y, i), (x, y, i)
 
 
 class TestJson:

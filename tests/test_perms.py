@@ -2,13 +2,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bruhatkit import perms
+from bruhatkit import perms, words
 from bruhatkit.limits import CapExceeded, Limits
-from oracles import position_inversions_oracle, symmetries_oracle
+from oracles import (
+    _value_inversions, position_inversions_oracle, symmetries_oracle)
 
 
 def P(text):
     return perms.parse_perm(text)
+
+
+def reflection(i, n):
+    """The simple reflection s_i of S_n, the one-letter word evaluated."""
+    return words.evaluate((i,), n)
 
 
 perm_strategy = st.integers(min_value=1, max_value=6).flatmap(
@@ -90,41 +96,46 @@ class TestConstruction:
 
 
 class TestApply:
+    """The product convention of ``compose``: s_i w interchanges the
+    positions of the values i and i+1, and w s_i the values in positions
+    i and i+1."""
+
     def test_apply_left_examples(self):
-        assert perms.apply_left(1, P("3241")) == P("3142")
-        assert perms.apply_left(1, P("1234")) == P("2134")
-        got = perms.apply_left(3, P("4321"))
+        assert perms.compose(reflection(1, 4), P("3241")) == P("3142")
+        assert perms.compose(reflection(1, 4), P("1234")) == P("2134")
+        got = perms.compose(reflection(3, 4), P("4321"))
         assert got == P("3421")
         assert perms.length(got) == 5
 
     def test_apply_right_examples(self):
-        assert perms.apply_right(P("3241"), 1) == P("2341")
-        assert perms.apply_right(P("1234"), 2) == P("1324")
-        assert perms.apply_right(P("4321"), 1) == P("3421")
+        assert perms.compose(P("3241"), reflection(1, 4)) == P("2341")
+        assert perms.compose(P("1234"), reflection(2, 4)) == P("1324")
+        assert perms.compose(P("4321"), reflection(1, 4)) == P("3421")
 
     def test_index_out_of_range(self):
+        # no s_4 or s_0 in S_4
         with pytest.raises(ValueError):
-            perms.apply_left(4, P("3241"))
+            reflection(4, 4)
         with pytest.raises(ValueError):
-            perms.apply_right(P("3241"), 0)
+            reflection(0, 4)
 
     @given(perm_strategy, st.integers(min_value=1, max_value=5))
     def test_involutive_and_length_step(self, w, i):
         if i >= len(w):
             return
-        for moved in (perms.apply_left(i, w), perms.apply_right(w, i)):
+        si = reflection(i, len(w))
+        for moved in (perms.compose(si, w), perms.compose(w, si)):
             assert abs(perms.length(moved) - perms.length(w)) == 1
-        assert perms.apply_left(i, perms.apply_left(i, w)) == w
-        assert perms.apply_right(perms.apply_right(w, i), i) == w
+        assert perms.compose(si, perms.compose(si, w)) == w
+        assert perms.compose(perms.compose(w, si), si) == w
 
 
 class TestCompose:
     def test_pinned_convention(self):
         # the word 1 2 1 3 evaluates to 3241 as an iterated product
-        s = [perms.apply_right(perms.identity(4), i) for i in range(1, 4)]
         prod = perms.identity(4)
         for i in (1, 2, 1, 3):
-            prod = perms.compose(prod, s[i - 1])
+            prod = perms.compose(prod, reflection(i, 4))
         assert prod == P("3241")
 
     def test_identity_and_involution(self):
@@ -144,14 +155,14 @@ class TestCompose:
 
 class TestInversions:
     def test_examples(self):
-        assert perms.inversions(P("1234")) == set()
-        assert perms.inversions(P("321")) == {(1, 2), (1, 3), (2, 3)}
-        assert len(perms.inversions(P("3241"))) == 4
+        assert perms.length(P("1234")) == 0
+        assert perms.length(P("321")) == 3
         assert perms.length(P("3241")) == 4
 
     @given(perm_strategy)
     def test_length_counts_inversions(self, w):
-        assert perms.length(w) == len(perms.inversions(w))
+        # the oracles count length as value inversions
+        assert perms.length(w) == len(_value_inversions(w))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_length_counts_inverted_pairs(self, n):
@@ -161,26 +172,25 @@ class TestInversions:
 
 
 class TestCoxeterRelations:
+    """The braid and commutation relations of the words that
+    ``evaluate`` multiplies out, after a reduced word of w."""
+
     @given(perm_strategy)
     def test_braid(self, w):
         n = len(w)
+        word = words.lex_least_reduced_word(w)
         for i in range(1, n - 1):
-            lhs = perms.apply_right(
-                perms.apply_right(perms.apply_right(w, i), i + 1), i
-            )
-            rhs = perms.apply_right(
-                perms.apply_right(perms.apply_right(w, i + 1), i), i + 1
-            )
-            assert lhs == rhs
+            assert words.evaluate(word + (i, i + 1, i), n) == \
+                words.evaluate(word + (i + 1, i, i + 1), n)
 
     @given(perm_strategy)
     def test_commutation(self, w):
         n = len(w)
+        word = words.lex_least_reduced_word(w)
         for i in range(1, n):
             for j in range(i + 2, n):
-                assert perms.apply_right(
-                    perms.apply_right(w, i), j
-                ) == perms.apply_right(perms.apply_right(w, j), i)
+                assert words.evaluate(word + (i, j), n) == \
+                    words.evaluate(word + (j, i), n)
 
 
 class TestEmbed:
@@ -197,7 +207,8 @@ class TestEmbed:
     def test_preserves_inversions(self, w, extra):
         bigger = perms.embed(w, len(w) + extra)
         assert perms.length(bigger) == perms.length(w)
-        assert perms.inversions(bigger) == perms.inversions(w)
+        assert position_inversions_oracle(bigger) == \
+            position_inversions_oracle(w)
 
 
 class TestOrbitExtreme:

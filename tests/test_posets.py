@@ -16,6 +16,7 @@ from oracles import (
     ball_digraph,
     cover_tops_oracle,
     deletion_oracle,
+    direct_product,
     frozen_points_oracle,
     individualize_oracle,
     interval_oracle,
@@ -43,11 +44,18 @@ def shape_of_interval(lo, hi):
 S4 = [tuple(w) for w in itertools.permutations((1, 2, 3, 4))]
 
 
+POINT = posets.RankedPoset(ranks=(0,), covers=())
+EDGE = posets.RankedPoset(ranks=(0, 1), covers=((0, 1),))
+
+
+def product(p, q):
+    """The product order of p and q, by ``oracles.direct_product``."""
+    return posets.RankedPoset(*direct_product(p, q))
+
+
 def boolean(k):
     """B_k, the product of k two-element chains."""
-    return functools.reduce(
-        posets.direct_product, [posets.chain(1)] * k, posets.singleton()
-    )
+    return functools.reduce(product, [EDGE] * k, POINT)
 
 
 def coxeter_ideal(k):
@@ -325,8 +333,8 @@ class TestCanonicalForm:
         ) == posets.canonical_form(shape_of_interval("1324", "2341"))
 
     def test_chain_differs_from_singleton_and_diamond(self):
-        chain_cert = posets.canonical_form(posets.chain(1))
-        assert chain_cert != posets.canonical_form(posets.singleton())
+        chain_cert = posets.canonical_form(EDGE)
+        assert chain_cert != posets.canonical_form(POINT)
         assert chain_cert != posets.canonical_form(shape_of_ideal("2314"))
 
     def test_hexagon_two_ways(self):
@@ -506,20 +514,15 @@ class TestCertificateSearch:
 
 class TestDirectProduct:
     def test_diamond(self):
-        product = posets.direct_product(posets.chain(1), posets.chain(1))
-        assert posets.is_isomorphic(product, shape_of_ideal("2314"))
+        assert posets.is_isomorphic(product(EDGE, EDGE),
+                                    shape_of_ideal("2314"))
 
     def test_singleton_unit(self):
         p = shape_of_interval("2143", "4231")
-        assert posets.is_isomorphic(
-            posets.direct_product(p, posets.singleton()), p
-        )
+        assert posets.is_isomorphic(product(p, POINT), p)
 
     def test_cube_matches_ideal_in_s6(self):
-        cube = posets.direct_product(
-            posets.direct_product(posets.chain(1), posets.chain(1)),
-            posets.chain(1),
-        )
+        cube = product(product(EDGE, EDGE), EDGE)
         s1s3s5 = P("214365")
         assert posets.is_isomorphic(
             cube, posets.poset_from_interval(bruhat.ideal(s1s3s5))
@@ -920,11 +923,11 @@ class TestToDot:
         assert '"2143" -> "2341";' in text
 
     def test_singleton(self):
-        assert posets.to_dot(posets.singleton()).count("->") == 0
+        assert posets.to_dot(POINT).count("->") == 0
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
-            posets.to_dot(posets.chain(1), ["only-one"])
+            posets.to_dot(EDGE, ["only-one"])
 
 
 class TestAtlas:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from bruhatkit import perms, words
 from bruhatkit.limits import CapExceeded, Limits
 
-from oracles import brute_force_reduced_words, coxeter_move_neighbors
+from oracles import _is_subsequence, brute_force_reduced_words, \
+    coxeter_move_neighbors
 
 
 def P(text):
@@ -330,30 +331,19 @@ class TestShift:
         assert words.shift(words.shift(word, t), -t) == word
 
 
-class TestDeleteFactor:
-    def test_examples(self):
-        assert words.delete_factor(W("1213"), 1, 2) == W("13")
-        assert words.delete_factor(W("1213"), 0, 4) == ()
-        assert words.delete_factor(W("123"), 0, 1) == W("23")
-
-    def test_out_of_bounds(self):
-        with pytest.raises(ValueError):
-            words.delete_factor(W("123"), 2, 2)
-        with pytest.raises(ValueError):
-            words.delete_factor(W("123"), -1, 1)
-
-
 class TestIsSubword:
+    """The subsequence test behind ``oracles.subword_oracle_leq``."""
+
     def test_examples(self):
-        assert words.is_subword(W("2"), W("123"))
-        assert words.is_subword((), W("1213"))
-        assert not words.is_subword(W("21"), W("12"))
+        assert _is_subsequence(W("2"), W("123"))
+        assert _is_subsequence((), W("1213"))
+        assert not _is_subsequence(W("21"), W("12"))
 
     @given(st.lists(st.integers(min_value=1, max_value=4), max_size=6))
     def test_reflexive_and_prefix(self, letters):
         word = tuple(letters)
-        assert words.is_subword(word, word)
-        assert words.is_subword(word[:3], word)
+        assert _is_subsequence(word, word)
+        assert _is_subsequence(word[:3], word)
 
 
 class TestText:
