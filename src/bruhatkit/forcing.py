@@ -17,8 +17,9 @@ a u is a common prefix of x and y in the right weak order, and for a
 common prefix u the deletion exists iff u^-1 x <=_L u^-1 y in the left
 weak order, which is containment of position-inversion sets.  The search
 walks the common prefixes with those sets as bitmasks and never
-enumerates R(y); the certificate is still the lexicographically first
-(word of y, start).  ``notes/decisions.md`` has the proof.
+enumerates R(y).  The certificate, the lexicographically first (word of
+y, start), is the least (lexleast(u) + lexleast(beta) + lexleast(v),
+length(u)) over the factorizations.  ``notes/decisions.md`` has the proof.
 
 The intervals shaped like the ideal of w are read off the up-ball of
 each bottom (:func:`tables.up_ball`).  Inversion and conjugation by w0
@@ -156,46 +157,32 @@ def factor_deletion(
 ) -> FactorCertificate | None:
     """The first factor deletion connecting x and y, or None.
 
-    A deletion exists exactly when some common prefix u of x and y in the
-    right weak order has u^-1 x <=_L u^-1 y; then x = u v and
-    y = u beta v are length-additive, with v = u^-1 x and
-    beta = u^-1 y v^-1.  Those triples come from :func:`_factorizations`,
-    and R(y) is never enumerated.  The certificate is still the
-    lexicographically first (word, start) of R(y) in lex order with
-    starts ascending: that word is the least lexleast(u) +
-    lexleast(beta) + lexleast(v) over all factorizations, and ``start``
-    its least deletion position.  For x == y it is lexleast(x) at 0.
+    A deletion exists exactly when x = u v and y = u beta v are
+    length-additive for some (u, beta, v) of :func:`_factorizations`, so
+    R(y) is never enumerated.  The certificate is the lexicographically
+    first (word, start) of R(y) in lex order with starts ascending: the
+    least (lexleast(u) + lexleast(beta) + lexleast(v), length(u)) over
+    those triples (``notes/decisions.md`` has the proof).  No pair is
+    below (lexleast(y), 0), so the walk stops there: for x == y it stops
+    at u = e, the first triple, and does not visit every prefix of x.
     """
     if not bruhat.bruhat_leq(x, y):
         raise ValueError(
             f"{perms.format_perm(x)} is not below {perms.format_perm(y)}"
         )
     perms.check_group_size(len(x), limits)
-    return _first_deletion(x, y)
-
-
-def _first_deletion(x: Perm, y: Perm) -> FactorCertificate | None:
-    """:func:`factor_deletion` for x <= y, with the group size already
-    held to the caller's limits."""
-    if x == y:
-        j = words.lex_least_reduced_word(x)
-        return FactorCertificate(j=j, start=0, length=0, i=j)
-    j = min(
-        (
-            words.lex_least_reduced_word(u)
-            + words.lex_least_reduced_word(beta)
-            + words.lex_least_reduced_word(v)
-            for u, beta, v in _factorizations(x, y)
-        ),
-        default=None,
-    )
-    if j is None:
+    lex = words.lex_least_reduced_word
+    floor, least = (lex(y), 0), None
+    for u, beta, v in _factorizations(x, y):
+        head = lex(u)
+        pair = head + lex(beta) + lex(v), len(head)
+        least = min(least or pair, pair)
+        if least == floor:
+            break
+    if least is None:
         return None
+    j, start = least
     gap = perms.length(y) - perms.length(x)
-    start = next(
-        s for s in range(len(j) - gap + 1)
-        if words.evaluate(j[:s] + j[s + gap:], len(x)) == x
-    )
     return FactorCertificate(
         j=j, start=start, length=gap, i=j[:start] + j[start + gap:]
     )
@@ -400,9 +387,9 @@ def forces_factor(
     n = len(w)
     if m_max is None:
         m_max = n + 2
+    perms.check_group_size(m_max, limits)
     if m_max < n:
         raise ValueError(f"m_max={m_max} is below the group size {n}")
-    perms.check_group_size(m_max, limits)
     started = time.perf_counter()
     shape = _ideal_fingerprint(w)
     counterexample = proof = sample = last = None
@@ -416,7 +403,7 @@ def forces_factor(
         last = greatest or last
     if last and not counterexample:
         *_, pair = _shaped_intervals(shape, [last])
-        sample = _first_deletion(*pair)
+        sample = factor_deletion(*pair, limits)
     return ForcingVerdict(
         w=w,
         m_max=m_max,

@@ -9,8 +9,9 @@ canonical certificates from a search over every branch with no
 automorphism pruning and a refinement that recolors every element in
 every round, factor deletion and its length-additive
 factorizations from a scan over all of S_n with plain tuples and
-inversion sets, Bruhat covers and up-balls from the transposition rule
-on plain tuples, intervals from the subword closure of one reduced word
+inversion sets, every factor deletion of an interval from a scan over
+the move-closure words in lexicographic order, Bruhat covers and
+up-balls from the transposition rule on plain tuples, intervals from the subword closure of one reduced word
 and that rule, the symmetries of S_n from index arithmetic on plain
 tuples, position inversions from a comparison of every pair of
 positions, frozen points from four entries of the rank matrices,
@@ -137,6 +138,29 @@ def move_closure_reduced_words(w: Perm) -> set[Word]:
                 found.add(nb)
                 frontier.append(nb)
     return found
+
+
+@functools.cache
+def _sorted_words(w: Perm) -> tuple[Word, ...]:
+    """:func:`move_closure_reduced_words` of w in lexicographic order,
+    cached per permutation."""
+    return tuple(sorted(move_closure_reduced_words(w)))
+
+
+def exhaustive_factor_scan(x: Perm, y: Perm) -> list[tuple[Word, int]]:
+    """Every (j, start) such that deleting the letters of j, a reduced
+    word of y, from ``start`` on, as many as the length gap, leaves a
+    reduced word of x: j runs over R(y) in lexicographic order and start
+    ascends.  Words come from :func:`move_closure_reduced_words`, lengths
+    are counts of value inversions."""
+    rx = set(_sorted_words(x))
+    gap = len(_value_inversions(y)) - len(_value_inversions(x))
+    return [
+        (j, start)
+        for j in _sorted_words(y)
+        for start in range(len(j) - gap + 1)
+        if j[:start] + j[start + gap:] in rx
+    ]
 
 
 def decompose_oracle(w: Perm) -> tuple[int, Word, Word, str] | None:

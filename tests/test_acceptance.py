@@ -19,7 +19,8 @@ from bruhatkit import bruhat, forcing, perms, posets, structure, words
 from bruhatkit.tables import iter_bits
 
 from oracles import backtracking_isomorphic, brute_force_reduced_words, \
-    is_shifted_longest_word, subword_oracle_leq, reduced_subword_closure
+    exhaustive_factor_scan, is_shifted_longest_word, subword_oracle_leq, \
+    reduced_subword_closure
 from whole_group import table
 
 
@@ -34,17 +35,6 @@ def _criterion(num, desc, fn):
         print(f"ACCEPTANCE {num}: FAIL - {desc}")
         raise
     print(f"ACCEPTANCE {num}: PASS - {desc}")
-
-
-def exhaustive_factor_scan(x, y):
-    rx = set(words.reduced_words(x).words)
-    gap = perms.length(y) - perms.length(x)
-    return [
-        (j, start)
-        for j in words.reduced_words(y).words
-        for start in range(len(j) - gap + 1)
-        if j[:start] + j[start + gap:] in rx
-    ]
 
 
 # --- criterion 1 -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from oracles import (
     backtracking_isomorphic,
     cover_tops_oracle,
     deletion_oracle,
+    exhaustive_factor_scan,
     factorizations_oracle,
     is_reduced_word_of,
     is_shifted_longest_word,
@@ -72,19 +74,6 @@ def assert_certificate_oracle(x, y, cert):
     assert is_reduced_word_of(cert.i, x)
 
 
-def exhaustive_factor_scan(x, y):
-    """Independent re-verification: materialize R(y) and try every
-    consecutive deletion."""
-    rx = set(words.reduced_words(x).words)
-    gap = perms.length(y) - perms.length(x)
-    hits = []
-    for j in words.reduced_words(y).words:
-        for start in range(len(j) - gap + 1):
-            if j[:start] + j[start + gap:] in rx:
-                hits.append((j, start))
-    return hits
-
-
 class TestFactorDeletion:
     def test_diamond_counterexample_pair(self):
         assert forcing.factor_deletion(P("1324"), P("2341")) is None
@@ -104,13 +93,32 @@ class TestFactorDeletion:
         assert cert.length == 0
         assert cert.i == cert.j
 
+    def test_walk_stops_at_least_possible_pair(self, monkeypatch):
+        # no pair is below (lexleast(y), 0): for x == y the first triple,
+        # u = e, gives it, and the other 719 prefixes of w0 in S_6 are
+        # never built
+        walk, seen = forcing._factorizations, []
+
+        def counting(x, y):
+            for triple in walk(x, y):
+                seen.append(triple)
+                yield triple
+
+        monkeypatch.setattr(forcing, "_factorizations", counting)
+        w0, e = perms.longest(6), perms.identity(6)
+        cert = forcing.factor_deletion(w0, w0)
+        assert (cert.j, cert.start, cert.length) == (
+            words.lex_least_reduced_word(w0), 0, 0)
+        assert seen == [(e, e, w0)]
+
     def test_incomparable_rejected(self):
         with pytest.raises(ValueError):
             forcing.factor_deletion(P("2341"), P("4123"))
 
     def test_first_hit_is_lexicographic(self):
-        # the certificate is the first hit of the scan over R(y) in lex
-        # order with starts ascending, and None exactly when it has none
+        # the certificate is the first hit of the oracle's scan over R(y)
+        # in lex order with starts ascending, and None exactly when it has
+        # none: the word and the start rule against oracles alone
         for n in (4, 5):
             for x, y in comparable_pairs(n):
                 cert = forcing.factor_deletion(x, y)
@@ -285,9 +293,12 @@ class TestForcesFactor:
             forcing.forces_factor(P("21"), 3, jobs=jobs)
 
     def test_m_max_not_an_integer_rejected(self):
-        # refused before the scan, instead of reaching range() inside it
-        with pytest.raises(ValueError, match="invalid group size n=3.0"):
-            forcing.forces_factor(P("21"), 3.0)
+        # refused before the scan, instead of reaching range() inside it,
+        # and before it is compared with the group size
+        for m_max in (3.0, "3", [3]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"invalid group size n={m_max!r}")):
+                forcing.forces_factor(P("21"), m_max)
 
     def test_2314_counterexample(self):
         verdict = forcing.forces_factor(P("2314"), 4)
@@ -367,13 +378,13 @@ class TestForcesFactor:
                                          inline_pool):
         # the sample certificate is built once, not once per m and range
         calls = []
-        first_deletion = forcing._first_deletion
+        factor_deletion = forcing.factor_deletion
 
         def counting(*args):
             calls.append(args)
-            return first_deletion(*args)
+            return factor_deletion(*args)
 
-        monkeypatch.setattr(forcing, "_first_deletion", counting)
+        monkeypatch.setattr(forcing, "factor_deletion", counting)
         verdict = forcing.forces_factor(P("321"), 5, jobs=jobs)
         assert verdict.sample_certificate is not None
         assert len(calls) == 1
