@@ -27,10 +27,9 @@ def survey_one(w, max_m, jobs, limits):
         "length": perms.length(w),
         "decomposable": False,
     }
-    d = structure.decompose(w)
-    if d is not None:
+    witness = structure.nonforcing_witness(w, limits=limits)
+    if witness is not None:
         entry["decomposable"] = True
-        witness = structure.nonforcing_witness(w, d, limits)
         entry["witness"] = witness.to_json()
     verdict = forcing.forces_factor(w, max_m, jobs=jobs, limits=limits)
     entry["outcome"] = verdict.outcome

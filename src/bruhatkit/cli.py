@@ -110,9 +110,8 @@ def cmd_decompose(args, limits, w) -> None:
 
 
 def cmd_witness(args, limits, w) -> None:
-    d = structure.decompose(w)
-    _print_json(None if d is None
-                else structure.nonforcing_witness(w, d, limits).to_json())
+    witness = structure.nonforcing_witness(w, limits=limits)
+    _print_json(None if witness is None else witness.to_json())
 
 
 def cmd_swapstring(args, limits, x, y) -> None:
@@ -120,17 +119,17 @@ def cmd_swapstring(args, limits, x, y) -> None:
     out = None
     if ss is not None:
         out = ss.to_json()
-        out["t"] = structure.swap_string_factorization(x, y, ss)[3]
+        out["t"] = structure.swap_string_factorization(x, y)[3]
     _print_json(out)
 
 
 def cmd_factorize(args, limits, x, y) -> None:
-    ss = structure.detect_swap_string(x, y)
-    if ss is None:
+    found = structure.swap_string_factorization(x, y)
+    if found is None:
         raise ValueError(
             "the pair does not differ by a thin monotonic swap-string"
         )
-    a, b, c, t = structure.swap_string_factorization(x, y, ss)
+    a, b, c, t = found
     _print_json(
         {
             "a": words.format_word(a),

@@ -97,7 +97,10 @@ class RankedPoset:
                 raise ValueError(
                     f"cover ({a}, {b}) does not connect adjacent ranks"
                 )
-        object.__setattr__(self, "covers", tuple(sorted(self.covers)))
+        covers = tuple(sorted(self.covers))
+        if len(set(covers)) < len(covers):
+            raise ValueError("a cover is given twice")
+        object.__setattr__(self, "covers", covers)
 
     @property
     def size(self) -> int:

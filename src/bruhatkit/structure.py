@@ -18,6 +18,10 @@ Three related tools live here:
   the interval between them is a full symmetric group in disguise, and
   their reduced words factor as ``ac`` / ``abc`` with ``b`` a shifted
   reduced word of a reversal.
+
+The two constructors find their own input, ``nonforcing_witness(w)``
+by :func:`decompose` and ``swap_string_factorization(x, y)`` by
+:func:`detect_swap_string`, and return None when it finds nothing.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ class Decomposition:
     one block only uses letters <= m, the other only letters > m.
 
     ``side`` records which block holds the small letters ("left" for a1).
+    :func:`nonforcing_witness` builds from the split :func:`decompose` finds.
     """
 
     m: int
@@ -83,15 +88,6 @@ class Decomposition:
             "a2": words.format_word(self.a2),
             "side": self.side,
         }
-
-
-def _split_sides(a1: Word, a2: Word, m: int) -> str | None:
-    if a1 and a2:
-        if max(a1) <= m and min(a2) > m:
-            return "left"
-        if max(a2) <= m and min(a1) > m:
-            return "right"
-    return None
 
 
 def _least_splits(w: Perm) -> Iterator[tuple[Word, int, int, str]]:
@@ -151,12 +147,13 @@ def decompose(w: Perm) -> Decomposition | None:
 @dataclass(frozen=True)
 class NonForcingWitness:
     """An interval [w_minus, w_plus] isomorphic to the ideal of ``w`` whose
-    endpoints are not related by any single factor deletion.
+    endpoints are not related by any single factor deletion, built by
+    :func:`nonforcing_witness` from the split :func:`decompose` finds.
 
-    ``full_word`` is the constructed reduced word of ``w_plus``; deleting
-    its middle run ``b`` (the letters k1+1 .. k2, reversed when the input
-    decomposition had its small letters on the right) leaves a reduced
-    word whose evaluation is *not* ``w_minus``-reachable by one block.
+    ``full_word`` is the constructed reduced word of ``w_plus`` and ``b``
+    its middle run k1+1 .. k2, a reduced word of ``w_minus``.
+    ``orientation`` is the split's side: for "right" the construction ran
+    on the reversed split, a reduced word of the inverse of ``w``.
     """
 
     w: Perm
@@ -179,22 +176,11 @@ class NonForcingWitness:
         }
 
 
-def _validate_decomposition(w: Perm, d: Decomposition) -> None:
-    word = d.a1 + d.a2
-    if not d.a1 or not d.a2:
-        raise ValueError("decomposition blocks must be nonempty")
-    if _split_sides(d.a1, d.a2, d.m) != d.side:
-        raise ValueError("decomposition blocks do not split at m")
-    if not 1 <= d.m <= len(w) - 2:
-        raise ValueError(f"split letter m={d.m} out of range")
-    if words.evaluate(word, len(w)) != w or len(word) != perms.length(w):
-        raise ValueError("a1 + a2 is not a reduced word of w")
-
-
 def nonforcing_witness(
-    w: Perm, d: Decomposition, limits: Limits = DEFAULT_LIMITS
-) -> NonForcingWitness:
-    """Build the counterexample interval for a decomposable ``w``.
+    w: Perm, *, limits: Limits = DEFAULT_LIMITS
+) -> NonForcingWitness | None:
+    """The counterexample interval built from :func:`decompose` of ``w``;
+    None when ``w`` is indecomposable.
 
     With the small letters on the left (blocks A1, A2): k1 is the largest
     letter of A1, k2 the smallest letter of A2, ``b`` the increasing run
@@ -209,7 +195,9 @@ def nonforcing_witness(
     whose ideal has the same shape); the witness records the orientation.
     Its ambient S_n or S_{n+1} is held to ``limits`` before it is built.
     """
-    _validate_decomposition(w, d)
+    d = decompose(w)
+    if d is None:
+        return None
     if d.side == "left":
         a_small, a_large = d.a1, d.a2
     else:
@@ -232,16 +220,9 @@ def nonforcing_witness(
         raise RuntimeError("witness interval does not match the ideal shape")
     if forcing.factor_deletion(w_minus, w_plus, limits) is not None:
         raise RuntimeError("witness interval admits a factor deletion")
-    return NonForcingWitness(
-        w=w,
-        w_minus=w_minus,
-        w_plus=w_plus,
-        b=b,
-        k1=k1,
-        k2=k2,
-        full_word=full,
-        orientation=d.side,
-    )
+    return NonForcingWitness(w=w, w_minus=w_minus, w_plus=w_plus, b=b,
+                             k1=k1, k2=k2, full_word=full,
+                             orientation=d.side)
 
 
 @dataclass(frozen=True)
@@ -268,18 +249,13 @@ class SwapString:
 def _swap_string_at(x: Perm, y: Perm, pos: tuple[int, ...]) -> SwapString | None:
     vals_x = [x[p - 1] for p in pos]
     vals_y = [y[p - 1] for p in pos]
+    # y reads x's increasing values backwards, so at odd k the centre
+    # agrees; thinness then reads the same values in x and in y
     if any(a >= b for a, b in zip(vals_x, vals_x[1:])):
         return None
-    if any(a <= b for a, b in zip(vals_y, vals_y[1:])):
+    if vals_y != vals_x[::-1] or not is_thin(x, pos):
         return None
-    if set(vals_x) != set(vals_y):
-        return None
-    k = len(pos)
-    if k % 2 == 1 and x[pos[k // 2] - 1] != y[pos[k // 2] - 1]:
-        return None
-    if not (is_thin(x, pos) and is_thin(y, pos)):
-        return None
-    return SwapString(positions=pos, values=tuple(vals_x), k=k)
+    return SwapString(positions=pos, values=tuple(vals_x), k=len(pos))
 
 
 def detect_swap_string(x: Perm, y: Perm) -> SwapString | None:
@@ -310,41 +286,28 @@ def detect_swap_string(x: Perm, y: Perm) -> SwapString | None:
     return None
 
 
-def _sort_block_letters(block: Sequence[int], start: int) -> list[int]:
-    """Letters (1-based) of adjacent swaps that sort a descending block
-    occupying 1-based positions start..start+k-1, each swap fixing one
-    inversion: repeatedly swap the leftmost adjacent descent."""
-    work = list(block)
-    letters = []
-    while True:
-        for i in range(len(work) - 1):
-            if work[i] > work[i + 1]:
-                work[i], work[i + 1] = work[i + 1], work[i]
-                letters.append(start + i)
-                break
-        else:
-            return letters
-
-
 def swap_string_factorization(
-    x: Perm, y: Perm, ss: SwapString
-) -> tuple[Word, Word, Word, int]:
+    x: Perm, y: Perm
+) -> tuple[Word, Word, Word, int] | None:
     """Reduced words ``a + c`` of x and ``a + b + c`` of y, with
-    ``shift(b, t)`` a reduced word of the reversal of size k.
+    ``shift(b, t)`` a reduced word of the reversal of size k; None when
+    :func:`detect_swap_string` finds no swap-string.
 
     Following the swap-string structure: first sweep every intruding
     value out of the span by right multiplications shared between x and
     y (too-large values move right, outermost first; too-small values
     move left, outermost first; each swap removes exactly one
-    inversion from both).  The swap-string is then a consecutive block,
-    decreasing in the reduced-down y; sorting that block ascending gives ``b``
-    (reversed, so that a b c composes back up to y), the recorded sweep
-    reversed gives ``c``, and ``a`` is the lexicographically least
-    reduced word of the swept-down x.
+    inversion from both).  The swap-string is then a consecutive block
+    at 0-based positions lo .. lo+k-1, increasing in the swept-down x
+    and decreasing in the swept-down y.  ``b`` is the word
+    (1 .. k-1)(1 .. k-2) ... (1) of the reversal, shifted by lo (proof in
+    ``notes/decisions.md``); the recorded sweep reversed gives ``c``, and
+    ``a`` is the lexicographically least reduced word of the swept-down x.
     """
-    if detect_swap_string(x, y) != ss:
-        raise ValueError("swap-string does not belong to the pair (x, y)")
-    n = len(x)
+    ss = detect_swap_string(x, y)
+    if ss is None:
+        return None
+    n, k = len(x), ss.k
     values = set(ss.values)
     cur_x, cur_y = list(x), list(y)
     sweep: list[int] = []
@@ -382,9 +345,8 @@ def swap_string_factorization(
             q -= 1
 
     lo, hi = span()
-    assert hi - lo + 1 == ss.k, "sweep failed to make the block consecutive"
-    beta = _sort_block_letters(cur_y[lo:hi + 1], lo + 1)
-    b = tuple(reversed(beta))
+    assert hi - lo + 1 == k, "sweep failed to make the block consecutive"
+    b = tuple(lo + i for r in range(k - 1, 0, -1) for i in range(1, r + 1))
     c = tuple(reversed(sweep))
     a = words.lex_least_reduced_word(tuple(cur_x))
     t = -lo
@@ -393,7 +355,7 @@ def swap_string_factorization(
         raise RuntimeError("factorization failed: a + c is not a word for x")
     if words.evaluate(a + b + c, n) != y:
         raise RuntimeError("factorization failed: a + b + c is not a word for y")
-    if words.evaluate(words.shift(b, t), ss.k) != perms.longest(ss.k):
+    if words.evaluate(words.shift(b, t), k) != perms.longest(k):
         raise RuntimeError("factorization failed: b does not shift to a "
                            "reversal word")
     return a, b, c, t

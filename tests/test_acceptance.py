@@ -146,7 +146,7 @@ def test_criterion_5():
         assert d == structure.Decomposition(
             m=1, a1=(1,), a2=(2,), side="left"
         )
-        witness = structure.nonforcing_witness(P("2314"), d)
+        witness = structure.nonforcing_witness(P("2314"))
         assert witness.w_minus == P("1324")
         assert witness.w_plus == P("2341")
         assert witness.full_word == (1, 2, 3)
@@ -329,7 +329,7 @@ def _check_swap_string_roundtrips_s5():
             if k % 2 == 1:
                 center = ss.positions[k // 2]
                 assert x[center - 1] == y[center - 1]
-            a, b, c, t = structure.swap_string_factorization(x, y, ss)
+            a, b, c, t = structure.swap_string_factorization(x, y)
             assert words.evaluate(a + c, 5) == x
             assert words.evaluate(a + b + c, 5) == y
             assert words.is_reduced(a + b + c, 5)

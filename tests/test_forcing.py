@@ -334,10 +334,9 @@ class TestForcesFactor:
     def test_decomposable_implies_counterexample_s4(self):
         s4 = [tuple(w) for w in itertools.permutations((1, 2, 3, 4))]
         for w in s4:
-            d = structure.decompose(w)
-            if d is None:
+            witness = structure.nonforcing_witness(w)
+            if witness is None:
                 continue
-            witness = structure.nonforcing_witness(w, d)
             bound = len(w) + (witness.k2 - witness.k1)
             verdict = forcing.forces_factor(w, bound)
             assert verdict.outcome == "counterexample"
@@ -596,14 +595,27 @@ class TestShapeVerdictCache:
 
     def test_surveys_share_levels(self):
         # a survey scans only the (shape, S_m) levels that no earlier
-        # survey in the process scanned, whatever its group size or bound
-        scanned = []
+        # survey in the process scanned, whatever its group size or bound;
+        # the w with no counterexample are exactly the family F_n of the
+        # conjectured classification, by its own predicate
+        def in_family(w):
+            moved = [i for i, v in enumerate(w, 1) if v != i]
+            return not moved or (w[moved[0] - 1] == moved[-1]
+                                 and w[moved[-1] - 1] == moved[0])
+
+        scanned, unrefuted = [], []
         for n, m_max in [(4, 6), (5, 7), (4, 5)]:
             before = levels_scanned()
-            for w in perms.all_perms(n):
-                forcing.forces_factor(w, m_max)
+            survey = {w: forcing.forces_factor(w, m_max).outcome
+                      for w in perms.all_perms(n)}
             scanned.append(levels_scanned() - before)
+            unrefuted.append(sorted(
+                w for w, outcome in survey.items()
+                if outcome == "no-counterexample-up-to-bound"))
+            family = sorted(filter(in_family, survey))
+            assert unrefuted[-1] == family, (n, m_max)
         assert scanned == [23, 44, 0]
+        assert [len(ws) for ws in unrefuted] == [8, 18, 8]
 
     def test_lower_bound_is_served_from_levels(self):
         # m_max 5 after m_max 6 scans nothing, and equals a cold call

@@ -353,6 +353,12 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             posets.RankedPoset(ranks=(0, 2), covers=((0, 1),))
 
+    def test_repeated_cover_rejected(self):
+        # a cover given twice would spell its own canonical form, so the
+        # edge given twice would not be isomorphic to the edge given once
+        with pytest.raises(ValueError, match="a cover is given twice"):
+            posets.RankedPoset(ranks=(0, 1), covers=((0, 1), (0, 1)))
+
 
 class TestIsIsomorphic:
     def test_reflexive(self):

@@ -142,16 +142,14 @@ class TestDecompose:
 
 class TestNonForcingWitness:
     def test_2314(self):
-        w = P("2314")
-        witness = structure.nonforcing_witness(w, structure.decompose(w))
+        witness = structure.nonforcing_witness(P("2314"))
         assert witness.w_minus == P("1324")
         assert witness.w_plus == P("2341")
         assert witness.full_word == W("123")
         assert witness.k1 == 1 and witness.k2 == 2
 
     def test_2143_lands_in_s5(self):
-        w = P("2143")
-        witness = structure.nonforcing_witness(w, structure.decompose(w))
+        witness = structure.nonforcing_witness(P("2143"))
         assert witness.w_minus == words.evaluate(W("23"), 5)
         assert witness.w_plus == P("23451")
         assert witness.full_word == W("1234")
@@ -159,9 +157,8 @@ class TestNonForcingWitness:
     def test_mirrored_orientation(self):
         # 312 only decomposes with the small letters on the right
         w = P("312")
-        d = structure.decompose(w)
-        assert d.side == "right"
-        witness = structure.nonforcing_witness(w, d)
+        assert structure.decompose(w).side == "right"
+        witness = structure.nonforcing_witness(w)
         assert witness.orientation == "right"
         iv = bruhat.interval(witness.w_minus, witness.w_plus)
         assert posets.is_isomorphic(
@@ -171,10 +168,10 @@ class TestNonForcingWitness:
 
     def test_every_decomposable_s4(self):
         for w in S4:
-            d = structure.decompose(w)
-            if d is None:
+            witness = structure.nonforcing_witness(w)
+            assert (witness is None) == (structure.decompose(w) is None), w
+            if witness is None:
                 continue
-            witness = structure.nonforcing_witness(w, d)
             iv = bruhat.interval(witness.w_minus, witness.w_plus)
             assert posets.is_isomorphic(
                 posets.poset_from_interval(iv),
@@ -189,10 +186,16 @@ class TestNonForcingWitness:
             assert words.evaluate(witness.full_word, n) == witness.w_plus
             assert words.is_reduced(witness.full_word, n)
 
-    def test_invalid_decomposition_rejected(self):
-        bad = structure.Decomposition(m=1, a1=(1,), a2=(3,), side="left")
-        with pytest.raises(ValueError):
-            structure.nonforcing_witness(P("2314"), bad)
+    def test_indecomposable_has_none(self):
+        assert structure.nonforcing_witness(P("3412")) is None
+        assert structure.nonforcing_witness(P("1234")) is None
+
+    def test_decomposition_argument_refused(self):
+        # the witness splits w itself; limits is keyword-only, so a
+        # decomposition passed in its old place is a TypeError
+        w = P("2314")
+        with pytest.raises(TypeError):
+            structure.nonforcing_witness(w, structure.decompose(w))
 
 
 class TestTheoremCrossChecks:
@@ -206,9 +209,9 @@ class TestTheoremCrossChecks:
         """(w, non-forcing witness) for each decomposable w of S_n, in
         one-line order."""
         return [
-            (w, structure.nonforcing_witness(w, d))
+            (w, witness)
             for w in itertools.permutations(range(1, n + 1))
-            if (d := structure.decompose(w)) is not None
+            if (witness := structure.nonforcing_witness(w)) is not None
         ]
 
     @staticmethod
@@ -267,7 +270,7 @@ class TestTheoremCrossChecks:
                         perms.longest(k), m):
                     ss = structure.detect_swap_string(x, y)
                     assert ss is not None and ss.k == k, (x, y)
-                    a, b, c, _ = structure.swap_string_factorization(x, y, ss)
+                    a, b, c, _ = structure.swap_string_factorization(x, y)
                     assert is_reduced_word_of(a + c, x), (x, y)
                     assert is_reduced_word_of(a + b + c, y), (x, y)
                     assert deletion_oracle(x, y), (x, y)
@@ -310,7 +313,7 @@ class TestSwapStringFactorization:
         if ss.k % 2 == 1:
             center = ss.positions[ss.k // 2]
             assert x[center - 1] == y[center - 1]
-        a, b, c, t = structure.swap_string_factorization(x, y, ss)
+        a, b, c, t = structure.swap_string_factorization(x, y)
         n = len(x)
         assert words.evaluate(a + c, n) == x
         assert words.is_reduced(a + c, n)
@@ -358,10 +361,23 @@ class TestSwapStringFactorization:
             self._roundtrip(x, y)
             built += 1
 
-    def test_mismatched_swap_string_rejected(self):
-        ss = structure.detect_swap_string(P("1243"), P("4213"))
-        with pytest.raises(ValueError):
-            structure.swap_string_factorization(P("1324"), P("3124"), ss)
+    def test_no_swap_string_has_none(self):
+        assert structure.swap_string_factorization(P("2143"),
+                                                   P("4231")) is None
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_b_is_the_least_reversal_word_read_backwards(self, k):
+        # b spells the least reduced word of w0_k backwards, shifted to
+        # the block's 0-based start lo; reversing positions lo+1 .. lo+k
+        # of the identity leaves nothing to sweep
+        least = words.lex_least_reduced_word(perms.longest(k))
+        for lo in range(4):
+            n = lo + k + 1
+            x = perms.identity(n)
+            y = x[:lo] + x[lo:lo + k][::-1] + x[lo + k:]
+            a, b, c, t = structure.swap_string_factorization(x, y)
+            assert (a, c, t) == ((), (), -lo)
+            assert b == words.shift(tuple(reversed(least)), lo)
 
 
 class TestShiftedLongestChecks:
