@@ -44,7 +44,6 @@ from .structure import (
     SwapString,
     decompose,
     detect_swap_string,
-    is_thin,
     nonforcing_witness,
     swap_string_factorization,
 )

@@ -127,6 +127,10 @@ def _cover_masks(px: tuple[int, ...], pz: tuple[int, ...], i: int, j: int,
     return pz[:i] + tuple(m ^ flip for m in pz[i:j]) + pz[j:]
 
 
+# marks a candidate of :func:`interval` not yet tested
+_UNSEEN = object()
+
+
 def interval(x: Perm, y: Perm) -> Interval:
     """Construct [x, y]; raises ValueError unless x <= y.
 
@@ -161,12 +165,13 @@ def interval(x: Perm, y: Perm) -> Interval:
         for z in levels[-1]:
             pz = masks[z]
             for i, j, c in _lower_covers(z):
-                if c not in masks:
+                pc = masks.get(c, _UNSEEN)
+                if pc is _UNSEEN:
                     pc = masks[c] = () if principal else _cover_masks(
                         px, pz, i, j, z[i], z[j])
                     if pc is not None:
                         level.append(c)
-                if masks[c] is not None:
+                if pc is not None:
                     covers.append((c, z))
         level.sort()
         levels.append(level)

@@ -64,11 +64,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import multiprocessing
 import operator
 import os
 import time
 from collections import defaultdict
-from concurrent import futures
 from dataclasses import dataclass
 
 from . import perms
@@ -448,12 +448,14 @@ def _extremes(m: int, greatest: bool, lo: int, hi: int) -> bytes:
                  for x in itertools.islice(group, lo, hi))
 
 
-def _over_range(fn, args: tuple, m: int, greatest: bool, lo: int, hi: int):
+def _over_range(fn, args: tuple, m: int, greatest: bool,
+                bounds: tuple[int, int]):
     """``fn(*args, bottoms)``, with ``bottoms`` the permutations at
-    positions [lo, hi) of S_m that :func:`perms.is_orbit_extreme` keeps,
-    made lazily where this runs from the range's flags, which each
-    process computes once (:func:`_extremes`) and every later scan of
-    the range replays."""
+    positions [lo, hi) = ``bounds`` of S_m that
+    :func:`perms.is_orbit_extreme` keeps, made lazily where this runs
+    from the range's flags, which each process computes once
+    (:func:`_extremes`) and every later scan of the range replays."""
+    lo, hi = bounds
     group = itertools.permutations(range(1, m + 1))
     return fn(*args, itertools.compress(itertools.islice(group, lo, hi),
                                         _extremes(m, greatest, lo, hi)))
@@ -472,19 +474,18 @@ def _fan_out(fn, args: tuple, m: int, jobs: int | None, greatest=False):
     With ``jobs`` > 1, min(jobs, CPU count) worker processes take about
     four ranges each, which evens out uneven ranges; otherwise all of S_m
     is one range, run in this process.  ``fn`` and ``args`` must pickle.
-    Closing the iterator early cancels the ranges not yet handed to a
-    worker; those already handed over still run to their end before the
-    pool shuts down, and their results are dropped."""
+    Closing the iterator early terminates the workers, so no range runs
+    on after its reader stops."""
     count = math.factorial(m)
     workers = min(jobs or 1, os.cpu_count() or 1)
     if workers <= 1:
-        yield _over_range(fn, args, m, greatest, 0, count)
+        yield _over_range(fn, args, m, greatest, (0, count))
         return
     parts = min(4 * workers, count)
     bounds = [count * i // parts for i in range(parts + 1)]
-    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(functools.partial(
-            _over_range, fn, args, m, greatest), bounds[:-1], bounds[1:])
+    with multiprocessing.Pool(workers) as pool:
+        yield from pool.imap(functools.partial(
+            _over_range, fn, args, m, greatest), zip(bounds, bounds[1:]))
 
 
 def _least_gap(n: int) -> int:

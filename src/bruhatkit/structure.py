@@ -17,7 +17,10 @@ Three related tools live here:
   substring (increasing in the lower one, decreasing in the upper one),
   the interval between them is a full symmetric group in disguise, and
   their reduced words factor as ``ac`` / ``abc`` with ``b`` a shifted
-  reduced word of a reversal.
+  reduced word of a reversal.  Both are read off the positions and
+  values of the two permutations in closed form: the substring's ends
+  and extremes from where they differ, and ``c`` from the intruders
+  between its ends, with no search and no simulated sweep.
 
 The two constructors find their own input, ``nonforcing_witness(w)``
 by :func:`decompose` and ``swap_string_factorization(x, y)`` by
@@ -27,44 +30,12 @@ by :func:`decompose` and ``swap_string_factorization(x, y)`` by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import bruhat, forcing, perms, posets, words
 from .limits import DEFAULT_LIMITS, Limits
 from .perms import Perm
 from .words import Word
-
-
-def is_thin(s: Sequence[int], positions: Sequence[int]) -> bool:
-    """Whether the monotonic substring of ``s`` at the given 1-based
-    positions is thin: no value outside the substring but strictly
-    between its extremes sits between the substring's endpoint positions.
-
-    >>> is_thin((9, 1, 4, 0, 2, 3, 6, 5), (4, 5, 6, 8))   # values 0 2 3 5
-    True
-    >>> is_thin((9, 1, 4, 0, 2, 3, 6, 5), (1, 2, 4))      # values 9 1 0
-    False
-    """
-    pos = tuple(positions)
-    if not pos:
-        raise ValueError("empty substring")
-    if any(p < 1 or p > len(s) for p in pos):
-        raise ValueError(f"positions {pos} out of range")
-    if any(a >= b for a, b in zip(pos, pos[1:])):
-        raise ValueError("positions must be strictly increasing")
-    vals = [s[p - 1] for p in pos]
-    increasing = all(a < b for a, b in zip(vals, vals[1:]))
-    decreasing = all(a > b for a, b in zip(vals, vals[1:]))
-    if not (increasing or decreasing):
-        raise ValueError(f"substring {vals} is not monotonic")
-    lo, hi = min(vals), max(vals)
-    inside = set(pos)
-    for q in range(pos[0] + 1, pos[-1]):
-        if q in inside:
-            continue
-        if lo < s[q - 1] < hi:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -246,44 +217,31 @@ class SwapString:
         }
 
 
-def _swap_string_at(x: Perm, y: Perm, pos: tuple[int, ...]) -> SwapString | None:
-    vals_x = [x[p - 1] for p in pos]
-    vals_y = [y[p - 1] for p in pos]
-    # y reads x's increasing values backwards, so at odd k the centre
-    # agrees; thinness then reads the same values in x and in y
-    if any(a >= b for a, b in zip(vals_x, vals_x[1:])):
-        return None
-    if vals_y != vals_x[::-1] or not is_thin(x, pos):
-        return None
-    return SwapString(positions=pos, values=tuple(vals_x), k=len(pos))
-
-
 def detect_swap_string(x: Perm, y: Perm) -> SwapString | None:
     """The unique swap-string if x and y differ exactly on one, else None.
 
-    The differing positions must all belong to the swap-string; when its
-    length k is odd the central position carries the middle value in both
-    strings, so it is the one swap-string position where x and y agree.
-    The candidates are therefore the differing positions alone (even k)
-    or those plus one interior agreeing position (odd k); thinness rules
-    out all but one.
+    Its ends are the first and last positions where x and y differ, and
+    its least and greatest values the least and greatest values of x
+    there.  So the candidate is read off directly: every position
+    between those ends whose x-value lies between those values, which is
+    thin by construction.  It is the swap-string when x increases on it
+    and y reads the same values backwards (proof in
+    ``notes/decisions.md``).
     """
     if len(x) != len(y):
         raise ValueError(f"size mismatch: S_{len(x)} vs S_{len(y)}")
-    diff = tuple(p for p in range(1, len(x) + 1) if x[p - 1] != y[p - 1])
+    diff = [p for p in range(len(x)) if x[p] != y[p]]
     if len(diff) < 2:
         return None
-    found = _swap_string_at(x, y, diff)
-    if found is not None:
-        return found
-    for c in range(diff[0] + 1, diff[-1]):
-        if c in diff:
-            continue
-        pos = tuple(sorted(diff + (c,)))
-        found = _swap_string_at(x, y, pos)
-        if found is not None:
-            return found
-    return None
+    v_lo = min(x[p] for p in diff)
+    v_hi = max(x[p] for p in diff)
+    pos = [p for p in range(diff[0], diff[-1] + 1) if v_lo <= x[p] <= v_hi]
+    vals = [x[p] for p in pos]
+    if (any(a >= b for a, b in zip(vals, vals[1:]))
+            or [y[p] for p in pos] != vals[::-1]):
+        return None
+    return SwapString(positions=tuple(p + 1 for p in pos),
+                      values=tuple(vals), k=len(pos))
 
 
 def swap_string_factorization(
@@ -293,64 +251,47 @@ def swap_string_factorization(
     ``shift(b, t)`` a reduced word of the reversal of size k; None when
     :func:`detect_swap_string` finds no swap-string.
 
-    Following the swap-string structure: first sweep every intruding
-    value out of the span by right multiplications shared between x and
-    y (too-large values move right, outermost first; too-small values
-    move left, outermost first; each swap removes exactly one
-    inversion from both).  The swap-string is then a consecutive block
-    at 0-based positions lo .. lo+k-1, increasing in the swept-down x
-    and decreasing in the swept-down y.  ``b`` is the word
-    (1 .. k-1)(1 .. k-2) ... (1) of the reversal, shifted by lo (proof in
-    ``notes/decisions.md``); the recorded sweep reversed gives ``c``, and
-    ``a`` is the lexicographically least reduced word of the swept-down x.
+    Between the ends lo and hi (0-based) of the swap-string, every other
+    value is an intruder, *big* when above the swap-string's values and
+    *small* when below them.  Sweeping them out of the span by adjacent
+    swaps shared between x and y, each of which removes one inversion
+    from both, leaves the swap-string as a consecutive block, increasing
+    in the swept x and decreasing in the swept y.  The sweep is written
+    out, not simulated: the big intruders go right, the rightmost first,
+    the i-th of them from position q by the letters q+1 .. hi-i; the
+    small ones go left, the leftmost first, the i-th from q' (its
+    position less the big intruders that passed it) by the letters q',
+    q'-1, .. lo+i+1.  The swept x reads x before lo, the small
+    intruders, the block increasing, the big intruders, then x after hi.
+    ``c`` is the sweep reversed, ``a`` the lexicographically least
+    reduced word of the swept x, and ``b`` the word (1 .. k-1)(1 .. k-2)
+    ... (1) of the reversal shifted to the block's start.  Lengths and
+    products are checked before returning (proofs in
+    ``notes/decisions.md``).
     """
     ss = detect_swap_string(x, y)
     if ss is None:
         return None
     n, k = len(x), ss.k
-    values = set(ss.values)
-    cur_x, cur_y = list(x), list(y)
-    sweep: list[int] = []
-
-    def span() -> tuple[int, int]:
-        spots = [i for i, v in enumerate(cur_x) if v in values]
-        return spots[0], spots[-1]
-
-    def swap_both(i: int) -> None:
-        # 0-based adjacent swap at (i, i+1); must remove an inversion in both
-        assert cur_x[i] > cur_x[i + 1] and cur_y[i] > cur_y[i + 1]
-        cur_x[i], cur_x[i + 1] = cur_x[i + 1], cur_x[i]
-        cur_y[i], cur_y[i + 1] = cur_y[i + 1], cur_y[i]
-        sweep.append(i + 1)
-
-    hi_val = max(values)
-    lo_val = min(values)
-    while True:
-        lo, hi = span()
-        big = [q for q in range(lo + 1, hi) if cur_x[q] > hi_val]
-        if not big:
-            break
-        q = max(big)
-        while any(cur_x[t] in values for t in range(q + 1, n)):
-            swap_both(q)
-            q += 1
-    while True:
-        lo, hi = span()
-        small = [q for q in range(lo + 1, hi) if cur_x[q] < lo_val]
-        if not small:
-            break
-        q = min(small)
-        while any(cur_x[t] in values for t in range(q)):
-            swap_both(q - 1)
-            q -= 1
-
-    lo, hi = span()
-    assert hi - lo + 1 == k, "sweep failed to make the block consecutive"
-    b = tuple(lo + i for r in range(k - 1, 0, -1) for i in range(1, r + 1))
+    lo, hi = ss.positions[0] - 1, ss.positions[-1] - 1
+    big = [q for q in range(lo + 1, hi) if x[q] > ss.values[-1]]
+    small = [q for q in range(lo + 1, hi) if x[q] < ss.values[0]]
+    swept = (x[:lo] + tuple(x[q] for q in small) + ss.values
+             + tuple(x[q] for q in big) + x[hi + 1:])
+    sweep = [letter for i, q in enumerate(reversed(big))
+             for letter in range(q + 1, hi - i + 1)]
+    sweep += [letter for i, q in enumerate(small)
+              for letter in range(q - sum(p < q for p in big), lo + i, -1)]
+    start = lo + len(small)
+    b = tuple(start + i for r in range(k - 1, 0, -1) for i in range(1, r + 1))
     c = tuple(reversed(sweep))
-    a = words.lex_least_reduced_word(tuple(cur_x))
-    t = -lo
+    a = words.lex_least_reduced_word(swept)
+    t = -start
 
+    if len(a) + len(c) != perms.length(x):
+        raise RuntimeError("factorization failed: a + c is not reduced")
+    if len(a) + len(b) + len(c) != perms.length(y):
+        raise RuntimeError("factorization failed: a + b + c is not reduced")
     if words.evaluate(a + c, n) != x:
         raise RuntimeError("factorization failed: a + c is not a word for x")
     if words.evaluate(a + b + c, n) != y:

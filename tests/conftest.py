@@ -22,15 +22,15 @@ def cold_scan_caches():
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Replace the process pool of ``posets._fan_out`` by one that runs
-    ``map`` in this process and starts no process.  Returns the list of
+    ``imap`` in this process and starts no process.  Returns the list of
     pools made; each records its ``max_workers`` and the (lo, hi) ranges
     it ran.  The CPU count reads as ``CPUS``, so the cap and the ranges
     do not depend on the machine."""
     pools = []
 
     class InlinePool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
+        def __init__(self, processes):
+            self.max_workers = processes
             self.ranges = []
             pools.append(self)
 
@@ -40,11 +40,11 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            for args in zip(*iterables):
-                self.ranges.append(args)
-                yield fn(*args)
+        def imap(self, fn, iterable):
+            for bounds in iterable:
+                self.ranges.append(bounds)
+                yield fn(bounds)
 
-    monkeypatch.setattr(posets.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(posets.multiprocessing, "Pool", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: CPUS)
     return pools

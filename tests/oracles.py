@@ -17,8 +17,10 @@ tuples, position inversions from a comparison of every pair of
 positions, frozen points from four entries of the rank matrices,
 whether a word is a reduced word of w (or a shift of one of the
 reversal) from evaluating it on a plain list and counting inversions,
-products of ranked posets from index arithmetic, and the networkx cover
-digraph of an interval from an oracle up-ball.  Lengths are counts of
+swap-strings from a scan over every set of positions, their
+factorization from the adjacent-swap sweep of the intruders, products
+of ranked posets from index arithmetic, and the networkx cover digraph
+of an interval from an oracle up-ball.  Lengths are counts of
 value inversions throughout, and adjacent transpositions swap two
 entries of a plain tuple: nothing here imports ``bruhatkit`` at run
 time, and only type checkers read its type names.
@@ -461,6 +463,96 @@ def is_shifted_longest_word(b: Word, k: int) -> bool:
     shifted = tuple(a + t for a in b)
     return (max(shifted) < k
             and is_reduced_word_of(shifted, tuple(range(k, 0, -1))))
+
+
+def thin_oracle(s: Perm, positions: tuple[int, ...]) -> bool:
+    """Whether the substring of s at the increasing 1-based positions is
+    thin: no other position between its first and last holds a value
+    strictly between its least and greatest values."""
+    vals = [s[p - 1] for p in positions]
+    return not any(
+        min(vals) < s[q - 1] < max(vals)
+        for q in range(positions[0], positions[-1] + 1)
+        if q not in positions
+    )
+
+
+def swap_string_oracle(x: Perm, y: Perm) -> list[tuple]:
+    """Every (positions, values, k), k >= 2, of a swap-string of x and y,
+    by a scan over every set of 1-based positions: x and y agree off the
+    positions, x increases on them, y reads x's values there backwards,
+    and the substring of x there is thin (:func:`thin_oracle`)."""
+    n = len(x)
+    found = []
+    for k in range(2, n + 1):
+        for pos in itertools.combinations(range(1, n + 1), k):
+            vals = [x[p - 1] for p in pos]
+            if (all(x[q - 1] == y[q - 1]
+                    for q in range(1, n + 1) if q not in pos)
+                    and vals == sorted(vals)
+                    and [y[p - 1] for p in pos] == vals[::-1]
+                    and thin_oracle(x, pos)):
+                found.append((pos, tuple(vals), k))
+    return found
+
+
+def lex_least_word_oracle(w: Perm) -> Word:
+    """The lexicographically least reduced word of w: each letter is the
+    least a whose left multiplication, the swap of the values a and a + 1,
+    lowers the count of value inversions."""
+    word: list[int] = []
+    v = tuple(w)
+    while _value_inversions(v):
+        a = next(a for a in range(1, len(v))
+                 if v.index(a + 1) < v.index(a))
+        v = tuple(a + 1 if e == a else a if e == a + 1 else e for e in v)
+        word.append(a)
+    return tuple(word)
+
+
+def swap_sweep_oracle(x: Perm, y: Perm) -> tuple[Word, Word, Word, int]:
+    """(a, b, c, t) of the swap-string factorization of x and y by the
+    adjacent-swap sweep, for a pair with one swap-string
+    (:func:`swap_string_oracle`).
+
+    The intruders in the span of the swap-string go out by adjacent swaps
+    of plain lists, each of which must lower both x and y: first the big
+    ones (above every swap-string value), the rightmost first, rightwards
+    until no swap-string value is right of them; then the small ones, the
+    leftmost first, leftwards until none is left of them.  The sweep
+    reversed is c, the least word of the swept x
+    (:func:`lex_least_word_oracle`) is a, and b is :func:`bubble_sort_word`
+    of the reversal of S_k shifted to the block's 0-based start, which is
+    -t."""
+    ((_, values, k),) = swap_string_oracle(x, y)
+    cur_x, cur_y, sweep = list(x), list(y), []
+
+    def span():
+        spots = [i for i, v in enumerate(cur_x) if v in values]
+        return spots[0], spots[-1]
+
+    def swap(i):
+        assert cur_x[i] > cur_x[i + 1] and cur_y[i] > cur_y[i + 1]
+        cur_x[i], cur_x[i + 1] = cur_x[i + 1], cur_x[i]
+        cur_y[i], cur_y[i + 1] = cur_y[i + 1], cur_y[i]
+        sweep.append(i + 1)
+
+    while big := [q for q in range(span()[0] + 1, span()[1])
+                  if cur_x[q] > values[-1]]:
+        q = big[-1]
+        while any(v in values for v in cur_x[q + 1:]):
+            swap(q)
+            q += 1
+    while small := [q for q in range(span()[0] + 1, span()[1])
+                    if cur_x[q] < values[0]]:
+        q = small[0]
+        while any(v in values for v in cur_x[:q]):
+            swap(q - 1)
+            q -= 1
+    start = span()[0]
+    b = tuple(a + start for a in bubble_sort_word(tuple(range(k, 0, -1))))
+    return (lex_least_word_oracle(tuple(cur_x)), b, tuple(reversed(sweep)),
+            -start)
 
 
 def refine_oracle(colors: list[int], up, down) -> list[int]:

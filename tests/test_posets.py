@@ -1,8 +1,10 @@
 import functools
 import itertools
 import math
+import multiprocessing
 import os
 import random
+import time
 from collections import defaultdict
 
 import pytest
@@ -147,6 +149,13 @@ def every_top_certificates(n, max_len, bottoms):
                     certs["ideals", ball.ranks[yid]].add(cert)
             count += 1
     return certs, count
+
+
+def sleep_past_first_range(bottoms):
+    """A ``_fan_out`` function that returns at once on the range holding
+    the identity, the first, and sleeps 30 s on every other."""
+    if next(bottoms, None) != perms.identity(5):
+        time.sleep(30)
 
 
 def plain_inverse(w):
@@ -1108,6 +1117,17 @@ class TestAtlas:
         ]
         assert len(parts) == (1 if jobs == 1 else 4 * jobs)
         assert len(inline_pool) == (jobs > 1)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
+    def test_closing_the_fan_out_stops_its_workers(self):
+        # a reader that stops after the first range does not wait for the
+        # ranges already running: closing terminates the workers
+        started = time.monotonic()
+        results = posets._fan_out(sleep_past_first_range, (), 5, 2)
+        assert next(results) is None
+        results.close()
+        assert time.monotonic() - started < 10
+        assert multiprocessing.active_children() == []
 
     def test_json_schema(self):
         data = posets.atlas(3, 2).to_json()

@@ -16,6 +16,9 @@ from oracles import (
     is_shifted_longest_word,
     move_closure_reduced_words,
     rank_match,
+    swap_string_oracle,
+    swap_sweep_oracle,
+    thin_oracle,
     up_ball_oracle,
 )
 
@@ -31,26 +34,22 @@ def W(text):
 S4 = [tuple(w) for w in itertools.permutations((1, 2, 3, 4))]
 
 
-class TestIsThin:
-    def test_worked_example(self):
-        s = (9, 1, 4, 0, 2, 3, 6, 5)
-        # the monotonic substring 0 2 3 5 is thin
-        assert structure.is_thin(s, (4, 5, 6, 8))
-        # 9 1 0 is not thin because of the 4 between 9 and 0
-        assert not structure.is_thin(s, (1, 2, 4))
-
-    def test_length_one(self):
-        assert structure.is_thin((3, 1, 2), (2,))
-
-    def test_non_monotonic_rejected(self):
-        with pytest.raises(ValueError):
-            structure.is_thin((1, 3, 2, 4), (1, 2, 3))
-
-    def test_position_validation(self):
-        with pytest.raises(ValueError):
-            structure.is_thin((1, 2, 3), (2, 2))
-        with pytest.raises(ValueError):
-            structure.is_thin((1, 2, 3), (0, 1))
+def swap_string_pairs(n):
+    """(x, y, positions) for every pair of S_n with a swap-string, built
+    from x.  An increasing thin substring of x is fixed by its ends lo <
+    hi with x(lo) < x(hi): it holds every position between them whose
+    value lies between theirs.  y reads x's values there backwards."""
+    for x in itertools.permutations(range(1, n + 1)):
+        for lo, hi in itertools.combinations(range(1, n + 1), 2):
+            pos = tuple(p for p in range(lo, hi + 1)
+                        if x[lo - 1] <= x[p - 1] <= x[hi - 1])
+            vals = [x[p - 1] for p in pos]
+            if len(pos) < 2 or vals != sorted(vals):
+                continue
+            y = list(x)
+            for p, v in zip(pos, reversed(vals)):
+                y[p - 1] = v
+            yield x, tuple(y), pos
 
 
 class TestDecompose:
@@ -305,6 +304,27 @@ class TestDetectSwapString:
         # differ on two positions but values swap non-monotonically
         assert structure.detect_swap_string(P("2143"), P("4231")) is None
 
+    def test_thinness_worked_example(self):
+        s = (9, 1, 4, 0, 2, 3, 6, 5)
+        # the monotonic substring 0 2 3 5 is thin
+        assert thin_oracle(s, (4, 5, 6, 8))
+        # 9 1 0 is not thin because of the 4 between 9 and 0
+        assert not thin_oracle(s, (1, 2, 4))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_oracle_on_every_pair(self, n):
+        # the positions read off x and y are the one swap-string the scan
+        # over every set of positions finds, or there is none
+        group = list(itertools.permutations(range(1, n + 1)))
+        for x in group:
+            for y in group:
+                ss = structure.detect_swap_string(x, y)
+                found = swap_string_oracle(x, y)
+                assert len(found) <= 1, (x, y)
+                assert (None if ss is None else
+                        (ss.positions, ss.values, ss.k)) == (
+                    found[0] if found else None), (x, y)
+
 
 class TestSwapStringFactorization:
     def _roundtrip(self, x, y):
@@ -360,6 +380,18 @@ class TestSwapStringFactorization:
             # swap-string shape, so detection must succeed
             self._roundtrip(x, y)
             built += 1
+
+    def test_equals_the_sweep_on_every_pair(self):
+        # the closed form is the adjacent-swap sweep on all 5,739
+        # swap-string pairs of S_2..S_6
+        count = 0
+        for n in range(2, 7):
+            for x, y, pos in swap_string_pairs(n):
+                assert structure.detect_swap_string(x, y).positions == pos
+                assert structure.swap_string_factorization(x, y) == \
+                    swap_sweep_oracle(x, y), (x, y)
+                count += 1
+        assert count == 5739
 
     def test_no_swap_string_has_none(self):
         assert structure.swap_string_factorization(P("2143"),
