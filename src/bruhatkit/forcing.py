@@ -22,7 +22,8 @@ y, start), is the least (lexleast(u) + lexleast(beta) + lexleast(v),
 length(u)) over the factorizations.  ``notes/decisions.md`` has the proof.
 
 The intervals shaped like the ideal of w are read off the up-ball of
-each bottom (:func:`tables.up_ball`).  Inversion and conjugation by w0
+each bottom, which the rank table of S_m keeps from its second request
+on (:meth:`tables.RankTable.ball`).  Inversion and conjugation by w0
 are automorphisms of the Bruhat order that keep the shape of an
 interval and whether it admits a deletion, so the verdict builds
 up-balls only for the bottoms least in their orbit under those maps,
@@ -42,7 +43,7 @@ from typing import Iterator, Sequence
 from . import bruhat, perms, posets, words
 from .limits import DEFAULT_LIMITS, Limits
 from .perms import Perm
-from .tables import up_ball
+from .tables import rank_table
 from .words import Word
 
 
@@ -204,19 +205,23 @@ def _shaped_intervals(shape, bottoms):
     """Every interval [x, y] whose shape has the fingerprint ``shape``,
     for each x of ``bottoms`` in turn and its tops in one-line order.
 
-    The tops y are the top level of the up-ball of x with depth d, the
-    span of the shape; a bottom less than d below the top of its group
-    has none.  The mask of [x, y] is compared with the shape by element
-    count, then by rank profile, and what passes by certificate."""
+    The tops y are the level d of the up-ball of x, d the span of the
+    shape, and a bottom less than d below the top of its group has none.
+    The ball comes from the rank table (:meth:`tables.RankTable.ball`),
+    which may hand out a deeper ball it keeps for x; its first d + 1
+    levels are the ball of depth d, so only level d is read.  The mask
+    of [x, y] is compared with the shape by element count, then by rank
+    profile, and what passes by certificate."""
     d, size, profile, cert = shape
     levels = range(d + 1)
     for x in bottoms:
         m = len(x)
         if perms.length(x) + d > m * (m - 1) // 2:
             continue
-        ball = up_ball(x, d)
+        ball = rank_table(m).ball(x, d)
         rank_masks = ball.rank_masks
-        for y in range(ball.ranks.index(d), len(ball.elements)):
+        start = ball.ranks.index(d)
+        for y in range(start, start + rank_masks[d].bit_count()):
             mask = ball.below[y]
             if (
                 mask.bit_count() == size
@@ -378,9 +383,11 @@ def forces_factor(
     stops at the first counterexample and sums the intervals examined;
     with none, the sample certificate is that of the last top of the
     greatest bottom with a top in the last S_m that has one, whose ball
-    alone is rebuilt.  Each scan is cached by the shape of the ideal, m
-    and ``jobs``, so a w whose ideal is shaped like that of an earlier w
-    pays only for the S_m that call did not scan, whatever the sizes and
+    alone is read again.  The rank table keeps a ball from its second
+    request on while it fits, so warm calls build at most one ball
+    between them.  Each scan is cached by the shape of the ideal, m and
+    ``jobs``, so a w whose ideal is shaped like that of an earlier w pays
+    only for the S_m that call did not scan, whatever the sizes and
     bounds of the two.
     """
     posets._check_jobs(jobs)

@@ -64,7 +64,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import multiprocessing
 import operator
 import os
 import time
@@ -481,6 +480,8 @@ def _fan_out(fn, args: tuple, m: int, jobs: int | None, greatest=False):
     if workers <= 1:
         yield _over_range(fn, args, m, greatest, (0, count))
         return
+    import multiprocessing  # only a fan-out pays for the import
+
     parts = min(4 * workers, count)
     bounds = [count * i // parts for i in range(parts + 1)]
     with multiprocessing.Pool(workers) as pool:

@@ -10,7 +10,10 @@ the interval is exactly ``below[y]``; and since ids are rank-major, the
 set bits of any interval mask already run in the interval's (rank,
 one-line) order, with its minimum first.  The covers inside a mask are
 read off the masks too: z is covered by u exactly when z <= u and z lies
-one rank below u.
+one rank below u.  A ball grows by one level loop, :meth:`Ball.grow`,
+which appends the levels above its top one; since a mask holds only ids
+at or below its own, a ball of depth d is, id for id and mask for mask,
+the first d + 1 levels of any deeper ball of x.
 
 A ball is built over the lexicographic ranks of S_m, 0..m!-1, whose
 order is one-line order, so sorting a level of ranks sorts it in
@@ -28,14 +31,26 @@ Two scans build up-balls, each looping over its own bottoms:
 ``forcing._shaped_intervals`` for ``forces`` and
 ``posets._scan_intervals`` for the atlas.  Each reads the tops of a
 ball from the first id of the least rank it wants on, found by
-``ball.ranks.index``.  Where the atlas needs only how many elements a
-ball would hold, to count the intervals of a bottom that
-cannot reach its least irreducible gap, :func:`count_above` reads the
-same rows and keeps each level as a set of ranks, with no masks and no
-ball.  Every element of S_n lies above the identity, so the whole group
-is the identity's up-ball of depth n(n-1)/2, cached below as the group
-table for n <= 7.  Only the benchmark still calls :func:`group_table`;
-the tests build that up-ball themselves.
+``ball.ranks.index``.  The atlas asks for each bottom once per call and
+builds each ball afresh with :func:`up_ball`.  A forcing scan runs once
+per ideal shape, so several shapes ask for the balls of the same
+bottoms: it takes them from :meth:`RankTable.ball` and reads only the
+tops of level d, its span.  The table keeps a bottom's ball from the
+bottom's second request on, the deepest asked for, and grows it when a
+deeper one is asked for, so a scan that asks for each bottom once keeps
+nothing.  The kept balls of a table are bounded by an estimate of their
+bytes, 64 per element and the bits of their masks, at most
+:data:`KEPT_BYTES`; a ball that does not fit is handed out and dropped.
+They live and die with their table, so every cache reset clears them.
+
+Where the atlas needs only how many elements a ball would hold, to
+count the intervals of a bottom that cannot reach its least irreducible
+gap, :func:`count_above` reads the same rows and keeps each level as a
+set of ranks, with no masks and no ball.  Every element of S_n lies
+above the identity, so the whole group is the identity's up-ball of
+depth n(n-1)/2, cached below as the group table for n <= 7.  Only the
+benchmark still calls :func:`group_table`; the tests build that up-ball
+themselves.
 """
 
 from __future__ import annotations
@@ -49,6 +64,7 @@ from . import perms
 from .perms import Perm
 
 MAX_TABLE_N = 7
+KEPT_BYTES = 4 << 20        # bound on the estimate of one table's kept balls
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -75,11 +91,20 @@ def rank(w: Perm) -> int:
     return r
 
 
+def _estimate(ball: Ball) -> int:
+    """The bytes a kept ball is taken to hold: 64 per element, and its
+    below-masks, whose mask of id u has u + 1 bits."""
+    size = len(ball.order)
+    return size * 64 + size * (size + 1) // 16
+
+
 class RankTable(dict):
     """The covers of S_m by lexicographic rank: ``table[r]`` is the row
     of rank r, filled the first time it is read.  ``perms`` holds the
     permutation of every rank met so far: each ball's bottom, and the
-    covers of every row filled."""
+    covers of every row filled.  ``kept`` holds the balls that
+    :meth:`ball` keeps, by the rank of their bottom, and ``kept_bytes``
+    the sum of their estimates."""
 
     def __init__(self, m: int):
         super().__init__()
@@ -87,6 +112,40 @@ class RankTable(dict):
         # weights[i] = (m - 1 - i)!, the place value of Lehmer digit i
         self.weights = tuple(math.factorial(m - 1 - i) for i in range(m))
         self.perms: dict[int, Perm] = {}
+        self.asked = bytearray()        # m! flags, one per bottom asked for
+        self.kept: dict[int, Ball] = {}
+        self.kept_bytes = 0
+
+    def ball(self, x: Perm, depth: int) -> Ball:
+        """An up-ball of x with depth ``depth`` or more, whose first
+        depth + 1 levels are ``up_ball(x, depth)``.
+
+        The first request for x builds a ball and drops it.  From the
+        second on, the deepest ball asked for is kept, grown by
+        :meth:`Ball.grow` when a deeper one is asked for, while the
+        estimates of the kept balls add up to at most KEPT_BYTES; a ball
+        that does not fit is handed out and dropped.
+        """
+        bottom = rank(x)
+        # a kept ball leaves ``kept`` while it may grow, and is weighed again
+        ball = self.kept.pop(bottom, None)
+        if ball is None:
+            if not self.asked:
+                self.asked = bytearray(math.factorial(self.m))
+            again = self.asked[bottom]
+            self.asked[bottom] = 1
+            ball = _build(self, x, bottom, depth)
+            if not again:
+                return ball
+        else:
+            self.kept_bytes -= _estimate(ball)
+            if len(ball.rank_masks) <= depth:
+                ball.grow(self, depth)
+        size = _estimate(ball)
+        if self.kept_bytes + size <= KEPT_BYTES:
+            self.kept[bottom] = ball
+            self.kept_bytes += size
+        return ball
 
     def __missing__(self, r: int) -> tuple[int, ...]:
         """Fill and return the row of rank r, whose permutation is met.
@@ -130,12 +189,47 @@ def rank_table(m: int) -> RankTable:
     return RankTable(m)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Ball:
-    elements: tuple[Perm, ...]          # level by level, one-line order
-    ranks: tuple[int, ...]              # length(u) - length(x)
-    rank_masks: tuple[int, ...]         # mask of ids at each rank
-    below: tuple[int, ...]              # bitmask of {z in the ball : z <= u}
+    """An up-ball.  :meth:`grow` only appends levels, so the levels that a
+    reader of depth d reads never change once handed out."""
+
+    order: list[int]                    # the rank in S_m of each id
+    elements: list[Perm]                # level by level, one-line order
+    ranks: list[int]                    # length(u) - length(x)
+    rank_masks: list[int]               # mask of ids at each rank
+    below: list[int]                    # bitmask of {z in the ball : z <= u}
+
+    def grow(self, table: RankTable, depth: int) -> None:
+        """Append the levels above the top one up to ``depth``, each from
+        the rows of the level before: an element of the next level gets
+        the union of the below-masks of the elements it covers, and its
+        own bit."""
+        order, ranks, rank_masks, below = (
+            self.order, self.ranks, self.rank_masks, self.below)
+        size = len(order)
+        start = size - rank_masks[-1].bit_count()
+        level = order[start:]
+        for r in range(len(rank_masks), depth + 1):
+            # the rank of each element of the next level, with the union
+            # of the below-masks of the elements of this level it covers
+            covering: dict[int, int] = {}
+            get = covering.get
+            rows = map(table.__getitem__, level)
+            for zid, row in enumerate(rows, start):
+                mask = below[zid]
+                for c in row:
+                    covering[c] = get(c, 0) | mask
+            start = len(order)
+            level = sorted(covering)
+            bit = 1 << start
+            for c in level:
+                below.append(covering[c] | bit)
+                bit <<= 1
+            order += level
+            ranks += [r] * len(level)
+            rank_masks.append((1 << len(order)) - (1 << start))
+        self.elements += map(table.perms.__getitem__, order[size:])
 
     def _covered(self, u: int, mask: int) -> int:
         """The mask of the ids in ``mask`` that u covers: those below u
@@ -163,42 +257,20 @@ class Ball:
         return rel_ranks, tuple(covers)
 
 
+def _build(table: RankTable, x: Perm, bottom: int, depth: int) -> Ball:
+    """The up-ball of x, whose rank is ``bottom``, with the given depth:
+    the level loop started at x."""
+    table.perms.setdefault(bottom, x)
+    ball = Ball(order=[bottom], elements=[x], ranks=[0], rank_masks=[1],
+                below=[1])
+    ball.grow(table, depth)
+    return ball
+
+
 def up_ball(x: Perm, depth: int) -> Ball:
-    """The up-ball of x with the given depth (see the module docstring)."""
-    table = rank_table(len(x))
-    met = table.perms
-    bottom = rank(x)
-    met.setdefault(bottom, x)
-    order = [bottom]                    # the rank of each id
-    ranks = [0]
-    rank_masks = [1]
-    below = [1]
-    level = order[:]
-    for r in range(1, depth + 1):
-        start = len(order)
-        # the rank of each element of the next level, with the union of
-        # the below-masks of the elements of this level that it covers
-        covering: dict[int, int] = {}
-        get = covering.get
-        rows = map(table.__getitem__, level)
-        for zid, row in enumerate(rows, start - len(level)):
-            mask = below[zid]
-            for c in row:
-                covering[c] = get(c, 0) | mask
-        level = sorted(covering)
-        bit = 1 << start
-        for c in level:
-            below.append(covering[c] | bit)
-            bit <<= 1
-        order += level
-        ranks += [r] * len(level)
-        rank_masks.append((1 << len(order)) - (1 << start))
-    return Ball(
-        elements=tuple(map(met.__getitem__, order)),
-        ranks=tuple(ranks),
-        rank_masks=tuple(rank_masks),
-        below=tuple(below),
-    )
+    """The up-ball of x with the given depth (see the module docstring),
+    built afresh."""
+    return _build(rank_table(len(x)), x, rank(x), depth)
 
 
 def count_above(x: Perm, depth: int) -> int:

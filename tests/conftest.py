@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import pytest
@@ -45,6 +46,6 @@ def inline_pool(monkeypatch):
                 self.ranges.append(bounds)
                 yield fn(bounds)
 
-    monkeypatch.setattr(posets.multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: CPUS)
     return pools

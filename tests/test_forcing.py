@@ -1,10 +1,11 @@
 import itertools
+import json
 import random
 import re
 
 import pytest
 
-from bruhatkit import bruhat, forcing, perms, posets, structure, words
+from bruhatkit import bruhat, forcing, perms, posets, structure, tables, words
 from bruhatkit.limits import CapExceeded, Limits
 from bruhatkit.tables import iter_bits, rank_table
 from oracles import (
@@ -658,6 +659,96 @@ class TestShapeVerdictCache:
         expected = first.to_json()
         expected["w"] = "1324"
         assert hit.to_json() == expected
+
+
+def cold_caches():
+    """Clear what the ``cold_scan_caches`` fixture clears, mid-test."""
+    forcing._level.cache_clear()
+    tables.rank_table.cache_clear()
+    posets._extremes.cache_clear()
+
+
+def fresh_balls(table, x, depth):
+    """``RankTable.ball`` as a table that keeps no ball: a fresh one."""
+    return tables.up_ball(x, depth)
+
+
+class TestKeptBalls:
+    """Scans that read kept and grown balls give what scans over fresh
+    balls give, whatever the order and the budget."""
+
+    def test_survey_json_in_any_order(self, monkeypatch):
+        s_4 = list(perms.all_perms(4))
+
+        def verdict(w):
+            return json.dumps(forcing.forces_factor(w, 6).to_json())
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tables.RankTable, "ball", fresh_balls)
+            expected = [verdict(w) for w in s_4]
+        cold_caches()
+        assert [verdict(w) for w in s_4] == expected
+        assert rank_table(6).kept
+        cold_caches()
+        assert [verdict(w) for w in reversed(s_4)] == expected[::-1]
+        for w, want in zip(s_4, expected):
+            cold_caches()
+            assert verdict(w) == want
+
+    def test_shallower_shapes_read_kept_deep_balls(self, monkeypatch):
+        texts = ("321", "4231")
+        with monkeypatch.context() as patch:
+            patch.setattr(tables.RankTable, "ball", fresh_balls)
+            expected = [list(forcing.intervals_isomorphic_to(P(text), 6))
+                        for text in texts]
+        cold_caches()
+        # the second scan of the shape of 4321 keeps its depth-6 balls
+        for _ in range(2):
+            forcing._level.cache_clear()
+            forcing.forces_factor(P("4321"), 6)
+        kept = rank_table(6).kept
+        assert kept and all(len(ball.rank_masks) == 7
+                            for ball in kept.values())
+        assert [list(forcing.intervals_isomorphic_to(P(text), 6))
+                for text in texts] == expected
+
+    def test_small_budget_keeps_the_survey(self, monkeypatch):
+        s_4 = list(perms.all_perms(4))
+        with monkeypatch.context() as patch:
+            patch.setattr(tables.RankTable, "ball", fresh_balls)
+            expected = [forcing.forces_factor(w, 6).to_json() for w in s_4]
+        cold_caches()
+        monkeypatch.setattr(tables, "KEPT_BYTES", 4096)
+        assert [forcing.forces_factor(w, 6).to_json() for w in s_4] == expected
+        kept = 0
+        for m in (4, 5, 6):
+            table = rank_table(m)
+            assert table.kept_bytes == sum(
+                map(tables._estimate, table.kept.values())) <= 4096
+            kept += len(table.kept)
+        assert kept
+
+    def test_single_shape_scan_keeps_no_ball(self):
+        assert list(forcing.intervals_isomorphic_to(P("4231"), 6))
+        table = rank_table(6)
+        assert (table.kept, table.kept_bytes) == ({}, 0)
+
+    def test_warm_verdict_builds_at_most_one_ball(self, monkeypatch):
+        # every level is cached, so a warm call reads only the ball of
+        # the sample's bottom, which its second request keeps
+        w = (4, 2, 3, 1)
+        first = forcing.forces_factor(w, 7).to_json()
+        grown = []
+        grow = tables.Ball.grow
+
+        def counted(ball, table, depth):
+            grown.append(depth)
+            grow(ball, table, depth)
+
+        monkeypatch.setattr(tables.Ball, "grow", counted)
+        for _ in range(4):
+            assert forcing.forces_factor(w, 7).to_json() == first
+        assert len(grown) <= 1
 
 
 class TestCertificateShiftedLongest:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bruhatkit import tables
 from bruhatkit.tables import count_above, rank, rank_table, up_ball
 from oracles import cover_tops_oracle, up_ball_oracle
 
@@ -56,8 +57,9 @@ def test_up_ball_matches_oracle(n, bottoms):
             # not the oracle's down_adj: covers follow from below and ranks
             ball = up_ball(x, depth)
             elements, ranks, rank_masks, _, below = up_ball_oracle(x, depth)
-            assert (ball.elements, ball.ranks, ball.rank_masks,
-                    ball.below) == (elements, ranks, rank_masks, below)
+            assert tuple(map(tuple, (
+                ball.elements, ball.ranks, ball.rank_masks, ball.below,
+            ))) == (elements, ranks, rank_masks, below)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -83,3 +85,44 @@ def test_tables_are_one_bounded_cache_per_size():
     assert len(rank_table(5)) == 1 + len(cover_tops_oracle(x))
     rank_table.cache_clear()
     assert rank_table(5) == {}
+
+
+@pytest.mark.parametrize("x", seeded_perms(6, 12, 62))
+def test_grown_ball_is_the_deeper_ball(x):
+    # growing appends levels: each depth equals a fresh ball, and the
+    # objects of the levels already there stay where they were
+    table = rank_table(6)
+    ball = up_ball(x, 0)
+    for depth in range(1, 8):
+        before = [list(field) for field in (
+            ball.elements, ball.ranks, ball.rank_masks, ball.below)]
+        ball.grow(table, depth)
+        assert ball == up_ball(x, depth)
+        after = (ball.elements, ball.ranks, ball.rank_masks, ball.below)
+        for old, new in zip(before, after):
+            assert all(a is b for a, b in zip(old, new))
+    ball.grow(table, 3)
+    assert ball == up_ball(x, 7)
+
+
+def test_balls_are_kept_from_the_second_request(monkeypatch):
+    table = rank_table(5)
+    x, other = (2, 1, 3, 4, 5), (1, 3, 2, 4, 5)
+    first = table.ball(x, 2)
+    assert first == up_ball(x, 2)
+    assert (table.kept, table.kept_bytes) == ({}, 0)
+    second = table.ball(x, 2)
+    assert second is not first and second == first
+    assert table.kept == {rank(x): second}
+    # a deeper request grows the kept ball, a shallower one reads it
+    assert table.ball(x, 4) is second and second == up_ball(x, 4)
+    assert table.ball(x, 1) is second and len(second.rank_masks) == 5
+    assert table.kept_bytes == tables._estimate(second)
+    # a ball that does not fit is handed out and dropped, and a kept
+    # ball grown past the budget too
+    monkeypatch.setattr(tables, "KEPT_BYTES", table.kept_bytes)
+    table.ball(other, 3)
+    assert table.ball(other, 3) == up_ball(other, 3)
+    assert table.kept == {rank(x): second}
+    assert table.ball(x, 6) is second and second == up_ball(x, 6)
+    assert (table.kept, table.kept_bytes) == ({}, 0)
