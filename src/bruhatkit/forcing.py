@@ -220,8 +220,7 @@ def _shaped_intervals(shape, bottoms):
             continue
         ball = rank_table(m).ball(x, d)
         rank_masks = ball.rank_masks
-        start = ball.ranks.index(d)
-        for y in range(start, start + rank_masks[d].bit_count()):
+        for y in ball.level(d):
             mask = ball.below[y]
             if (
                 mask.bit_count() == size
@@ -341,27 +340,31 @@ def _level(shape, m: int, jobs: int | None):
     deletion, so every bottom of an orbit has as many tops as the least,
     and the least bottom with a refuted top is the least of its orbit:
     it is the counterexample of the full scan, and the intervals that
-    scan examines are counted per orbit.  Each orbit's images are made
-    once, here, and an orbit whose least bottom has c tops decided adds
-    c for each image up to a bound: the counterexample's bottom, the
-    only member of its own orbit up to it, or, with no counterexample,
-    (m + 1,), above all of S_m.  The fan-out closes at the first range
-    with a refuted top.  ``notes/decisions.md`` has the proof."""
-    orbits = []
+    scan examines are counted per orbit.  An orbit whose least bottom
+    has c tops decided adds c for each image up to a bound: the
+    counterexample's bottom, the only member of its own orbit up to it,
+    or, with no counterexample, (m + 1,), above all of S_m.  The fan-out
+    closes at the first range with a refuted top, and only then is the
+    bound known; so the ranges' counts are kept, and each orbit's images
+    are made once, here, and folded as they are made.
+    ``notes/decisions.md`` has the proof."""
+    ranges = []
     for counts, refuted in posets._fan_out(_forces_range, (shape,), m, jobs):
-        orbits += [(tops, set(perms.symmetry_images(x)))
-                   for x, tops in counts.items()]
+        ranges.append(counts)
         if refuted:
             break
     bound = refuted[0] if refuted else (m + 1,)
-    examined = sum(tops * sum(g <= bound for g in images)
-                   for tops, images in orbits)
+    examined, greatest = 0, None
+    for counts in ranges:
+        for x, tops in counts.items():
+            images = set(perms.symmetry_images(x))
+            examined += tops * sum(g <= bound for g in images)
+            greatest = max(greatest or x, *images)
     if refuted:
         x, y = refuted
         return ((Counterexample(x, y, m), _no_factor_proof(y, shape[0])),
                 examined, None)
-    return None, examined, max((max(images) for _, images in orbits),
-                               default=None)
+    return None, examined, greatest
 
 
 def forces_factor(

@@ -553,7 +553,8 @@ def _scan_intervals(n: int, max_len: int, bottoms):
         ball = up_ball(x, depth)
         counted += len(ball.elements) - 1
         base = code(x)
-        passed = [y for y in range(ball.ranks.index(least), len(ball.elements))
+        passed = [(gap, y) for gap in range(least, depth + 1)
+                  for y in ball.level(gap)
                   if not any(map(operator.eq, base, code(ball.elements[y])))]
         if not passed:
             continue
@@ -561,13 +562,12 @@ def _scan_intervals(n: int, max_len: int, bottoms):
         # into perms.symmetry_images
         fixing = [i for i, image in enumerate(perms.symmetry_images(x))
                   if i and image == x]
-        for y in passed:
+        for gap, y in passed:
             if fixing:
                 w = ball.elements[y]
                 images = perms.symmetry_images(w)
                 if any(images[i] < w for i in fixing):
                     continue
-            gap = ball.ranks[y]
             cert = _certificate(*ball.structure(ball.below[y]))
             certs["intervals", gap].add(cert)
             if x == identity:

@@ -4,16 +4,20 @@ The up-ball of x with depth d holds every z >= x with length(z) -
 length(x) <= d, i.e. everything reached from x by at most d upward
 covers.  Its elements get ids level by level, each level in one-line
 order, and ``below[u]`` is the bitmask of ids z <= u, built by dynamic
-programming over the cover relation in id order.  Every element of an
-interval [x, y] lies on a saturated chain from x, so for y in the ball
-the interval is exactly ``below[y]``; and since ids are rank-major, the
-set bits of any interval mask already run in the interval's (rank,
-one-line) order, with its minimum first.  The covers inside a mask are
-read off the masks too: z is covered by u exactly when z <= u and z lies
-one rank below u.  A ball grows by one level loop, :meth:`Ball.grow`,
-which appends the levels above its top one; since a mask holds only ids
-at or below its own, a ball of depth d is, id for id and mask for mask,
-the first d + 1 levels of any deeper ball of x.
+programming over the cover relation in id order.  Each level is
+recorded once, as ``rank_masks[r]``, the mask of its ids, which run
+together, so :meth:`Ball.level` reads them off as a range.  Every
+element of an interval [x, y] lies on a saturated chain from x, so for
+y in the ball the interval is exactly ``below[y]``; and since ids are
+rank-major, the set bits of any interval mask already run in the
+interval's (rank, one-line) order, with its minimum first.  The covers
+inside a mask are read off the masks too: z is covered by u exactly
+when z <= u and z lies one rank below u, so :meth:`Ball.structure`
+walks a mask one level at a time.  A ball grows by one level loop,
+:meth:`Ball.grow`, which appends the levels above its top one from the
+S_m ranks of that top level, the only ranks a ball keeps; since a mask
+holds only ids at or below its own, a ball of depth d is, id for id and
+mask for mask, the first d + 1 levels of any deeper ball of x.
 
 A ball is built over the lexicographic ranks of S_m, 0..m!-1, whose
 order is one-line order, so sorting a level of ranks sorts it in
@@ -30,16 +34,17 @@ which every cache reset clears; the queries' intervals come from
 Two scans build up-balls, each looping over its own bottoms:
 ``forcing._shaped_intervals`` for ``forces`` and
 ``posets._scan_intervals`` for the atlas.  Each reads the tops of a
-ball from the first id of the least rank it wants on, found by
-``ball.ranks.index``.  The atlas asks for each bottom once per call and
+ball level by level from the least rank it wants, through
+:meth:`Ball.level`.  The atlas asks for each bottom once per call and
 builds each ball afresh with :func:`up_ball`.  A forcing scan runs once
 per ideal shape, so several shapes ask for the balls of the same
 bottoms: it takes them from :meth:`RankTable.ball` and reads only the
 tops of level d, its span.  The table keeps a bottom's ball from the
 bottom's second request on, the deepest asked for, and grows it when a
 deeper one is asked for, so a scan that asks for each bottom once keeps
-nothing.  The kept balls of a table are bounded by an estimate of their
-bytes, 64 per element and the bits of their masks, at most
+nothing; its flags of the bottoms asked for reach only to the largest
+rank asked for.  The kept balls of a table are bounded by an estimate of
+their bytes, 64 per element and the bits of their masks, at most
 :data:`KEPT_BYTES`; a ball that does not fit is handed out and dropped.
 They live and die with their table, so every cache reset clears them.
 
@@ -94,7 +99,7 @@ def rank(w: Perm) -> int:
 def _estimate(ball: Ball) -> int:
     """The bytes a kept ball is taken to hold: 64 per element, and its
     below-masks, whose mask of id u has u + 1 bits."""
-    size = len(ball.order)
+    size = len(ball.elements)
     return size * 64 + size * (size + 1) // 16
 
 
@@ -112,7 +117,7 @@ class RankTable(dict):
         # weights[i] = (m - 1 - i)!, the place value of Lehmer digit i
         self.weights = tuple(math.factorial(m - 1 - i) for i in range(m))
         self.perms: dict[int, Perm] = {}
-        self.asked = bytearray()        # m! flags, one per bottom asked for
+        self.asked = bytearray()        # a flag per rank, to the largest asked
         self.kept: dict[int, Ball] = {}
         self.kept_bytes = 0
 
@@ -130,10 +135,11 @@ class RankTable(dict):
         # a kept ball leaves ``kept`` while it may grow, and is weighed again
         ball = self.kept.pop(bottom, None)
         if ball is None:
-            if not self.asked:
-                self.asked = bytearray(math.factorial(self.m))
-            again = self.asked[bottom]
-            self.asked[bottom] = 1
+            asked = self.asked
+            if bottom >= len(asked):
+                asked += bytes(bottom + 1 - len(asked))
+            again = asked[bottom]
+            asked[bottom] = 1
             ball = _build(self, x, bottom, depth)
             if not again:
                 return ball
@@ -194,75 +200,77 @@ class Ball:
     """An up-ball.  :meth:`grow` only appends levels, so the levels that a
     reader of depth d reads never change once handed out."""
 
-    order: list[int]                    # the rank in S_m of each id
     elements: list[Perm]                # level by level, one-line order
-    ranks: list[int]                    # length(u) - length(x)
-    rank_masks: list[int]               # mask of ids at each rank
     below: list[int]                    # bitmask of {z in the ball : z <= u}
+    rank_masks: list[int]               # mask of ids at each rank
+    top: list[int]                      # the ranks in S_m of the top level
+
+    def level(self, r: int) -> range:
+        """The ids of rank r, the run of set bits of ``rank_masks[r]``."""
+        mask = self.rank_masks[r]
+        end = mask.bit_length()
+        return range(end - mask.bit_count(), end)
 
     def grow(self, table: RankTable, depth: int) -> None:
         """Append the levels above the top one up to ``depth``, each from
         the rows of the level before: an element of the next level gets
         the union of the below-masks of the elements it covers, and its
         own bit."""
-        order, ranks, rank_masks, below = (
-            self.order, self.ranks, self.rank_masks, self.below)
-        size = len(order)
-        start = size - rank_masks[-1].bit_count()
-        level = order[start:]
-        for r in range(len(rank_masks), depth + 1):
+        below, rank_masks, level = self.below, self.rank_masks, self.top
+        for _ in range(len(rank_masks), depth + 1):
             # the rank of each element of the next level, with the union
             # of the below-masks of the elements of this level it covers
             covering: dict[int, int] = {}
             get = covering.get
             rows = map(table.__getitem__, level)
-            for zid, row in enumerate(rows, start):
+            for zid, row in enumerate(rows, len(below) - len(level)):
                 mask = below[zid]
                 for c in row:
                     covering[c] = get(c, 0) | mask
-            start = len(order)
+            start = len(below)
             level = sorted(covering)
             bit = 1 << start
             for c in level:
                 below.append(covering[c] | bit)
                 bit <<= 1
-            order += level
-            ranks += [r] * len(level)
-            rank_masks.append((1 << len(order)) - (1 << start))
-        self.elements += map(table.perms.__getitem__, order[size:])
-
-    def _covered(self, u: int, mask: int) -> int:
-        """The mask of the ids in ``mask`` that u covers: those below u
-        one rank down, since a z <= u of length one less is covered."""
-        if not u:
-            return 0
-        return self.below[u] & mask & self.rank_masks[self.ranks[u] - 1]
+            self.elements += map(table.perms.__getitem__, level)
+            rank_masks.append((1 << len(below)) - (1 << start))
+        self.top = level
 
     def structure(self, mask: int):
         """Relabel the elements of an interval mask to 0..m-1 in id order
         and return (ranks relative to the interval's minimum, cover id
         pairs, unsorted); the minimum is the lowest id, because ids are
-        rank-major.  Certificates do not depend on the order of covers."""
-        elems = list(iter_bits(mask))
-        index = {e: i for i, e in enumerate(elems)}
-        low_rank = self.ranks[elems[0]]
-        rel_ranks = tuple(self.ranks[e] - low_rank for e in elems)
-        covers = []
-        for i, u in enumerate(elems):
-            downs = self._covered(u, mask)
-            while downs:
-                low = downs & -downs
-                covers.append((index[low.bit_length() - 1], i))
-                downs ^= low
-        return rel_ranks, tuple(covers)
+        rank-major.  The mask is read one level at a time: u covers the
+        z <= u of the mask's part one level down.  Certificates do not
+        depend on the order of covers."""
+        below, index = self.below, {}
+        rel_ranks, covers = [], []
+        rest, down = mask, 0
+        for r, level in enumerate(self.rank_masks):
+            if not rest:
+                break
+            part = rest & level
+            rest ^= part
+            if part and not index:
+                low = r
+            for u in iter_bits(part):
+                i = index[u] = len(index)
+                rel_ranks.append(r - low)
+                downs = below[u] & down
+                while downs:
+                    bit = downs & -downs
+                    covers.append((index[bit.bit_length() - 1], i))
+                    downs ^= bit
+            down = part
+        return tuple(rel_ranks), tuple(covers)
 
 
 def _build(table: RankTable, x: Perm, bottom: int, depth: int) -> Ball:
     """The up-ball of x, whose rank is ``bottom``, with the given depth:
     the level loop started at x."""
     table.perms.setdefault(bottom, x)
-    ball = Ball(order=[bottom], elements=[x], ranks=[0], rank_masks=[1],
-                below=[1])
+    ball = Ball(elements=[x], below=[1], rank_masks=[1], top=[bottom])
     ball.grow(table, depth)
     return ball
 

@@ -1,7 +1,9 @@
 import itertools
 import json
+import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -19,7 +21,7 @@ from oracles import (
     position_inversions_oracle,
     symmetries_oracle,
 )
-from whole_group import above, table
+from whole_group import above, ranks, table
 
 
 def P(text):
@@ -230,8 +232,7 @@ def table_scan(w, m):
     gt = table(m)
     up = above(m)
     found = []
-    for xid, x in enumerate(gt.elements):
-        rx = gt.ranks[xid]
+    for xid, (x, rx) in enumerate(zip(gt.elements, ranks(gt))):
         if rx + d >= len(gt.rank_masks):
             continue
         for yid in iter_bits(up[xid] & gt.rank_masks[rx + d]):
@@ -567,6 +568,21 @@ class TestOrbitScan:
         ) == full_scan_verdict(w, m_max)
         assert {pool.max_workers for pool in inline_pool} == {2}
 
+    def test_fold_keeps_no_images(self):
+        # the fold makes each bottom's images as it reaches the bottom:
+        # S_8 has 10,558 orbit-minimum bottoms, each its own top, and a
+        # set of images held for each of them traced 7.8 MB
+        forcing.forces_factor((1,), 7)
+        tracemalloc.start()
+        try:
+            verdict = forcing.forces_factor((1,), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.intervals_examined == sum(
+            math.factorial(m) for m in range(1, 9))
+        assert peak < 4 * 2**20
+
 
 def levels_scanned():
     return forcing._level.cache_info().misses
@@ -691,6 +707,12 @@ class TestKeptBalls:
         assert rank_table(6).kept
         cold_caches()
         assert [verdict(w) for w in reversed(s_4)] == expected[::-1]
+        # the benchmark's order at seed 1 meets the deepest shape first
+        shuffled = list(zip(s_4, expected))
+        random.Random(1).shuffle(shuffled)
+        cold_caches()
+        assert [verdict(w) for w, _ in shuffled] == [
+            want for _, want in shuffled]
         for w, want in zip(s_4, expected):
             cold_caches()
             assert verdict(w) == want

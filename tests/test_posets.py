@@ -28,7 +28,7 @@ from oracles import (
     symmetries_oracle,
     up_ball_oracle,
 )
-from whole_group import above, table
+from whole_group import above, ranks, table
 
 
 def P(text):
@@ -111,8 +111,7 @@ def full_scan_atlas(n, max_len):
         if x != max(perms.symmetry_images(x)):
             continue
         ball = up_ball(x, min(max_len, top - perms.length(x)))
-        for y in range(1, len(ball.elements)):
-            gap = ball.ranks[y]
+        for y, gap in enumerate(ranks(ball)[1:], 1):
             cert = posets._certificate(*ball.structure(ball.below[y]))
             certs["intervals", gap].add(cert)
             if x == identity:
@@ -141,12 +140,13 @@ def every_top_certificates(n, max_len, bottoms):
     count = 0
     for x in bottoms:
         ball = up_ball(x, min(max_len, top - perms.length(x)))
+        gaps = ranks(ball)
         for yid, y in enumerate(ball.elements[1:], 1):
             if not reducible_points(x, y):
                 cert = posets._certificate(*ball.structure(ball.below[yid]))
-                certs["intervals", ball.ranks[yid]].add(cert)
+                certs["intervals", gaps[yid]].add(cert)
                 if x == identity:
-                    certs["ideals", ball.ranks[yid]].add(cert)
+                    certs["ideals", gaps[yid]].add(cert)
             count += 1
     return certs, count
 
@@ -561,15 +561,16 @@ class TestParabolicSplit:
         count = 0
         for x in perms.all_perms(n):
             ball = up_ball(x, top - perms.length(x))
+            gaps = ranks(ball)
             for yid, y in enumerate(ball.elements):
                 points = reducible_points(x, y)
                 assert equal_code_fields(code, x, y) == points, (x, y)
                 if not points:
                     cert = posets._certificate(
                         *ball.structure(ball.below[yid]))
-                    expected["intervals", ball.ranks[yid]].add(cert)
+                    expected["intervals", gaps[yid]].add(cert)
                     if x == identity:
-                        expected["ideals", ball.ranks[yid]].add(cert)
+                        expected["ideals", gaps[yid]].add(cert)
                 count += 1
         assert count == pairs
         assert posets._scan_intervals(n, top, perms.all_perms(n)) == (

@@ -1,12 +1,15 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
-from bruhatkit import tables
+from bruhatkit import forcing, tables
+from bruhatkit.limits import Limits
 from bruhatkit.tables import count_above, rank, rank_table, up_ball
 from oracles import cover_tops_oracle, up_ball_oracle
+from whole_group import ranks
 
 
 def seeded_perms(n, count, seed):
@@ -56,10 +59,11 @@ def test_up_ball_matches_oracle(n, bottoms):
         for depth in range(7):
             # not the oracle's down_adj: covers follow from below and ranks
             ball = up_ball(x, depth)
-            elements, ranks, rank_masks, _, below = up_ball_oracle(x, depth)
+            elements, id_ranks, rank_masks, _, below = up_ball_oracle(
+                x, depth)
             assert tuple(map(tuple, (
-                ball.elements, ball.ranks, ball.rank_masks, ball.below,
-            ))) == (elements, ranks, rank_masks, below)
+                ball.elements, ranks(ball), ball.rank_masks, ball.below,
+            ))) == (elements, id_ranks, rank_masks, below)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -95,10 +99,10 @@ def test_grown_ball_is_the_deeper_ball(x):
     ball = up_ball(x, 0)
     for depth in range(1, 8):
         before = [list(field) for field in (
-            ball.elements, ball.ranks, ball.rank_masks, ball.below)]
+            ball.elements, ball.rank_masks, ball.below)]
         ball.grow(table, depth)
         assert ball == up_ball(x, depth)
-        after = (ball.elements, ball.ranks, ball.rank_masks, ball.below)
+        after = (ball.elements, ball.rank_masks, ball.below)
         for old, new in zip(before, after):
             assert all(a is b for a, b in zip(old, new))
     ball.grow(table, 3)
@@ -126,3 +130,18 @@ def test_balls_are_kept_from_the_second_request(monkeypatch):
     assert table.kept == {rank(x): second}
     assert table.ball(x, 6) is second and second == up_ball(x, 6)
     assert (table.kept, table.kept_bytes) == ({}, 0)
+
+
+def test_asked_flags_reach_the_largest_rank_asked():
+    # the first interval of S_11 has a bottom of rank 0: its one flag,
+    # not one per rank of S_11 (39.9 MB), is all the table asks for
+    tracemalloc.start()
+    try:
+        first = next(forcing.intervals_isomorphic_to(
+            (2, 1), 11, Limits(max_n=11)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (tuple(range(1, 12)), (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10))
+    assert len(rank_table(11).asked) == 1
+    assert peak < 2**20

@@ -3,7 +3,8 @@
 The library reads every interval [x, y] off the up-ball of x.  Tests
 check it against the whole group instead: ``table(n)`` numbers all of
 S_n, and ``above(n)[u]`` is the bitmask of ids z >= u, so the interval
-is ``above(n)[x] & table(n).below[y]``.
+is ``above(n)[x] & table(n).below[y]``.  ``ranks(ball)`` lists the rank
+of each id of a ball.
 """
 
 from __future__ import annotations
@@ -19,6 +20,13 @@ def table(n: int) -> Ball:
     """The identity's up-ball of depth n(n-1)/2: all of S_n, every
     element above the identity."""
     return up_ball(identity(n), n * (n - 1) // 2)
+
+
+def ranks(ball: Ball) -> list[int]:
+    """The rank of each id of ``ball``, length(u) - length(x), read off
+    its level masks."""
+    return [r for r, mask in enumerate(ball.rank_masks)
+            for _ in range(mask.bit_count())]
 
 
 @functools.cache
