@@ -211,14 +211,16 @@ def _shaped_intervals(shape, bottoms):
     which may hand out a deeper ball it keeps for x; its first d + 1
     levels are the ball of depth d, so only level d is read.  The mask
     of [x, y] is compared with the shape by element count, then by rank
-    profile, and what passes by certificate."""
+    profile, and what passes by certificate; the tops that match are
+    decoded from their ranks."""
     d, size, profile, cert = shape
     levels = range(d + 1)
     for x in bottoms:
         m = len(x)
         if perms.length(x) + d > m * (m - 1) // 2:
             continue
-        ball = rank_table(m).ball(x, d)
+        table = rank_table(m)
+        ball = table.ball(x, d)
         rank_masks = ball.rank_masks
         for y in ball.level(d):
             mask = ball.below[y]
@@ -228,7 +230,7 @@ def _shaped_intervals(shape, bottoms):
                         for r in levels)
                 and posets._certificate(*ball.structure(mask)) == cert
             ):
-                yield x, ball.elements[y]
+                yield x, table.perm(ball.lex_ranks[y])
 
 
 def intervals_isomorphic_to(

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from . import perms
 from .bruhat import Interval, _prefix_masks
 from .limits import DEFAULT_LIMITS, Limits
-from .tables import count_above, up_ball
+from .tables import count_above, rank_table, up_ball
 
 Cert = tuple
 
@@ -497,21 +497,25 @@ def _least_gap(n: int) -> int:
 
 
 def _irreducible_code(n: int):
-    """The code of a permutation w of S_n, kept per call and keyed by w:
-    a tuple of 3n - 2 ints, the sets {w(1..i)} and {w^-1(1..i)}, i =
-    1..n-1, as bitmasks, and for each position j the pair (w(j), #{l < j
-    : w(l) > w(j)}) as one int.  A field of code(x) equals the same field
-    of code(y) exactly when [x, y] splits by position or by value at that
-    i, or freezes that j (x(j) = y(j) = v and #{l < j : x(l) > v} = #{l <
-    j : y(l) > v}); so [x, y] is irreducible iff no field is equal."""
-    codes: dict[perms.Perm, tuple[int, ...]] = {}
+    """``code(r)``, the code of the permutation w of S_n whose rank is r
+    (:func:`tables.rank`), kept per call and keyed by r, and w decoded
+    only for a new r: a tuple of 3n - 2 ints, the sets {w(1..i)} and
+    {w^-1(1..i)}, i = 1..n-1, as bitmasks, and for each position j the
+    pair (w(j), #{l < j : w(l) > w(j)}) as one int.  A field of the code
+    of x equals the same field of that of y exactly when [x, y] splits
+    by position or by value at that i, or freezes that j (x(j) = y(j) =
+    v and #{l < j : x(l) > v} = #{l < j : y(l) > v}); so [x, y] is
+    irreducible iff no field is equal."""
+    codes: dict[int, tuple[int, ...]] = {}
+    perm = rank_table(n).perm
 
-    def code(w) -> tuple[int, ...]:
-        found = codes.get(w)
+    def code(r: int) -> tuple[int, ...]:
+        found = codes.get(r)
         if found is None:
+            w = perm(r)
             frozen = (v * n + sum(u > v for u in w[:j])
                       for j, v in enumerate(w))
-            found = codes[w] = (*_prefix_masks(w),
+            found = codes[r] = (*_prefix_masks(w),
                                 *_prefix_masks(perms.inverse(w)), *frozen)
         return found
 
@@ -538,11 +542,12 @@ def _scan_intervals(n: int, max_len: int, bottoms):
     orbit maximum may be fixed by inversion, by conjugation by the
     reversal or by both composed.  The skip follows the screen, which
     most tops fail, and a bottom none of whose tops passes makes no
-    images at all."""
+    images at all; the skip decodes each top it reads from its rank."""
     least = _least_gap(n)
     top = n * (n - 1) // 2
     identity = perms.identity(n)
     code = _irreducible_code(n)
+    perm = rank_table(n).perm
     certs: dict[tuple[str, int], set] = defaultdict(set)
     counted = 0
     for x in bottoms:
@@ -551,11 +556,12 @@ def _scan_intervals(n: int, max_len: int, bottoms):
             counted += count_above(x, depth)
             continue
         ball = up_ball(x, depth)
-        counted += len(ball.elements) - 1
-        base = code(x)
+        lex_ranks = ball.lex_ranks
+        counted += len(lex_ranks) - 1
+        base = code(lex_ranks[0])
         passed = [(gap, y) for gap in range(least, depth + 1)
                   for y in ball.level(gap)
-                  if not any(map(operator.eq, base, code(ball.elements[y])))]
+                  if not any(map(operator.eq, base, code(lex_ranks[y])))]
         if not passed:
             continue
         # the maps of G other than the identity that fix x, as indices
@@ -564,7 +570,7 @@ def _scan_intervals(n: int, max_len: int, bottoms):
                   if i and image == x]
         for gap, y in passed:
             if fixing:
-                w = ball.elements[y]
+                w = perm(lex_ranks[y])
                 images = perms.symmetry_images(w)
                 if any(images[i] < w for i in fixing):
                     continue

@@ -6,18 +6,20 @@ covers.  Its elements get ids level by level, each level in one-line
 order, and ``below[u]`` is the bitmask of ids z <= u, built by dynamic
 programming over the cover relation in id order.  Each level is
 recorded once, as ``rank_masks[r]``, the mask of its ids, which run
-together, so :meth:`Ball.level` reads them off as a range.  Every
-element of an interval [x, y] lies on a saturated chain from x, so for
-y in the ball the interval is exactly ``below[y]``; and since ids are
-rank-major, the set bits of any interval mask already run in the
-interval's (rank, one-line) order, with its minimum first.  The covers
-inside a mask are read off the masks too: z is covered by u exactly
-when z <= u and z lies one rank below u, so :meth:`Ball.structure`
-walks a mask one level at a time.  A ball grows by one level loop,
-:meth:`Ball.grow`, which appends the levels above its top one from the
-S_m ranks of that top level, the only ranks a ball keeps; since a mask
-holds only ids at or below its own, a ball of depth d is, id for id and
-mask for mask, the first d + 1 levels of any deeper ball of x.
+together, so :meth:`Ball.level` reads them off as a range; and
+``lex_ranks[u]``, the S_m rank of id u, is the only name a ball gives
+an element.  Every element of an interval [x, y] lies on a saturated
+chain from x, so for y in the ball the interval is exactly
+``below[y]``; and since ids are rank-major, the set bits of any
+interval mask already run in the interval's (rank, one-line) order,
+with its minimum first.  The covers inside a mask are read off the
+masks too: z is covered by u exactly when z <= u and z lies one rank
+below u, so :meth:`Ball.structure` walks a mask one level at a time.  A
+ball grows by one level loop, :meth:`Ball.grow`, which appends the
+levels above its top one from the S_m ranks of that top level, the last
+run of ``lex_ranks``; since a mask holds only ids at or below its own,
+a ball of depth d is, id for id and mask for mask, the first d + 1
+levels of any deeper ball of x.
 
 A ball is built over the lexicographic ranks of S_m, 0..m!-1, whose
 order is one-line order, so sorting a level of ranks sorts it in
@@ -25,11 +27,13 @@ one-line order.  The covers come from a per-m :class:`RankTable`, a
 dict from rank to row read one way, ``table[r]``: the row of rank r
 holds the ranks of the elements covering r, computed by the
 transposition rule on ranks (see :meth:`RankTable.__missing__`) the
-first time it is read.  The table keeps the permutation of every rank
-it has met next to the rows, so a ball's elements are looked up, not
-decoded.  The tables sit in a bounded module-level cache, one per m,
-which every cache reset clears; the queries' intervals come from
-:mod:`bruhatkit.bruhat`, on tuples and with no state between calls.
+first time it is read.  A rank is its permutation's Lehmer code read in
+factorial base, so the table keeps no permutations: a row decodes its
+own rank (:meth:`RankTable.perm`), and so does a reader that needs the
+permutation of a top it has picked.  The tables sit in a bounded
+module-level cache, one per m, which every cache reset clears; the
+queries' intervals come from :mod:`bruhatkit.bruhat`, on tuples and
+with no state between calls.
 
 Two scans build up-balls, each looping over its own bottoms:
 ``forcing._shaped_intervals`` for ``forces`` and
@@ -99,15 +103,14 @@ def rank(w: Perm) -> int:
 def _estimate(ball: Ball) -> int:
     """The bytes a kept ball is taken to hold: 64 per element, and its
     below-masks, whose mask of id u has u + 1 bits."""
-    size = len(ball.elements)
+    size = len(ball.lex_ranks)
     return size * 64 + size * (size + 1) // 16
 
 
 class RankTable(dict):
     """The covers of S_m by lexicographic rank: ``table[r]`` is the row
-    of rank r, filled the first time it is read.  ``perms`` holds the
-    permutation of every rank met so far: each ball's bottom, and the
-    covers of every row filled.  ``kept`` holds the balls that
+    of rank r, filled the first time it is read, and :meth:`perm`
+    decodes a rank to its permutation.  ``kept`` holds the balls that
     :meth:`ball` keeps, by the rank of their bottom, and ``kept_bytes``
     the sum of their estimates."""
 
@@ -116,7 +119,6 @@ class RankTable(dict):
         self.m = m
         # weights[i] = (m - 1 - i)!, the place value of Lehmer digit i
         self.weights = tuple(math.factorial(m - 1 - i) for i in range(m))
-        self.perms: dict[int, Perm] = {}
         self.asked = bytearray()        # a flag per rank, to the largest asked
         self.kept: dict[int, Ball] = {}
         self.kept_bytes = 0
@@ -140,7 +142,7 @@ class RankTable(dict):
                 asked += bytes(bottom + 1 - len(asked))
             again = asked[bottom]
             asked[bottom] = 1
-            ball = _build(self, x, bottom, depth)
+            ball = _build(self, bottom, depth)
             if not again:
                 return ball
         else:
@@ -153,8 +155,21 @@ class RankTable(dict):
             self.kept_bytes += size
         return ball
 
+    def perm(self, r: int) -> Perm:
+        """The permutation of rank r, the inverse of :func:`rank`: the
+        Lehmer digit of position i is the quotient of r by (m-1-i)!, the
+        rest going on to the next position, and it picks the entry of
+        position i among the values not yet placed, counted from the
+        least."""
+        left = list(range(1, self.m + 1))
+        out = []
+        for weight in self.weights:
+            digit, r = divmod(r, weight)
+            out.append(left.pop(digit))
+        return tuple(out)
+
     def __missing__(self, r: int) -> tuple[int, ...]:
-        """Fill and return the row of rank r, whose permutation is met.
+        """Fill and return the row of rank r, from its permutation.
 
         Swapping the entries a = w(i) < b = w(j) at positions i < j is a
         cover iff no position between holds a value between them
@@ -165,8 +180,8 @@ class RankTable(dict):
         mask of the values at the positions past j, c is the popcount of
         its bits a + 1 .. b - 1.
         """
-        w = self.perms[r]
-        m, weights, met = self.m, self.weights, self.perms
+        w = self.perm(r)
+        m, weights = self.m, self.weights
         after = [0] * m
         for j in range(m - 1, 0, -1):
             after[j - 1] = after[j] | 1 << w[j]
@@ -179,10 +194,7 @@ class RankTable(dict):
                 if a < b < hi:
                     hi = b
                     c = (after[j] & ((1 << b) - (2 << a))).bit_count()
-                    top = r + (1 + c) * weights[i] - c * weights[j]
-                    if top not in met:
-                        met[top] = w[:i] + (b,) + w[i + 1:j] + (a,) + w[j + 1:]
-                    out.append(top)
+                    out.append(r + (1 + c) * weights[i] - c * weights[j])
         row = self[r] = tuple(out)
         return row
 
@@ -200,10 +212,9 @@ class Ball:
     """An up-ball.  :meth:`grow` only appends levels, so the levels that a
     reader of depth d reads never change once handed out."""
 
-    elements: list[Perm]                # level by level, one-line order
+    lex_ranks: list[int]                # S_m rank of each id, level by level
     below: list[int]                    # bitmask of {z in the ball : z <= u}
     rank_masks: list[int]               # mask of ids at each rank
-    top: list[int]                      # the ranks in S_m of the top level
 
     def level(self, r: int) -> range:
         """The ids of rank r, the run of set bits of ``rank_masks[r]``."""
@@ -216,14 +227,18 @@ class Ball:
         the rows of the level before: an element of the next level gets
         the union of the below-masks of the elements it covers, and its
         own bit."""
-        below, rank_masks, level = self.below, self.rank_masks, self.top
+        lex_ranks, below, rank_masks = (
+            self.lex_ranks, self.below, self.rank_masks)
+        # the first id of the top level, whose ids are the last; a level
+        # past the top of S_m is empty
+        start = len(below) - rank_masks[-1].bit_count()
         for _ in range(len(rank_masks), depth + 1):
             # the rank of each element of the next level, with the union
             # of the below-masks of the elements of this level it covers
             covering: dict[int, int] = {}
             get = covering.get
-            rows = map(table.__getitem__, level)
-            for zid, row in enumerate(rows, len(below) - len(level)):
+            rows = map(table.__getitem__, lex_ranks[start:])
+            for zid, row in enumerate(rows, start):
                 mask = below[zid]
                 for c in row:
                     covering[c] = get(c, 0) | mask
@@ -233,9 +248,8 @@ class Ball:
             for c in level:
                 below.append(covering[c] | bit)
                 bit <<= 1
-            self.elements += map(table.perms.__getitem__, level)
+            lex_ranks += level
             rank_masks.append((1 << len(below)) - (1 << start))
-        self.top = level
 
     def structure(self, mask: int):
         """Relabel the elements of an interval mask to 0..m-1 in id order
@@ -266,11 +280,10 @@ class Ball:
         return tuple(rel_ranks), tuple(covers)
 
 
-def _build(table: RankTable, x: Perm, bottom: int, depth: int) -> Ball:
-    """The up-ball of x, whose rank is ``bottom``, with the given depth:
-    the level loop started at x."""
-    table.perms.setdefault(bottom, x)
-    ball = Ball(elements=[x], below=[1], rank_masks=[1], top=[bottom])
+def _build(table: RankTable, bottom: int, depth: int) -> Ball:
+    """The up-ball of the permutation of rank ``bottom`` with the given
+    depth: the level loop started at it."""
+    ball = Ball(lex_ranks=[bottom], below=[1], rank_masks=[1])
     ball.grow(table, depth)
     return ball
 
@@ -278,7 +291,7 @@ def _build(table: RankTable, x: Perm, bottom: int, depth: int) -> Ball:
 def up_ball(x: Perm, depth: int) -> Ball:
     """The up-ball of x with the given depth (see the module docstring),
     built afresh."""
-    return _build(rank_table(len(x)), x, rank(x), depth)
+    return _build(rank_table(len(x)), rank(x), depth)
 
 
 def count_above(x: Perm, depth: int) -> int:
@@ -288,9 +301,7 @@ def count_above(x: Perm, depth: int) -> int:
     if depth <= 0:
         return 0
     table = rank_table(len(x))
-    bottom = rank(x)
-    table.perms.setdefault(bottom, x)
-    level = set(table[bottom])
+    level = set(table[rank(x)])
     count = len(level)
     for _ in range(depth - 1):
         level = set().union(*map(table.__getitem__, level))

@@ -21,7 +21,7 @@ from bruhatkit.tables import iter_bits
 from oracles import backtracking_isomorphic, brute_force_reduced_words, \
     exhaustive_factor_scan, is_shifted_longest_word, subword_oracle_leq, \
     reduced_subword_closure
-from whole_group import ranks, table
+from whole_group import elements, ranks, table
 
 
 def P(text):
@@ -308,11 +308,12 @@ def _check_coatom_positions_exhaustive_s5():
     # read off the masks of the whole-group table
     gt = table(5)
     gaps = ranks(gt)
-    for yid, y in enumerate(gt.elements[1:], 1):
+    group = elements(gt, 5)
+    for yid, y in enumerate(group[1:], 1):
         below_y = gt.below[yid] & gt.rank_masks[gaps[yid] - 1]
         for xid in iter_bits(gt.below[yid] ^ 1 << yid):
-            x = gt.elements[xid]
-            tops = [gt.elements[w] for w in iter_bits(below_y)
+            x = group[xid]
+            tops = [group[w] for w in iter_bits(below_y)
                     if gt.below[w] >> xid & 1]
             assert tops
             for i in range(5):

@@ -21,7 +21,7 @@ from oracles import (
     position_inversions_oracle,
     symmetries_oracle,
 )
-from whole_group import above, ranks, table
+from whole_group import above, elements, ranks, table
 
 
 def P(text):
@@ -213,13 +213,17 @@ class TestRaisedGroupSize:
         assert len(least) < 30
         got = forcing._forces_range(shape, least)
         assert got == ({x: len(cover_tops_oracle(x)) for x in least}, None)
-        # the S_9 rank table holds the rows of those bottoms alone, and
-        # the permutations of those and of their covers
+        # the S_9 rank table holds the rows of those bottoms and nothing
+        # else: no permutation, and no kept ball, each bottom being asked
+        # for once
         table = rank_table(9)
-        assert len(table) == len(least)
-        assert len(table.perms) == len(
-            {p for x in least for p in [x, *cover_tops_oracle(x)]}
-        )
+        assert set(table) == {tables.rank(x) for x in least}
+        assert all(sorted(table[tables.rank(x)])
+                   == sorted(map(tables.rank, cover_tops_oracle(x)))
+                   for x in least)
+        assert (table.kept, table.kept_bytes) == ({}, 0)
+        assert set(vars(table)) == {
+            "m", "weights", "asked", "kept", "kept_bytes"}
 
 
 def table_scan(w, m):
@@ -231,8 +235,9 @@ def table_scan(w, m):
     d = perms.length(w)
     gt = table(m)
     up = above(m)
+    group = elements(gt, m)
     found = []
-    for xid, (x, rx) in enumerate(zip(gt.elements, ranks(gt))):
+    for xid, (x, rx) in enumerate(zip(group, ranks(gt))):
         if rx + d >= len(gt.rank_masks):
             continue
         for yid in iter_bits(up[xid] & gt.rank_masks[rx + d]):
@@ -240,7 +245,7 @@ def table_scan(w, m):
             if mask.bit_count() != target.size:
                 continue
             if posets._certificate(*gt.structure(mask)) == cert:
-                found.append((x, gt.elements[yid]))
+                found.append((x, group[yid]))
     return sorted(found)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from bruhatkit import bruhat, perms, posets
 from bruhatkit.limits import DEFAULT_LIMITS, CapExceeded, Limits
-from bruhatkit.tables import iter_bits, up_ball
+from bruhatkit.tables import iter_bits, rank, up_ball
 
 from oracles import (
     backtracking_isomorphic,
@@ -28,7 +28,7 @@ from oracles import (
     symmetries_oracle,
     up_ball_oracle,
 )
-from whole_group import above, ranks, table
+from whole_group import above, elements, ranks, table
 
 
 def P(text):
@@ -76,7 +76,7 @@ def atlas_shapes(n, max_len):
         if x != max(perms.symmetry_images(x)):
             continue
         ball = up_ball(x, min(max_len, top - perms.length(x)))
-        for y in range(1, len(ball.elements)):
+        for y in range(1, len(ball.lex_ranks)):
             shapes.add(ball.structure(ball.below[y]))
     return shapes
 
@@ -141,7 +141,7 @@ def every_top_certificates(n, max_len, bottoms):
     for x in bottoms:
         ball = up_ball(x, min(max_len, top - perms.length(x)))
         gaps = ranks(ball)
-        for yid, y in enumerate(ball.elements[1:], 1):
+        for yid, y in enumerate(elements(ball, n)[1:], 1):
             if not reducible_points(x, y):
                 cert = posets._certificate(*ball.structure(ball.below[yid]))
                 certs["intervals", gaps[yid]].add(cert)
@@ -186,15 +186,16 @@ def split_points(x, y):
 
 
 def equal_code_fields(code, x, y):
-    """The fields at which ``code(x)`` and ``code(y)`` agree, named as
-    the oracles name a split or a frozen point: ("position", i) and
-    ("value", i) for 0 < i < n, then ("frozen", j) for each position
-    j."""
+    """The fields at which the codes of x and y, ``code(rank(x))`` and
+    ``code(rank(y))``, agree, named as the oracles name a split or a
+    frozen point: ("position", i) and ("value", i) for 0 < i < n, then
+    ("frozen", j) for each position j."""
     n = len(x)
     names = ([(kind, i) for kind in ("position", "value")
               for i in range(1, n)]
              + [("frozen", j) for j in range(1, n + 1)])
-    return [name for name, a, b in zip(names, code(x), code(y)) if a == b]
+    codes = zip(code(rank(x)), code(rank(y)))
+    return [name for name, (a, b) in zip(names, codes) if a == b]
 
 
 def reducible_points(x, y):
@@ -562,7 +563,7 @@ class TestParabolicSplit:
         for x in perms.all_perms(n):
             ball = up_ball(x, top - perms.length(x))
             gaps = ranks(ball)
-            for yid, y in enumerate(ball.elements):
+            for yid, y in enumerate(elements(ball, n)):
                 points = reducible_points(x, y)
                 assert equal_code_fields(code, x, y) == points, (x, y)
                 if not points:
@@ -780,7 +781,7 @@ class TestFrozenPoint:
         passed = 0
         for x in bottoms:
             ball = up_ball(x, 15 - perms.length(x))
-            for y in ball.elements:
+            for y in elements(ball, 6):
                 points = reducible_points(x, y)
                 assert equal_code_fields(code, x, y) == points, (x, y)
                 passed += not points
@@ -862,7 +863,7 @@ class TestStabilizerSkip:
 
         monkeypatch.setattr(posets, "_certificate", record)
         identity = perms.identity(5)
-        irreducible = [y for y in up_ball(identity, 5).elements[1:]
+        irreducible = [y for y in elements(up_ball(identity, 5), 5)[1:]
                        if not reducible_points(identity, y)]
         least = [y for y in irreducible if y == min(y, *symmetries_oracle(y))]
         posets._scan_intervals(5, 5, [identity])
@@ -898,27 +899,29 @@ class TestIntervalStructure:
 
         gt = table(n)
         up = above(n)
+        group = elements(gt, n)
         pairs = 0
-        for xid, x in enumerate(gt.elements):
+        for xid, x in enumerate(group):
             for yid in iter_bits(up[xid]):
                 struct = gt.structure(up[xid] & gt.below[yid])
                 shape = posets.poset_from_interval(
-                    bruhat.interval(x, gt.elements[yid])
+                    bruhat.interval(x, group[yid])
                 )
                 assert same(struct, shape)
                 pairs += 1
         assert pairs == {4: 213, 5: 3781}[n]
         tops = 0
-        for x in gt.elements:
+        for x in group:
             ball = up_ball(x, 3)
+            above_x = elements(ball, n)
             for yid in iter_bits(ball.rank_masks[3]):
                 shape = posets.poset_from_interval(
-                    bruhat.interval(x, ball.elements[yid])
+                    bruhat.interval(x, above_x[yid])
                 )
                 assert same(ball.structure(ball.below[yid]), shape)
                 tops += 1
         assert tops == sum(
-            1 for x in gt.elements for y in gt.elements
+            1 for x in group for y in group
             if perms.length(y) - perms.length(x) == 3
             and bruhat.bruhat_leq(x, y)
         )

@@ -9,7 +9,7 @@ from bruhatkit import forcing, tables
 from bruhatkit.limits import Limits
 from bruhatkit.tables import count_above, rank, rank_table, up_ball
 from oracles import cover_tops_oracle, up_ball_oracle
-from whole_group import ranks
+from whole_group import elements, ranks
 
 
 def seeded_perms(n, count, seed):
@@ -23,6 +23,26 @@ def test_rank_is_the_lexicographic_index(n):
     # one-line order is rank order, and the ranks are 0..n!-1
     ranks = [rank(w) for w in itertools.permutations(range(1, n + 1))]
     assert ranks == list(range(math.factorial(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_perm_decodes_every_rank(n):
+    # the decoder inverts rank on all of S_n: rank r is the r-th
+    # permutation in one-line order
+    table = rank_table(n)
+    group = list(itertools.permutations(range(1, n + 1)))
+    assert [table.perm(r) for r in range(len(group))] == group
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_perm_inverts_rank_on_seeded_ranks(n):
+    table = rank_table(n)
+    rng = random.Random(800 + n)
+    for r in [0, math.factorial(n) - 1,
+              *(rng.randrange(math.factorial(n)) for _ in range(200))]:
+        assert rank(table.perm(r)) == r
+    for w in seeded_perms(n, 200, 900 + n):
+        assert table.perm(rank(w)) == w
 
 
 @pytest.mark.parametrize("n,bottoms", [
@@ -45,7 +65,7 @@ def test_rows_match_cover_oracle(n, bottoms):
         row = table.get(rank(x))
         tops = cover_tops_oracle(x)
         assert sorted(row) == sorted(rank(y) for y in tops)
-        assert sorted(table.perms[r] for r in row) == sorted(tops)
+        assert sorted(map(table.perm, row)) == sorted(tops)
 
 
 @pytest.mark.parametrize("n,bottoms", [
@@ -59,11 +79,11 @@ def test_up_ball_matches_oracle(n, bottoms):
         for depth in range(7):
             # not the oracle's down_adj: covers follow from below and ranks
             ball = up_ball(x, depth)
-            elements, id_ranks, rank_masks, _, below = up_ball_oracle(
-                x, depth)
+            oracle_elements, id_ranks, rank_masks, _, below = (
+                up_ball_oracle(x, depth))
             assert tuple(map(tuple, (
-                ball.elements, ranks(ball), ball.rank_masks, ball.below,
-            ))) == (elements, id_ranks, rank_masks, below)
+                elements(ball, n), ranks(ball), ball.rank_masks, ball.below,
+            ))) == (oracle_elements, id_ranks, rank_masks, below)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -77,7 +97,7 @@ def test_count_above_matches_oracle(n):
         for depth in range(top - length + 1):
             count = count_above(x, depth)
             assert count == len(up_ball_oracle(x, depth)[0]) - 1, (x, depth)
-            assert count == len(up_ball(x, depth).elements) - 1, (x, depth)
+            assert count == len(up_ball(x, depth).lex_ranks) - 1, (x, depth)
 
 
 def test_tables_are_one_bounded_cache_per_size():
@@ -99,10 +119,10 @@ def test_grown_ball_is_the_deeper_ball(x):
     ball = up_ball(x, 0)
     for depth in range(1, 8):
         before = [list(field) for field in (
-            ball.elements, ball.rank_masks, ball.below)]
+            ball.lex_ranks, ball.rank_masks, ball.below)]
         ball.grow(table, depth)
         assert ball == up_ball(x, depth)
-        after = (ball.elements, ball.rank_masks, ball.below)
+        after = (ball.lex_ranks, ball.rank_masks, ball.below)
         for old, new in zip(before, after):
             assert all(a is b for a, b in zip(old, new))
     ball.grow(table, 3)

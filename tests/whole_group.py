@@ -4,15 +4,16 @@ The library reads every interval [x, y] off the up-ball of x.  Tests
 check it against the whole group instead: ``table(n)`` numbers all of
 S_n, and ``above(n)[u]`` is the bitmask of ids z >= u, so the interval
 is ``above(n)[x] & table(n).below[y]``.  ``ranks(ball)`` lists the rank
-of each id of a ball.
+of each id of a ball, and ``elements(ball, m)`` the permutation of each
+id of a ball of S_m, decoded through the rank table.
 """
 
 from __future__ import annotations
 
 import functools
 
-from bruhatkit.perms import identity
-from bruhatkit.tables import Ball, up_ball
+from bruhatkit.perms import Perm, identity
+from bruhatkit.tables import Ball, rank_table, up_ball
 
 
 @functools.cache
@@ -29,6 +30,12 @@ def ranks(ball: Ball) -> list[int]:
             for _ in range(mask.bit_count())]
 
 
+def elements(ball: Ball, m: int) -> list[Perm]:
+    """The permutation of each id of ``ball``, a ball of S_m, decoded
+    from its S_m rank."""
+    return list(map(rank_table(m).perm, ball.lex_ranks))
+
+
 @functools.cache
 def above(n: int) -> tuple[int, ...]:
     """Up-set masks of the whole-group table of S_n, by one reverse pass
@@ -37,8 +44,8 @@ def above(n: int) -> tuple[int, ...]:
     covers.  The covers are those of the relabel of the full mask, whose
     ids are the table's own."""
     gt = table(n)
-    masks = [1 << u for u in range(len(gt.elements))]
-    _, covers = gt.structure((1 << len(gt.elements)) - 1)
+    masks = [1 << u for u in range(len(gt.lex_ranks))]
+    _, covers = gt.structure((1 << len(gt.lex_ranks)) - 1)
     for v, u in sorted(covers, key=lambda cover: cover[1], reverse=True):
         masks[v] |= masks[u]
     return tuple(masks)
