@@ -35,7 +35,6 @@ count and the certificate are those of the scan of every bottom, which
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -67,25 +66,16 @@ class FactorCertificate:
         }
 
 
-@functools.cache
-def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
-    """``bits[a][b] == bits[b][a]``: the mask bit of the 0-based position
-    pair {a, b}, one bit for each of the n(n-1)/2 pairs."""
-    bits = [[0] * n for _ in range(n)]
-    for k, (a, b) in enumerate(itertools.combinations(range(n), 2)):
-        bits[a][b] = bits[b][a] = 1 << k
-    return tuple(map(tuple, bits))
-
-
 def _mask_and_positions(w: Perm) -> tuple[int, list[int]]:
     """The position-inversion mask of w and its position array (entry k
     the 0-based position of the value k + 1).
 
-    The bits of the pairs {a, b}, b > a, run together from bit a(2n - a
-    - 1)/2 on (:func:`_pair_bits`), and the pair is an inversion when
-    w(b) < w(a).  So the walk takes the values in ascending order, keeps
-    the mask of the positions of the smaller ones, and shifts its bits
-    past the position a of each value into a's block.
+    The mask has one bit for each 0-based position pair {a, b}, b > a,
+    bit a(2n - a - 1)/2 + b - a - 1, so the bits of the pairs that start
+    at a run together, and the pair is an inversion when w(b) < w(a).
+    So the walk takes the values in ascending order, keeps the mask of
+    the positions of the smaller ones, and shifts its bits past the
+    position a of each value into a's block.
     """
     n = len(w)
     pos = [0] * n
@@ -106,14 +96,16 @@ def _deletion_hits(x: Perm, y: Perm) -> Iterator[Sequence[int]]:
     when i is a left descent of both v and z, so it stays on common
     prefixes and reaches them all, since they form a lower set.  A step
     swaps the positions of the values i and i + 1 in v and in z, and
-    clears the one position inversion that swap undoes in each mask.
+    clears the one position inversion that swap undoes in each mask, the
+    bit of its position pair in the layout of
+    :func:`_mask_and_positions`.
     v <=_L z is containment of position-inversion sets, the test
     ``mask_v & ~mask_z == 0``.  No length is computed: on a common prefix
     length(z) - length(v) is the gap already.  The visited set holds the
     masks of v, each of which fixes v and so u = x v^-1.  Arrays are
     read-only once yielded.
     """
-    bits = _pair_bits(len(x))
+    width = 2 * len(x) - 1
     mask_v, pos_v = _mask_and_positions(x)
     mask_z, pos_z = _mask_and_positions(y)
     seen = {mask_v}
@@ -127,7 +119,7 @@ def _deletion_hits(x: Perm, y: Perm) -> Iterator[Sequence[int]]:
             a, b = pos_v[k], pos_v[k + 1]
             c, d = pos_z[k], pos_z[k + 1]
             if a > b and c > d:
-                step_mask = mask_v ^ bits[a][b]
+                step_mask = mask_v ^ (1 << (b * (width - b) >> 1) + a - b - 1)
                 if step_mask in seen:
                     continue
                 seen.add(step_mask)
@@ -135,7 +127,8 @@ def _deletion_hits(x: Perm, y: Perm) -> Iterator[Sequence[int]]:
                 step_v[k], step_v[k + 1] = b, a
                 step_z = list(pos_z)
                 step_z[k], step_z[k + 1] = d, c
-                stack.append((step_mask, mask_z ^ bits[c][d], step_v, step_z))
+                flip_z = 1 << (d * (width - d) >> 1) + c - d - 1
+                stack.append((step_mask, mask_z ^ flip_z, step_v, step_z))
 
 
 def _factorizations(x: Perm, y: Perm) -> Iterator[tuple[Perm, Perm, Perm]]:
@@ -237,13 +230,15 @@ def intervals_isomorphic_to(
     w: Perm, m: int, limits: Limits = DEFAULT_LIMITS
 ) -> Iterator[tuple[Perm, Perm]]:
     """Every interval [x, y] in S_m isomorphic to the ideal of w, each
-    exactly once, ordered by (x, y) in one-line order.  m is held to
-    ``limits`` at the call, before the scan starts.
+    exactly once, ordered by (x, y) in one-line order.  The sizes of w
+    and m are held to ``limits`` at the call, before the ideal of w is
+    built and the scan starts.
 
     The walk is :func:`_shaped_intervals` at rank gap d = length(w): the
     tops y are the top level of the up-ball of x with depth d, kept when
     [x, y] has the ideal's element count, rank profile and certificate.
     """
+    perms.check_group_size(len(w), limits)
     bottoms = perms.all_perms(m, limits)
     return _shaped_intervals(_ideal_fingerprint(w), bottoms)
 

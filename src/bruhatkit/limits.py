@@ -28,7 +28,8 @@ class Limits:
     max_n:
         Largest permitted symmetric group S_n.  Checked where input
         enters: ``perms.make_perm``/``parse_perm``, ``perms.all_perms``,
-        ``forcing.forces_factor``, ``intervals_isomorphic_to`` and
+        ``forcing.forces_factor``, ``intervals_isomorphic_to`` (on both
+        w and m, before the ideal of w is built) and
         ``factor_deletion``, ``posets.atlas``, the ambient group of
         ``structure.nonforcing_witness`` and ``eval --n``.
     max_word_length:

@@ -497,26 +497,26 @@ def _least_gap(n: int) -> int:
 
 
 def _irreducible_code(n: int):
-    """``code(r)``, the code of the permutation w of S_n whose rank is r
-    (:func:`tables.rank`), kept per call and keyed by r, and w decoded
-    only for a new r: a tuple of 3n - 2 ints, the sets {w(1..i)} and
-    {w^-1(1..i)}, i = 1..n-1, as bitmasks, and for each position j the
-    pair (w(j), #{l < j : w(l) > w(j)}) as one int.  A field of the code
-    of x equals the same field of that of y exactly when [x, y] splits
-    by position or by value at that i, or freezes that j (x(j) = y(j) =
-    v and #{l < j : x(l) > v} = #{l < j : y(l) > v}); so [x, y] is
-    irreducible iff no field is equal."""
-    codes: dict[int, tuple[int, ...]] = {}
+    """``code(r)``, the pair of the permutation w of S_n whose rank is r
+    (:func:`tables.rank`) and its code, kept per call and keyed by r, so
+    w is decoded once, for a new r.  The code is a tuple of 3n - 2 ints,
+    the sets {w(1..i)} and {w^-1(1..i)}, i = 1..n-1, as bitmasks, and
+    for each position j the pair (w(j), #{l < j : w(l) > w(j)}) as one
+    int.  A field of the code of x equals the same field of that of y
+    exactly when [x, y] splits by position or by value at that i, or
+    freezes that j (x(j) = y(j) = v and #{l < j : x(l) > v} = #{l < j :
+    y(l) > v}); so [x, y] is irreducible iff no field is equal."""
+    codes: dict[int, tuple[perms.Perm, tuple[int, ...]]] = {}
     perm = rank_table(n).perm
 
-    def code(r: int) -> tuple[int, ...]:
+    def code(r: int) -> tuple[perms.Perm, tuple[int, ...]]:
         found = codes.get(r)
         if found is None:
             w = perm(r)
             frozen = (v * n + sum(u > v for u in w[:j])
                       for j, v in enumerate(w))
-            found = codes[r] = (*_prefix_masks(w),
-                                *_prefix_masks(perms.inverse(w)), *frozen)
+            found = codes[r] = w, (*_prefix_masks(w),
+                                   *_prefix_masks(perms.inverse(w)), *frozen)
         return found
 
     return code
@@ -538,16 +538,15 @@ def _scan_intervals(n: int, max_len: int, bottoms):
     Bruhat order that keeps lengths and the code's verdict, so [x, g(y)]
     is irreducible and isomorphic to [x, y], and the least top of each
     orbit of those maps adds the certificate that the others would
-    (``notes/decisions.md``).  All three maps fix the identity; an
-    orbit maximum may be fixed by inversion, by conjugation by the
-    reversal or by both composed.  The skip follows the screen, which
-    most tops fail, and a bottom none of whose tops passes makes no
-    images at all; the skip decodes each top it reads from its rank."""
+    (``notes/decisions.md``).  All three maps fix the identity, the
+    bottom of rank 0; an orbit maximum may be fixed by inversion, by
+    conjugation by the reversal or by both composed.  The skip follows
+    the screen, which most tops fail, and a bottom none of whose tops
+    passes makes no images at all; the skip reads each top's
+    permutation off the screen's code, which decoded it."""
     least = _least_gap(n)
     top = n * (n - 1) // 2
-    identity = perms.identity(n)
     code = _irreducible_code(n)
-    perm = rank_table(n).perm
     certs: dict[tuple[str, int], set] = defaultdict(set)
     counted = 0
     for x in bottoms:
@@ -558,10 +557,10 @@ def _scan_intervals(n: int, max_len: int, bottoms):
         ball = up_ball(x, depth)
         lex_ranks = ball.lex_ranks
         counted += len(lex_ranks) - 1
-        base = code(lex_ranks[0])
+        _, base = code(lex_ranks[0])
         passed = [(gap, y) for gap in range(least, depth + 1)
                   for y in ball.level(gap)
-                  if not any(map(operator.eq, base, code(lex_ranks[y])))]
+                  if not any(map(operator.eq, base, code(lex_ranks[y])[1]))]
         if not passed:
             continue
         # the maps of G other than the identity that fix x, as indices
@@ -570,13 +569,13 @@ def _scan_intervals(n: int, max_len: int, bottoms):
                   if i and image == x]
         for gap, y in passed:
             if fixing:
-                w = perm(lex_ranks[y])
+                w, _ = code(lex_ranks[y])
                 images = perms.symmetry_images(w)
                 if any(images[i] < w for i in fixing):
                     continue
             cert = _certificate(*ball.structure(ball.below[y]))
             certs["intervals", gap].add(cert)
-            if x == identity:
+            if lex_ranks[0] == 0:
                 certs["ideals", gap].add(cert)
     return certs, counted
 

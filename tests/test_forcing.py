@@ -199,6 +199,27 @@ class TestRaisedGroupSize:
         hit = next(forcing._deletion_hits(x9, y9), None)
         assert (hit is not None) == deletion_oracle(x, y)
 
+    def test_intervals_of_an_s9_ideal_over_the_cap(self, monkeypatch):
+        # w is held to the cap at the call, before its ideal is built,
+        # even where m is within it; with the cap raised, the covers of
+        # S_3 are the intervals shaped like the ideal of s_1
+        built = []
+        ideal = bruhat.ideal
+
+        def record(w):
+            built.append(w)
+            return ideal(w)
+
+        monkeypatch.setattr(bruhat, "ideal", record)
+        w = perms.embed(P("21"), 9)
+        with pytest.raises(CapExceeded, match="max_n=8"):
+            forcing.intervals_isomorphic_to(w, 3)
+        assert built == []
+        got = list(forcing.intervals_isomorphic_to(w, 3, Limits(max_n=9)))
+        assert built == [w]
+        assert got == [(x, y) for x in perms.all_perms(3)
+                       for y in sorted(cover_tops_oracle(x))]
+
     def test_forces_worker_in_s9(self):
         # the cap is checked where input enters, in forces_factor; the
         # worker takes the group size it is given

@@ -4,12 +4,13 @@ import math
 import multiprocessing
 import os
 import random
+import sys
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
-from bruhatkit import bruhat, perms, posets
+from bruhatkit import bruhat, perms, posets, tables
 from bruhatkit.limits import DEFAULT_LIMITS, CapExceeded, Limits
 from bruhatkit.tables import iter_bits, rank, up_ball
 
@@ -186,15 +187,17 @@ def split_points(x, y):
 
 
 def equal_code_fields(code, x, y):
-    """The fields at which the codes of x and y, ``code(rank(x))`` and
-    ``code(rank(y))``, agree, named as the oracles name a split or a
-    frozen point: ("position", i) and ("value", i) for 0 < i < n, then
-    ("frozen", j) for each position j."""
+    """The fields at which the codes of x and y agree, named as the
+    oracles name a split or a frozen point: ("position", i) and
+    ("value", i) for 0 < i < n, then ("frozen", j) for each position j.
+    ``code(rank(x))`` is the pair of x and its code."""
     n = len(x)
     names = ([(kind, i) for kind in ("position", "value")
               for i in range(1, n)]
              + [("frozen", j) for j in range(1, n + 1)])
-    codes = zip(code(rank(x)), code(rank(y)))
+    (x_perm, x_code), (y_perm, y_code) = code(rank(x)), code(rank(y))
+    assert (x_perm, y_perm) == (x, y)
+    codes = zip(x_code, y_code)
     return [name for name, (a, b) in zip(names, codes) if a == b]
 
 
@@ -868,6 +871,24 @@ class TestStabilizerSkip:
         least = [y for y in irreducible if y == min(y, *symmetries_oracle(y))]
         posets._scan_intervals(5, 5, [identity])
         assert len(lookups) == len(least) < len(irreducible)
+
+    @pytest.mark.parametrize("n,max_len", [(6, 6), (7, 5)])
+    def test_one_atlas_call_decodes_each_rank_once(self, monkeypatch, n,
+                                                   max_len):
+        # the skip reads a top's permutation off the screen's code, which
+        # decoded it; the row fills of RankTable.__missing__ are left out
+        decoded = Counter()
+        perm = tables.RankTable.perm
+
+        def record(table, r):
+            if sys._getframe(1).f_globals["__name__"] == posets.__name__:
+                decoded[table.m, r] += 1
+            return perm(table, r)
+
+        monkeypatch.setattr(tables.RankTable, "perm", record)
+        posets.atlas(n, max_len)
+        assert {m for m, _ in decoded} == set(range(2, n + 1))
+        assert max(decoded.values()) == 1
 
     def test_skip_equals_every_top_on_a_seeded_sample_of_s6(self):
         # the identity, a bottom fixed by each of ι, κ and ικ alone, and
