@@ -326,7 +326,8 @@ def _level(shape, m: int, jobs: int | None):
     fingerprint ``shape``: the least refuted interval as a
     (counterexample, no-factor proof) pair, or None; the number of
     intervals examined; and, with no counterexample, the greatest bottom
-    with a top, or None.
+    with a top, which exists: the identity is least in its orbit, and
+    [e, w] with w embedded in S_m (:func:`perms.embed`) has the shape.
     The intervals of S_m depend on w only through the shape of its
     ideal, so one scan serves every w with that shape, whatever its
     size or bound, and ``jobs`` sets only how the scan is fanned out.
@@ -382,7 +383,7 @@ def forces_factor(
     The verdict folds the scans of S_n..S_m_max (:func:`_level`): it
     stops at the first counterexample and sums the intervals examined;
     with none, the sample certificate is that of the last top of the
-    greatest bottom with a top in the last S_m that has one, whose ball
+    greatest bottom with a top in the last S_m, S_m_max, whose ball
     alone is read again.  The rank table keeps a ball from its second
     request on while it fits, so warm calls build at most one ball
     between them.  Each scan is cached by the shape of the ideal, m and
@@ -399,16 +400,15 @@ def forces_factor(
         raise ValueError(f"m_max={m_max} is below the group size {n}")
     started = time.perf_counter()
     shape = _ideal_fingerprint(w)
-    counterexample = proof = sample = last = None
+    counterexample = proof = sample = None
     examined = 0
     for m in range(n, m_max + 1):
-        refuted, count, greatest = _level(shape, m, jobs)
+        refuted, count, last = _level(shape, m, jobs)
         examined += count
         if refuted:
             counterexample, proof = refuted
             break
-        last = greatest or last
-    if last and not counterexample:
+    if not counterexample:
         *_, pair = _shaped_intervals(shape, [last])
         sample = factor_deletion(*pair, limits)
     return ForcingVerdict(

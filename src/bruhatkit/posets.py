@@ -497,29 +497,35 @@ def _least_gap(n: int) -> int:
 
 
 def _irreducible_code(n: int):
-    """``code(r)``, the pair of the permutation w of S_n whose rank is r
-    (:func:`tables.rank`) and its code, kept per call and keyed by r, so
-    w is decoded once, for a new r.  The code is a tuple of 3n - 2 ints,
+    """``code(r)``, the code of the permutation w of S_n whose rank is r
+    (:func:`tables.rank`), kept per call in a list indexed by r, so w is
+    decoded once, for a new r.  The code is a tuple of 3n - 2 ints,
     the sets {w(1..i)} and {w^-1(1..i)}, i = 1..n-1, as bitmasks, and
     for each position j the pair (w(j), #{l < j : w(l) > w(j)}) as one
     int.  A field of the code of x equals the same field of that of y
     exactly when [x, y] splits by position or by value at that i, or
     freezes that j (x(j) = y(j) = v and #{l < j : x(l) > v} = #{l < j :
     y(l) > v}); so [x, y] is irreducible iff no field is equal."""
-    codes: dict[int, tuple[perms.Perm, tuple[int, ...]]] = {}
+    codes: list[tuple[int, ...] | None] = [None] * math.factorial(n)
     perm = rank_table(n).perm
 
-    def code(r: int) -> tuple[perms.Perm, tuple[int, ...]]:
-        found = codes.get(r)
+    def code(r: int) -> tuple[int, ...]:
+        found = codes[r]
         if found is None:
             w = perm(r)
             frozen = (v * n + sum(u > v for u in w[:j])
                       for j, v in enumerate(w))
-            found = codes[r] = w, (*_prefix_masks(w),
-                                   *_prefix_masks(perms.inverse(w)), *frozen)
+            found = codes[r] = (*_prefix_masks(w),
+                                *_prefix_masks(perms.inverse(w)), *frozen)
         return found
 
     return code
+
+
+def _code_perm(code: tuple[int, ...], n: int) -> perms.Perm:
+    """w of S_n read off its :func:`_irreducible_code`: a position field
+    is w(j)·n plus a count below n, so w(j) = field // n."""
+    return tuple(field // n for field in code[-n:])
 
 
 def _scan_intervals(n: int, max_len: int, bottoms):
@@ -557,10 +563,10 @@ def _scan_intervals(n: int, max_len: int, bottoms):
         ball = up_ball(x, depth)
         lex_ranks = ball.lex_ranks
         counted += len(lex_ranks) - 1
-        _, base = code(lex_ranks[0])
+        base = code(lex_ranks[0])
         passed = [(gap, y) for gap in range(least, depth + 1)
                   for y in ball.level(gap)
-                  if not any(map(operator.eq, base, code(lex_ranks[y])[1]))]
+                  if not any(map(operator.eq, base, code(lex_ranks[y])))]
         if not passed:
             continue
         # the maps of G other than the identity that fix x, as indices
@@ -569,7 +575,7 @@ def _scan_intervals(n: int, max_len: int, bottoms):
                   if i and image == x]
         for gap, y in passed:
             if fixing:
-                w, _ = code(lex_ranks[y])
+                w = _code_perm(code(lex_ranks[y]), n)
                 images = perms.symmetry_images(w)
                 if any(images[i] < w for i in fixing):
                     continue

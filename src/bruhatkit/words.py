@@ -110,9 +110,8 @@ class ReducedWordSet:
     ``chr(ord("0") + i)``) in lexicographic order, one per line.
 
     ``spelled`` splits the text into its lines once, on first access.
-    ``words``, iteration and membership speak tuples of integer letters,
-    as everywhere else in this module; ``words`` decodes all of R(w) on
-    each access.
+    Iteration and membership speak tuples of integer letters, as
+    everywhere else in this module; iteration decodes one word at a time.
     """
 
     owner: Perm
@@ -122,12 +121,6 @@ class ReducedWordSet:
     def spelled(self) -> tuple[str, ...]:
         """The lines of ``text``: each word spelled as a string."""
         return tuple(self.text.split("\n"))
-
-    @property
-    def words(self) -> tuple[Word, ...]:
-        """R(w) decoded to tuples of integer letters, in lexicographic
-        order."""
-        return tuple(map(_unspell, self.spelled))
 
     def __len__(self) -> int:
         # R(w) is never empty; the identity's one word is the empty line
@@ -249,7 +242,7 @@ def reduced_words(w: Perm, limits: Limits = DEFAULT_LIMITS) -> ReducedWordSet:
     '1213\\n1231\\n2123'
     >>> reduced_words((3, 2, 4, 1)).spelled
     ('1213', '1231', '2123')
-    >>> reduced_words((3, 2, 4, 1)).words[0]
+    >>> next(iter(reduced_words((3, 2, 4, 1))))
     (1, 2, 1, 3)
     """
     _check_word_length(w, limits)

@@ -274,6 +274,21 @@ def _value_inversions(w: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     )
 
 
+def irreducible_code_oracle(w: Perm) -> tuple[int, ...]:
+    """The code the atlas's irreducible screen compares, from sets: for
+    i = 1..n-1 the set of the values w(1..i), then for i = 1..n-1 the set
+    of the 1-based positions of the values 1..i, each set as the sum of
+    2**e over its members e; then for each position j the value w(j) and
+    the number of larger entries left of it, packed as w(j)·n plus that
+    number."""
+    n = len(w)
+    values = [sum(2 ** v for v in set(w[:i])) for i in range(1, n)]
+    positions = [sum(2 ** p for p in range(1, n + 1) if w[p - 1] <= i)
+                 for i in range(1, n)]
+    pairs = [v * n + sum(1 for u in w[:j] if u > v) for j, v in enumerate(w)]
+    return (*values, *positions, *pairs)
+
+
 def position_inversions_oracle(w: Perm) -> set[tuple[int, int]]:
     """Pairs (i, j) of 0-based positions with i < j and w[i] > w[j], by
     comparing every pair; their number is the length of w."""

@@ -61,7 +61,7 @@ class TestLeq:
         for y in S4:
             closures = [
                 reduced_subword_closure(j, 4)
-                for j in words.reduced_words(y).words
+                for j in words.reduced_words(y)
             ]
             for x in S4:
                 if bruhat.bruhat_leq(x, y):

@@ -400,6 +400,32 @@ class TestForcesFactor:
             assert verdict.sample_certificate == forcing.factor_deletion(x, y)
             assert verdict.sample_certificate is not None
 
+    def test_a_level_with_no_counterexample_has_a_greatest_bottom(self):
+        # every w of S_4 up to m = 6, level by level as forces_factor
+        # scans them: the identity of S_m is least in its orbit and [e, w]
+        # with w embedded in S_m has the ideal's shape, so a level with no
+        # counterexample names a greatest bottom of S_m with a top, and
+        # forces_factor needs no carry-over from a smaller m
+        levels = 0
+        for w in itertools.permutations(range(1, 5)):
+            shape = forcing._ideal_fingerprint(w)
+            for m in range(4, 7):
+                refuted, _, greatest = forcing._level(shape, m, None)
+                if refuted:
+                    assert greatest is None, (w, m)
+                    break
+                identity = perms.identity(m)
+                assert (identity, perms.embed(w, m)) in set(
+                    forcing._shaped_intervals(shape, [identity])), (w, m)
+                assert len(greatest) == m, (w, m)
+                assert next(forcing._shaped_intervals(shape, [greatest]),
+                            None) is not None, (w, m)
+                levels += 1
+            verdict = forcing.forces_factor(w, 6)
+            assert (verdict.sample_certificate is None) == (
+                verdict.counterexample is not None), w
+        assert levels == 31
+
     @pytest.mark.parametrize("jobs", [None, 2])
     def test_one_certificate_per_verdict(self, jobs, monkeypatch,
                                          inline_pool):

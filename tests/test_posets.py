@@ -23,6 +23,7 @@ from oracles import (
     frozen_points_oracle,
     individualize_oracle,
     interval_oracle,
+    irreducible_code_oracle,
     min_certificate_oracle,
     rank_match,
     refine_oracle,
@@ -190,13 +191,14 @@ def equal_code_fields(code, x, y):
     """The fields at which the codes of x and y agree, named as the
     oracles name a split or a frozen point: ("position", i) and
     ("value", i) for 0 < i < n, then ("frozen", j) for each position j.
-    ``code(rank(x))`` is the pair of x and its code."""
+    ``code(rank(x))`` is the code of x, which reads x back."""
     n = len(x)
     names = ([(kind, i) for kind in ("position", "value")
               for i in range(1, n)]
              + [("frozen", j) for j in range(1, n + 1)])
-    (x_perm, x_code), (y_perm, y_code) = code(rank(x)), code(rank(y))
-    assert (x_perm, y_perm) == (x, y)
+    x_code, y_code = code(rank(x)), code(rank(y))
+    assert (posets._code_perm(x_code, n), posets._code_perm(y_code, n)) == (
+        x, y)
     codes = zip(x_code, y_code)
     return [name for name, (a, b) in zip(names, codes) if a == b]
 
@@ -546,6 +548,25 @@ class TestDirectProduct:
         assert posets.is_isomorphic(
             cube, posets.poset_from_interval(bruhat.ideal(s1s3s5))
         )
+
+
+class TestIrreducibleCode:
+    """The per-call store of the atlas's screen: one code per rank, each
+    a flat tuple of 3n - 2 ints that spells its permutation."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_rank_matches_the_oracle(self, n):
+        code = posets._irreducible_code(n)
+        perm = tables.rank_table(n).perm
+        for r, w in enumerate(itertools.permutations(range(1, n + 1))):
+            got = code(r)
+            assert got == irreducible_code_oracle(w), w
+            assert posets._code_perm(got, n) == perm(r) == w
+            assert code(r) is got, w
+        # the store is one list of n! slots, each holding its code alone
+        store, = [cell.cell_contents for cell in code.__closure__
+                  if type(cell.cell_contents) is list]
+        assert store == [code(r) for r in range(math.factorial(n))]
 
 
 class TestParabolicSplit:
