@@ -35,7 +35,6 @@ from .posets import (
     atlas,
     canonical_form,
     is_isomorphic,
-    poset_from_interval,
     to_dot,
 )
 from .structure import (

@@ -5,13 +5,17 @@ Thm 2.1.5): x <= y iff for every prefix length p and value v,
 
     #{k <= p : x(k) >= v}  <=  #{k <= p : y(k) >= v}.
 
-A permutation is read as its prefix value masks: P_w[p] has bit v set
-for each value v among w(1), ..., w(p), so the count on the left is
+A permutation is read as its prefix value masks
+(:func:`perms._prefix_masks`): P_w[p] has bit v set for each value v
+among w(1), ..., w(p), so the count on the left is
 ``(P_x[p] >> v).bit_count()``.  Prefixes whose masks are equal have equal
 counts and are skipped.  The equivalent subword formulation (x <= y iff
 some reduced word of x is a subsequence of one of y) lives in the test
 suite as an oracle.
 
+An :class:`Interval` is a :class:`posets.RankedPoset`, ranks and cover
+id pairs, that also names the permutation of each element, so the
+isomorphism test, the certificate and the DOT form read it directly.
 Interval values are immutable once constructed; all functions are pure
 and keep no state between calls.
 """
@@ -22,18 +26,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import perms
-from .perms import Perm
-
-
-def _prefix_masks(w: Perm) -> tuple[int, ...]:
-    """P_w[p] for the proper prefixes, p = 1..n-1: the values of
-    w(1), ..., w(p) as bits (the whole of w is the same set for all)."""
-    masks = []
-    mask = 0
-    for v in w[:-1]:
-        mask |= 1 << v
-        masks.append(mask)
-    return tuple(masks)
+from .perms import Perm, _prefix_masks
+from .posets import RankedPoset
 
 
 def _masks_leq(px: tuple[int, ...], py: tuple[int, ...]) -> bool:
@@ -77,31 +71,24 @@ def _lower_covers(x: Perm) -> Iterator[tuple[int, int, Perm]]:
 
 
 @dataclass(frozen=True)
-class Interval:
-    """The interval [low, high] = {z : low <= z <= high} with its covers.
+class Interval(RankedPoset):
+    """The interval [low, high] = {z : low <= z <= high} as a ranked
+    poset whose element i is ``elements[i]``.
 
     ``elements`` is sorted by (rank, one-line order), and ``ranks`` holds
     the rank of each, length(z) - length(low), as the walk that built the
-    interval met it; ``covers`` holds the pairs (a, b) with a covered by
-    b, both inside the interval, sorted by (a, b) in one-line order.  When
-    ``low`` is the identity this is the principal order ideal of ``high``.
+    interval met it; ``covers`` holds the id pairs (a, b) with element a
+    covered by element b, sorted.  When ``low`` is the identity this is
+    the principal order ideal of ``high``.
     """
 
     low: Perm
     high: Perm
     elements: tuple[Perm, ...]
-    covers: tuple[tuple[Perm, Perm], ...]
-    ranks: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return len(self.low)
-
-    def rank_profile(self) -> tuple[int, ...]:
-        counts = [0] * (self.ranks[-1] + 1)
-        for r in self.ranks:
-            counts[r] += 1
-        return tuple(counts)
 
 
 def _cover_masks(px: tuple[int, ...], pz: tuple[int, ...], i: int, j: int,
@@ -175,14 +162,15 @@ def interval(x: Perm, y: Perm) -> Interval:
                     covers.append((c, z))
         level.sort()
         levels.append(level)
-    covers.sort()
     levels.reverse()
+    elements = tuple(z for level in levels for z in level)
+    index = {z: i for i, z in enumerate(elements)}
     return Interval(
+        ranks=tuple(r for r, level in enumerate(levels) for _ in level),
+        covers=tuple((index[c], index[z]) for c, z in covers),
         low=x,
         high=y,
-        elements=tuple(z for level in levels for z in level),
-        covers=tuple(covers),
-        ranks=tuple(r for r, level in enumerate(levels) for _ in level),
+        elements=elements,
     )
 
 
@@ -194,17 +182,14 @@ def ideal(w: Perm) -> Interval:
 
 def interval_to_json(iv: Interval) -> dict:
     """JSON form: {low, high, n, elements, covers} with permutations in
-    text form, elements sorted by (rank, one-line order) and covers by
-    (rank, one-line order) of their bottom, then by their top."""
-    index = {z: i for i, z in enumerate(iv.elements)}
+    text form, elements sorted by (rank, one-line order) and covers as
+    ``iv.covers`` holds them, by the ids of their bottoms, then of their
+    tops."""
     text = [perms.format_perm(z) for z in iv.elements]
     return {
         "low": perms.format_perm(iv.low),
         "high": perms.format_perm(iv.high),
         "n": iv.n,
         "elements": text,
-        "covers": [
-            [text[index[a]], text[index[b]]]
-            for a, b in sorted(iv.covers, key=lambda ab: index[ab[0]])
-        ],
+        "covers": [[text[a], text[b]] for a, b in iv.covers],
     }

@@ -53,19 +53,21 @@ def _print_json(obj) -> None:
 
 def _interval_output(iv: bruhat.Interval, as_dot: bool) -> None:
     if as_dot:
-        poset = posets.poset_from_interval(iv)
         labels = [perms.format_perm(z) for z in iv.elements]
-        sys.stdout.write(posets.to_dot(poset, labels))
+        sys.stdout.write(posets.to_dot(iv, labels))
     else:
         _print_json(bruhat.interval_to_json(iv))
 
 
-def _parse_poset_spec(spec: str, limits: Limits) -> posets.RankedPoset:
+def _parse_poset_spec(spec: str, limits: Limits) -> bruhat.Interval:
     """A poset argument is either a permutation w (its principal order
     ideal) or x:y (the interval [x, y])."""
-    ends = [perms.parse_perm(text, limits) for text in spec.split(":", 1)]
-    iv = bruhat.interval(*ends) if len(ends) == 2 else bruhat.ideal(*ends)
-    return posets.poset_from_interval(iv)
+    texts = spec.split(":")
+    if len(texts) > 2:
+        raise ValueError(f"cannot parse poset {spec!r}: a spec is 'w' or "
+                         "'x:y'")
+    ends = [perms.parse_perm(text, limits) for text in texts]
+    return bruhat.interval(*ends) if len(ends) == 2 else bruhat.ideal(*ends)
 
 
 def cmd_words(args, limits, w) -> None:

@@ -185,12 +185,12 @@ def factor_deletion(
 def _ideal_fingerprint(w: Perm):
     """(span, size, rank profile, certificate) of the ideal of w, the
     shape that :func:`_shaped_intervals` looks for."""
-    shape = posets.poset_from_interval(bruhat.ideal(w))
+    shape = bruhat.ideal(w)
     return (
         max(shape.ranks),
         shape.size,
         shape.rank_profile(),
-        posets._certificate(shape.ranks, shape.covers),
+        posets.canonical_form(shape),
     )
 
 

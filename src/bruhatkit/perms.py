@@ -94,6 +94,17 @@ def length(w: Perm) -> int:
     return total
 
 
+def _prefix_masks(w: Perm) -> tuple[int, ...]:
+    """P_w[p] for the proper prefixes, p = 1..n-1: the values of
+    w(1), ..., w(p) as bits (the whole of w is the same set for all)."""
+    masks = []
+    mask = 0
+    for v in w[:-1]:
+        mask |= 1 << v
+        masks.append(mask)
+    return tuple(masks)
+
+
 def inverse(w: Perm) -> Perm:
     """The inverse permutation."""
     inv = [0] * len(w)

@@ -2,12 +2,13 @@
 
 A :class:`RankedPoset` is the abstract shape of a Bruhat interval:
 elements 0..size-1 with a rank each and cover relations between adjacent
-ranks only.  Isomorphism testing goes through a canonical certificate:
-iterated rank-respecting degree refinement, followed by backtracking over
-the remaining cells taking the lexicographically least relation
-encoding.  Two posets have equal certificates iff they are isomorphic
-(the test suite validates this against a brute-force matcher and
-networkx).
+ranks only; a :class:`bruhat.Interval` is one that also names the
+permutation of each element.  Isomorphism testing goes through a
+canonical certificate: iterated rank-respecting degree refinement,
+followed by backtracking over the remaining cells taking the
+lexicographically least relation encoding, held as its ASCII bytes.  Two
+posets have equal certificates iff they are isomorphic (the test suite
+validates this against a brute-force matcher and networkx).
 
 Refinement works on an ordered partition whose colors are the start
 positions of the cells.  A round splits cells as refining every element
@@ -71,11 +72,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import perms
-from .bruhat import Interval, _prefix_masks
 from .limits import DEFAULT_LIMITS, Limits
+from .perms import _prefix_masks
 from .tables import count_above, rank_table, up_ball
-
-Cert = tuple
 
 
 @dataclass(frozen=True)
@@ -111,16 +110,6 @@ class RankedPoset:
         for r in self.ranks:
             counts[r - lo] += 1
         return tuple(counts)
-
-
-def poset_from_interval(iv: Interval) -> RankedPoset:
-    """Forget the permutation labels of an interval; element ids follow the
-    interval's (rank, one-line) element order."""
-    index = {z: i for i, z in enumerate(iv.elements)}
-    return RankedPoset(
-        ranks=iv.ranks,
-        covers=tuple((index[a], index[b]) for a, b in iv.covers),
-    )
 
 
 # --- canonical certificates ---------------------------------------------
@@ -210,10 +199,10 @@ def _individualize(colors, cells, v, up, down):
     return colors, cells
 
 
-def _min_certificate(colors, cells, ranks, up, down) -> Cert:
+def _min_certificate(colors, cells, ranks, up, down) -> bytes:
     """The least leaf certificate of the individualization tree below the
     refined ordered partition (``colors``, ``cells``) of
-    :func:`_root_partition`.
+    :func:`_root_partition`, encoded.
 
     A node whose partition has a cell of two or more elements has one
     child per member v of the first such cell: v is made the lowest of
@@ -221,7 +210,10 @@ def _min_certificate(colors, cells, ranks, up, down) -> Cert:
     each child carries its own copy of the cells.  A discrete partition
     is a leaf: each color is then a position, and its certificate is
     (size, ranks in that order relative to the least rank, the sorted
-    cover pairs in that order).
+    cover pairs in that order).  The least leaf is chosen by that tuple's
+    order, and only it is encoded, as the ASCII text "size;ranks;covers"
+    with the ranks joined by commas and the covers as "a-b" joined by
+    commas.
 
     The search skips automorphic subtrees (McKay & Piperno, "Practical
     graph isomorphism, II", J. Symbolic Comput. 60, 2014).  It keeps the
@@ -308,7 +300,12 @@ def _min_certificate(colors, cells, ranks, up, down) -> Cert:
 
     search(colors, cells, [])
     assert best is not None
-    return best[0]
+    _, relative, covers = best[0]
+    # each id spelled once, not once per cover it is in
+    names = list(map(str, range(m)))
+    return (f"{m};{','.join(map(str, relative))};"
+            f"{','.join([names[a] + '-' + names[b] for a, b in covers])}"
+            ).encode("ascii")
 
 
 def _adjacency(m: int, covers):
@@ -321,7 +318,10 @@ def _adjacency(m: int, covers):
 
 
 @functools.lru_cache(maxsize=65536)
-def _certificate(ranks: tuple[int, ...], covers: tuple) -> Cert:
+def _certificate(ranks: tuple[int, ...], covers: tuple) -> bytes:
+    """The canonical certificate of the ranked poset (``ranks``,
+    ``covers``): the bytes of :func:`_min_certificate`, equal for two
+    posets iff they are isomorphic.  The cache keeps the bytes alone."""
     up, down = _adjacency(len(ranks), covers)
     return _min_certificate(*_root_partition(ranks, up, down), ranks, up,
                             down)
@@ -337,7 +337,9 @@ def _check_interval_shape(p: RankedPoset) -> None:
 
 
 def canonical_form(p: RankedPoset) -> bytes:
-    """Isomorphism-invariant certificate of a graded interval.
+    """Isomorphism-invariant certificate of a graded interval: after the
+    check for a unique least and greatest element, the bytes of
+    :func:`_certificate`.  An :class:`bruhat.Interval` is passed as it is.
 
     >>> edge = RankedPoset(ranks=(0, 1), covers=((0, 1),))
     >>> canonical_form(edge) == canonical_form(RankedPoset((5, 6), ((0, 1),)))
@@ -346,15 +348,7 @@ def canonical_form(p: RankedPoset) -> bytes:
     False
     """
     _check_interval_shape(p)
-    m, ranks, covers = _certificate(p.ranks, p.covers)
-    body = ";".join(
-        (
-            str(m),
-            ",".join(map(str, ranks)),
-            ",".join(f"{a}-{b}" for a, b in covers),
-        )
-    )
-    return body.encode("ascii")
+    return _certificate(p.ranks, p.covers)
 
 
 def is_isomorphic(p: RankedPoset, q: RankedPoset) -> bool:

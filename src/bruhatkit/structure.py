@@ -185,9 +185,8 @@ def nonforcing_witness(
 
     if not words.is_reduced(full, ambient):
         raise RuntimeError("witness construction produced a non-reduced word")
-    shape = posets.poset_from_interval(bruhat.interval(w_minus, w_plus))
-    if not posets.is_isomorphic(shape, posets.poset_from_interval(
-            bruhat.ideal(w))):
+    if not posets.is_isomorphic(bruhat.interval(w_minus, w_plus),
+                                bruhat.ideal(w)):
         raise RuntimeError("witness interval does not match the ideal shape")
     if forcing.factor_deletion(w_minus, w_plus, limits) is not None:
         raise RuntimeError("witness interval admits a factor deletion")

@@ -7,12 +7,14 @@ a scan over all of those words, Bruhat comparison from the subword
 formulation, poset isomorphism from a plain backtracking matcher,
 canonical certificates from a search over every branch with no
 automorphism pruning and a refinement that recolors every element in
-every round, factor deletion and its length-additive
-factorizations from a scan over all of S_n with plain tuples and
-inversion sets, every factor deletion of an interval from a scan over
-the move-closure words in lexicographic order, Bruhat covers and
-up-balls from the transposition rule on plain tuples, intervals from the subword closure of one reduced word
-and that rule, the symmetries of S_n from index arithmetic on plain
+every round, its least leaf spelled as bytes by string joins, factor
+deletion and its length-additive factorizations from a scan over all
+of S_n with plain tuples and inversion sets, every factor deletion of
+an interval from a scan over the move-closure words in lexicographic
+order, Bruhat covers and up-balls from the transposition rule on plain
+tuples, intervals from the subword closure of one reduced word and
+that rule, an interval's id covers as permutation pairs by indexing
+its elements, the symmetries of S_n from index arithmetic on plain
 tuples, position inversions from a comparison of every pair of
 positions, frozen points from four entries of the rank matrices,
 whether a word is a reduced word of w (or a shift of one of the
@@ -345,11 +347,11 @@ def _ideal_oracle(y: Perm) -> frozenset[Perm]:
 
 
 def interval_oracle(x: Perm, y: Perm):
-    """(elements, covers) of the interval [x, y] for x <= y, as
-    ``bruhat.Interval`` holds them: every z of :func:`_ideal_oracle` of y
-    whose own ideal holds x, sorted by (length, one-line order), and the
-    pairs (a, b) of those with b in :func:`cover_tops_oracle` of a,
-    sorted."""
+    """(elements, covers) of the interval [x, y] for x <= y: every z of
+    :func:`_ideal_oracle` of y whose own ideal holds x, sorted by
+    (length, one-line order) as ``bruhat.Interval.elements`` is, and the
+    permutation pairs (a, b) of those with b in :func:`cover_tops_oracle`
+    of a, sorted."""
     elements = sorted(
         (z for z in _ideal_oracle(y) if x in _ideal_oracle(z)),
         key=lambda z: (len(_value_inversions(z)), z),
@@ -359,6 +361,14 @@ def interval_oracle(x: Perm, y: Perm):
         (a, b) for a in elements for b in cover_tops_oracle(a) if b in inside
     )
     return tuple(elements), tuple(covers)
+
+
+def perm_covers(iv) -> tuple[tuple[Perm, Perm], ...]:
+    """The covers of a ``bruhat.Interval`` as permutation pairs: each id
+    pair of ``iv.covers`` mapped through ``iv.elements``, in the order
+    the interval holds them.  It reads the two fields alone."""
+    elements = iv.elements
+    return tuple((elements[a], elements[b]) for a, b in iv.covers)
 
 
 def frozen_points_oracle(x: Perm, y: Perm) -> list[tuple[int, int]]:
@@ -640,3 +650,14 @@ def min_certificate_oracle(ranks: tuple[int, ...], covers) -> tuple:
         )
 
     return least(refine_oracle(list(ranks), up, down))
+
+
+def certificate_bytes(cert: tuple) -> bytes:
+    """A certificate tuple of :func:`min_certificate_oracle` in the text
+    form of ``posets.canonical_form``: the size, the ranks joined by
+    commas and the covers as "a-b" joined by commas, the three parts
+    joined by semicolons, as ASCII bytes."""
+    size, ranks, covers = cert
+    parts = [str(size), ",".join(str(r) for r in ranks),
+             ",".join("%d-%d" % pair for pair in covers)]
+    return ";".join(parts).encode("ascii")

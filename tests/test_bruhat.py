@@ -10,6 +10,7 @@ from oracles import (
     cover_tops_oracle,
     interval_oracle,
     maximal_chain_sizes,
+    perm_covers,
     reduced_subword_closure,
     subword_oracle_leq,
 )
@@ -29,7 +30,7 @@ def covers_below(x):
 
 def coatoms(iv):
     """The elements of an interval covered by its top, from its covers."""
-    return tuple(sorted(a for a, b in iv.covers if b == iv.high))
+    return tuple(sorted(a for a, b in perm_covers(iv) if b == iv.high))
 
 
 class TestLeq:
@@ -156,9 +157,10 @@ class TestInterval:
         pairs = [(x, y) for x in S4 for y in S4 if bruhat.bruhat_leq(x, y)]
         for x, y in rng.sample(pairs, 40):
             iv = bruhat.interval(x, y)
-            for a, b in iv.covers:
+            covers = perm_covers(iv)
+            for a, b in covers:
                 assert perms.length(b) == perms.length(a) + 1
-            sizes = maximal_chain_sizes(iv.elements, iv.covers, x, y)
+            sizes = maximal_chain_sizes(iv.elements, covers, x, y)
             assert sizes == {perms.length(y) - perms.length(x) + 1}
 
     def test_ranks_from_the_walk_equal_rank_of(self):
@@ -173,18 +175,29 @@ class TestInterval:
             assert iv.ranks == ranks
             assert iv.rank_profile() == tuple(
                 ranks.count(r) for r in range(ranks[-1] + 1))
-            assert posets.poset_from_interval(iv).ranks == ranks
+            # the interval is its own shape: no relabel stands between
+            assert isinstance(iv, posets.RankedPoset)
 
 
 class TestIntervalOracle:
     """``bruhat.interval`` equals :func:`oracles.interval_oracle`, built
     from the subword property and the transposition rule: the same
-    elements in the same order, and the same covers in the same order."""
+    elements in the same order, and the same covers.  The interval is
+    the ranked poset itself: its covers are sorted id pairs between
+    adjacent ranks, each id indexing ``elements``."""
 
     @staticmethod
     def assert_oracle(x, y):
         iv = bruhat.interval(x, y)
-        assert (iv.elements, iv.covers) == interval_oracle(x, y)
+        elements, covers = interval_oracle(x, y)
+        assert isinstance(iv, posets.RankedPoset)
+        assert iv.elements == elements
+        assert iv.size == len(elements)
+        assert list(iv.covers) == sorted(set(iv.covers))
+        for a, b in iv.covers:
+            assert 0 <= a < b < iv.size
+            assert iv.ranks[b] == iv.ranks[a] + 1
+        assert tuple(sorted(perm_covers(iv))) == covers
 
     def test_every_comparable_pair_of_s4(self):
         pairs = [(x, y) for x in S4 for y in S4 if subword_oracle_leq(x, y)]
@@ -316,7 +329,7 @@ class TestJson:
         ivs += [bruhat.ideal(w) for w in perms.all_perms(5)]
         for iv in ivs:
             expected = sorted(
-                iv.covers, key=lambda ab: (perms.length(ab[0]), ab))
+                perm_covers(iv), key=lambda ab: (perms.length(ab[0]), ab))
             assert bruhat.interval_to_json(iv)["covers"] == [
                 [perms.format_perm(a), perms.format_perm(b)]
                 for a, b in expected

@@ -33,10 +33,6 @@ def parse9(text):
     return perms.parse_perm(text, Limits(max_n=9))
 
 
-def shape(iv):
-    return posets.poset_from_interval(iv)
-
-
 class TestWords:
     def test_sorted_output(self, capsys):
         code, out, _ = run(capsys, "words", "3241")
@@ -126,6 +122,15 @@ class TestIso:
 
     def test_negative(self, capsys):
         assert run(capsys, "iso", "2143:4231", "4213")[:2] == (0, "false\n")
+
+    @pytest.mark.parametrize("spec", ["12:21:21", "1:1:1", "12::21", "::"])
+    def test_spec_with_more_than_one_colon_is_refused(self, capsys, spec):
+        # one error line naming the spec's two forms, on either side
+        for argv in (("iso", spec, "1"), ("iso", "1", spec)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == (f"error: cannot parse poset {spec!r}: a spec is "
+                           "'w' or 'x:y'\n")
 
 
 class TestAtlas:
@@ -235,10 +240,8 @@ class TestStructureCommands:
         w_minus = perms.parse_perm(data["w_minus"])
         w_plus = perms.parse_perm(data["w_plus"])
         assert is_reduced_word_of(words.parse_word(data["word"]), w_plus)
-        assert posets.is_isomorphic(
-            posets.poset_from_interval(bruhat.interval(w_minus, w_plus)),
-            posets.poset_from_interval(bruhat.ideal(w)),
-        )
+        assert posets.is_isomorphic(bruhat.interval(w_minus, w_plus),
+                                    bruhat.ideal(w))
         assert forcing.factor_deletion(w_minus, w_plus) is None
 
     def test_witness_of_s8_input_hits_group_size_cap(self, capsys):
@@ -254,8 +257,9 @@ class TestStructureCommands:
         lo, hi = parse9(data["w_minus"]), parse9(data["w_plus"])
         assert (code, len(hi)) == (0, 9)
         assert is_reduced_word_of(words.parse_word(data["word"]), hi)
-        assert backtracking_isomorphic(shape(bruhat.interval(lo, hi)),
-                                       shape(bruhat.ideal(perms.parse_perm("21436587"))))
+        assert backtracking_isomorphic(
+            bruhat.interval(lo, hi),
+            bruhat.ideal(perms.parse_perm("21436587")))
 
     def test_swapstring(self, capsys):
         code, out, _ = run(capsys, "swapstring", "1243", "4213")
@@ -344,7 +348,7 @@ class TestRaisedGroupSize:
         other = (bruhat.interval(parse9(spec[0]), parse9(spec[1]))
                  if len(spec) == 2 else bruhat.ideal(parse9(spec[0])))
         expected = backtracking_isomorphic(
-            shape(bruhat.ideal(parse9(argv[1]))), shape(other))
+            bruhat.ideal(parse9(argv[1])), other)
         out = self.answer(capsys, argv)
         assert out == ("true\n" if expected else "false\n")
 
@@ -353,8 +357,8 @@ class TestRaisedGroupSize:
         data = json.loads(self.answer(capsys, self.CALLS[4]))
         lo, hi = parse9(data["w_minus"]), parse9(data["w_plus"])
         assert is_reduced_word_of(words.parse_word(data["word"]), hi)
-        assert backtracking_isomorphic(shape(bruhat.interval(lo, hi)),
-                                       shape(bruhat.ideal(w)))
+        assert backtracking_isomorphic(bruhat.interval(lo, hi),
+                                       bruhat.ideal(w))
         # the word uses letters 1..6 only, so no deletion exists in S_9
         # exactly when none exists in S_7
         assert lo[7:] == hi[7:] == (8, 9)

@@ -251,7 +251,7 @@ def table_scan(w, m):
     """Every [x, y] in S_m isomorphic to the ideal of w, in (x, y) order,
     from the interval masks above[x] & below[y] of the whole-group
     table (whose ids are rank-major, hence the final sort)."""
-    target = posets.poset_from_interval(bruhat.ideal(w))
+    target = bruhat.ideal(w)
     cert = posets._certificate(target.ranks, target.covers)
     d = perms.length(w)
     gt = table(m)
@@ -303,10 +303,9 @@ class TestIntervalsIsomorphicTo:
     def test_each_exactly_once_and_isomorphic(self):
         pairs = list(forcing.intervals_isomorphic_to(P("321"), 4))
         assert len(pairs) == len(set(pairs))
-        target = posets.poset_from_interval(bruhat.ideal(P("321")))
+        target = bruhat.ideal(P("321"))
         for x, y in pairs:
-            shape = posets.poset_from_interval(bruhat.interval(x, y))
-            assert posets.is_isomorphic(shape, target)
+            assert posets.is_isomorphic(bruhat.interval(x, y), target)
 
     def test_m_not_an_integer_rejected(self):
         with pytest.raises(ValueError, match="invalid group size n=3.0"):
@@ -341,10 +340,8 @@ class TestForcesFactor:
         assert verdict.outcome == "counterexample"
         x, y = verdict.counterexample.x, verdict.counterexample.y
         assert not exhaustive_factor_scan(x, y)
-        shape = posets.poset_from_interval(bruhat.interval(x, y))
-        assert posets.is_isomorphic(
-            shape, posets.poset_from_interval(bruhat.ideal(P("3412")))
-        )
+        assert posets.is_isomorphic(bruhat.interval(x, y),
+                                    bruhat.ideal(P("3412")))
 
     def test_single_letter_always_forced(self):
         verdict = forcing.forces_factor(P("21"), 4)
@@ -469,10 +466,8 @@ class TestForcesFactor:
         assert verdict.sample_certificate == forcing.factor_deletion(x, y)
         assert_certificate_oracle(x, y, verdict.sample_certificate)
         assert deletion_oracle(x, y)
-        assert backtracking_isomorphic(
-            posets.poset_from_interval(bruhat.interval(x, y)),
-            posets.poset_from_interval(bruhat.ideal(w)),
-        )
+        assert backtracking_isomorphic(bruhat.interval(x, y),
+                                       bruhat.ideal(w))
 
     def test_bound_below_group_size_rejected(self):
         with pytest.raises(ValueError):

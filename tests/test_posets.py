@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import multiprocessing
@@ -17,6 +18,7 @@ from bruhatkit.tables import iter_bits, rank, up_ball
 from oracles import (
     backtracking_isomorphic,
     ball_digraph,
+    certificate_bytes,
     cover_tops_oracle,
     deletion_oracle,
     direct_product,
@@ -38,11 +40,11 @@ def P(text):
 
 
 def shape_of_ideal(text):
-    return posets.poset_from_interval(bruhat.ideal(P(text)))
+    return bruhat.ideal(P(text))
 
 
 def shape_of_interval(lo, hi):
-    return posets.poset_from_interval(bruhat.interval(P(lo), P(hi)))
+    return bruhat.interval(P(lo), P(hi))
 
 
 S4 = [tuple(w) for w in itertools.permutations((1, 2, 3, 4))]
@@ -64,9 +66,7 @@ def boolean(k):
 
 def coxeter_ideal(k):
     """The ideal of s_1 s_2 ... s_k = 23...(k+1)1, which is B_k."""
-    return posets.poset_from_interval(
-        bruhat.ideal(tuple(range(2, k + 2)) + (1,))
-    )
+    return bruhat.ideal(tuple(range(2, k + 2)) + (1,))
 
 
 @functools.cache
@@ -341,7 +341,34 @@ def networkx_isomorphic(nx, p, q):
     )
 
 
+def s4_intervals():
+    """Every interval of S_4, in (x, y) one-line order."""
+    return [bruhat.interval(x, y) for x, y in itertools.product(S4, S4)
+            if bruhat.bruhat_leq(x, y)]
+
+
 class TestCanonicalForm:
+    def test_certificate_is_the_canonical_bytes(self):
+        # the cached certificate is the canonical form itself, read off
+        # the interval with no relabel
+        corpus = s4_intervals() + list(map(bruhat.ideal, perms.all_perms(5)))
+        assert len(corpus) == 213 + 120
+        for p in corpus:
+            cert = posets._certificate(p.ranks, p.covers)
+            assert type(cert) is bytes
+            assert cert == posets.canonical_form(p)
+
+    def test_bytes_of_every_interval_of_s4_pinned(self):
+        # the canonical forms of the 213 intervals of S_4, each followed
+        # by a newline, hash as they did when a relabel built each shape
+        intervals = s4_intervals()
+        assert len(intervals) == 213
+        digest = hashlib.sha256()
+        for p in intervals:
+            digest.update(posets.canonical_form(p) + b"\n")
+        assert digest.hexdigest() == (
+            "8317d2383485eb7c2a363f83c56daaf288c1d7725877472eba611d8400be090d")
+
     def test_diamond_two_ways(self):
         assert posets.canonical_form(
             shape_of_ideal("2314")
@@ -383,9 +410,7 @@ class TestIsIsomorphic:
     def test_figure2_not_any_s4_ideal(self):
         p = shape_of_interval("2143", "4231")
         for w in S4:
-            assert not posets.is_isomorphic(
-                p, posets.poset_from_interval(bruhat.ideal(w))
-            )
+            assert not posets.is_isomorphic(p, bruhat.ideal(w))
 
     def test_indecomposable_ideal_as_interval(self):
         assert posets.is_isomorphic(
@@ -398,9 +423,7 @@ class TestIsIsomorphic:
         for _ in range(12):
             x, y = rng.choice(S4), rng.choice(S4)
             if bruhat.bruhat_leq(x, y):
-                corpus.append(
-                    posets.poset_from_interval(bruhat.interval(x, y))
-                )
+                corpus.append(bruhat.interval(x, y))
         for p in corpus:
             assert posets.is_isomorphic(p, p)
         for p in corpus:
@@ -426,7 +449,7 @@ class TestCertificateSoundness:
             for x in group:
                 gap = perms.length(y) - perms.length(x)
                 if 0 <= gap <= max_len and bruhat.bruhat_leq(x, y):
-                    yield posets.poset_from_interval(bruhat.interval(x, y))
+                    yield bruhat.interval(x, y)
 
     def _classes_agree(self, n, max_len, isomorphic):
         by_cert = {}
@@ -470,7 +493,8 @@ class TestCertificateSoundness:
 
 class TestCertificateSearch:
     """The automorphism-pruned search returns the certificate of the full
-    search, so canonical forms and atlas rows stay as they were."""
+    search, encoded as the oracle encodes its least leaf, so canonical
+    forms and atlas rows stay as they were."""
 
     def test_equals_unpruned_search_on_atlas_shapes(self):
         shapes = atlas_shapes(5, 5) | atlas_shapes(6, 4) | atlas_shapes(7, 2)
@@ -478,7 +502,7 @@ class TestCertificateSearch:
         for ranks, covers in shapes:
             assert posets._certificate.__wrapped__(
                 ranks, covers
-            ) == min_certificate_oracle(ranks, covers)
+            ) == certificate_bytes(min_certificate_oracle(ranks, covers))
 
     def test_refine_equals_round_by_round_oracle(self):
         # split-cell refinement gives the cells of the round-by-round
@@ -508,7 +532,7 @@ class TestCertificateSearch:
         for p in (boolean(k), coxeter_ideal(k), relabeled(boolean(k), k)):
             assert posets._certificate.__wrapped__(
                 p.ranks, p.covers
-            ) == min_certificate_oracle(p.ranks, p.covers)
+            ) == certificate_bytes(min_certificate_oracle(p.ranks, p.covers))
 
     @pytest.mark.parametrize("half_lengths", [
         (8,), (2, 6), (3, 5), (4, 4), (2, 2, 4), (2, 3, 3),
@@ -520,7 +544,7 @@ class TestCertificateSearch:
             p = cycle_union(half_lengths, seed)
             assert posets._certificate.__wrapped__(
                 p.ranks, p.covers
-            ) == min_certificate_oracle(p.ranks, p.covers)
+            ) == certificate_bytes(min_certificate_oracle(p.ranks, p.covers))
 
     def test_b7_ideal_is_boolean(self):
         # the ideal of 23456781 in S_8 is B_7, 128 elements; its 7!
@@ -545,9 +569,7 @@ class TestDirectProduct:
     def test_cube_matches_ideal_in_s6(self):
         cube = product(product(EDGE, EDGE), EDGE)
         s1s3s5 = P("214365")
-        assert posets.is_isomorphic(
-            cube, posets.poset_from_interval(bruhat.ideal(s1s3s5))
-        )
+        assert posets.is_isomorphic(cube, bruhat.ideal(s1s3s5))
 
 
 class TestIrreducibleCode:
@@ -946,9 +968,7 @@ class TestIntervalStructure:
         for xid, x in enumerate(group):
             for yid in iter_bits(up[xid]):
                 struct = gt.structure(up[xid] & gt.below[yid])
-                shape = posets.poset_from_interval(
-                    bruhat.interval(x, group[yid])
-                )
+                shape = bruhat.interval(x, group[yid])
                 assert same(struct, shape)
                 pairs += 1
         assert pairs == {4: 213, 5: 3781}[n]
@@ -957,9 +977,7 @@ class TestIntervalStructure:
             ball = up_ball(x, 3)
             above_x = elements(ball, n)
             for yid in iter_bits(ball.rank_masks[3]):
-                shape = posets.poset_from_interval(
-                    bruhat.interval(x, above_x[yid])
-                )
+                shape = bruhat.interval(x, above_x[yid])
                 assert same(ball.structure(ball.below[yid]), shape)
                 tops += 1
         assert tops == sum(
@@ -979,7 +997,7 @@ class TestToDot:
     def test_figure2_counts(self):
         iv = bruhat.interval(P("2143"), P("4231"))
         labels = [perms.format_perm(z) for z in iv.elements]
-        text = posets.to_dot(posets.poset_from_interval(iv), labels)
+        text = posets.to_dot(iv, labels)
         assert text.count("->") == 16
         assert '"2143" -> "2341";' in text
 
@@ -1091,7 +1109,7 @@ class TestAtlas:
         # representatives; count them over all of S_n instead
         classes = [set() for _ in expected]
         for w in itertools.permutations(range(1, n + 1)):
-            ideal = posets.poset_from_interval(bruhat.ideal(w))
+            ideal = bruhat.ideal(w)
             classes[perms.length(w)].add(posets.canonical_form(ideal))
         assert tuple(map(len, classes)) == expected
         top = n * (n - 1) // 2

@@ -99,7 +99,7 @@ class TestDecompose:
     def test_cross_validation_with_products_s4(self):
         # decomposable iff the ideal is a nontrivial direct product
         for w in S4:
-            ideal_shape = posets.poset_from_interval(bruhat.ideal(w))
+            ideal_shape = bruhat.ideal(w)
             product_exists = False
             for u in S4:
                 if u == perms.identity(4):
@@ -108,9 +108,7 @@ class TestDecompose:
                     if v == perms.identity(4):
                         continue
                     product = posets.RankedPoset(*direct_product(
-                        posets.poset_from_interval(bruhat.ideal(u)),
-                        posets.poset_from_interval(bruhat.ideal(v)),
-                    ))
+                        bruhat.ideal(u), bruhat.ideal(v)))
                     if posets.is_isomorphic(product, ideal_shape):
                         product_exists = True
                         break
@@ -121,13 +119,9 @@ class TestDecompose:
     def test_cross_validation_with_products_s5_sample(self):
         rng = random.Random(77)
         s5 = [tuple(w) for w in itertools.permutations((1, 2, 3, 4, 5))]
-        ideals = {
-            u: posets.poset_from_interval(bruhat.ideal(u))
-            for u in s5
-            if u != perms.identity(5)
-        }
+        ideals = {u: bruhat.ideal(u) for u in s5 if u != perms.identity(5)}
         for w in rng.sample(s5, 12):
-            shape = posets.poset_from_interval(bruhat.ideal(w))
+            shape = bruhat.ideal(w)
             product_exists = any(
                 posets.is_isomorphic(
                     posets.RankedPoset(*direct_product(pu, pv)), shape
@@ -160,10 +154,7 @@ class TestNonForcingWitness:
         witness = structure.nonforcing_witness(w)
         assert witness.orientation == "right"
         iv = bruhat.interval(witness.w_minus, witness.w_plus)
-        assert posets.is_isomorphic(
-            posets.poset_from_interval(iv),
-            posets.poset_from_interval(bruhat.ideal(w)),
-        )
+        assert posets.is_isomorphic(iv, bruhat.ideal(w))
 
     def test_every_decomposable_s4(self):
         for w in S4:
@@ -172,10 +163,7 @@ class TestNonForcingWitness:
             if witness is None:
                 continue
             iv = bruhat.interval(witness.w_minus, witness.w_plus)
-            assert posets.is_isomorphic(
-                posets.poset_from_interval(iv),
-                posets.poset_from_interval(bruhat.ideal(w)),
-            )
+            assert posets.is_isomorphic(iv, bruhat.ideal(w))
             assert (
                 forcing.factor_deletion(witness.w_minus, witness.w_plus)
                 is None
