@@ -34,6 +34,12 @@ certificates already met, so the least certificate, and with it every
 canonical form, is the one the full search finds (checked against it in
 ``tests/oracles.py``).
 
+Each isomorphism class is searched once.  The bytes of the search's
+first leaf key a cache of class certificates.  A leaf certificate is the
+poset relabelled, so equal leaves mean isomorphic posets, which have the
+same least leaf: a known first leaf gives the certificate with no
+further search.
+
 The atlas counts isomorphism classes of intervals and of principal order
 ideals per length across a whole symmetric group.  An interval that
 splits by position or by value is the product of two intervals of
@@ -211,9 +217,13 @@ def _min_certificate(colors, cells, ranks, up, down) -> bytes:
     is a leaf: each color is then a position, and its certificate is
     (size, ranks in that order relative to the least rank, the sorted
     cover pairs in that order).  The least leaf is chosen by that tuple's
-    order, and only it is encoded, as the ASCII text "size;ranks;covers"
-    with the ranks joined by commas and the covers as "a-b" joined by
-    commas.
+    order, and only it is encoded (:func:`_encode`).
+
+    The first leaf, reached by taking the first member of each cell, is
+    encoded too and looked up in :func:`_classes`.  A leaf is the poset
+    relabelled, so a poset whose first leaf is known is isomorphic to
+    the one that met it and has its certificate: the search stops there.
+    Otherwise it goes on, and its certificate is kept under that leaf.
 
     The search skips automorphic subtrees (McKay & Piperno, "Practical
     graph isomorphism, II", J. Symbolic Comput. 60, 2014).  It keeps the
@@ -236,10 +246,12 @@ def _min_certificate(colors, cells, ranks, up, down) -> bytes:
     base = min(ranks)
     first: tuple | None = None       # (certificate, order, path)
     best: tuple | None = None
+    first_bytes = b""
+    known: list[bytes] = []
     automorphisms: list[list[int]] = []
 
     def leaf(colors: list[int], path: list[int]) -> int:
-        nonlocal first, best
+        nonlocal first, best, first_bytes, known
         order = [0] * m
         for v, c in enumerate(colors):
             order[c] = v
@@ -252,7 +264,11 @@ def _min_certificate(colors, cells, ranks, up, down) -> bytes:
         )
         if first is None:
             first = best = (cert, order, path)
-            return len(path)
+            first_bytes = _encode(cert)
+            known = _classes(first_bytes)
+            # a known class ends the search: -1 is above every node's
+            # depth, so each ancestor returns at once
+            return -1 if known else len(path)
         for seen_cert, seen_order, seen_path in (first, best):
             if cert == seen_cert:
                 g = [0] * m
@@ -298,9 +314,18 @@ def _min_certificate(colors, cells, ranks, up, down) -> bytes:
                         stack.append(g[u])
         return depth
 
-    search(colors, cells, [])
+    if search(colors, cells, []) < 0:
+        return known[0]
     assert best is not None
-    _, relative, covers = best[0]
+    found = first_bytes if best is first else _encode(best[0])
+    known.append(found)
+    return found
+
+
+def _encode(cert: tuple) -> bytes:
+    """A leaf certificate as the ASCII text "size;ranks;covers", the ranks
+    joined by commas and the covers as "a-b" joined by commas."""
+    m, relative, covers = cert
     # each id spelled once, not once per cover it is in
     names = list(map(str, range(m)))
     return (f"{m};{','.join(map(str, relative))};"
@@ -318,10 +343,21 @@ def _adjacency(m: int, covers):
 
 
 @functools.lru_cache(maxsize=65536)
+def _classes(first_leaf: bytes) -> list[bytes]:
+    """A one-slot list for the certificate of the posets whose search
+    meets ``first_leaf`` (:func:`_encode`) as its first leaf, empty until
+    :func:`_min_certificate` fills it.  A leaf is its poset relabelled, so
+    all those posets are isomorphic and share one certificate."""
+    return []
+
+
+@functools.lru_cache(maxsize=65536)
 def _certificate(ranks: tuple[int, ...], covers: tuple) -> bytes:
     """The canonical certificate of the ranked poset (``ranks``,
     ``covers``): the bytes of :func:`_min_certificate`, equal for two
-    posets iff they are isomorphic.  The cache keeps the bytes alone."""
+    posets iff they are isomorphic.  The cache keeps the bytes alone; a
+    shape whose first leaf an earlier shape met ends its search there
+    (:func:`_classes`)."""
     up, down = _adjacency(len(ranks), covers)
     return _min_certificate(*_root_partition(ranks, up, down), ranks, up,
                             down)

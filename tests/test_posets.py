@@ -287,6 +287,61 @@ def relabeled(p, seed):
     )
 
 
+def relabeled_within_ranks(p, rng):
+    """The (ranks, covers) of p with the ids of each rank shuffled among
+    themselves by ``rng``, and its covers mapped."""
+    by_rank = defaultdict(list)
+    for v, r in enumerate(p.ranks):
+        by_rank[r].append(v)
+    new_id = [0] * p.size
+    for ids in by_rank.values():
+        shuffled = ids[:]
+        rng.shuffle(shuffled)
+        for v, u in zip(ids, shuffled):
+            new_id[v] = u
+    # within ranks, so every id keeps its rank
+    return p.ranks, tuple(sorted((new_id[a], new_id[b]) for a, b in p.covers))
+
+
+def searched_certificate(ranks, covers):
+    """The certificate that ``_certificate``'s search finds, with no
+    cached certificate and no known class to answer for it."""
+    posets._classes.cache_clear()
+    return posets._certificate.__wrapped__(ranks, covers)
+
+
+def count_full_searches(monkeypatch):
+    """A list that gains the first leaf of each certificate search that
+    goes on past that leaf, its class not known."""
+    searches = []
+    classes = posets._classes
+
+    def record(first_leaf):
+        known = classes(first_leaf)
+        if not known:
+            searches.append(first_leaf)
+        return known
+
+    monkeypatch.setattr(posets, "_classes", record)
+    return searches
+
+
+def count_leaves(monkeypatch):
+    """A list that gains an entry for each leaf that a certificate search
+    reaches by individualizing."""
+    leaves = []
+    individualize = posets._individualize
+
+    def record(colors, cells, v, up, down):
+        found = individualize(colors, cells, v, up, down)
+        if len(found[1]) == len(colors):
+            leaves.append(v)
+        return found
+
+    monkeypatch.setattr(posets, "_individualize", record)
+    return leaves
+
+
 def twisted(p):
     """p with the tops of two covers from rank 1 exchanged, a poset of
     the same size and rank profile."""
@@ -322,6 +377,9 @@ def cycle_union(half_lengths, seed):
     return posets.RankedPoset(
         ranks=(0,) + (1,) * n + (2,) * n + (3,), covers=tuple(covers)
     )
+
+
+CYCLE_HALF_LENGTHS = [(8,), (2, 6), (3, 5), (4, 4), (2, 2, 4), (2, 3, 3)]
 
 
 def networkx_isomorphic(nx, p, q):
@@ -500,7 +558,7 @@ class TestCertificateSearch:
         shapes = atlas_shapes(5, 5) | atlas_shapes(6, 4) | atlas_shapes(7, 2)
         assert len(shapes) == 135
         for ranks, covers in shapes:
-            assert posets._certificate.__wrapped__(
+            assert searched_certificate(
                 ranks, covers
             ) == certificate_bytes(min_certificate_oracle(ranks, covers))
 
@@ -530,21 +588,65 @@ class TestCertificateSearch:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_equals_unpruned_search_on_boolean(self, k):
         for p in (boolean(k), coxeter_ideal(k), relabeled(boolean(k), k)):
-            assert posets._certificate.__wrapped__(
+            assert searched_certificate(
                 p.ranks, p.covers
             ) == certificate_bytes(min_certificate_oracle(p.ranks, p.covers))
 
-    @pytest.mark.parametrize("half_lengths", [
-        (8,), (2, 6), (3, 5), (4, 4), (2, 2, 4), (2, 3, 3),
-    ])
+    @pytest.mark.parametrize("half_lengths", CYCLE_HALF_LENGTHS)
     def test_equals_unpruned_search_on_cycle_unions(self, half_lengths):
         # cells that are not orbits: a jump back above the two leaves'
         # common ancestor loses the least certificate of (2, 2, 4)
         for seed in range(3):
             p = cycle_union(half_lengths, seed)
+            assert searched_certificate(
+                p.ranks, p.covers
+            ) == certificate_bytes(min_certificate_oracle(p.ranks, p.covers))
+
+    def test_warm_class_cache_equals_unpruned_search(self):
+        # the cycle unions, whose cells are not orbits, and B_1..B_6, each
+        # certified after every one before it, with no certificate cached
+        # but the classes of the first leaves met so far
+        corpus = [cycle_union(half_lengths, seed)
+                  for half_lengths in CYCLE_HALF_LENGTHS for seed in range(3)]
+        for k in range(1, 7):
+            corpus += [boolean(k), coxeter_ideal(k), relabeled(boolean(k), k)]
+        posets._classes.cache_clear()
+        for p in corpus:
             assert posets._certificate.__wrapped__(
                 p.ranks, p.covers
             ) == certificate_bytes(min_certificate_oracle(p.ranks, p.covers))
+        assert posets._classes.cache_info().hits > 0
+
+    def test_relabelled_copy_stops_at_first_leaf(self, monkeypatch):
+        # a copy with the ids of each rank shuffled meets, as its first
+        # leaf, the first leaf of the original: the copy's certificate is
+        # the original's, found with no search past that leaf
+        rng = random.Random(47)
+        group = list(itertools.permutations(range(1, 7)))
+        sample = []
+        while len(sample) < 200:
+            x, y = rng.choice(group), rng.choice(group)
+            if bruhat.bruhat_leq(x, y):
+                sample.append(bruhat.interval(x, y))
+        corpus = (s4_intervals() + list(map(bruhat.ideal, perms.all_perms(5)))
+                  + sample)
+        classes = posets._classes
+        searches = count_full_searches(monkeypatch)
+        leaves = count_leaves(monkeypatch)
+        moved = 0
+        for p in corpus:
+            copy = relabeled_within_ranks(p, rng)
+            moved += copy != (p.ranks, p.covers)
+            posets._certificate.cache_clear()
+            classes.cache_clear()
+            cert = posets._certificate(p.ranks, p.covers)
+            searched, reached = len(searches), len(leaves)
+            assert posets._certificate(*copy) == cert
+            # its class is known, and its search reaches no second leaf
+            assert len(searches) == searched
+            assert len(leaves) <= reached + 1
+        # most copies are raw shapes of their own, not the original again
+        assert moved > len(corpus) // 2
 
     def test_b7_ideal_is_boolean(self):
         # the ideal of 23456781 in S_8 is B_7, 128 elements; its 7!
@@ -1014,6 +1116,25 @@ class TestAtlas:
         result = posets.atlas(2, 1)
         assert result.counts("intervals") == (1, 1)
         assert result.counts("ideals") == (1, 1)
+
+    def test_one_full_search_per_class(self, monkeypatch):
+        # a cold atlas(6, 6) certifies 904 raw shapes of 113 classes and
+        # searches past the first leaf once per class
+        certificate = posets._certificate
+        certificate.cache_clear()
+        posets._classes.cache_clear()
+        searches = count_full_searches(monkeypatch)
+        classes = set()
+
+        def record(ranks, covers):
+            cert = certificate(ranks, covers)
+            classes.add(cert)
+            return cert
+
+        monkeypatch.setattr(posets, "_certificate", record)
+        posets.atlas(6, 6)
+        assert certificate.cache_info().misses == 904
+        assert len(classes) == len(searches) == 113
 
     def test_monotone_in_n(self):
         small = posets.atlas(3, 3)
