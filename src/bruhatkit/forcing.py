@@ -221,7 +221,7 @@ def _shaped_intervals(shape, bottoms):
                 mask.bit_count() == size
                 and all((mask & rank_masks[r]).bit_count() == profile[r]
                         for r in levels)
-                and posets._certificate(*ball.structure(mask)) == cert
+                and posets._certificate(ball.structure(mask)) == cert
             ):
                 yield x, table.perm(ball.lex_ranks[y])
 

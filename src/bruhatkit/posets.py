@@ -34,6 +34,12 @@ certificates already met, so the least certificate, and with it every
 canonical form, is the one the full search finds (checked against it in
 ``tests/oracles.py``).
 
+Certificates are cached by raw shape as flat bytes
+(:func:`tables.shape_key`), the key that a ball's relabel and
+:func:`canonical_form` both write, so the forcing fingerprint, the
+atlas's sets and the isomorphism test share one key form; only a miss
+decodes it.
+
 Each isomorphism class is searched once.  The bytes of the search's
 first leaf key a cache of class certificates.  A leaf certificate is the
 poset relabelled, so equal leaves mean isomorphic posets, which have the
@@ -80,7 +86,7 @@ from dataclasses import dataclass
 from . import perms
 from .limits import DEFAULT_LIMITS, Limits
 from .perms import _prefix_masks
-from .tables import count_above, rank_table, up_ball
+from .tables import count_above, rank_table, read_shape, shape_key, up_ball
 
 
 @dataclass(frozen=True)
@@ -352,12 +358,13 @@ def _classes(first_leaf: bytes) -> list[bytes]:
 
 
 @functools.lru_cache(maxsize=65536)
-def _certificate(ranks: tuple[int, ...], covers: tuple) -> bytes:
-    """The canonical certificate of the ranked poset (``ranks``,
-    ``covers``): the bytes of :func:`_min_certificate`, equal for two
-    posets iff they are isomorphic.  The cache keeps the bytes alone; a
-    shape whose first leaf an earlier shape met ends its search there
-    (:func:`_classes`)."""
+def _certificate(key: bytes) -> bytes:
+    """The canonical certificate of the raw shape keyed by ``key``
+    (:func:`tables.shape_key`), decoded here, on a miss: the bytes of
+    :func:`_min_certificate`, equal for two shapes iff they are
+    isomorphic.  A shape whose first leaf an earlier shape met ends its
+    search there (:func:`_classes`)."""
+    ranks, covers = read_shape(key)
     up, down = _adjacency(len(ranks), covers)
     return _min_certificate(*_root_partition(ranks, up, down), ranks, up,
                             down)
@@ -375,7 +382,8 @@ def _check_interval_shape(p: RankedPoset) -> None:
 def canonical_form(p: RankedPoset) -> bytes:
     """Isomorphism-invariant certificate of a graded interval: after the
     check for a unique least and greatest element, the bytes of
-    :func:`_certificate`.  An :class:`bruhat.Interval` is passed as it is.
+    :func:`_certificate` for its key (:func:`tables.shape_key`).  An
+    :class:`bruhat.Interval` is passed as it is.
 
     >>> edge = RankedPoset(ranks=(0, 1), covers=((0, 1),))
     >>> canonical_form(edge) == canonical_form(RankedPoset((5, 6), ((0, 1),)))
@@ -384,7 +392,7 @@ def canonical_form(p: RankedPoset) -> bytes:
     False
     """
     _check_interval_shape(p)
-    return _certificate(p.ranks, p.covers)
+    return _certificate(shape_key(p.ranks, p.covers))
 
 
 def is_isomorphic(p: RankedPoset, q: RankedPoset) -> bool:
@@ -609,7 +617,7 @@ def _scan_intervals(n: int, max_len: int, bottoms):
                 images = perms.symmetry_images(w)
                 if any(images[i] < w for i in fixing):
                     continue
-            cert = _certificate(*ball.structure(ball.below[y]))
+            cert = _certificate(ball.structure(ball.below[y]))
             certs["intervals", gap].add(cert)
             if lex_ranks[0] == 0:
                 certs["ideals", gap].add(cert)

@@ -14,12 +14,13 @@ chain from x, so for y in the ball the interval is exactly
 interval mask already run in the interval's (rank, one-line) order,
 with its minimum first.  The covers inside a mask are read off the
 masks too: z is covered by u exactly when z <= u and z lies one rank
-below u, so :meth:`Ball.structure` walks a mask one level at a time.  A
-ball grows by one level loop, :meth:`Ball.grow`, which appends the
-levels above its top one from the S_m ranks of that top level, the last
-run of ``lex_ranks``; since a mask holds only ids at or below its own,
-a ball of depth d is, id for id and mask for mask, the first d + 1
-levels of any deeper ball of x.
+below u, so :meth:`Ball.structure` walks a mask one level at a time,
+and writes the raw shape as flat bytes, the certificate cache's key
+(:func:`shape_key`).  A ball grows by one level loop, :meth:`Ball.grow`,
+which appends the levels above its top one from the S_m ranks of that
+top level, the last run of ``lex_ranks``; since a mask holds only ids at
+or below its own, a ball of depth d is, id for id and mask for mask, the
+first d + 1 levels of any deeper ball of x.
 
 A ball is built over the lexicographic ranks of S_m, 0..m!-1, whose
 order is one-line order, so sorting a level of ranks sorts it in
@@ -27,9 +28,11 @@ one-line order.  The covers come from a per-m :class:`RankTable`, a
 dict from rank to row read one way, ``table[r]``: the row of rank r
 holds the ranks of the elements covering r, computed by the
 transposition rule on ranks (see :meth:`RankTable.__missing__`) the
-first time it is read.  A rank is its permutation's Lehmer code read in
-factorial base, so the table keeps no permutations: a row decodes its
-own rank (:meth:`RankTable.perm`), and so does a reader that needs the
+first time it is read, as the one int object the table holds for each
+rank (``RankTable.ints``), which rows, balls and :func:`count_above`
+share.  A rank is its permutation's Lehmer code read in factorial base,
+so the table keeps no permutations: a row decodes its own rank
+(:meth:`RankTable.perm`), and so does a reader that needs the
 permutation of a top it has picked.  The tables sit in a bounded
 module-level cache, one per m, which every cache reset clears; the
 queries' intervals come from :mod:`bruhatkit.bruhat`, on tuples and
@@ -48,9 +51,10 @@ bottom's second request on, the deepest asked for, and grows it when a
 deeper one is asked for, so a scan that asks for each bottom once keeps
 nothing; its flags of the bottoms asked for reach only to the largest
 rank asked for.  The kept balls of a table are bounded by an estimate of
-their bytes, 64 per element and the bits of their masks, at most
-:data:`KEPT_BYTES`; a ball that does not fit is handed out and dropped.
-They live and die with their table, so every cache reset clears them.
+their own bytes, those of the object, its lists and its masks' ints
+(:func:`_estimate`), at most :data:`KEPT_BYTES`; a ball that does not
+fit is handed out and dropped.  They live and die with their table, so
+every cache reset clears them.
 
 Where the atlas needs only how many elements a ball would hold, to
 count the intervals of a bottom that cannot reach its least irreducible
@@ -65,7 +69,10 @@ themselves.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -100,25 +107,79 @@ def rank(w: Perm) -> int:
     return r
 
 
+def shape_key(ranks, covers) -> bytes:
+    """The key of the raw shape of elements 0..k-1 with ranks ``ranks``
+    and cover pairs ``covers``: the ranks less the least, and the covers
+    stably sorted by top.  Covers sorted by bottom, as a
+    :class:`posets.RankedPoset` holds them, then run by top, then bottom,
+    as :meth:`Ball.structure` writes them, so an interval from
+    :func:`bruhat.interval` keys as it does from its ball."""
+    base = min(ranks)
+    ends = list(itertools.chain.from_iterable(
+        sorted(covers, key=operator.itemgetter(1))))
+    return _pack([r - base for r in ranks], ends)
+
+
+def _pack(ranks: list[int], ends: list[int]) -> bytes:
+    """A raw shape as bytes: its width w, then k - 1 for its k elements,
+    their ranks, and the bottom and top id of each cover, each value
+    big-endian in w bytes, w the fewest that hold them all: exact at any
+    size, and one byte while every value is below 256, the case that
+    ``bytes`` takes whole.  Wider, byte j of every value is written at
+    once, as a slice of the key."""
+    try:
+        return bytes((1, len(ranks) - 1)) + bytes(ranks) + bytes(ends)
+    except ValueError:              # a value past 255
+        pass
+    values = [len(ranks) - 1, *ranks, *ends]
+    width = (max(values).bit_length() + 7) // 8
+    key = bytearray(1 + width * len(values))
+    key[0] = width
+    for j in range(width):
+        shift = 8 * (width - 1 - j)
+        key[1 + j::width] = bytes([value >> shift & 255 for value in values])
+    return bytes(key)
+
+
+def read_shape(key: bytes) -> tuple[tuple[int, ...], tuple]:
+    """The ranks and the cover pairs of a raw shape from its key
+    (:func:`_pack`), each value read a byte slice at a time."""
+    width = key[0]
+    values = list(key[1::width])
+    for j in range(2, width + 1):
+        values = [value << 8 | byte
+                  for value, byte in zip(values, key[j::width])]
+    size = values[0] + 1
+    ends = values[size + 1:]
+    return tuple(values[1:size + 1]), tuple(zip(ends[::2], ends[1::2]))
+
+
 def _estimate(ball: Ball) -> int:
-    """The bytes a kept ball is taken to hold: 64 per element, and its
-    below-masks, whose mask of id u has u + 1 bits."""
-    size = len(ball.lex_ranks)
-    return size * 64 + size * (size + 1) // 16
+    """The bytes a kept ball holds beside the rank ints it shares with
+    its table: the object and its three lists (:data:`BALL_BYTES`); per
+    element, its slots in two lists, over-allocated by up to an eighth,
+    and its below-mask's int; per level, its slot and its mask's int; and
+    the digits of the masks, 4 bytes per 30 bits, where the below-mask of
+    id u has u + 1 bits and a level mask at most one per element."""
+    size, levels = len(ball.lex_ranks), len(ball.rank_masks)
+    bits = size * (size + 1) // 2 + levels * size
+    return BALL_BYTES + 48 * size + 40 * levels + bits * 2 // 15
 
 
 class RankTable(dict):
     """The covers of S_m by lexicographic rank: ``table[r]`` is the row
     of rank r, filled the first time it is read, and :meth:`perm`
-    decodes a rank to its permutation.  ``kept`` holds the balls that
-    :meth:`ball` keeps, by the rank of their bottom, and ``kept_bytes``
-    the sum of their estimates."""
+    decodes a rank to its permutation.  ``ints`` maps each rank that a
+    row or a row's key names to the one int object the table stores for
+    it.  ``kept`` holds the balls that :meth:`ball` keeps, by the rank of
+    their bottom, and ``kept_bytes`` the sum of their estimates."""
 
     def __init__(self, m: int):
         super().__init__()
         self.m = m
         # weights[i] = (m - 1 - i)!, the place value of Lehmer digit i
         self.weights = tuple(math.factorial(m - 1 - i) for i in range(m))
+        self.ints: dict[int, int] = {}  # each rank named so far, to itself
         self.asked = bytearray()        # a flag per rank, to the largest asked
         self.kept: dict[int, Ball] = {}
         self.kept_bytes = 0
@@ -178,10 +239,11 @@ class RankTable(dict):
         b}, and leaves the other digits alone, so it adds
         (1 + c)(m-1-i)! - c(m-1-j)! to the rank.  With ``after[j]`` the
         mask of the values at the positions past j, c is the popcount of
-        its bits a + 1 .. b - 1.
+        its bits a + 1 .. b - 1.  Each rank goes through ``ints``.
         """
         w = self.perm(r)
         m, weights = self.m, self.weights
+        intern = self.ints.setdefault
         after = [0] * m
         for j in range(m - 1, 0, -1):
             after[j - 1] = after[j] | 1 << w[j]
@@ -194,8 +256,9 @@ class RankTable(dict):
                 if a < b < hi:
                     hi = b
                     c = (after[j] & ((1 << b) - (2 << a))).bit_count()
-                    out.append(r + (1 + c) * weights[i] - c * weights[j])
-        row = self[r] = tuple(out)
+                    top = r + (1 + c) * weights[i] - c * weights[j]
+                    out.append(intern(top, top))
+        row = self[intern(r, r)] = tuple(out)
         return row
 
 
@@ -207,7 +270,7 @@ def rank_table(m: int) -> RankTable:
     return RankTable(m)
 
 
-@dataclass
+@dataclass(slots=True)
 class Ball:
     """An up-ball.  :meth:`grow` only appends levels, so the levels that a
     reader of depth d reads never change once handed out."""
@@ -251,15 +314,15 @@ class Ball:
             lex_ranks += level
             rank_masks.append((1 << len(below)) - (1 << start))
 
-    def structure(self, mask: int):
-        """Relabel the elements of an interval mask to 0..m-1 in id order
-        and return (ranks relative to the interval's minimum, cover id
-        pairs, unsorted); the minimum is the lowest id, because ids are
-        rank-major.  The mask is read one level at a time: u covers the
-        z <= u of the mask's part one level down.  Certificates do not
-        depend on the order of covers."""
+    def structure(self, mask: int) -> bytes:
+        """The raw shape of an interval mask as its key
+        (:func:`shape_key`): the elements relabelled 0..k-1 in id order,
+        their ranks relative to the interval's minimum, which is the
+        lowest id because ids are rank-major, and the covers by top, then
+        bottom.  The mask is read one level at a time: u covers the z <= u
+        of the mask's part one level down."""
         below, index = self.below, {}
-        rel_ranks, covers = [], []
+        rel_ranks, ends = [], []
         rest, down = mask, 0
         for r, level in enumerate(self.rank_masks):
             if not rest:
@@ -274,10 +337,15 @@ class Ball:
                 downs = below[u] & down
                 while downs:
                     bit = downs & -downs
-                    covers.append((index[bit.bit_length() - 1], i))
+                    ends += index[bit.bit_length() - 1], i
                     downs ^= bit
             down = part
-        return tuple(rel_ranks), tuple(covers)
+        return _pack(rel_ranks, ends)
+
+
+# the fixed bytes of a ball: the object, its three lists empty, and the
+# nine slots that a list over-allocates at most beyond an eighth
+BALL_BYTES = sys.getsizeof(Ball([], [], [])) + 3 * (sys.getsizeof([]) + 72)
 
 
 def _build(table: RankTable, bottom: int, depth: int) -> Ball:

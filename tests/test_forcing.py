@@ -244,7 +244,9 @@ class TestRaisedGroupSize:
                    for x in least)
         assert (table.kept, table.kept_bytes) == ({}, 0)
         assert set(vars(table)) == {
-            "m", "weights", "asked", "kept", "kept_bytes"}
+            "m", "weights", "ints", "asked", "kept", "kept_bytes"}
+        # the intern map names those rows and their covers alone
+        assert set(table.ints) == set(table).union(*table.values())
 
 
 def table_scan(w, m):
@@ -252,7 +254,8 @@ def table_scan(w, m):
     from the interval masks above[x] & below[y] of the whole-group
     table (whose ids are rank-major, hence the final sort)."""
     target = bruhat.ideal(w)
-    cert = posets._certificate(target.ranks, target.covers)
+    cert = posets._certificate(
+        tables.shape_key(target.ranks, target.covers))
     d = perms.length(w)
     gt = table(m)
     up = above(m)
@@ -265,7 +268,7 @@ def table_scan(w, m):
             mask = up[xid] & gt.below[yid]
             if mask.bit_count() != target.size:
                 continue
-            if posets._certificate(*gt.structure(mask)) == cert:
+            if posets._certificate(gt.structure(mask)) == cert:
                 found.append((x, group[yid]))
     return sorted(found)
 

@@ -13,7 +13,7 @@ import pytest
 
 from bruhatkit import bruhat, perms, posets, tables
 from bruhatkit.limits import DEFAULT_LIMITS, CapExceeded, Limits
-from bruhatkit.tables import iter_bits, rank, up_ball
+from bruhatkit.tables import iter_bits, rank, read_shape, shape_key, up_ball
 
 from oracles import (
     backtracking_isomorphic,
@@ -71,7 +71,7 @@ def coxeter_ideal(k):
 
 @functools.cache
 def atlas_shapes(n, max_len):
-    """The raw (ranks, covers) shapes that atlas(n, max_len) certifies."""
+    """The raw shapes that atlas(n, max_len) certifies, as their keys."""
     top = n * (n - 1) // 2
     shapes = set()
     for x in perms.all_perms(n):
@@ -114,7 +114,7 @@ def full_scan_atlas(n, max_len):
             continue
         ball = up_ball(x, min(max_len, top - perms.length(x)))
         for y, gap in enumerate(ranks(ball)[1:], 1):
-            cert = posets._certificate(*ball.structure(ball.below[y]))
+            cert = posets._certificate(ball.structure(ball.below[y]))
             certs["intervals", gap].add(cert)
             if x == identity:
                 certs["ideals", gap].add(cert)
@@ -145,7 +145,7 @@ def every_top_certificates(n, max_len, bottoms):
         gaps = ranks(ball)
         for yid, y in enumerate(elements(ball, n)[1:], 1):
             if not reducible_points(x, y):
-                cert = posets._certificate(*ball.structure(ball.below[yid]))
+                cert = posets._certificate(ball.structure(ball.below[yid]))
                 certs["intervals", gaps[yid]].add(cert)
                 if x == identity:
                     certs["ideals", gaps[yid]].add(cert)
@@ -307,7 +307,7 @@ def searched_certificate(ranks, covers):
     """The certificate that ``_certificate``'s search finds, with no
     cached certificate and no known class to answer for it."""
     posets._classes.cache_clear()
-    return posets._certificate.__wrapped__(ranks, covers)
+    return posets._certificate.__wrapped__(shape_key(ranks, covers))
 
 
 def count_full_searches(monkeypatch):
@@ -412,7 +412,7 @@ class TestCanonicalForm:
         corpus = s4_intervals() + list(map(bruhat.ideal, perms.all_perms(5)))
         assert len(corpus) == 213 + 120
         for p in corpus:
-            cert = posets._certificate(p.ranks, p.covers)
+            cert = posets._certificate(shape_key(p.ranks, p.covers))
             assert type(cert) is bytes
             assert cert == posets.canonical_form(p)
 
@@ -557,7 +557,7 @@ class TestCertificateSearch:
     def test_equals_unpruned_search_on_atlas_shapes(self):
         shapes = atlas_shapes(5, 5) | atlas_shapes(6, 4) | atlas_shapes(7, 2)
         assert len(shapes) == 135
-        for ranks, covers in shapes:
+        for ranks, covers in map(read_shape, shapes):
             assert searched_certificate(
                 ranks, covers
             ) == certificate_bytes(min_certificate_oracle(ranks, covers))
@@ -568,7 +568,7 @@ class TestCertificateSearch:
         # member of the root's first cell that is not a singleton
         individualized = 0
         shapes = atlas_shapes(5, 5) | atlas_shapes(6, 4) | atlas_shapes(7, 2)
-        for ranks, covers in shapes:
+        for ranks, covers in map(read_shape, shapes):
             up, down = posets._adjacency(len(ranks), covers)
             colors, cells = posets._root_partition(ranks, up, down)
             expected = refine_oracle(list(ranks), up, down)
@@ -613,7 +613,7 @@ class TestCertificateSearch:
         posets._classes.cache_clear()
         for p in corpus:
             assert posets._certificate.__wrapped__(
-                p.ranks, p.covers
+                shape_key(p.ranks, p.covers)
             ) == certificate_bytes(min_certificate_oracle(p.ranks, p.covers))
         assert posets._classes.cache_info().hits > 0
 
@@ -639,9 +639,9 @@ class TestCertificateSearch:
             moved += copy != (p.ranks, p.covers)
             posets._certificate.cache_clear()
             classes.cache_clear()
-            cert = posets._certificate(p.ranks, p.covers)
+            cert = posets._certificate(shape_key(p.ranks, p.covers))
             searched, reached = len(searches), len(leaves)
-            assert posets._certificate(*copy) == cert
+            assert posets._certificate(shape_key(*copy)) == cert
             # its class is known, and its search reaches no second leaf
             assert len(searches) == searched
             assert len(leaves) <= reached + 1
@@ -716,7 +716,7 @@ class TestParabolicSplit:
                 assert equal_code_fields(code, x, y) == points, (x, y)
                 if not points:
                     cert = posets._certificate(
-                        *ball.structure(ball.below[yid]))
+                        ball.structure(ball.below[yid]))
                     expected["intervals", gaps[yid]].add(cert)
                     if x == identity:
                         expected["ideals", gaps[yid]].add(cert)
@@ -1005,9 +1005,9 @@ class TestStabilizerSkip:
         lookups = []
         certificate = posets._certificate
 
-        def record(ranks, covers):
-            lookups.append(ranks)
-            return certificate(ranks, covers)
+        def record(key):
+            lookups.append(key)
+            return certificate(key)
 
         monkeypatch.setattr(posets, "_certificate", record)
         identity = perms.identity(5)
@@ -1057,9 +1057,9 @@ class TestIntervalStructure:
         # ball ids are rank-major, so the relabel needs no sort to number
         # each interval in its (rank, one-line) order; checked for the
         # whole-group table and for the x-local balls that the scans read.
-        # The relabel leaves its covers unsorted: both sides are sorted.
+        # Both sides' covers are sorted.
         def same(struct, shape):
-            ranks, covers = struct
+            ranks, covers = read_shape(struct)
             return (ranks, sorted(covers)) == (
                 shape.ranks, sorted(shape.covers))
 
@@ -1126,8 +1126,8 @@ class TestAtlas:
         searches = count_full_searches(monkeypatch)
         classes = set()
 
-        def record(ranks, covers):
-            cert = certificate(ranks, covers)
+        def record(key):
+            cert = certificate(key)
             classes.add(cert)
             return cert
 

@@ -1,13 +1,16 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
 
-from bruhatkit import forcing, tables
+from bruhatkit import bruhat, forcing, tables
+from bruhatkit.bruhat import bruhat_leq
 from bruhatkit.limits import Limits
-from bruhatkit.tables import count_above, rank, rank_table, up_ball
+from bruhatkit.tables import (
+    count_above, rank, rank_table, read_shape, shape_key, up_ball)
 from oracles import cover_tops_oracle, up_ball_oracle
 from whole_group import elements, ranks
 
@@ -165,3 +168,112 @@ def test_asked_flags_reach_the_largest_rank_asked():
     assert first == (tuple(range(1, 12)), (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10))
     assert len(rank_table(11).asked) == 1
     assert peak < 2**20
+
+
+def test_rows_share_one_int_per_rank():
+    # every row of S_6 filled: each rank the rows name is one int object,
+    # which keys its own row too and names it in balls and level sets
+    table = rank_table(6)
+    for r in range(720):
+        table[r]
+    named = [c for row in table.values() for c in row]
+    assert len({id(c) for c in named}) == len(set(named)) == 719
+    assert all(table.ints[r] is r for r in table)
+    ball = up_ball((2, 1, 3, 4, 5, 6), 4)
+    assert all(table.ints[r] is r for r in ball.lex_ranks[1:])
+
+
+def test_intern_map_holds_the_rows_read():
+    # the first interval of S_11 reads the row of its bottom, rank 0: the
+    # intern map names that row and its rank, nothing sized 11!
+    first = next(forcing.intervals_isomorphic_to(
+        (2, 1), 11, Limits(max_n=11)))
+    assert first[0] == tuple(range(1, 12))
+    table = rank_table(11)
+    assert list(table) == [0]
+    assert set(table.ints) == {0, *table[0]}
+
+
+def s6_sample(count, seed):
+    """``count`` seeded intervals [x, y] of S_6."""
+    rng = random.Random(seed)
+    group = list(itertools.permutations(range(1, 7)))
+    sample = []
+    while len(sample) < count:
+        x, y = rng.choice(group), rng.choice(group)
+        if bruhat_leq(x, y):
+            sample.append((x, y))
+    return sample
+
+
+def interval_keys(pairs):
+    """(interval, key of its ball's relabel) for each [x, y] of ``pairs``."""
+    for x, y in pairs:
+        iv = bruhat.interval(x, y)
+        ball = up_ball(x, max(iv.ranks))
+        yid = ball.lex_ranks.index(rank(y))
+        yield iv, ball.structure(ball.below[yid])
+
+
+S4_PAIRS = [(x, y) for x in itertools.permutations(range(1, 5))
+            for y in itertools.permutations(range(1, 5)) if bruhat_leq(x, y)]
+
+
+def test_structure_decodes_to_the_interval():
+    # every interval of S_4 and 200 seeded ones of S_6: the key of the
+    # relabel holds the interval's ranks and covers, and is the key that
+    # shape_key gives the interval itself
+    assert len(S4_PAIRS) == 213
+    for iv, key in interval_keys(S4_PAIRS + s6_sample(200, 4801)):
+        ranks, covers = read_shape(key)
+        assert ranks == iv.ranks
+        assert tuple(sorted(covers)) == iv.covers
+        assert key == shape_key(iv.ranks, iv.covers)
+
+
+def deep_size(value):
+    """The bytes of ``value`` and, for a tuple, of all it holds."""
+    if type(value) is tuple:
+        return sys.getsizeof(value) + sum(map(deep_size, value))
+    return sys.getsizeof(value)
+
+
+def test_shape_key_bytes_per_element_and_cover():
+    # a key costs a fixed overhead, at most 2 bytes per element and 4 per
+    # cover up to 65,536 elements, and 1 and 2 up to 256; all of S_6,
+    # 720 elements, is the widest
+    pairs = S4_PAIRS + s6_sample(200, 4802)
+    pairs.append(((1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1)))
+    widths = set()
+    for iv, key in interval_keys(pairs):
+        size, covers = iv.size, len(iv.covers)
+        assert deep_size(key) <= 40 + 2 * size + 4 * covers
+        if size <= 256:
+            assert deep_size(key) <= 40 + size + 2 * covers
+        widths.add(key[0])
+    assert widths == {1, 2}
+
+
+def own_bytes(ball):
+    """The bytes of a ball beside the rank ints its table holds: the
+    object, its three lists and the ints of its masks."""
+    lists = (ball.lex_ranks, ball.below, ball.rank_masks)
+    return (sys.getsizeof(ball) + sum(map(sys.getsizeof, lists))
+            + sum(map(sys.getsizeof, ball.below))
+            + sum(map(sys.getsizeof, ball.rank_masks)))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_estimate_bounds_a_balls_own_bytes(n):
+    # fresh and grown balls of seeded bottoms at depths 0-4: the estimate
+    # that KEPT_BYTES bounds is at least a ball's own bytes, and at most
+    # twice them
+    table = rank_table(n)
+    for x in seeded_perms(n, 20, 480 + n):
+        grown = up_ball(x, 0)
+        for depth in range(5):
+            grown.grow(table, depth)
+            for ball in (up_ball(x, depth), grown):
+                assert not hasattr(ball, "__dict__")
+                own = own_bytes(ball)
+                assert own <= tables._estimate(ball) <= 2 * own, (x, depth)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 
 from bruhatkit.perms import Perm, identity
-from bruhatkit.tables import Ball, rank_table, up_ball
+from bruhatkit.tables import Ball, rank_table, read_shape, up_ball
 
 
 @functools.cache
@@ -45,7 +45,7 @@ def above(n: int) -> tuple[int, ...]:
     ids are the table's own."""
     gt = table(n)
     masks = [1 << u for u in range(len(gt.lex_ranks))]
-    _, covers = gt.structure((1 << len(gt.lex_ranks)) - 1)
+    _, covers = read_shape(gt.structure((1 << len(gt.lex_ranks)) - 1))
     for v, u in sorted(covers, key=lambda cover: cover[1], reverse=True):
         masks[v] |= masks[u]
     return tuple(masks)
