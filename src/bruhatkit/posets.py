@@ -396,10 +396,16 @@ def canonical_form(p: RankedPoset) -> bytes:
 
 
 def is_isomorphic(p: RankedPoset, q: RankedPoset) -> bool:
-    """Certificate equality, after cheap size and rank-profile screens."""
+    """Certificate equality, after cheap size and rank-profile screens
+    and the check that both are graded intervals.  Equal keys
+    (:func:`tables.shape_key`) are one raw shape, isomorphic with no
+    certificate."""
     if p.size != q.size or p.rank_profile() != q.rank_profile():
         return False
-    return canonical_form(p) == canonical_form(q)
+    _check_interval_shape(p)
+    _check_interval_shape(q)
+    p_key, q_key = shape_key(p.ranks, p.covers), shape_key(q.ranks, q.covers)
+    return p_key == q_key or _certificate(p_key) == _certificate(q_key)
 
 
 def to_dot(p: RankedPoset, labels: list[str] | None = None) -> str:

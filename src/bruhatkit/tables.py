@@ -26,17 +26,21 @@ A ball is built over the lexicographic ranks of S_m, 0..m!-1, whose
 order is one-line order, so sorting a level of ranks sorts it in
 one-line order.  The covers come from a per-m :class:`RankTable`, a
 dict from rank to row read one way, ``table[r]``: the row of rank r
-holds the ranks of the elements covering r, computed by the
-transposition rule on ranks (see :meth:`RankTable.__missing__`) the
-first time it is read, as the one int object the table holds for each
-rank (``RankTable.ints``), which rows, balls and :func:`count_above`
-share.  A rank is its permutation's Lehmer code read in factorial base,
-so the table keeps no permutations: a row decodes its own rank
+holds the ranks of the elements covering r, filled the first time it
+is read, as the one int object the table holds for each rank
+(``RankTable.ints``), which rows, balls and :func:`count_above` share.
+A rank is its permutation's Lehmer code read in factorial base, so the
+table keeps no permutations: a row decodes its own rank
 (:meth:`RankTable.perm`), and so does a reader that needs the
-permutation of a top it has picked.  The tables sit in a bounded
-module-level cache, one per m, which every cache reset clears; the
-queries' intervals come from :mod:`bruhatkit.bruhat`, on tuples and
-with no state between calls.
+permutation of a top it has picked.  Only the covers that move the
+first entry come from the transposition rule on ranks; the others are
+the covers of the suffix w(2..m), read from the row of rank r mod
+(m-1)! in the table of S_(m-1) (see :meth:`RankTable.__missing__`), so
+a fill walks the chain of tables down from S_m.  The tables sit in a
+bounded module-level cache, one per m, which holds the whole chain up
+to S_12 and which every cache reset clears; the queries' intervals come
+from :mod:`bruhatkit.bruhat`, on tuples and with no state between
+calls.
 
 Two scans build up-balls, each looping over its own bottoms:
 ``forcing._shaped_intervals`` for ``forces`` and
@@ -58,8 +62,9 @@ every cache reset clears them.
 
 Where the atlas needs only how many elements a ball would hold, to
 count the intervals of a bottom that cannot reach its least irreducible
-gap, :func:`count_above` reads the same rows and keeps each level as a
-set of ranks, with no masks and no ball.  Every element of S_n lies
+gap, :func:`count_above` reads the same rows: it counts level 1 and
+level 2 from row lengths alone, and keeps each deeper level as a set of
+ranks, with no masks and no ball.  Every element of S_n lies
 above the identity, so the whole group is the identity's up-ball of
 depth n(n-1)/2, cached below as the group table for n <= 7.  Only the
 benchmark still calls :func:`group_table`; the tests build that up-ball
@@ -168,11 +173,13 @@ def _estimate(ball: Ball) -> int:
 
 class RankTable(dict):
     """The covers of S_m by lexicographic rank: ``table[r]`` is the row
-    of rank r, filled the first time it is read, and :meth:`perm`
-    decodes a rank to its permutation.  ``ints`` maps each rank that a
-    row or a row's key names to the one int object the table stores for
-    it.  ``kept`` holds the balls that :meth:`ball` keeps, by the rank of
-    their bottom, and ``kept_bytes`` the sum of their estimates."""
+    of rank r, filled the first time it is read from the covers that
+    move the first entry and the row of the suffix in the table of
+    S_(m-1), and :meth:`perm` decodes a rank to its permutation.
+    ``ints`` maps each rank that a row or a row's key names to the one
+    int object the table stores for it.  ``kept`` holds the balls that
+    :meth:`ball` keeps, by the rank of their bottom, and ``kept_bytes``
+    the sum of their estimates."""
 
     def __init__(self, m: int):
         super().__init__()
@@ -230,43 +237,52 @@ class RankTable(dict):
         return tuple(out)
 
     def __missing__(self, r: int) -> tuple[int, ...]:
-        """Fill and return the row of rank r, from its permutation.
+        """Fill and return the row of rank r, from its permutation w and
+        the row of its suffix one size down.
 
         Swapping the entries a = w(i) < b = w(j) at positions i < j is a
         cover iff no position between holds a value between them
         (Bjorner and Brenti, GTM 231, 2.1.4).  It raises Lehmer digit i
         by 1 + c and lowers digit j by c, with c = #{l > j : a < w(l) <
         b}, and leaves the other digits alone, so it adds
-        (1 + c)(m-1-i)! - c(m-1-j)! to the rank.  With ``after[j]`` the
-        mask of the values at the positions past j, c is the popcount of
-        its bits a + 1 .. b - 1.  Each rank goes through ``ints``.
+        (1 + c)(m-1-i)! - c(m-1-j)! to the rank.  Lehmer digits 2..m of
+        w are the code of its suffix w(2..m) in S_(m-1), whose rank is
+        r mod (m-1)!, and a swap past position 1 keeps digit 1, so the
+        covers that move neither entry of position 1 are the suffix's
+        tops, each plus r less that remainder (``notes/decisions.md``):
+        the row reads them from ``rank_table(m - 1)``, in the order of
+        the suffix's row, after the covers that move position 1.  For
+        i = 1 no value between a and b lies before j, so c = b - a - 1.
+        Each rank goes through ``ints``.
         """
-        w = self.perm(r)
         m, weights = self.m, self.weights
         intern = self.ints.setdefault
-        after = [0] * m
-        for j in range(m - 1, 0, -1):
-            after[j - 1] = after[j] | 1 << w[j]
         out = []
-        for i in range(m - 1):
-            a = w[i]
+        if m > 1:
+            w = self.perm(r)
+            a, step = w[0], weights[0]
             hi = m + 1              # least value above a met so far
-            for j in range(i + 1, m):
+            for j in range(1, m):
                 b = w[j]
                 if a < b < hi:
                     hi = b
-                    c = (after[j] & ((1 << b) - (2 << a))).bit_count()
-                    top = r + (1 + c) * weights[i] - c * weights[j]
+                    top = r + (b - a) * step - (b - a - 1) * weights[j]
                     out.append(intern(top, top))
+            base = r - r % step
+            for top in rank_table(m - 1)[r % step]:
+                top += base
+                out.append(intern(top, top))
         row = self[intern(r, r)] = tuple(out)
         return row
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=12)
 def rank_table(m: int) -> RankTable:
-    """The rank table of S_m.  The cache holds eight, so a scan that
-    cycles through S_1..S_8, the default cap, never evicts a table it
-    comes back to."""
+    """The rank table of S_m.  The cache holds twelve: a row fill of S_m
+    reads the tables of S_(m-1) down to S_1, so for m up to 12 the
+    table being filled and every table of its chain stay cached, and a
+    scan that cycles through S_1..S_m never evicts a table it comes
+    back to."""
     return RankTable(m)
 
 
@@ -364,16 +380,24 @@ def up_ball(x: Perm, depth: int) -> Ball:
 
 def count_above(x: Perm, depth: int) -> int:
     """How many elements ``up_ball(x, depth)`` holds above x, with no
-    ball: its levels as sets of ranks, each the union of the rows of the
-    level before, with no masks.  The first level is the bottom's row."""
+    ball.  Level 1 is the bottom's row.  Every interval of length 2 has
+    four elements (Bjorner and Brenti, GTM 231, Lemma 2.7.3), so each
+    element of level 2 covers exactly two of level 1, and level 2 counts
+    half the row lengths of level 1.  Deeper levels are sets of ranks,
+    each the union of the rows of the level before, with no masks."""
     if depth <= 0:
         return 0
     table = rank_table(len(x))
-    level = set(table[rank(x)])
-    count = len(level)
-    for _ in range(depth - 1):
-        level = set().union(*map(table.__getitem__, level))
-        count += len(level)
+    row = table[rank(x)]
+    if depth == 1:
+        return len(row)
+    rows = list(map(table.__getitem__, row))
+    count = len(row) + sum(map(len, rows)) // 2
+    if depth > 2:
+        level = set().union(*rows)
+        for _ in range(depth - 2):
+            level = set().union(*map(table.__getitem__, level))
+            count += len(level)
     return count
 
 

@@ -497,6 +497,23 @@ class TestIsIsomorphic:
                     ):
                         assert posets.is_isomorphic(p, r)
 
+    def test_networkx_agrees_on_every_pair_of_s4(self):
+        # every pair of S_4 intervals; a pair with equal raw keys is
+        # decided with no certificate, so it adds no miss
+        nx = pytest.importorskip("networkx")
+        intervals = s4_intervals()
+        keys = [shape_key(p.ranks, p.covers) for p in intervals]
+        equal = 0
+        for (p, p_key), (q, q_key) in itertools.combinations_with_replacement(
+                zip(intervals, keys), 2):
+            if p_key == q_key:
+                equal += 1
+                posets._certificate.cache_clear()
+            assert posets.is_isomorphic(p, q) == networkx_isomorphic(nx, p, q)
+            if p_key == q_key:
+                assert posets._certificate.cache_info().misses == 0
+        assert equal > len(intervals)
+
 
 class TestCertificateSoundness:
     """Certificate equality must coincide with the backtracking matcher."""

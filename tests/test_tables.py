@@ -71,6 +71,39 @@ def test_rows_match_cover_oracle(n, bottoms):
         assert sorted(map(table.perm, row)) == sorted(tops)
 
 
+@pytest.mark.parametrize("n,ranks", [
+    *((n, None) for n in range(1, 8)),
+    (8, [0, 40319, *random.Random(82).sample(range(40320), 300)]),
+    (9, [0, 362879, *random.Random(92).sample(range(362880), 100)]),
+])
+def test_rows_equal_the_oracle_cold_and_warm(n, ranks):
+    # each row is the oracle's tops in its order, position pairs (i, j)
+    # in lexicographic order: filled once with every smaller table cold,
+    # when the fill reads one row of each, that of the suffix of its
+    # length, and again in a fresh table with the table one size down
+    # warm, when it reads that table's rows and fills none
+    if ranks is None:
+        ranks = range(math.factorial(n))
+    perm = rank_table(n).perm
+    expected = {r: tuple(map(rank, cover_tops_oracle(perm(r))))
+                for r in ranks}
+    smaller = range(1, n)
+    for r in ranks:
+        rank_table.cache_clear()
+        assert rank_table(n)[r] == expected[r]
+        assert [list(rank_table(k)) for k in smaller] == [
+            [r % math.factorial(k)] for k in smaller]
+    rank_table.cache_clear()
+    if n > 1:
+        down = rank_table(n - 1)
+        for r in ranks:
+            down[r % math.factorial(n - 1)]
+    warm = tables.RankTable(n)
+    sizes = [len(rank_table(k)) for k in smaller]
+    assert all(warm[r] == expected[r] for r in ranks)
+    assert [len(rank_table(k)) for k in smaller] == sizes
+
+
 @pytest.mark.parametrize("n,bottoms", [
     (5, None),
     (6, seeded_perms(6, 120, 61)),
@@ -103,15 +136,35 @@ def test_count_above_matches_oracle(n):
             assert count == len(up_ball(x, depth).lex_ranks) - 1, (x, depth)
 
 
+def test_count_above_matches_oracle_on_s6():
+    # every bottom of S_6 at depths 0..3: level 2 is counted from row
+    # lengths, level 3 as a set; one oracle ball of depth 3 per bottom
+    # holds the balls of depths 0..3 as its first levels
+    for x in itertools.permutations(range(1, 7)):
+        oracle_ranks = up_ball_oracle(x, 3)[1]
+        for depth in range(4):
+            expected = sum(1 <= r <= depth for r in oracle_ranks)
+            assert count_above(x, depth) == expected, (x, depth)
+
+
 def test_tables_are_one_bounded_cache_per_size():
-    # every cache reset clears the tables, and one table serves each m
+    # every cache reset clears the tables, and one table serves each m;
+    # the cache holds twelve, so a fill of S_12 keeps its whole chain of
+    # smaller tables, and it holds no more than twelve
     assert rank_table(5) is rank_table(5)
-    assert rank_table.cache_info().maxsize == 8
+    assert rank_table.cache_info().maxsize == 12
     x = (2, 1, 3, 4, 5)
     up_ball(x, 2)
     assert len(rank_table(5)) == 1 + len(cover_tops_oracle(x))
     rank_table.cache_clear()
     assert rank_table(5) == {}
+    top = rank_table(12)
+    top[math.factorial(12) - 1]
+    assert rank_table.cache_info().currsize == 12
+    assert rank_table(12) is top
+    for m in range(13, 16):
+        rank_table(m)
+    assert rank_table.cache_info().currsize == 12
 
 
 @pytest.mark.parametrize("x", seeded_perms(6, 12, 62))
